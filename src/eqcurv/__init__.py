@@ -39,7 +39,6 @@ from .graphs import (
 )
 from .linalg import (
     EigenDecomposition,
-    JacobiConvergenceError,
     LpUnboundedError,
     NonSymmetricMatrixError,
     SolveOutcome,
@@ -85,7 +84,6 @@ __all__ = [
     "SolveOutcome",
     "EigenDecomposition",
     "NonSymmetricMatrixError",
-    "JacobiConvergenceError",
     "LpUnboundedError",
     "solve_exact",
     "symmetric_eigen",

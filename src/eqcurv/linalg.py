@@ -5,8 +5,8 @@ Two arithmetic worlds are kept deliberately separate:
 * solvability classification, nullspaces, and the max-min canonicalization run
   over exact rationals (``fractions.Fraction``), so "singular" and
   "inconsistent" are structural verdicts rather than tolerance calls;
-* eigendecomposition and pseudo-inverse application run in binary64 through a
-  cyclic Jacobi sweep.
+* eigendecomposition and pseudo-inverse application run in binary64 through
+  LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 
 Callers convert explicitly at the boundary. Everything here is a pure function
 of its inputs.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm, sqrt
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "SolveOutcome",
     "EigenDecomposition",
     "NonSymmetricMatrixError",
-    "JacobiConvergenceError",
     "LpUnboundedError",
     "solve_exact",
     "symmetric_eigen",
@@ -36,20 +35,10 @@ __all__ = [
 ]
 
 SYMMETRY_TOLERANCE = 1e-12
-# relative off-diagonal target for the Jacobi sweep
-JACOBI_TARGET = 1e-12
 
 
 class NonSymmetricMatrixError(ValueError):
     """Matrix handed to the eigensolver is not symmetric within tolerance."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweep hit its sweep cap before reaching the off-diagonal target."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 class LpUnboundedError(RuntimeError):
@@ -87,7 +76,12 @@ class SolveOutcome:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues (descending) with matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) with matching orthonormal eigenvector columns.
+
+    ``offdiagonal_residual`` is ``max_{i != j} |(V^T M V)_ij|`` for the
+    symmetrized input M and the eigenvector matrix V: how far V falls short of
+    diagonalizing M.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -212,78 +206,29 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     return SolveOutcome(SolveStatus.AFFINE, particular, nullspace, rank)
 
 
-def symmetric_eigen(matrix, *, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix with cyclic Jacobi rotations.
+def symmetric_eigen(matrix) -> EigenDecomposition:
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps run until the largest off-diagonal magnitude drops below
-    ``1e-12 * ||M||_F`` (of the input), capped at ``max_sweeps``; exceeding the
-    cap raises JacobiConvergenceError carrying the achieved residual.
-    Eigenpairs come back sorted by eigenvalue, descending.
+    The input is checked for symmetry within ``SYMMETRY_TOLERANCE`` and then
+    symmetrized as ``(M + M^T) / 2``. Eigenpairs come back sorted by
+    eigenvalue, descending. The reported residual is the largest off-diagonal
+    magnitude of ``V^T M V``.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
     if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
         raise NonSymmetricMatrixError(
             f"matrix is not symmetric within {SYMMETRY_TOLERANCE:g} absolute"
         )
     a = (a + a.T) / 2.0
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    target = JACOBI_TARGET * fro
-
-    def offmax() -> float:
-        if n == 1:
-            return 0.0
-        b = np.abs(a.copy())
-        np.fill_diagonal(b, 0.0)
-        return float(b.max())
-
-    residual = offmax()
-    if fro > 0.0:
-        rotate_tol = target / (4.0 * n)
-        for _sweep in range(max_sweeps):
-            if residual <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= rotate_tol:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-                    c = 1.0 / sqrt(1.0 + t * t)
-                    s = t * c
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-            residual = offmax()
-        if residual > target:
-            raise JacobiConvergenceError(
-                f"Jacobi sweep did not converge in {max_sweeps} sweeps: "
-                f"off-diagonal residual {residual:.3e} above target {target:.3e}",
-                residual,
-            )
-
-    order = np.argsort(-np.diag(a), kind="stable")
-    return EigenDecomposition(np.diag(a)[order], v[:, order], residual)
+    lam, v = np.linalg.eigh(a)
+    lam, v = lam[::-1], v[:, ::-1]
+    rotated = v.T @ a @ v
+    np.fill_diagonal(rotated, 0.0)
+    return EigenDecomposition(lam, v, float(np.abs(rotated).max(initial=0.0)))
 
 
 def pseudo_apply(matrix, rhs) -> np.ndarray:

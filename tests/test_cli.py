@@ -1,10 +1,13 @@
 """CLI contract: exit codes, JSON schema, determinism, and the DOT exporter."""
 
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqcurv
 from eqcurv.cli import main, run_corpus
 
 
@@ -221,3 +224,13 @@ class TestExportDot:
         run_cli(capsys, "export-dot", "--family", "johnson:5,2", "--out", str(a))
         run_cli(capsys, "export-dot", "--family", "johnson:5,2", "--out", str(b))
         assert a.read_text() == b.read_text()
+
+
+class TestPackaging:
+    def test_pyproject_matches_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        module, _, attr = project["scripts"]["eqcurv"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
+        assert project["version"] == eqcurv.__version__

@@ -1,4 +1,4 @@
-"""Exact solver, Jacobi eigendecomposition, pseudo-inverse, and max-min LP."""
+"""Exact solver, LAPACK-backed symmetric eigendecomposition, pseudo-inverse, and max-min LP."""
 
 import math
 import random
@@ -13,7 +13,6 @@ from scipy.optimize import linprog
 
 from eqcurv import (
     FamilySpec,
-    JacobiConvergenceError,
     LpUnboundedError,
     NonSymmetricMatrixError,
     SolveStatus,
@@ -113,6 +112,17 @@ def test_solve_exact_substitution_identity(n, data):
 # ---------------------------------------------------------------------------
 
 
+def laplacian(text):
+    from eqcurv import parse_family_spec
+
+    g = generate(parse_family_spec(text))
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        lap[u, v] = lap[v, u] = -1.0
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
+
+
 def circulant_distance_eigenvalues(n):
     """Independent oracle: eigenvalues of the cycle's circulant distance matrix,
     lambda_j = sum_k min(k, n-k) * cos(2 pi j k / n)."""
@@ -133,10 +143,22 @@ class TestSymmetricEigen:
         eig = symmetric_eigen(dist("cycle:4").entries.astype(float))
         assert np.allclose(eig.eigenvalues, [4.0, 0.0, -2.0, -2.0], atol=1e-10)
 
-    def test_k3_laplacian_spectrum(self):
-        lap = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-        eig = symmetric_eigen(np.array(lap, dtype=float))
-        assert np.allclose(eig.eigenvalues, [3.0, 3.0, 0.0], atol=1e-10)
+    @pytest.mark.parametrize(
+        "spec", ["complete:3", "complete:4", "complete:7", "hypercube:3", "hypercube:4"]
+    )
+    def test_laplacian_spectrum_closed_form(self, spec):
+        """Repeated Laplacian eigenvalues: n (multiplicity n-1) and 0 on K_n;
+        2k (multiplicity C(d, k)) on the hypercube Q_d."""
+        family, size = spec.split(":")
+        m = int(size)
+        if family == "complete":
+            expected = [m] * (m - 1) + [0]
+        else:
+            expected = [2 * k for k in range(m, -1, -1) for _ in range(math.comb(m, k))]
+        eig = symmetric_eigen(laplacian(spec))
+        assert np.allclose(eig.eigenvalues, expected, atol=1e-10)
+        v = eig.eigenvectors
+        assert np.abs(v.T @ v - np.eye(len(expected))).max() <= 1e-10
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cycle_distance_spectra_match_circulant_form(self, n):
@@ -168,11 +190,19 @@ class TestSymmetricEigen:
         with pytest.raises(NonSymmetricMatrixError):
             symmetric_eigen([[0.0, 1.0], [0.5, 0.0]])
 
-    def test_convergence_error_carries_residual(self):
-        m = dist("cycle:8").entries.astype(float)
-        with pytest.raises(JacobiConvergenceError) as err:
-            symmetric_eigen(m, max_sweeps=0)
-        assert err.value.residual > 0
+    def test_offdiagonal_residual_bound(self):
+        """The reported max |(V^T M V)_ij|, i != j, is within 1e-12 * ||M||_F."""
+        rng = np.random.default_rng(5)
+        mats = [dist("cycle:8").entries.astype(float)]
+        for n in (2, 3, 5, 8, 13, 21):
+            m = rng.integers(-9, 10, size=(n, n)).astype(float)
+            mats.append((m + m.T) / 2)
+        for m in mats:
+            eig = symmetric_eigen(m)
+            assert eig.offdiagonal_residual <= 1e-12 * max(1.0, np.linalg.norm(m))
+            rotated = eig.eigenvectors.T @ m @ eig.eigenvectors
+            np.fill_diagonal(rotated, 0.0)
+            assert eig.offdiagonal_residual == pytest.approx(np.abs(rotated).max(), abs=1e-15)
 
     def test_one_by_one(self):
         eig = symmetric_eigen([[7.0]])

@@ -60,6 +60,11 @@ class TestSpectralGap:
         assert abs(info.c_G - 1.0) <= 1e-12
         assert min(info.perron_vector) > 0
 
+    def test_perron_data_for_hypercube(self):
+        info = spectral_gap(fam("hypercube:4"))
+        assert abs(info.c_G - 1.0) <= 1e-12
+        assert min(info.perron_vector) > 0
+
     def test_circulant_has_constant_perron_vector(self):
         info = spectral_gap(fam("cycle:8"))
         assert abs(info.c_G - 1.0) <= 1e-9
