@@ -19,13 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError, apsp
-from .linalg import (
-    LpUnboundedError,
-    SolveStatus,
-    lp_max_min,
-    pseudo_apply,
-    solve_exact,
-)
+from .linalg import SolveStatus, lp_max_min, pseudo_apply, solve_exact
 
 __all__ = [
     "CurvatureStatus",
@@ -61,7 +55,6 @@ class CurvatureResult:
     total: Fraction | float
     residual_range: tuple[Fraction, Fraction] | tuple[float, float]
     nullspace_dimension: int
-    lp_unbounded: bool = False
 
     @property
     def is_exact(self) -> bool:
@@ -93,7 +86,6 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
         dm = apsp(g)
     n = g.n
     outcome = solve_exact(dm.entries, [Fraction(n)] * n)
-    lp_unbounded = False
 
     if outcome.status is SolveStatus.UNIQUE:
         status = CurvatureStatus.EXACT_UNIQUE
@@ -106,11 +98,9 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
             # point of the family, so the LP can be skipped
             w = (Fraction(n) / row_sum,) * n
         else:
-            try:
-                w = lp_max_min(outcome.solution, outcome.nullspace)
-            except LpUnboundedError:
-                w = outcome.solution
-                lp_unbounded = True
+            # the system is consistent, so every kernel vector v has
+            # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
+            w = lp_max_min(outcome.solution, outcome.nullspace)
     else:
         status = CurvatureStatus.INCONSISTENT
         w = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
@@ -128,7 +118,7 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
         k_val = min(w)
         total = sum(abs(x) for x in w)
         rrange = (min(residuals), max(residuals))
-    return CurvatureResult(status, w, k_val, total, rrange, outcome.nullspace_dimension, lp_unbounded)
+    return CurvatureResult(status, w, k_val, total, rrange, outcome.nullspace_dimension)
 
 
 def curvature_of_family(spec: FamilySpec) -> Fraction:

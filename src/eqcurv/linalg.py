@@ -2,8 +2,9 @@
 
 Two arithmetic worlds are kept deliberately separate:
 
-* solvability classification, nullspaces, and the max-min canonicalization run
-  over exact rationals (``fractions.Fraction``), so "singular" and
+* solvability classification and nullspaces run on Python integers (Bareiss
+  elimination, one back-substitution, Fractions only in the result) and the
+  max-min canonicalization on ``fractions.Fraction``, so "singular" and
   "inconsistent" are structural verdicts rather than tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
   LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -94,11 +95,11 @@ class EigenDecomposition:
             object.__setattr__(self, name, arr)
 
 
-def _to_fraction(value) -> Fraction:
+def _exact(value) -> int | Fraction:
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
     raise TypeError(f"exact arithmetic needs int or Fraction entries, got {type(value).__name__}")
 
 
@@ -118,9 +119,13 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Notes
     -----
-    Rows are scaled to integers, then eliminated with integer row operations
-    and per-row gcd reduction, which is much faster than per-entry Fraction
-    normalization. Back-substitution returns to Fractions at the end.
+    Each row of ``[M | rhs]`` is scaled to integers and the augmented matrix
+    is eliminated fraction-free (Bareiss 1968): every entry stays an integer
+    minor and every division is exact. The last pivot ``d`` is the minor of
+    the pivot block, so by Cramer's rule ``d * x`` is integral for the
+    particular solution (free variables 0) and for each kernel vector (one
+    free variable 1, the others 0). One integer back-substitution finds all of
+    them at once; Fractions are built only for the returned vectors.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
@@ -133,77 +138,51 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
         raise ValueError(f"rhs length {len(rhs)} does not match matrix size {n}")
 
     # one integer row per equation: clear denominators of [row | rhs]
-    aug: list[list[int]] = []
+    a = np.empty((n, n + 1), dtype=object)
     for i in range(n):
-        frs = [_to_fraction(x) for x in rows[i]] + [_to_fraction(rhs[i])]
-        den = 1
-        for fr in frs:
-            den = lcm(den, fr.denominator)
-        aug.append([int(fr * den) for fr in frs])
+        vals = [_exact(x) for x in rows[i]] + [_exact(rhs[i])]
+        den = lcm(*(x.denominator for x in vals))
+        a[i] = [x.numerator * (den // x.denominator) for x in vals]
 
-    width = n + 1
     pivot_cols: list[int] = []
-    r = 0
+    prev = 1
     for col in range(n):
-        # smallest nonzero entry keeps the integer growth down
-        best = None
-        best_abs = None
-        for i in range(r, n):
-            a = aug[i][col]
-            if a != 0 and (best_abs is None or abs(a) < best_abs):
-                best, best_abs = i, abs(a)
-        if best is None:
+        r = len(pivot_cols)
+        candidates = [i for i in range(r, n) if a[i, col]]
+        if not candidates:
             continue
-        aug[r], aug[best] = aug[best], aug[r]
-        prow = aug[r]
-        pval = prow[col]
+        # smallest nonzero entry keeps the integer growth down
+        best = min(candidates, key=lambda i: abs(a[i, col]))
+        a[[r, best]] = a[[best, r]]
+        p = a[r, col]
         for i in range(r + 1, n):
-            val = aug[i][col]
-            if val == 0:
-                continue
-            row = aug[i]
-            new = [pval * row[j] - val * prow[j] for j in range(width)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [x // g for x in new]
-            aug[i] = new
+            a[i, col:] = (p * a[i, col:] - a[i, col] * a[r, col:]) // prev
+        prev = p
         pivot_cols.append(col)
-        r += 1
-        if r == n:
-            break
 
-    rank = r
-    consistent = all(aug[i][n] == 0 for i in range(rank, n))
+    rank = len(pivot_cols)
+    consistent = not any(a[rank:, n])
+    free_cols = sorted(set(range(n)) - set(pivot_cols))
 
-    frac_rows = [[Fraction(x) for x in aug[i]] for i in range(rank)]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+    # right-hand sides: rhs, then minus each free column; x holds prev * solution
+    b = np.concatenate([a[:rank, n:], -a[:rank, free_cols]], axis=1)
+    u = a[:rank, pivot_cols]
+    x = np.empty_like(b)
+    for i in reversed(range(rank)):
+        x[i] = (prev * b[i] - u[i, i + 1:].dot(x[i + 1:])) // u[i, i]
 
-    def back_solve(free_value_col: int | None, use_rhs: bool) -> tuple[Fraction, ...]:
-        x = [Fraction(0)] * n
-        if free_value_col is not None:
-            x[free_value_col] = Fraction(1)
-        for i in reversed(range(rank)):
-            c = pivot_cols[i]
-            row = frac_rows[i]
-            acc = row[n] if use_rhs else Fraction(0)
-            for j in range(c + 1, n):
-                if x[j]:
-                    acc -= row[j] * x[j]
-            x[c] = acc / row[c]
-        return tuple(x)
-
-    nullspace = tuple(back_solve(f, use_rhs=False) for f in free_cols)
+    vectors = [[Fraction(0)] * n for _ in range(b.shape[1])]
+    for vec, f in zip(vectors[1:], free_cols):
+        vec[f] = Fraction(1)
+    for c, nums in zip(pivot_cols, x):
+        for vec, num in zip(vectors, nums):
+            vec[c] = Fraction(num, prev)
+    particular, *nullspace = map(tuple, vectors)
     if not consistent:
-        return SolveOutcome(SolveStatus.INCONSISTENT, None, nullspace, rank)
-    particular = back_solve(None, use_rhs=True)
+        return SolveOutcome(SolveStatus.INCONSISTENT, None, tuple(nullspace), rank)
     if rank == n:
         return SolveOutcome(SolveStatus.UNIQUE, particular, (), rank)
-    return SolveOutcome(SolveStatus.AFFINE, particular, nullspace, rank)
+    return SolveOutcome(SolveStatus.AFFINE, particular, tuple(nullspace), rank)
 
 
 def symmetric_eigen(matrix) -> EigenDecomposition:
@@ -336,8 +315,8 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     with a certificate direction when ``min_i w_i`` has no upper bound, which
     cannot happen for genuine distance systems.
     """
-    p = [_to_fraction(x) for x in particular]
-    basis = [[_to_fraction(x) for x in vec] for vec in nullspace]
+    p = [Fraction(_exact(x)) for x in particular]
+    basis = [[Fraction(_exact(x)) for x in vec] for vec in nullspace]
     n = len(p)
     k = len(basis)
     if any(len(vec) != n for vec in basis):

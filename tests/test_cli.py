@@ -22,7 +22,8 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "compute", "--family", "cycle:6")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
+        assert "lp_unbounded" not in report["curvature"]
         assert report["curvature"]["k"]["exact"] == "2/3"
         assert report["curvature"]["k"]["pseudo"] is False
         assert report["curvature"]["status"] == "exact_canonical"
@@ -62,6 +63,15 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "tesseract:4")
         assert code == 1
         assert "cycle" in err and "johnson" in err
+
+    def test_single_vertex_is_inconsistent_exit_2(self, capsys):
+        # D = [0] cannot meet D w = 1; the kernel vector (1) has sum 1
+        code, out, _ = run_cli(capsys, "compute", "--family", "complete:1")
+        assert code == 2
+        report = json.loads(out)
+        assert report["curvature"]["status"] == "inconsistent"
+        assert report["curvature"]["nullspace_dimension"] == 1
+        assert report["spectral"] is None
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "johnson:4,2")
@@ -103,6 +113,12 @@ class TestVerify:
         (entry,) = report["theorems"]
         assert entry["hypothesis_satisfied"] is False
         assert entry["passed"] is True
+
+    def test_single_vertex_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "complete:1")
+        assert code == 1
+        assert out == ""
+        assert "at least two vertices" in err
 
     def test_unknown_theorem_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "cycle:5", "--theorems", "fermat")

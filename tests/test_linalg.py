@@ -69,6 +69,18 @@ class TestSolveExact:
         out = solve_exact(m, [1, 1])
         assert out.solution == (Fraction(2), Fraction(3))
 
+    def test_single_zero_entry(self):
+        # empty pivot block: rank 0, the whole space is the kernel
+        out = solve_exact([[0]], [1])
+        assert out.status is SolveStatus.INCONSISTENT
+        assert out.rank == 0
+        assert out.solution is None
+        assert out.nullspace == ((Fraction(1),),)
+        out = solve_exact([[0]], [0])
+        assert out.status is SolveStatus.AFFINE
+        assert out.solution == (Fraction(0),)
+        assert out.nullspace == ((Fraction(1),),)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="rhs length"):
             solve_exact([[1, 0], [0, 1]], [1, 2, 3])
@@ -302,6 +314,14 @@ class TestLpMaxMin:
             lp_max_min((0, 0), ((1, 1),))
         direction = err.value.direction
         assert len(direction) == 2 and min(direction) > 0
+
+    def test_later_level_unbounded_keeps_current_vertex(self):
+        # min(0, c) is bounded by 0, which pins w_0; w_1 = c then grows freely
+        assert lp_max_min((0, 0), ((0, 1),)) == (Fraction(0), Fraction(0))
+
+    def test_rejects_float_entries(self):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            lp_max_min((0.5, 1), ())
 
     def test_two_dimensional_family_against_fine_sweep(self):
         particular = (3, -1, 0, 2)
