@@ -13,13 +13,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError, apsp
-from .linalg import SolveStatus, lp_max_min, pseudo_apply, solve_exact
+from .linalg import SolveStatus, common_denominator, lp_max_min, pseudo_apply, solve_exact
 
 __all__ = [
     "CurvatureStatus",
@@ -63,10 +62,7 @@ class CurvatureResult:
 
 def exact_matvec(entries: np.ndarray, w: Sequence[Fraction]) -> list[Fraction]:
     """Exact product of an integer matrix with a rational vector."""
-    den = 1
-    for x in w:
-        den = lcm(den, Fraction(x).denominator)
-    nums = [int(Fraction(x) * den) for x in w]
+    nums, den = common_denominator(w)
     return [
         Fraction(sum(d * x for d, x in zip(row, nums)), den)
         for row in entries.tolist()
@@ -218,7 +214,9 @@ def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> Nullspace
     if dm is None:
         dm = apsp(g)
     outcome = solve_exact(dm.entries, [Fraction(g.n)] * g.n)
-    sums = tuple(sum(vec) for vec in outcome.nullspace)
+    sums = tuple(
+        Fraction(sum(nums), den) for nums, den in map(common_denominator, outcome.nullspace)
+    )
     return NullspaceSumReport(
         nullspace_dimension=outcome.nullspace_dimension,
         entry_sums=sums,

@@ -4,8 +4,10 @@ Two arithmetic worlds are kept deliberately separate:
 
 * solvability classification and nullspaces run on Python integers (Bareiss
   elimination, one back-substitution, Fractions only in the result) and the
-  max-min canonicalization on ``fractions.Fraction``, so "singular" and
-  "inconsistent" are structural verdicts rather than tolerance calls;
+  lexicographic max-min canonicalization on ``fractions.Fraction`` (one exact
+  simplex per level, each level certified by its dual, at most one level per
+  kernel dimension), so "singular" and "inconsistent" are structural
+  verdicts rather than tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
   LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 
@@ -103,6 +105,12 @@ def _exact(value) -> int | Fraction:
     raise TypeError(f"exact arithmetic needs int or Fraction entries, got {type(value).__name__}")
 
 
+def common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """``(nums, den)`` with ``values[i] == nums[i] / den``; den is the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def solve_exact(matrix, rhs) -> SolveOutcome:
     """Classify and solve ``M x = rhs`` over exact rationals.
 
@@ -140,9 +148,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     # one integer row per equation: clear denominators of [row | rhs]
     a = np.empty((n, n + 1), dtype=object)
     for i in range(n):
-        vals = [_exact(x) for x in rows[i]] + [_exact(rhs[i])]
-        den = lcm(*(x.denominator for x in vals))
-        a[i] = [x.numerator * (den // x.denominator) for x in vals]
+        a[i], _ = common_denominator([_exact(x) for x in rows[i]] + [_exact(rhs[i])])
 
     pivot_cols: list[int] = []
     prev = 1
@@ -239,11 +245,13 @@ def pseudo_apply(matrix, rhs) -> np.ndarray:
 
 def _simplex_max(
     a_rows: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, list[Fraction]]:
+) -> tuple[str, list[Fraction], list[Fraction]]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free and b >= 0.
 
     Exact dense tableau with Bland's rule (guaranteed termination). Returns
-    ("optimal", x) or ("unbounded", d) with d a feasible improving ray.
+    ("optimal", x, y) with y the optimal dual (``y >= 0``, ``A^T y = c``,
+    ``b . y = c . x``), read off the slack columns of the final objective row,
+    or ("unbounded", d, []) with d a feasible improving ray.
     Callers must shift the problem so b >= 0; the all-slack basis is then
     feasible and no phase-1 is needed.
     """
@@ -286,7 +294,7 @@ def _simplex_max(
             direction[enter] = Fraction(1)
             for i in range(m):
                 direction[basis[i]] = -tab[i][enter]
-            return "unbounded", [direction[j] - direction[nv + j] for j in range(nv)]
+            return "unbounded", [direction[j] - direction[nv + j] for j in range(nv)], []
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
         prow = tab[leave]
@@ -302,87 +310,94 @@ def _simplex_max(
     xfull = [Fraction(0)] * ncols
     for i in range(m):
         xfull[basis[i]] = tab[i][ncols]
-    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)]
+    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)], obj[2 * nv:ncols]
+
+
+def _combine(coef: Sequence[Fraction], vectors: list[list[Fraction]], n: int) -> list[Fraction]:
+    """``sum_j coef_j * vectors_j``, skipping zero coefficients."""
+    terms = [(c, vec) for c, vec in zip(coef, vectors) if c]
+    return [sum(c * vec[i] for c, vec in terms) for i in range(n)]
 
 
 def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
-    """Canonical point of an affine solution family: the max-min solution.
+    """Canonical point of an affine solution family: the lexicographic max-min.
 
     Over ``w(c) = particular + sum_j c_j * nullspace_j`` this maximizes
-    ``min_i w_i``, refining ties lexicographically (largest smallest entry,
-    then largest second-smallest among the remaining optima, and so on), which
-    pins every coordinate and determines w uniquely. Raises LpUnboundedError
-    with a certificate direction when ``min_i w_i`` has no upper bound, which
-    cannot happen for genuine distance systems.
+    ``min_i w_i``, then the smallest entry among the coordinates not yet
+    fixed, and so on (leximin). Whenever ``min_i w_i`` is bounded above, the
+    leximin point exists and is unique, so the result does not depend on the
+    nullspace basis.
+
+    Notes
+    -----
+    The current face is a point plus a list of direction vectors. Each level:
+
+    1. coordinates that are 0 in every direction are constant on the face and
+       stay fixed at their current value;
+    2. one exact simplex maximizes ``t`` subject to ``w_i >= t`` over the
+       other coordinates, and the point moves to its optimum ``t_level``;
+    3. its dual ``y`` is certified with rational equality (``y >= 0``,
+       ``sum y = 1``, ``y`` orthogonal to every direction, ``y . w =
+       t_level``, ``w_i >= t_level``); by complementary slackness every
+       coordinate with ``y_i > 0`` equals ``t_level`` on the whole optimal
+       face, and ``sum y = 1`` pins at least one;
+    4. the directions are replaced by a basis of the combinations that vanish
+       on the pinned coordinates, the kernel of the Gram matrix of the pinned
+       rows, so the face dimension drops by at least one.
+
+    With k nullspace vectors that is at most k simplex solves.
+
+    Raises LpUnboundedError with a certificate direction (every entry
+    positive) when ``min_i w_i`` itself has no upper bound; that cannot happen
+    for a consistent distance system, whose kernel vectors all sum to zero.
+    When only a later level is unbounded, the point returned lies in the
+    family, keeps every coordinate fixed at an earlier level at its value, and
+    is the first point along the LP's improving ray where no other coordinate
+    lies below a fixed one. That point is deterministic but not canonical: it
+    depends on the nullspace basis and on the simplex path.
     """
-    p = [Fraction(_exact(x)) for x in particular]
-    basis = [[Fraction(_exact(x)) for x in vec] for vec in nullspace]
-    n = len(p)
-    k = len(basis)
-    if any(len(vec) != n for vec in basis):
+    w = [Fraction(_exact(x)) for x in particular]
+    dirs = [[Fraction(_exact(x)) for x in vec] for vec in nullspace]
+    n = len(w)
+    if any(len(vec) != n for vec in dirs):
         raise ValueError("nullspace vectors must match the particular solution's length")
-    if k == 0:
-        return tuple(p)
 
-    def w_of(coef: list[Fraction]) -> list[Fraction]:
-        return [p[i] + sum(coef[j] * basis[j][i] for j in range(k)) for i in range(n)]
-
-    bounds: list[Fraction | None] = [None] * n
-    coef = [Fraction(0)] * k
-    for _level in range(n + 1):
-        active = [i for i in range(n) if bounds[i] is None]
-        if not active:
-            break
-        w = w_of(coef)
-        t0 = min(w[i] for i in active)
-        rows = []
-        rhs = []
-        for i in range(n):
-            row = [-basis[j][i] for j in range(k)]
-            if bounds[i] is None:
-                row.append(Fraction(1))
-                rhs.append(w[i] - t0)
-            else:
-                row.append(Fraction(0))
-                rhs.append(w[i] - bounds[i])
-            rows.append(row)
-        status, x = _simplex_max(rows, rhs, [Fraction(0)] * k + [Fraction(1)])
+    while True:
+        # a coordinate that is 0 in every direction is constant on the face
+        free = [i for i in range(n) if any(vec[i] for vec in dirs)]
+        if not free:
+            return tuple(w)
+        k = len(dirs)
+        # variables (step coefficients, t - t0); b = w - t0 >= 0 on the free rows
+        t0 = min(w[i] for i in free)
+        rows = [[-vec[i] for vec in dirs] + [Fraction(1)] for i in free]
+        rhs = [w[i] - t0 for i in free]
+        status, x, y = _simplex_max(rows, rhs, [Fraction(0)] * k + [Fraction(1)])
+        step = _combine(x[:k], dirs, n)
         if status == "unbounded":
-            delta = x[:k]
-            direction = tuple(
-                sum(delta[j] * basis[j][i] for j in range(k)) for i in range(n)
-            )
-            if all(bound is None for bound in bounds):
+            if len(free) == n:
                 raise LpUnboundedError(
-                    "min_i w_i is unbounded over the affine family", direction
+                    "min_i w_i is unbounded over the affine family", tuple(step)
                 )
-            # the objective itself is bounded (earlier levels pinned it); only
-            # the remaining coordinates grow without bound, so keep the current
-            # deterministic vertex, whose pinned coordinates already sit at
-            # their final values
-            return tuple(w_of(coef))
+            # every free coordinate grows along the ray (step_i >= t-step > 0):
+            # go just far enough that none stays below a fixed coordinate
+            top = max(w[i] for i in set(range(n)).difference(free))
+            s = max([Fraction(0)] + [(top - w[i]) / step[i] for i in free])
+            return tuple(a + s * b for a, b in zip(w, step))
         t_level = t0 + x[k]
-        coef = [coef[j] + x[j] for j in range(k)]
-        w = w_of(coef)
+        w = [a + b for a, b in zip(w, step)]
 
-        # pin the coordinates that cannot exceed t_level anywhere in the
-        # remaining region; at least one must pin per level
-        req = [bounds[i] if bounds[i] is not None else t_level for i in range(n)]
-        rows2 = [[-basis[j][i] for j in range(k)] for i in range(n)]
-        rhs2 = [w[i] - req[i] for i in range(n)]
-        pinned = False
-        for i in active:
-            if w[i] > t_level:
-                continue
-            status2, x2 = _simplex_max(rows2, rhs2, [basis[j][i] for j in range(k)])
-            if status2 == "unbounded":
-                continue
-            best_wi = w[i] + sum(x2[j] * basis[j][i] for j in range(k))
-            if best_wi == t_level:
-                bounds[i] = t_level
-                pinned = True
-        if not pinned:  # mathematically unreachable: the level optimum pins someone
-            raise RuntimeError("max-min refinement failed to pin a coordinate")
+        support = [(i, yi) for i, yi in zip(free, y) if yi]
+        if not (
+            all(yi >= 0 for yi in y)
+            and sum(y) == 1
+            and all(sum(yi * vec[i] for i, yi in support) == 0 for vec in dirs)
+            and sum(yi * w[i] for i, yi in support) == t_level
+            and all(w[i] >= t_level for i in free)
+        ):
+            raise RuntimeError("max-min level failed its exact optimality certificate")
 
-    assert all(bound is not None for bound in bounds)
-    return tuple(bounds)  # type: ignore[arg-type]
+        # E: one row per pinned coordinate, scaled to integers; E^T E has E's kernel
+        pinned_rows = [common_denominator([vec[i] for vec in dirs])[0] for i, _ in support]
+        e = np.array(pinned_rows, dtype=object)
+        dirs = [_combine(c, dirs, n) for c in solve_exact(e.T.dot(e), [0] * k).nullspace]

@@ -319,6 +319,21 @@ class TestLpMaxMin:
         # min(0, c) is bounded by 0, which pins w_0; w_1 = c then grows freely
         assert lp_max_min((0, 0), ((0, 1),)) == (Fraction(0), Fraction(0))
 
+    def test_later_level_unbounded_keeps_fixed_coordinates(self):
+        # w = (c1, -c1, 1 + c2, 1 - c2, c3): level 1 fixes w_0 = w_1 = 0, level 2
+        # fixes w_2 = w_3 = 1, and level 3 (w_4 alone) is unbounded
+        particular = (0, 0, 1, 1, 0)
+        basis = ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1))
+        w = lp_max_min(particular, basis)
+        assert w[:4] == (0, 0, 1, 1)
+        assert w[4] >= 1
+        assert all(isinstance(x, Fraction) for x in w)
+
+    def test_unbounded_free_coordinates_lifted_to_fixed_ones(self):
+        # w_0 = 5 is constant and w_1 = -3 + c is unbounded: min_i w_i is
+        # bounded by 5, and the point returned lifts w_1 just up to 5
+        assert lp_max_min((5, -3), ((0, 1),)) == (Fraction(5), Fraction(5))
+
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError, match="int or Fraction"):
             lp_max_min((0.5, 1), ())
