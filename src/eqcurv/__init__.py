@@ -24,6 +24,7 @@ from .curvature import (
 )
 from .graphs import (
     FAMILY_NAMES,
+    MAX_FAMILY_VERTICES,
     DisconnectedGraphError,
     DistanceMatrix,
     FamilySpec,
@@ -74,6 +75,7 @@ __all__ = [
     "FamilySpecError",
     "DisconnectedGraphError",
     "FAMILY_NAMES",
+    "MAX_FAMILY_VERTICES",
     "parse_edge_list",
     "parse_family_spec",
     "generate",

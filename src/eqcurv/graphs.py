@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "FamilySpecError",
     "DisconnectedGraphError",
     "FAMILY_NAMES",
+    "MAX_FAMILY_VERTICES",
     "parse_edge_list",
     "parse_family_spec",
     "generate",
@@ -394,43 +396,72 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
     raise FamilySpecError(f"no connected graph found in 1000 draws (n={n}, p={p})")
 
 
+# far above every family size the pipeline handles in reasonable time; the
+# generators and the n x n distance matrix are quadratic in memory
+MAX_FAMILY_VERTICES = 4096
+
+
+def _check_vertex_count(spec: FamilySpec, count: int) -> None:
+    """Refuse a family member with more than MAX_FAMILY_VERTICES vertices, before building it.
+
+    Callers may pass 2^64 for any count at least that large.
+    """
+    if count > MAX_FAMILY_VERTICES:
+        shown = count if count < 2**64 else "at least 2^64"
+        raise FamilySpecError(
+            f"{spec} would have {shown} vertices; the limit is {MAX_FAMILY_VERTICES}"
+        )
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the named family member; see FAMILY_NAMES for the catalog."""
+    """Build the named family member; see FAMILY_NAMES for the catalog.
+
+    The vertex count is worked out from the parameters first, and a member
+    with more than MAX_FAMILY_VERTICES vertices raises FamilySpecError.
+    """
     family = spec.family
     if family == "complete":
         (n,) = _int_params(spec, 1, "n >= 1")
         if n < 1:
             raise FamilySpecError("complete graph needs n >= 1")
+        _check_vertex_count(spec, n)
         return _complete(n)
     if family == "cycle":
         (n,) = _int_params(spec, 1, "n >= 3")
         if n < 3:
             raise FamilySpecError("cycle needs n >= 3")
+        _check_vertex_count(spec, n)
         return _cycle(n)
     if family == "path":
         (n,) = _int_params(spec, 1, "n >= 1")
         if n < 1:
             raise FamilySpecError("path needs n >= 1")
+        _check_vertex_count(spec, n)
         return _path(n)
     if family == "hypercube":
         (n,) = _int_params(spec, 1, "n >= 1")
         if n < 1:
             raise FamilySpecError("hypercube needs n >= 1")
+        _check_vertex_count(spec, 2 ** min(n, 64))
         return _hypercube(n)
     if family == "cocktail_party":
         (n,) = _int_params(spec, 1, "n >= 2 (graph has 2n vertices)")
         if n < 2:
             raise FamilySpecError("cocktail_party needs n >= 2")
+        _check_vertex_count(spec, 2 * n)
         return _cocktail_party(n)
     if family == "johnson":
         n, k = _int_params(spec, 2, "n, k with 1 <= k <= n-1")
         if not (1 <= k <= n - 1):
             raise FamilySpecError(f"johnson needs 1 <= k <= n-1, got n={n}, k={k}")
+        # comb(n, j) >= 2^j for j = min(k, n - k)
+        _check_vertex_count(spec, comb(n, k) if min(k, n - k) <= 64 else 2**64)
         return _johnson(n, k)
     if family == "demicube":
         (n,) = _int_params(spec, 1, "n >= 2")
         if n < 2:
             raise FamilySpecError("demicube needs n >= 2")
+        _check_vertex_count(spec, 2 ** min(n - 1, 64))
         return _demicube(n)
     if family == "complete_multipartite":
         if len(spec.params) < 2:
@@ -438,11 +469,13 @@ def generate(spec: FamilySpec) -> Graph:
         sizes = _int_params(spec, len(spec.params), "part sizes >= 1")
         if any(s < 1 for s in sizes):
             raise FamilySpecError("complete_multipartite part sizes must be >= 1")
+        _check_vertex_count(spec, sum(sizes))
         return _complete_multipartite(sizes)
     if family == "knight_board":
         rows, cols = _int_params(spec, 2, "rows, cols >= 1")
         if rows < 1 or cols < 1:
             raise FamilySpecError("knight_board needs rows, cols >= 1")
+        _check_vertex_count(spec, rows * cols)
         return _knight_board(rows, cols)
     if family == "erdos_renyi":
         if len(spec.params) != 3:
@@ -455,6 +488,7 @@ def generate(spec: FamilySpec) -> Graph:
             raise FamilySpecError(f"erdos_renyi needs 0 <= p <= 1, got {p}")
         if n_raw < 1:
             raise FamilySpecError("erdos_renyi needs n >= 1")
+        _check_vertex_count(spec, n_raw)
         return _erdos_renyi(n_raw, p, seed_raw)
     raise FamilySpecError(f"unknown family {family!r}")  # unreachable
 

@@ -2,12 +2,14 @@
 
 Two arithmetic worlds are kept deliberately separate:
 
-* solvability classification and nullspaces run on Python integers (Bareiss
-  elimination, one back-substitution, Fractions only in the result) and the
-  lexicographic max-min canonicalization on ``fractions.Fraction`` (one exact
-  simplex per level, each level certified by its dual, at most one level per
-  kernel dimension), so "singular" and "inconsistent" are structural
-  verdicts rather than tolerance calls;
+* solvability classification, nullspaces and the lexicographic max-min
+  canonicalization run on Python integers, with Fractions only at the
+  boundary: Bareiss elimination and one back-substitution for the solve, and
+  for the max-min one simplex per level on an integer tableau pivoted
+  fraction-free over one shared denominator, each level certified by its
+  dual, at most one level per kernel dimension. So "singular",
+  "inconsistent" and "optimal" are structural verdicts rather than
+  tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
   LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 
@@ -244,79 +246,91 @@ def pseudo_apply(matrix, rhs) -> np.ndarray:
 
 
 def _simplex_max(
-    a_rows: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+    a_rows: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
+    c: Sequence[int | Fraction],
 ) -> tuple[str, list[Fraction], list[Fraction]]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free and b >= 0.
 
-    Exact dense tableau with Bland's rule (guaranteed termination). Returns
+    Dense tableau with Bland's rule (guaranteed termination). Returns
     ("optimal", x, y) with y the optimal dual (``y >= 0``, ``A^T y = c``,
     ``b . y = c . x``), read off the slack columns of the final objective row,
     or ("unbounded", d, []) with d a feasible improving ray.
     Callers must shift the problem so b >= 0; the all-slack basis is then
     feasible and no phase-1 is needed.
+
+    Notes
+    -----
+    The tableau holds Python integers only and is pivoted fraction-free
+    (Edmonds 1967), the simplex form of the Bareiss elimination in
+    ``solve_exact``. Row i of ``[A | b]`` is scaled to integers by its factor
+    ``s_i`` (so its slack variable is scaled by ``s_i`` too) and the objective
+    row by ``c_den``. One shared denominator ``d``, starting at 1, is the
+    determinant of the current basis: pivoting on ``p = T[r, e]`` replaces
+    every other row, the objective row included, by
+    ``(p * T_i - T[i, e] * T_r) // d``, an exact division, keeps ``T_r`` and
+    sets ``d = p``. Every entry is ``d`` times the entry of the rational
+    tableau of the scaled problem. Positive row and column scalings change no
+    sign and no ratio order, so Bland's rule takes the same pivots as a
+    ``Fraction`` tableau. On the way out, a basic ``x`` is ``T[i, rhs] / d``,
+    the dual is ``y_i = s_i * T[obj, slack_i] / (d * c_den)``, and a ray whose
+    entering column is slack i is scaled back by ``s_i``.
     """
     m = len(a_rows)
     nv = len(c)
     assert all(x >= 0 for x in b), "simplex caller must shift to b >= 0"
     ncols = 2 * nv + m
-    tab: list[list[Fraction]] = []
+    # rows 0..m-1: [A | -A | I | b] scaled to integers; row m: reduced costs -c, c
+    tab = np.zeros((m + 1, ncols + 1), dtype=object)
+    scale = []
     for i in range(m):
-        row = [Fraction(0)] * (ncols + 1)
-        for j in range(nv):
-            aij = a_rows[i][j]
-            row[j] = aij
-            row[nv + j] = -aij
-        row[2 * nv + i] = Fraction(1)
-        row[ncols] = b[i]
-        tab.append(row)
-    # reduced-cost row for the slack basis: z_j - c_j = -c_j
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(nv):
-        obj[j] = -c[j]
-        obj[nv + j] = c[j]
+        nums, s = common_denominator([*a_rows[i], b[i]])
+        tab[i, :nv] = nums[:nv]
+        tab[i, nv:2 * nv] = [-x for x in nums[:nv]]
+        tab[i, 2 * nv + i] = 1
+        tab[i, ncols] = nums[nv]
+        scale.append(s)
+    nums, c_den = common_denominator(c)
+    tab[m, :nv] = [-x for x in nums]
+    tab[m, nv:2 * nv] = nums
     basis = [2 * nv + i for i in range(m)]
+    d = 1
 
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
+        negative = np.flatnonzero(tab[m, :ncols] < 0)
+        if not negative.size:
             break
+        enter = int(negative[0])
         leave = None
-        best = None
         for i in range(m):
-            aie = tab[i][enter]
+            aie = tab[i, enter]
             if aie > 0:
-                ratio = tab[i][ncols] / aie
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # compare T[i, rhs] / aie with T[leave, rhs] / T[leave, enter]
+                lhs = tab[i, ncols] * tab[leave, enter]
+                rhs = tab[leave, ncols] * aie
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
+            f = scale[enter - 2 * nv] if enter >= 2 * nv else 1
             direction = [Fraction(0)] * ncols
             direction[enter] = Fraction(1)
             for i in range(m):
-                direction[basis[i]] = -tab[i][enter]
+                direction[basis[i]] = Fraction(-tab[i, enter] * f, d)
             return "unbounded", [direction[j] - direction[nv + j] for j in range(nv)], []
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        prow = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * p for x, p in zip(tab[i], prow)]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * p for x, p in zip(obj, prow)]
+        p = tab[leave, enter]
+        others = np.arange(m + 1) != leave
+        tab[others] = (p * tab[others] - np.outer(tab[others, enter], tab[leave])) // d
+        d = p
         basis[leave] = enter
 
     xfull = [Fraction(0)] * ncols
     for i in range(m):
-        xfull[basis[i]] = tab[i][ncols]
-    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)], obj[2 * nv:ncols]
-
-
-def _combine(coef: Sequence[Fraction], vectors: list[list[Fraction]], n: int) -> list[Fraction]:
-    """``sum_j coef_j * vectors_j``, skipping zero coefficients."""
-    terms = [(c, vec) for c, vec in zip(coef, vectors) if c]
-    return [sum(c * vec[i] for c, vec in terms) for i in range(n)]
+        xfull[basis[i]] = Fraction(tab[i, ncols], d)
+    y = [Fraction(s * t, d * c_den) for s, t in zip(scale, tab[m, 2 * nv:ncols])]
+    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)], y
 
 
 def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
@@ -330,7 +344,8 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
 
     Notes
     -----
-    The current face is a point plus a list of direction vectors. Each level:
+    The current face is a point plus a list of direction vectors, each kept
+    as an integer row because its scale does not matter. Each level:
 
     1. coordinates that are 0 in every direction are constant on the face and
        stay fixed at their current value;
@@ -342,8 +357,8 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
        coordinate with ``y_i > 0`` equals ``t_level`` on the whole optimal
        face, and ``sum y = 1`` pins at least one;
     4. the directions are replaced by a basis of the combinations that vanish
-       on the pinned coordinates, the kernel of the Gram matrix of the pinned
-       rows, so the face dimension drops by at least one.
+       on the pinned coordinates, the kernel of the Gram matrix of the
+       directions' entries there, so the face dimension drops by at least one.
 
     With k nullspace vectors that is at most k simplex solves.
 
@@ -357,23 +372,27 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     depends on the nullspace basis and on the simplex path.
     """
     w = [Fraction(_exact(x)) for x in particular]
-    dirs = [[Fraction(_exact(x)) for x in vec] for vec in nullspace]
     n = len(w)
-    if any(len(vec) != n for vec in dirs):
+    if any(len(vec) != n for vec in nullspace):
         raise ValueError("nullspace vectors must match the particular solution's length")
+    # one integer row per direction: a direction's scale does not matter
+    dirs = np.array(
+        [common_denominator([_exact(x) for x in vec])[0] for vec in nullspace], dtype=object
+    ).reshape(len(nullspace), n)
 
     while True:
         # a coordinate that is 0 in every direction is constant on the face
-        free = [i for i in range(n) if any(vec[i] for vec in dirs)]
-        if not free:
+        free = np.flatnonzero((dirs != 0).any(axis=0))
+        if not free.size:
             return tuple(w)
         k = len(dirs)
         # variables (step coefficients, t - t0); b = w - t0 >= 0 on the free rows
         t0 = min(w[i] for i in free)
-        rows = [[-vec[i] for vec in dirs] + [Fraction(1)] for i in free]
+        rows = [[-v for v in dirs[:, i]] + [1] for i in free]
         rhs = [w[i] - t0 for i in free]
-        status, x, y = _simplex_max(rows, rhs, [Fraction(0)] * k + [Fraction(1)])
-        step = _combine(x[:k], dirs, n)
+        status, x, y = _simplex_max(rows, rhs, [0] * k + [1])
+        num, den = common_denominator(x[:k])
+        step = [Fraction(v, den) for v in np.array(num, dtype=object).dot(dirs)]
         if status == "unbounded":
             if len(free) == n:
                 raise LpUnboundedError(
@@ -387,17 +406,21 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
         t_level = t0 + x[k]
         w = [a + b for a, b in zip(w, step)]
 
-        support = [(i, yi) for i, yi in zip(free, y) if yi]
+        # the dual certificate in integers: y = num / den
+        num, den = common_denominator(y)
+        pinned = free[np.flatnonzero(num)]
         if not (
-            all(yi >= 0 for yi in y)
-            and sum(y) == 1
-            and all(sum(yi * vec[i] for i, yi in support) == 0 for vec in dirs)
-            and sum(yi * w[i] for i, yi in support) == t_level
+            min(num) >= 0
+            and sum(num) == den
+            and not dirs[:, free].dot(np.array(num, dtype=object)).any()
+            and sum(v * w[i] for i, v in zip(free, num)) == t_level * den
             and all(w[i] >= t_level for i in free)
         ):
             raise RuntimeError("max-min level failed its exact optimality certificate")
 
-        # E: one row per pinned coordinate, scaled to integers; E^T E has E's kernel
-        pinned_rows = [common_denominator([vec[i] for vec in dirs])[0] for i, _ in support]
-        e = np.array(pinned_rows, dtype=object)
-        dirs = [_combine(c, dirs, n) for c in solve_exact(e.T.dot(e), [0] * k).nullspace]
+        # E: the directions' entries on the pinned coordinates; E E^T has E^T's kernel
+        e = dirs[:, pinned]
+        dirs = np.array(
+            [common_denominator(c)[0] for c in solve_exact(e.dot(e.T), [0] * k).nullspace],
+            dtype=object,
+        ).reshape(-1, k).dot(dirs)

@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +66,11 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "tesseract:4")
         assert code == 1
         assert "cycle" in err and "johnson" in err
+
+    def test_oversized_family_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--family", "hypercube:20")
+        assert code == 1 and out == ""
+        assert "hypercube:20 would have 1048576 vertices; the limit is 4096" in err
 
     def test_single_vertex_is_inconsistent_exit_2(self, capsys):
         # D = [0] cannot meet D w = 1; the kernel vector (1) has sum 1
@@ -250,3 +258,13 @@ class TestPackaging:
         module, _, attr = project["scripts"]["eqcurv"].partition(":")
         assert getattr(importlib.import_module(module), attr) is main
         assert project["version"] == eqcurv.__version__
+
+    def test_python_m_eqcurv_runs_the_cli(self):
+        src = Path(eqcurv.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqcurv", "compute", "--family", "cycle:6"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["curvature"]["k"]["exact"] == "2/3"

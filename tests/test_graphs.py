@@ -13,6 +13,7 @@ from eqcurv import (
     FamilySpec,
     FamilySpecError,
     Graph,
+    MAX_FAMILY_VERTICES,
     GraphFormatError,
     apsp,
     cartesian_product,
@@ -118,6 +119,20 @@ class TestFamilySpec:
     def test_cycle_too_small(self):
         with pytest.raises(FamilySpecError):
             generate(FamilySpec("cycle", (2,)))
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [
+            ("hypercube:20", "1048576"),
+            ("johnson:40,20", "137846528820"),
+            ("cocktail_party:1000000000", "2000000000"),
+            ("erdos_renyi:1000000000,0.5,1", "1000000000"),
+        ],
+    )
+    def test_oversized_family_refused_before_building(self, text, count):
+        message = f"{count} vertices; the limit is {MAX_FAMILY_VERTICES}"
+        with pytest.raises(FamilySpecError, match=message):
+            fam(text)
 
     def test_str_round_trip(self):
         spec = parse_family_spec("knight:7,7")

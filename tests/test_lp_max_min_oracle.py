@@ -3,26 +3,95 @@
 The oracle solves one level LP, then one more LP per active coordinate to find
 the coordinates that cannot exceed the level value anywhere on the optimal
 face, and pins those. On a bounded family both must return the unique
-leximin point, with rational equality.
+leximin point, with rational equality. The oracle's LPs run on a dense
+``Fraction`` tableau kept here, so it shares no simplex code with the
+package's integer tableau, which is also checked against it directly.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqcurv.linalg
 from eqcurv import (
+    CurvatureStatus,
     Graph,
     LpUnboundedError,
     apsp,
+    compute_curvature,
     generate,
     lp_max_min,
     parse_family_spec,
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
+
+
+def reference_simplex_max(a_rows, b, c):
+    """Maximize ``c . x`` over ``{A x <= b}`` (x free, b >= 0) on a dense Fraction tableau.
+
+    Bland's rule; returns ("optimal", x, y) with y read off the slack columns
+    of the final objective row, or ("unbounded", ray, []).
+    """
+    m = len(a_rows)
+    nv = len(c)
+    assert all(x >= 0 for x in b), "simplex caller must shift to b >= 0"
+    ncols = 2 * nv + m
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(0)] * (ncols + 1)
+        for j in range(nv):
+            aij = a_rows[i][j]
+            row[j] = aij
+            row[nv + j] = -aij
+        row[2 * nv + i] = Fraction(1)
+        row[ncols] = b[i]
+        tab.append(row)
+    # reduced-cost row for the slack basis: z_j - c_j = -c_j
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(nv):
+        obj[j] = -c[j]
+        obj[nv + j] = c[j]
+    basis = [2 * nv + i for i in range(m)]
+
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            aie = tab[i][enter]
+            if aie > 0:
+                ratio = tab[i][ncols] / aie
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            direction = [Fraction(0)] * ncols
+            direction[enter] = Fraction(1)
+            for i in range(m):
+                direction[basis[i]] = -tab[i][enter]
+            return "unbounded", [direction[j] - direction[nv + j] for j in range(nv)], []
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [x - f * p for x, p in zip(tab[i], prow)]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [x - f * p for x, p in zip(obj, prow)]
+        basis[leave] = enter
+
+    xfull = [Fraction(0)] * ncols
+    for i in range(m):
+        xfull[basis[i]] = tab[i][ncols]
+    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)], obj[2 * nv:ncols]
 
 
 def lp_max_min_oracle(particular, nullspace) -> tuple[Fraction, ...]:
@@ -56,7 +125,7 @@ def lp_max_min_oracle(particular, nullspace) -> tuple[Fraction, ...]:
                 row.append(Fraction(0))
                 rhs.append(w[i] - bounds[i])
             rows.append(row)
-        status, x, _ = _simplex_max(rows, rhs, [Fraction(0)] * k + [Fraction(1)])
+        status, x, _ = reference_simplex_max(rows, rhs, [Fraction(0)] * k + [Fraction(1)])
         if status == "unbounded":
             delta = x[:k]
             direction = tuple(sum(delta[j] * basis[j][i] for j in range(k)) for i in range(n))
@@ -76,7 +145,7 @@ def lp_max_min_oracle(particular, nullspace) -> tuple[Fraction, ...]:
         for i in active:
             if w[i] > t_level:
                 continue
-            status2, x2, _ = _simplex_max(rows2, rhs2, [basis[j][i] for j in range(k)])
+            status2, x2, _ = reference_simplex_max(rows2, rhs2, [basis[j][i] for j in range(k)])
             if status2 == "unbounded":
                 continue
             if w[i] + sum(x2[j] * basis[j][i] for j in range(k)) == t_level:
@@ -103,6 +172,49 @@ def in_family(w, particular, basis) -> bool:
 
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# ints, and Fractions whose denominators differ within a row
+entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
+@st.composite
+def lps(draw):
+    """(A, b, c) with m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0."""
+    m = draw(st.integers(1, 8))
+    nv = draw(st.integers(1, 5))
+    a_rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), entries.map(abs)), min_size=m, max_size=m))
+    c = draw(st.lists(entries, min_size=nv, max_size=nv))
+    return a_rows, b, c
+
+
+def dot(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps())
+def test_simplex_matches_fraction_tableau(lp):
+    # same Bland path, so status, x, y and the ray agree with rational equality
+    a_rows, b, c = lp
+    status, x, y = _simplex_max(a_rows, b, c)
+    # the reference expects Fraction entries
+    reference = reference_simplex_max(
+        [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
+    )
+    assert (status, x, y) == reference
+    assert all(isinstance(v, Fraction) for v in x + y)
+    columns = list(zip(*a_rows))
+    if status == "optimal":
+        assert all(dot(row, x) <= bi for row, bi in zip(a_rows, b))
+        assert all(yi >= 0 for yi in y)
+        assert all(dot(col, y) == cj for col, cj in zip(columns, c))
+        assert dot(b, y) == dot(c, x)
+    else:
+        # a feasible improving ray: A d <= 0 and c . d > 0
+        assert all(dot(row, x) <= 0 for row in a_rows)
+        assert dot(c, x) > 0
 
 
 @st.composite
@@ -165,6 +277,29 @@ def distance_family(g: Graph):
 def test_matches_oracle_on_cycle_with_tail(m, tail):
     particular, basis = distance_family(cycle_with_tail(m, tail))
     assert lp_max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+
+
+def test_cycle_120_with_pendant_matches_linprog():
+    # n = 121, kernel dimension 59: one level LP on a 120-row tableau
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    g = cycle_with_tail(60, 1)
+    dist = apsp(g).entries
+    result = compute_curvature(g)
+    assert result.status is CurvatureStatus.EXACT_CANONICAL
+    assert all(dot(row, result.w) == g.n for row in dist.tolist())
+    # max t  s.t.  D w = n * 1,  t - w_i <= 0,  variables (w, t) free
+    n = g.n
+    res = linprog(
+        c=[0.0] * n + [-1.0],
+        A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([dist.astype(float), np.zeros((n, 1))]),
+        b_eq=np.full(n, float(n)),
+        bounds=[(None, None)] * (n + 1),
+        method="highs",
+    )
+    assert res.status == 0
+    assert abs(float(result.K) - (-res.fun)) <= 1e-7
 
 
 @pytest.mark.parametrize("spec", ["knight_board:3,4", "knight_board:4,4", "knight_board:5,8"])
