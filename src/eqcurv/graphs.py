@@ -172,7 +172,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse lines of "u v" vertex pairs into a Graph.
 
     '#' starts a comment, blank lines are skipped, duplicate edges collapse,
-    and the vertex count is 1 + the largest index that appears.
+    and the vertex count is 1 + the largest index that appears. An index that
+    would make more than MAX_FAMILY_VERTICES vertices raises GraphFormatError
+    before anything is built.
     """
     edges: set[tuple[int, int]] = set()
     max_index = -1
@@ -193,8 +195,14 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: negative vertex index in {raw!r}")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop {u} {v} is not allowed")
-        edges.add((min(u, v), max(u, v)))
-        max_index = max(max_index, u, v)
+        top = max(u, v)
+        if top >= MAX_FAMILY_VERTICES:
+            raise GraphFormatError(
+                f"line {lineno}: vertex {top} would make {top + 1} vertices; "
+                f"the limit is {MAX_FAMILY_VERTICES}"
+            )
+        edges.add((min(u, v), top))
+        max_index = max(max_index, top)
     if max_index < 0:
         raise GraphFormatError("no edges found in input")
     return Graph(max_index + 1, frozenset(edges))
@@ -396,8 +404,9 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
     raise FamilySpecError(f"no connected graph found in 1000 draws (n={n}, p={p})")
 
 
-# far above every family size the pipeline handles in reasonable time; the
-# generators and the n x n distance matrix are quadratic in memory
+# far above every graph size the pipeline handles in reasonable time; the
+# generators and the n x n distance matrix are quadratic in memory. Edge lists
+# are held to the same limit.
 MAX_FAMILY_VERTICES = 4096
 
 

@@ -3,13 +3,19 @@
 Two arithmetic worlds are kept deliberately separate:
 
 * solvability classification, nullspaces and the lexicographic max-min
-  canonicalization run on Python integers, with Fractions only at the
-  boundary: Bareiss elimination and one back-substitution for the solve, and
-  for the max-min one simplex per level on an integer tableau pivoted
-  fraction-free over one shared denominator, each level certified by its
-  dual, at most one level per kernel dimension. So "singular",
-  "inconsistent" and "optimal" are structural verdicts rather than
-  tolerance calls;
+  canonicalization run on integers, with Fractions only at the boundary.
+  The solve is p-adic lifting (Dixon 1982): one int64 Gauss-Jordan pass mod
+  a prime p < 2^20 finds the pivot block and its inverse mod p, int64 digit
+  steps lift the solution and the whole kernel basis at once, and rational
+  reconstruction gives one common denominator. Exact integer certificates
+  (the solve on the pivot rows, the kernel on every row, the lex-first
+  basis) prove the result, and a failed one moves on to the next prime of a
+  fixed sequence. Each array is int64 exactly when a documented bound rules
+  out overflow, and Python integers otherwise. The max-min runs one simplex
+  per level on an integer tableau pivoted fraction-free over one shared
+  denominator, each level certified by its dual, at most one level per
+  kernel dimension. So "singular", "inconsistent" and "optimal" are
+  structural verdicts rather than tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
   LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,11 @@ __all__ = [
 ]
 
 SYMMETRY_TOLERANCE = 1e-12
+INT64_LIMIT = 2**63
+PRIME_LIMIT = 2**20
+# every composite below PRIME_LIMIT has a factor of at most sqrt(PRIME_LIMIT),
+# so a larger q is prime exactly when it is coprime to this factorial
+_SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -113,6 +124,149 @@ def common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _absmax(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array (int64 or Python ints), 0 if empty."""
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def _int_dtype(bound: int):
+    """int64 if ``bound`` (on every value of a computation) is below 2^63, else Python ints."""
+    return np.int64 if bound < INT64_LIMIT else object
+
+
+def _primes():
+    """The primes between sqrt(PRIME_LIMIT) and PRIME_LIMIT, largest first: the fixed moduli."""
+    for q in range(PRIME_LIMIT - 1, isqrt(PRIME_LIMIT), -1):
+        if gcd(q, _SMALL_FACTORS) == 1:
+            yield q
+
+
+def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Gauss-Jordan on ``[M mod p | I]``: pivot rows, pivot columns and ``inv(M_IJ) mod p``.
+
+    Each column pivots on its first nonzero entry among the rows that are not
+    pivots yet, so the pivot columns are the lex-first column basis mod p.
+    Row r, pivot number t, keeps its identity entry in column ``n + t``: the
+    inverse part of a pivot row only ever involves earlier pivot rows, so step
+    t touches columns ``c .. n + t`` and the rows its column hits. Only the
+    pivot row and the column are reduced mod p; the other entries stay below
+    ``p + n (p - 1)^2 < 2^63`` in magnitude (an int64 array with n >= 2^23
+    rows would not fit in memory).
+    """
+    n = len(m)
+    a = np.zeros((n, 2 * n), dtype=np.int64)
+    a[:, :n] = m % p
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    open_rows = np.ones(n, dtype=bool)
+    for c in range(n):
+        col = a[:, c] % p
+        candidates = np.flatnonzero(col * open_rows)
+        if not candidates.size:
+            continue
+        r = int(candidates[0])
+        end = n + len(pivot_rows) + 1
+        a[r, end - 1] = 1
+        pivot = a[r, c:end] % p * pow(int(col[r]), -1, p) % p
+        a[r, c:end] = pivot
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        a[hit, c:end] -= np.outer(col[hit], pivot)
+        open_rows[r] = False
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+    return pivot_rows, pivot_cols, a[pivot_rows, n:n + len(pivot_rows)] % p
+
+
+def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
+    """``(num, den)`` with ``num == den * acc`` mod modulus, all within ``sqrt(modulus / 2)``.
+
+    One common denominator, grown entry by entry: an entry that ``den`` does
+    not already make small is reconstructed by the half-extended Euclidean
+    algorithm (Wang 1981), and ``den`` takes on its denominator. None when
+    some entry has no such fraction yet, i.e. more p-adic digits are needed.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    for u in acc.flat:
+        v = den * u % modulus
+        if bound < v < modulus - bound:
+            r0, r1, t0, t1 = modulus, v, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            den *= abs(t1)
+            if den > bound:
+                return None
+    num = den * acc % modulus
+    return np.where(num > modulus // 2, num - modulus, num), den
+
+
+def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
+    """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers."""
+    lhs_max, x_max, rhs_max = _absmax(lhs), _absmax(x), _absmax(rhs)
+    dtype = _int_dtype(max(lhs_max * x_max * lhs.shape[1], den * rhs_max, den, lhs_max, x_max))
+    holds = lhs.astype(dtype) @ x.astype(dtype) == den * rhs.astype(dtype)
+    return np.asarray(holds, dtype=bool).all(axis=0)
+
+
+def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Exact ``(num, den)`` with ``M_IJ num == den * rhs``, by p-adic lifting (Dixon 1982).
+
+    Digit i is ``X_i = C R_i mod p`` with ``C = inv(M_IJ) mod p``; then
+    ``R_{i+1} = (R_i - M_IJ X_i) / p`` is an exact division, so after s steps
+    ``sum_i X_i p^i`` solves the system mod ``p^s``. The residual keeps
+    ``|R_i| <= B = max(|rhs|, k |M_IJ|)``, and ``|R_i - M_IJ X_i| <= B p``,
+    while ``C (R_i mod p)`` stays below ``k p^2``. Both run in int64 when
+    ``B p < 2^63`` (``k p^2`` is smaller still for any k that fits in memory),
+    otherwise on Python ints. Reconstruction is tried after a growing number
+    of digits, and only the exact check ends the loop.
+    """
+    k = len(m_ij)
+    dtype = _int_dtype(max(_absmax(rhs), k * _absmax(m_ij)) * p)
+    m_w, c_w, r = m_ij.astype(dtype), inverse.astype(dtype), rhs.astype(dtype)
+    acc = np.zeros(rhs.shape, dtype=object)
+    modulus, steps, attempt = 1, 0, 1
+    while True:
+        digit = c_w @ (r % p) % p
+        r = (r - m_w @ digit) // p
+        acc += digit.astype(object) * modulus
+        modulus *= p
+        steps += 1
+        if steps < attempt:
+            continue
+        attempt += max(1, attempt // 4)
+        found = _reconstruct(acc, modulus)
+        if found is not None and _columns_hold(m_ij, *found, rhs).all():
+            return found
+
+
+def _solve_mod(
+    m: np.ndarray, b: np.ndarray, p: int
+) -> tuple[list[int], np.ndarray, int, bool] | None:
+    """Certified pivot columns, numerators, denominator and consistency; None if p is unlucky.
+
+    The columns of ``num`` are ``den`` times the pivot entries of the
+    particular solution and of each kernel vector (one free variable 1).
+    """
+    n = len(m)
+    pivot_rows, pivot_cols, inverse = _eliminate_mod(m, p)
+    free_cols = sorted(set(range(n)) - set(pivot_cols))
+    other_rows = sorted(set(range(n)) - set(pivot_rows))
+
+    def targets(rows):
+        return np.concatenate([b[rows, None], -m[rows][:, free_cols]], axis=1)
+
+    num, den = _lift(m[pivot_rows][:, pivot_cols], inverse, targets(pivot_rows), p)
+    # the remaining rows: kernel vectors must hold there too, the particular solution may not
+    holds = _columns_hold(m[other_rows][:, pivot_cols], num, den, targets(other_rows))
+    # lex-first basis: the kernel vector of free column f is 0 on every later pivot column
+    later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
+    if not holds[1:].all() or np.any(num[:, 1:][later] != 0):
+        return None
+    return pivot_cols, num, den, bool(holds[0])
+
+
 def solve_exact(matrix, rhs) -> SolveOutcome:
     """Classify and solve ``M x = rhs`` over exact rationals.
 
@@ -129,15 +283,48 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Notes
     -----
-    Each row of ``[M | rhs]`` is scaled to integers and the augmented matrix
-    is eliminated fraction-free (Bareiss 1968): every entry stays an integer
-    minor and every division is exact. The last pivot ``d`` is the minor of
-    the pivot block, so by Cramer's rule ``d * x`` is integral for the
-    particular solution (free variables 0) and for each kernel vector (one
-    free variable 1, the others 0). One integer back-substitution finds all of
-    them at once; Fractions are built only for the returned vectors.
+    Each row of ``[M | rhs]`` is scaled to integers. The moduli are the
+    primes between 2^10 and ``PRIME_LIMIT = 2^20``, largest first (1048573,
+    1048571, ...), a fixed sequence, so the result is deterministic. For a
+    prime p:
+
+    1. one int64 Gauss-Jordan pass over ``[M mod p | I]`` gives the pivot
+       rows I, the lex-first pivot columns J and ``C = inv(M_IJ) mod p``;
+    2. p-adic lifting (Dixon 1982) solves ``M_IJ [x | Z] = [b_I | -M_I,free]``
+       as one multi-right-hand-side system, with rational reconstruction of
+       one common denominator, until ``M_IJ X == den * RHS`` holds exactly.
+       The particular solution has every free variable 0, and kernel vector
+       j has free variable j equal to 1;
+    3. on the other rows, in exact integers: the kernel check
+       ``M_.J Z == -den * M_.free``, and the lex-first check that kernel
+       vector f is 0 on every pivot column after f.
+
+    ``M_IJ`` is invertible mod p, so its columns are independent over Q; the
+    kernel check puts every column in their span, which proves the rank, and
+    the lex-first check proves J is the lex-first column basis, the one
+    Bareiss elimination finds. The basis fixes the particular solution and
+    the kernel basis, so the outcome equals Bareiss's. If either check fails,
+    p is unlucky and the next prime is tried. An unlucky p divides
+    ``det M_I0J`` for every row set I0 with that minor nonzero (otherwise
+    Cramer's rule mod p would give J and the lifted vectors), so every prime
+    fails, and RuntimeError is raised, only if such a minor is a multiple of
+    all of them, a number of about 1.5 million bits. With both checks
+    passing, ``M_.J x == den * b`` failing on a row certifies INCONSISTENT:
+    any solution would have to be this x.
+
+    Overflow bounds, each checked before an array is made int64 (otherwise
+    the same code runs on Python ints): the elimination keeps entries below
+    ``p + n (p - 1)^2``; a lifting step keeps the residual below
+    ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, and the digit product
+    ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T`` runs
+    in int64 when ``|A| |X| k`` and ``den |T|`` stay below 2^63. n and k stay
+    below 2^23 for any matrix that fits in memory, so only the lifting and
+    certificate bounds ever pick Python ints. Fractions are built only for
+    the pivot entries of the returned vectors.
     """
-    rows = [list(row) for row in matrix]
+    # an integer array needs no per-entry conversion
+    int_array = isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype.kind in "iu"
+    rows = matrix if int_array else [list(row) for row in matrix]
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
@@ -148,43 +335,37 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
         raise ValueError(f"rhs length {len(rhs)} does not match matrix size {n}")
 
     # one integer row per equation: clear denominators of [row | rhs]
-    a = np.empty((n, n + 1), dtype=object)
-    for i in range(n):
-        a[i], _ = common_denominator([_exact(x) for x in rows[i]] + [_exact(rhs[i])])
+    if int_array:
+        rhs = [Fraction(_exact(x)) for x in rhs]
+        dens = [x.denominator for x in rhs]
+        nums = [x.numerator for x in rhs]
+        bound = max(_absmax(matrix) * max(dens), *map(abs, nums))
+        a = np.empty((n, n + 1), dtype=_int_dtype(bound))
+        a[:, :n] = matrix
+        a[:, :n] *= np.array(dens, dtype=a.dtype)[:, None]
+        a[:, n] = nums
+    else:
+        a = np.empty((n, n + 1), dtype=object)
+        for i in range(n):
+            a[i], _ = common_denominator([_exact(x) for x in rows[i]] + [_exact(rhs[i])])
+        a = a.astype(_int_dtype(_absmax(a)))
 
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(n):
-        r = len(pivot_cols)
-        candidates = [i for i in range(r, n) if a[i, col]]
-        if not candidates:
-            continue
-        # smallest nonzero entry keeps the integer growth down
-        best = min(candidates, key=lambda i: abs(a[i, col]))
-        a[[r, best]] = a[[best, r]]
-        p = a[r, col]
-        for i in range(r + 1, n):
-            a[i, col:] = (p * a[i, col:] - a[i, col] * a[r, col:]) // prev
-        prev = p
-        pivot_cols.append(col)
-
+    for p in _primes():
+        found = _solve_mod(a[:, :n], a[:, n], p)
+        if found is not None:
+            break
+    else:
+        raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
+    pivot_cols, num, den, consistent = found
     rank = len(pivot_cols)
-    consistent = not any(a[rank:, n])
     free_cols = sorted(set(range(n)) - set(pivot_cols))
 
-    # right-hand sides: rhs, then minus each free column; x holds prev * solution
-    b = np.concatenate([a[:rank, n:], -a[:rank, free_cols]], axis=1)
-    u = a[:rank, pivot_cols]
-    x = np.empty_like(b)
-    for i in reversed(range(rank)):
-        x[i] = (prev * b[i] - u[i, i + 1:].dot(x[i + 1:])) // u[i, i]
-
-    vectors = [[Fraction(0)] * n for _ in range(b.shape[1])]
+    vectors = [[Fraction(0)] * n for _ in range(1 + len(free_cols))]
     for vec, f in zip(vectors[1:], free_cols):
         vec[f] = Fraction(1)
-    for c, nums in zip(pivot_cols, x):
-        for vec, num in zip(vectors, nums):
-            vec[c] = Fraction(num, prev)
+    for c, nums in zip(pivot_cols, num):
+        for vec, v in zip(vectors, nums):
+            vec[c] = Fraction(v, den)
     particular, *nullspace = map(tuple, vectors)
     if not consistent:
         return SolveOutcome(SolveStatus.INCONSISTENT, None, tuple(nullspace), rank)
@@ -262,8 +443,8 @@ def _simplex_max(
     Notes
     -----
     The tableau holds Python integers only and is pivoted fraction-free
-    (Edmonds 1967), the simplex form of the Bareiss elimination in
-    ``solve_exact``. Row i of ``[A | b]`` is scaled to integers by its factor
+    (Edmonds 1967), the simplex form of the Bareiss elimination
+    (1968). Row i of ``[A | b]`` is scaled to integers by its factor
     ``s_i`` (so its slack variable is scaled by ``s_i`` too) and the objective
     row by ``c_den``. One shared denominator ``d``, starting at 1, is the
     determinant of the current basis: pivoting on ``p = T[r, e]`` replaces

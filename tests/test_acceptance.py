@@ -15,6 +15,7 @@ import pytest
 from eqcurv import (
     CurvatureStatus,
     FamilySpec,
+    Graph,
     apsp,
     cartesian_product,
     check_bonnet_myers,
@@ -248,3 +249,41 @@ def test_criterion_10_perron_alignment(corpus, family_spectral):
     print(f"\nACCEPTANCE 10 PASS: c_G >= 1/sqrt(2) everywhere "
           f"(corpus min {summary['c_g']['min']:.6f}, family min {worst_family:.6f}); "
           f"fraction of corpus with c_G > 0.95: {fraction:.3f}")
+
+
+# the two connected graphs on at most 7 vertices whose distance system has no
+# solution, as numbered and labelled by networkx.graph_atlas_g(): atlas 1184 is
+# K_{1,1,1,4} (the independent set 0, 1, 2, 6) and atlas 1245 is K_{1,1,1,1,3}
+# (the independent set 4, 5, 6)
+ATLAS_INCONSISTENT = {
+    1184: ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+           (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)),
+    1245: ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+           (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)),
+}
+
+
+def test_criterion_11_every_connected_graph_up_to_7_vertices():
+    nx = pytest.importorskip("networkx")
+    statuses = {status: 0 for status in CurvatureStatus}
+    inconsistent = {}
+    for index, h in enumerate(nx.graph_atlas_g()):
+        if h.number_of_nodes() < 2 or not nx.is_connected(h):
+            continue
+        g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+        result = compute_curvature(g)
+        statuses[result.status] += 1
+        if result.status is CurvatureStatus.INCONSISTENT:
+            inconsistent[index] = tuple(sorted(g.edges))
+    assert statuses == {
+        CurvatureStatus.EXACT_UNIQUE: 787,
+        CurvatureStatus.EXACT_CANONICAL: 206,
+        CurvatureStatus.INCONSISTENT: 2,
+    }
+    assert inconsistent == ATLAS_INCONSISTENT
+    for text, edges in zip(["complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,1,3"],
+                           ATLAS_INCONSISTENT.values()):
+        family = generate(parse_family_spec(text))
+        assert nx.is_isomorphic(nx.Graph(list(edges)), nx.Graph(list(family.edges))), text
+    print("\nACCEPTANCE 11 PASS: all 995 connected graphs on 2..7 vertices: 787 "
+          "exact_unique, 206 exact_canonical, 2 inconsistent (K_{1,1,1,4} and K_{1,1,1,1,3})")

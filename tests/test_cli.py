@@ -72,6 +72,13 @@ class TestCompute:
         assert code == 1 and out == ""
         assert "hypercube:20 would have 1048576 vertices; the limit is 4096" in err
 
+    def test_oversized_edge_list_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 100000000\n")
+        code, out, err = run_cli(capsys, "compute", "--edge-list", str(path))
+        assert code == 1 and out == ""
+        assert "vertex 100000000 would make 100000001 vertices; the limit is 4096" in err
+
     def test_single_vertex_is_inconsistent_exit_2(self, capsys):
         # D = [0] cannot meet D w = 1; the kernel vector (1) has sum 1
         code, out, _ = run_cli(capsys, "compute", "--family", "complete:1")

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqcurv import (
     CurvatureStatus,
     FamilySpec,
     FamilySpecError,
+    Graph,
     apsp,
     compute_curvature,
     curvature_of_family,
@@ -219,3 +222,35 @@ class TestNullspaceSumCheck:
             g = fam(spec)
             assert nullspace_sum_check(g).exceptional
             assert compute_curvature(g).status is CurvatureStatus.INCONSISTENT
+
+
+def prufer_tree(n: int, code: list[int]) -> Graph:
+    """The labelled tree on n >= 2 vertices with the given Pruefer code (length n - 2)."""
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = degree.index(1)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, v = (i for i, d in enumerate(degree) if d == 1)
+    edges.append((u, v))
+    return Graph(n, frozenset(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_tree_curvature_matches_graham_lovasz(data, n):
+    # Graham and Lovasz (1978) give D^{-1} of a tree; with it, D w = n * 1
+    # has the unique solution w_i = n (2 - deg_i) / (n - 1)
+    code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    g = prufer_tree(n, code)
+    degree = [0] * n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    result = compute_curvature(g)
+    assert result.status is CurvatureStatus.EXACT_UNIQUE
+    assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)

@@ -89,6 +89,14 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="no edges"):
             parse_edge_list("# nothing\n")
 
+    def test_oversized_vertex_index_refused_before_building(self):
+        # "0 100000000" would otherwise build a graph on 10^8 vertices
+        with pytest.raises(GraphFormatError, match="line 2: vertex 100000000 would make "
+                                                   "100000001 vertices; the limit is 4096"):
+            parse_edge_list("0 1\n0 100000000\n")
+        with pytest.raises(GraphFormatError, match="4097 vertices"):
+            parse_edge_list(f"{MAX_FAMILY_VERTICES} 0")
+
 
 class TestFamilySpec:
     def test_parse_with_args(self):

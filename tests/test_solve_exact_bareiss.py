@@ -1,0 +1,89 @@
+"""solve_exact against the Bareiss elimination it replaced (``solve_exact_reference.py``).
+
+The p-adic solver must return the same ``SolveOutcome`` with rational
+equality: status, rank, the particular solution with every free variable 0,
+and the kernel basis with one free variable 1. Entries that are multiples of
+the first prime make that prime unlucky, so the retry path runs too.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from solve_exact_reference import reference_solve_exact
+
+from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
+from eqcurv.linalg import _primes, _solve_mod
+
+# the first modulus solve_exact tries
+FIRST_PRIME = next(_primes())
+
+reference_entries = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-10**20, 10**20),
+    # near the int64 overflow bounds of the lifting and the certificates
+    st.integers(-2**41, 2**41),
+    # multiples of the first prime make it unlucky, so the next prime runs
+    st.integers(-3, 3).map(lambda c: c * FIRST_PRIME),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_matches_bareiss_on_random_systems(n, data):
+    row = st.lists(reference_entries, min_size=n, max_size=n)
+    matrix = data.draw(st.lists(row, min_size=n, max_size=n))
+    # forced dependent rows: row t becomes c * row s
+    for t, s, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                st.integers(-3, 3)), max_size=n)):
+        matrix[t] = [c * x for x in matrix[s]]
+    if data.draw(st.booleans()):
+        # rhs in the column space, so singular systems come out consistent
+        y = data.draw(row)
+        rhs = [sum(Fraction(a) * b for a, b in zip(r, y)) for r in matrix]
+    else:
+        rhs = data.draw(row)
+    out, ref = solve_exact(matrix, rhs), reference_solve_exact(matrix, rhs)
+    assert (out.status, out.rank) == (ref.status, ref.rank)
+    assert out.solution == ref.solution
+    assert out.nullspace == ref.nullspace
+
+
+def test_lex_first_check_rejects_the_greedy_basis_mod_p():
+    # mod the first prime, column 0 vanishes and the greedy basis is column 1;
+    # its kernel vector (1, -p0) passes the kernel check on every row, so only
+    # the lex-first check (the kernel vector of free column 0 must be 0 on the
+    # later pivot column 1) sends the solve to the next prime
+    p0 = FIRST_PRIME
+    assert p0 == 2**20 - 3
+    matrix = [[p0, 1], [0, 0]]
+    assert _solve_mod(np.array(matrix), np.array([0, 0]), p0) is None
+    out = solve_exact(matrix, [0, 0])
+    assert out == reference_solve_exact(matrix, [0, 0])
+    assert out.status is SolveStatus.AFFINE and out.rank == 1
+    assert out.solution == (Fraction(0), Fraction(0))
+    assert out.nullspace == ((Fraction(-1, p0), Fraction(1)),)
+
+
+def test_rank_deficient_mod_p_retries_with_the_next_prime():
+    # [[p0]] is 0 mod p0: the kernel check fails on e_0, and the next prime
+    # finds rank 1
+    p0 = FIRST_PRIME
+    assert _solve_mod(np.array([[p0]]), np.array([1]), p0) is None
+    out = solve_exact([[p0]], [1])
+    assert out.status is SolveStatus.UNIQUE and out.rank == 1
+    assert out.solution == (Fraction(1, p0),)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cycle:8", "path:6", "complete_multipartite:1,1,1,4", "hypercube:5", "johnson:7,3",
+     "knight_board:5,5", "erdos_renyi:40,0.1,3"],
+)
+def test_matches_bareiss_on_distance_systems(spec):
+    entries = apsp(generate(parse_family_spec(spec))).entries
+    n = len(entries)
+    assert solve_exact(entries, [n] * n) == reference_solve_exact(entries, [n] * n)
