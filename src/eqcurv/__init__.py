@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .linalg import (
     EigenDecomposition,
-    LpUnboundedError,
     NonSymmetricMatrixError,
     SolveOutcome,
     SolveStatus,
@@ -86,7 +85,6 @@ __all__ = [
     "SolveOutcome",
     "EigenDecomposition",
     "NonSymmetricMatrixError",
-    "LpUnboundedError",
     "solve_exact",
     "symmetric_eigen",
     "pseudo_apply",

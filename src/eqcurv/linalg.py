@@ -11,7 +11,9 @@ Two arithmetic worlds are kept deliberately separate:
   (the solve on the pivot rows, the kernel on every row, the lex-first
   basis) prove the result, and a failed one moves on to the next prime of a
   fixed sequence. Each array is int64 exactly when a documented bound rules
-  out overflow, and Python integers otherwise. The max-min runs one simplex
+  out overflow, and Python integers otherwise. The max-min accepts only
+  families whose kernel vectors sum to zero, as those of a consistent
+  distance system do, so every level LP is bounded. It runs one simplex
   per level on an integer tableau pivoted fraction-free over one shared
   denominator, each level certified by its dual, at most one level per
   kernel dimension. So "singular", "inconsistent" and "optimal" are
@@ -38,7 +40,6 @@ __all__ = [
     "SolveOutcome",
     "EigenDecomposition",
     "NonSymmetricMatrixError",
-    "LpUnboundedError",
     "solve_exact",
     "symmetric_eigen",
     "pseudo_apply",
@@ -55,14 +56,6 @@ _SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
 
 class NonSymmetricMatrixError(ValueError):
     """Matrix handed to the eigensolver is not symmetric within tolerance."""
-
-
-class LpUnboundedError(RuntimeError):
-    """The max-min objective is unbounded; carries a certificate direction."""
-
-    def __init__(self, message: str, direction: tuple[Fraction, ...]):
-        super().__init__(message)
-        self.direction = direction
 
 
 class SolveStatus(Enum):
@@ -430,15 +423,15 @@ def _simplex_max(
     a_rows: Sequence[Sequence[int | Fraction]],
     b: Sequence[int | Fraction],
     c: Sequence[int | Fraction],
-) -> tuple[str, list[Fraction], list[Fraction]]:
+) -> tuple[list[Fraction], list[Fraction]]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free and b >= 0.
 
-    Dense tableau with Bland's rule (guaranteed termination). Returns
-    ("optimal", x, y) with y the optimal dual (``y >= 0``, ``A^T y = c``,
-    ``b . y = c . x``), read off the slack columns of the final objective row,
-    or ("unbounded", d, []) with d a feasible improving ray.
-    Callers must shift the problem so b >= 0; the all-slack basis is then
-    feasible and no phase-1 is needed.
+    Dense tableau with Bland's rule (guaranteed termination). Returns (x, y)
+    with x optimal and y the optimal dual (``y >= 0``, ``A^T y = c``,
+    ``b . y = c . x``), read off the slack columns of the final objective row.
+    Callers must shift the problem so b >= 0, so that the all-slack basis is
+    feasible and no phase-1 is needed, and must pose a bounded LP: an
+    entering column with no positive entry fails an assertion.
 
     Notes
     -----
@@ -453,9 +446,8 @@ def _simplex_max(
     sets ``d = p``. Every entry is ``d`` times the entry of the rational
     tableau of the scaled problem. Positive row and column scalings change no
     sign and no ratio order, so Bland's rule takes the same pivots as a
-    ``Fraction`` tableau. On the way out, a basic ``x`` is ``T[i, rhs] / d``,
-    the dual is ``y_i = s_i * T[obj, slack_i] / (d * c_den)``, and a ray whose
-    entering column is slack i is scaled back by ``s_i``.
+    ``Fraction`` tableau. On the way out, a basic ``x`` is ``T[i, rhs] / d``
+    and the dual is ``y_i = s_i * T[obj, slack_i] / (d * c_den)``.
     """
     m = len(a_rows)
     nv = len(c)
@@ -494,13 +486,7 @@ def _simplex_max(
                 rhs = tab[leave, ncols] * aie
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        if leave is None:
-            f = scale[enter - 2 * nv] if enter >= 2 * nv else 1
-            direction = [Fraction(0)] * ncols
-            direction[enter] = Fraction(1)
-            for i in range(m):
-                direction[basis[i]] = Fraction(-tab[i, enter] * f, d)
-            return "unbounded", [direction[j] - direction[nv + j] for j in range(nv)], []
+        assert leave is not None, "simplex caller must pose a bounded LP"
         p = tab[leave, enter]
         others = np.arange(m + 1) != leave
         tab[others] = (p * tab[others] - np.outer(tab[others, enter], tab[leave])) // d
@@ -511,7 +497,7 @@ def _simplex_max(
     for i in range(m):
         xfull[basis[i]] = Fraction(tab[i, ncols], d)
     y = [Fraction(s * t, d * c_den) for s, t in zip(scale, tab[m, 2 * nv:ncols])]
-    return "optimal", [xfull[j] - xfull[nv + j] for j in range(nv)], y
+    return [xfull[j] - xfull[nv + j] for j in range(nv)], y
 
 
 def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
@@ -519,12 +505,18 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
 
     Over ``w(c) = particular + sum_j c_j * nullspace_j`` this maximizes
     ``min_i w_i``, then the smallest entry among the coordinates not yet
-    fixed, and so on (leximin). Whenever ``min_i w_i`` is bounded above, the
-    leximin point exists and is unique, so the result does not depend on the
-    nullspace basis.
+    fixed, and so on (leximin). Every nullspace vector must sum to zero, else
+    ValueError; then the leximin point exists and is unique, so the result
+    does not depend on the nullspace basis.
 
     Notes
     -----
+    Zero-sum vectors are the kernel of every consistent distance system:
+    ``1 . v = w^T D v / n = 0`` for ``D`` symmetric and ``D w = n * 1``. They
+    bound every level. A step along the face is 0 on the fixed coordinates
+    and sums to 0, so it sums to 0 over the free ones, and the level value
+    ``t`` can never exceed the mean of the free ``w_i``.
+
     The current face is a point plus a list of direction vectors, each kept
     as an integer row because its scale does not matter. Each level:
 
@@ -542,15 +534,6 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
        directions' entries there, so the face dimension drops by at least one.
 
     With k nullspace vectors that is at most k simplex solves.
-
-    Raises LpUnboundedError with a certificate direction (every entry
-    positive) when ``min_i w_i`` itself has no upper bound; that cannot happen
-    for a consistent distance system, whose kernel vectors all sum to zero.
-    When only a later level is unbounded, the point returned lies in the
-    family, keeps every coordinate fixed at an earlier level at its value, and
-    is the first point along the LP's improving ray where no other coordinate
-    lies below a fixed one. That point is deterministic but not canonical: it
-    depends on the nullspace basis and on the simplex path.
     """
     w = [Fraction(_exact(x)) for x in particular]
     n = len(w)
@@ -560,6 +543,8 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     dirs = np.array(
         [common_denominator([_exact(x) for x in vec])[0] for vec in nullspace], dtype=object
     ).reshape(len(nullspace), n)
+    if dirs.sum(axis=1).any():
+        raise ValueError("every nullspace vector must sum to 0")
 
     while True:
         # a coordinate that is 0 in every direction is constant on the face
@@ -571,19 +556,9 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
         t0 = min(w[i] for i in free)
         rows = [[-v for v in dirs[:, i]] + [1] for i in free]
         rhs = [w[i] - t0 for i in free]
-        status, x, y = _simplex_max(rows, rhs, [0] * k + [1])
+        x, y = _simplex_max(rows, rhs, [0] * k + [1])
         num, den = common_denominator(x[:k])
         step = [Fraction(v, den) for v in np.array(num, dtype=object).dot(dirs)]
-        if status == "unbounded":
-            if len(free) == n:
-                raise LpUnboundedError(
-                    "min_i w_i is unbounded over the affine family", tuple(step)
-                )
-            # every free coordinate grows along the ray (step_i >= t-step > 0):
-            # go just far enough that none stays below a fixed coordinate
-            top = max(w[i] for i in set(range(n)).difference(free))
-            s = max([Fraction(0)] + [(top - w[i]) / step[i] for i in free])
-            return tuple(a + s * b for a, b in zip(w, step))
         t_level = t0 + x[k]
         w = [a + b for a, b in zip(w, step)]
 

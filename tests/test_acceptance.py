@@ -25,10 +25,11 @@ from eqcurv import (
     compute_curvature,
     curvature_of_family,
     generate,
+    nullspace_sum_check,
     parse_family_spec,
     spectral_gap,
 )
-from eqcurv.cli import run_corpus
+from eqcurv.cli import analyze_graph, run_corpus
 
 CORPUS_SEED = 7
 CORPUS_COUNT = 500
@@ -271,10 +272,16 @@ def test_criterion_11_every_connected_graph_up_to_7_vertices():
         if h.number_of_nodes() < 2 or not nx.is_connected(h):
             continue
         g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
-        result = compute_curvature(g)
+        dm = apsp(g)
+        result, _, reports = analyze_graph(g, index)
+        assert not [r.theorem for r in reports if r.failed], index
         statuses[result.status] += 1
         if result.status is CurvatureStatus.INCONSISTENT:
             inconsistent[index] = tuple(sorted(g.edges))
+        # a kernel vector with nonzero sum exactly when there is no exact solution
+        assert nullspace_sum_check(g, dm).exceptional == (
+            result.status is CurvatureStatus.INCONSISTENT
+        ), index
     assert statuses == {
         CurvatureStatus.EXACT_UNIQUE: 787,
         CurvatureStatus.EXACT_CANONICAL: 206,
@@ -286,4 +293,5 @@ def test_criterion_11_every_connected_graph_up_to_7_vertices():
         family = generate(parse_family_spec(text))
         assert nx.is_isomorphic(nx.Graph(list(edges)), nx.Graph(list(family.edges))), text
     print("\nACCEPTANCE 11 PASS: all 995 connected graphs on 2..7 vertices: 787 "
-          "exact_unique, 206 exact_canonical, 2 inconsistent (K_{1,1,1,4} and K_{1,1,1,1,3})")
+          "exact_unique, 206 exact_canonical, 2 inconsistent (K_{1,1,1,4} and K_{1,1,1,1,3}); "
+          "no verifier failed, and a nonzero kernel sum marks exactly the inconsistent ones")

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqcurv
+from eqcurv import CurvatureStatus
 from eqcurv.cli import main, run_corpus
 
 
@@ -275,3 +277,12 @@ class TestPackaging:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["curvature"]["k"]["exact"] == "2/3"
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        namespace: dict = {}
+        exec(block, namespace)
+        assert namespace["result"].status is CurvatureStatus.EXACT_CANONICAL
+        assert namespace["result"].K == Fraction(2, 3)
+        assert namespace["report"].passed

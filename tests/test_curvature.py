@@ -17,9 +17,11 @@ from eqcurv import (
     compute_curvature,
     curvature_of_family,
     generate,
+    lp_max_min,
     nullspace_sum_check,
     parse_family_spec,
     pseudo_apply,
+    solve_exact,
     total_curvature_invariance_check,
 )
 
@@ -254,3 +256,22 @@ def test_tree_curvature_matches_graham_lovasz(data, n):
     result = compute_curvature(g)
     assert result.status is CurvatureStatus.EXACT_UNIQUE
     assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(3, 24))
+def test_circulant_curvature_is_constant(data, n):
+    # C_n(S) with 1 in S is connected and vertex-transitive, so every distance
+    # row sums to the same R and D (n/R * 1) = n * 1; the constant vector is
+    # also the leximin point, which the LP skipped by compute_curvature confirms
+    jumps = {1} | data.draw(st.sets(st.integers(1, n // 2)))
+    g = Graph(n, frozenset((min(v, (v + s) % n), max(v, (v + s) % n))
+                           for v in range(n) for s in jumps))
+    dm = apsp(g)
+    row_sum = int(dm.entries[0].sum())
+    assert (dm.entries.sum(axis=1) == row_sum).all()
+    expected = (Fraction(n, row_sum),) * n
+    assert compute_curvature(g, dm).w == expected
+    outcome = solve_exact(dm.entries, [n] * n)
+    if outcome.nullspace:
+        assert lp_max_min(outcome.solution, outcome.nullspace) == expected

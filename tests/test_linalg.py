@@ -13,7 +13,6 @@ from scipy.optimize import linprog
 
 from eqcurv import (
     FamilySpec,
-    LpUnboundedError,
     NonSymmetricMatrixError,
     SolveStatus,
     apsp,
@@ -309,30 +308,24 @@ class TestLpMaxMin:
         assert w == (Fraction(1), Fraction(1), Fraction(0))
         assert min(w) == 0
 
-    def test_unbounded_raises_with_certificate(self):
-        with pytest.raises(LpUnboundedError) as err:
-            lp_max_min((0, 0), ((1, 1),))
-        direction = err.value.direction
-        assert len(direction) == 2 and min(direction) > 0
-
-    def test_later_level_unbounded_keeps_current_vertex(self):
-        # min(0, c) is bounded by 0, which pins w_0; w_1 = c then grows freely
-        assert lp_max_min((0, 0), ((0, 1),)) == (Fraction(0), Fraction(0))
-
-    def test_later_level_unbounded_keeps_fixed_coordinates(self):
-        # w = (c1, -c1, 1 + c2, 1 - c2, c3): level 1 fixes w_0 = w_1 = 0, level 2
-        # fixes w_2 = w_3 = 1, and level 3 (w_4 alone) is unbounded
-        particular = (0, 0, 1, 1, 0)
-        basis = ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1))
-        w = lp_max_min(particular, basis)
-        assert w[:4] == (0, 0, 1, 1)
-        assert w[4] >= 1
-        assert all(isinstance(x, Fraction) for x in w)
-
-    def test_unbounded_free_coordinates_lifted_to_fixed_ones(self):
-        # w_0 = 5 is constant and w_1 = -3 + c is unbounded: min_i w_i is
-        # bounded by 5, and the point returned lifts w_1 just up to 5
-        assert lp_max_min((5, -3), ((0, 1),)) == (Fraction(5), Fraction(5))
+    @pytest.mark.parametrize(
+        "particular, basis",
+        [
+            # min_i w_i unbounded: both coordinates grow along (1, 1)
+            ((0, 0), ((1, 1),)),
+            # min(0, c) is bounded by 0, but w_1 = c grows freely after that
+            ((0, 0), ((0, 1),)),
+            # w = (c1, -c1, 1 + c2, 1 - c2, c3): only the third vector has a nonzero sum
+            ((0, 0, 1, 1, 0), ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1))),
+            # w_0 = 5 is constant and w_1 = -3 + c grows freely
+            ((5, -3), ((0, 1),)),
+        ],
+        ids=["unbounded", "later_level_unbounded", "later_level_after_fixed", "free_below_fixed"],
+    )
+    def test_refuses_vectors_with_nonzero_sum(self, particular, basis):
+        # a consistent distance system has a kernel of zero-sum vectors only
+        with pytest.raises(ValueError, match="sum to 0"):
+            lp_max_min(particular, basis)
 
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError, match="int or Fraction"):
@@ -340,7 +333,7 @@ class TestLpMaxMin:
 
     def test_two_dimensional_family_against_fine_sweep(self):
         particular = (3, -1, 0, 2)
-        basis = ((1, 1, -1, 0), (0, 1, 1, -1))
+        basis = ((1, 1, -1, -1), (0, 1, 1, -2))
         w = lp_max_min(particular, basis)
         # oracle: dense sweep over both coefficients
         best = None
@@ -363,13 +356,10 @@ class TestLpMaxMin:
             particular = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
             basis = []
             while len(basis) < k:
-                vec = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                if any(vec):
-                    basis.append(vec)
-            try:
-                w = lp_max_min(particular, basis)
-            except LpUnboundedError:
-                continue
+                head = [Fraction(rng.randint(-3, 3)) for _ in range(n - 1)]
+                if any(head):
+                    basis.append(head + [-sum(head)])
+            w = lp_max_min(particular, basis)
             best = min(w)
             for _ in range(1000):
                 cs = [Fraction(rng.randint(-3000, 3000), 1000) for _ in range(k)]
@@ -386,9 +376,10 @@ class TestLpMaxMin:
             n = rng.randint(2, 7)
             k = rng.randint(1, 3)
             particular = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-            basis = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)]
-            if any(not any(vec) for vec in basis):
+            heads = [[Fraction(rng.randint(-4, 4)) for _ in range(n - 1)] for _ in range(k)]
+            if any(not any(head) for head in heads):
                 continue
+            basis = [head + [-sum(head)] for head in heads]
             # scipy solves: maximize t  s.t.  t - (B c)_i <= p_i, variables (c, t) free
             a_ub = np.zeros((n, k + 1))
             for i in range(n):
@@ -403,11 +394,7 @@ class TestLpMaxMin:
                 bounds=[(None, None)] * (k + 1),
                 method="highs",
             )
-            try:
-                w = lp_max_min(particular, basis)
-                assert res.status == 0
-                assert abs(float(min(w)) - (-res.fun)) <= 1e-7
-            except LpUnboundedError:
-                # raised only when the stage-1 objective itself is unbounded
-                assert res.status == 3
+            w = lp_max_min(particular, basis)
+            assert res.status == 0
+            assert abs(float(min(w)) - (-res.fun)) <= 1e-7
             checked += 1

@@ -19,7 +19,6 @@ import eqcurv.linalg
 from eqcurv import (
     CurvatureStatus,
     Graph,
-    LpUnboundedError,
     apsp,
     compute_curvature,
     generate,
@@ -28,6 +27,14 @@ from eqcurv import (
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
+
+
+class LpUnboundedError(RuntimeError):
+    """The oracle's ``min_i w_i`` is unbounded; carries a certificate direction."""
+
+    def __init__(self, message: str, direction: tuple[Fraction, ...]):
+        super().__init__(message)
+        self.direction = direction
 
 
 def reference_simplex_max(a_rows, b, c):
@@ -155,13 +162,6 @@ def lp_max_min_oracle(particular, nullspace) -> tuple[Fraction, ...]:
     return tuple(bounds)
 
 
-def outcome(fn, particular, basis):
-    try:
-        return fn(particular, basis)
-    except LpUnboundedError:
-        return "unbounded"
-
-
 def in_family(w, particular, basis) -> bool:
     """Whether ``w - particular`` is a combination of the basis vectors."""
     diff = [Fraction(x) - Fraction(p) for x, p in zip(w, particular)]
@@ -178,43 +178,42 @@ entries = st.one_of(
 )
 
 
-@st.composite
-def lps(draw):
-    """(A, b, c) with m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0."""
-    m = draw(st.integers(1, 8))
-    nv = draw(st.integers(1, 5))
-    a_rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=m, max_size=m))
-    b = draw(st.lists(st.one_of(st.just(0), entries.map(abs)), min_size=m, max_size=m))
-    c = draw(st.lists(entries, min_size=nv, max_size=nv))
-    return a_rows, b, c
-
-
 def dot(u, v):
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+@st.composite
+def lps(draw):
+    """Bounded (A, b, c): m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0.
+
+    ``c = A^T u`` with ``u >= 0``, so ``c . x = u . A x <= u . b`` bounds the LP.
+    """
+    m = draw(st.integers(1, 8))
+    nv = draw(st.integers(1, 5))
+    nonnegative = st.one_of(st.just(0), entries.map(abs))
+    a_rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=m, max_size=m))
+    b = draw(st.lists(nonnegative, min_size=m, max_size=m))
+    u = draw(st.lists(nonnegative, min_size=m, max_size=m))
+    c = [dot(col, u) for col in zip(*a_rows)]
+    return a_rows, b, c
 
 
 @settings(max_examples=200, deadline=None)
 @given(lps())
 def test_simplex_matches_fraction_tableau(lp):
-    # same Bland path, so status, x, y and the ray agree with rational equality
+    # same Bland path, so x and y agree with rational equality
     a_rows, b, c = lp
-    status, x, y = _simplex_max(a_rows, b, c)
+    x, y = _simplex_max(a_rows, b, c)
     # the reference expects Fraction entries
     reference = reference_simplex_max(
         [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
     )
-    assert (status, x, y) == reference
+    assert ("optimal", x, y) == reference
     assert all(isinstance(v, Fraction) for v in x + y)
-    columns = list(zip(*a_rows))
-    if status == "optimal":
-        assert all(dot(row, x) <= bi for row, bi in zip(a_rows, b))
-        assert all(yi >= 0 for yi in y)
-        assert all(dot(col, y) == cj for col, cj in zip(columns, c))
-        assert dot(b, y) == dot(c, x)
-    else:
-        # a feasible improving ray: A d <= 0 and c . d > 0
-        assert all(dot(row, x) <= 0 for row in a_rows)
-        assert dot(c, x) > 0
+    assert all(dot(row, x) <= bi for row, bi in zip(a_rows, b))
+    assert all(yi >= 0 for yi in y)
+    assert all(dot(col, y) == cj for col, cj in zip(zip(*a_rows), c))
+    assert dot(b, y) == dot(c, x)
 
 
 @st.composite
@@ -247,15 +246,16 @@ def test_matches_oracle_on_bounded_families(family):
 @settings(max_examples=100, deadline=None)
 @given(families(zero_sum=False))
 def test_possibly_unbounded_families_agree_on_level_one(family):
-    # families that may be unbounded: both raise together; otherwise the level-1
-    # value is canonical, and the point lies in the family
+    # lp_max_min refuses exactly the families with a nonzero-sum vector; on the
+    # rest the level-1 value is the oracle's, and the point lies in the family
     particular, basis = family
-    ours = outcome(lp_max_min, particular, basis)
-    theirs = outcome(lp_max_min_oracle, particular, basis)
-    assert (ours == "unbounded") == (theirs == "unbounded")
-    if ours != "unbounded":
-        assert min(ours) == min(theirs)
-        assert in_family(ours, particular, basis)
+    if any(sum(vec) for vec in basis):
+        with pytest.raises(ValueError, match="sum to 0"):
+            lp_max_min(particular, basis)
+        return
+    ours = lp_max_min(particular, basis)
+    assert min(ours) == min(lp_max_min_oracle(particular, basis))
+    assert in_family(ours, particular, basis)
 
 
 def cycle_with_tail(m: int, tail: int) -> Graph:
@@ -313,7 +313,9 @@ def test_matches_oracle_on_knight_boards(spec):
     [cycle_with_tail(15, 1), generate(parse_family_spec("knight_board:6,9"))],
     ids=["C30+1", "knight_board:6,9"],
 )
-def test_at_most_k_plus_one_simplex_solves(g, monkeypatch):
+def test_at_most_k_simplex_solves(g, monkeypatch):
+    # each level pins a coordinate where some direction is nonzero, so the
+    # face dimension drops by at least one per level
     particular, basis = distance_family(g)
     calls = []
 
@@ -323,4 +325,4 @@ def test_at_most_k_plus_one_simplex_solves(g, monkeypatch):
 
     monkeypatch.setattr(eqcurv.linalg, "_simplex_max", counting)
     lp_max_min(particular, basis)
-    assert 1 <= len(calls) <= len(basis) + 1
+    assert 1 <= len(calls) <= len(basis)
