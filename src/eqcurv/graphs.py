@@ -1,4 +1,4 @@
-"""Finite simple graphs: parsing, family generators, products, BFS metrics.
+"""Finite simple graphs: parsing, family generators, products, hop distances.
 
 Vertices are always the dense range 0..n-1; labels, when present, are purely
 cosmetic so every matrix stays index-aligned with its graph. All objects are
@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -89,6 +89,16 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(x)) for x in nbrs)
+
+    @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """Read-only n x n bool adjacency matrix: symmetric, False on the diagonal."""
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.edge_count)
+        u, v = ends[0::2], ends[1::2]
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[u, v] = adj[v, u] = True
+        adj.setflags(write=False)
+        return adj
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -228,15 +238,44 @@ def is_connected(g: Graph) -> bool:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """All-pairs shortest-path hop counts, one BFS per source vertex."""
-    adjacency = g.adjacency
-    rows = []
-    for s in range(g.n):
-        dist = _bfs(adjacency, s)
-        if min(dist) < 0:
+    """All-pairs shortest-path hop counts by Seidel's algorithm (Seidel 1995).
+
+    Squaring: ``A_{k+1} = (A_k @ A_k > 0) | A_k`` with the diagonal cleared,
+    from the adjacency matrix ``A_0`` until ``A_L`` is complete; a step that
+    adds no pair to an incomplete matrix means the graph is disconnected.
+    Unwinding: ``D = 2 A_L - A_{L-1}``, then for k = L-2 down to 0,
+    ``D = 2 D - (D @ A_k < D * deg_k)`` with ``deg_k`` the column sums of
+    ``A_k``. L is about log2(diameter), so the cost is O(n^3 log diam) BLAS
+    work, against O(n (n + m)) interpreted steps for one BFS per source.
+
+    The products run in float32. Every product entry is an integer in
+    [0, (n-1)^2], and graphs above MAX_FAMILY_VERTICES are refused with
+    ValueError before anything is allocated, so every entry stays below
+    4095^2 < 2^24 and float32 is exact in any summation order.
+    """
+    n = g.n
+    if n > MAX_FAMILY_VERTICES:
+        raise ValueError(f"graph has {n} vertices; the limit is {MAX_FAMILY_VERTICES}")
+    levels = [g.adjacency_matrix]
+    pairs = 2 * g.edge_count
+    while pairs < n * (n - 1):
+        a = levels[-1].astype(np.float32)
+        closure = (a @ a > 0) | levels[-1]
+        np.fill_diagonal(closure, False)
+        grown = int(np.count_nonzero(closure))
+        if grown == pairs:
             raise DisconnectedGraphError("graph is disconnected; some distances are infinite")
-        rows.append(dist)
-    return DistanceMatrix(np.array(rows, dtype=np.int64))
+        levels.append(closure)
+        pairs = grown
+    d = levels[-1].astype(np.float32)
+    if len(levels) > 1:
+        d = 2 * d - levels[-2]
+        for adj in reversed(levels[:-2]):
+            a = adj.astype(np.float32)
+            below = d @ a < d * a.sum(axis=0)
+            d *= 2
+            d -= below
+    return DistanceMatrix(d)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +445,8 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 # far above every graph size the pipeline handles in reasonable time; the
 # generators and the n x n distance matrix are quadratic in memory. Edge lists
-# are held to the same limit.
+# and apsp are held to the same limit, which also keeps apsp's float32
+# products exact: (4096 - 1)^2 < 2^24.
 MAX_FAMILY_VERTICES = 4096
 
 

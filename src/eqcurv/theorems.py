@@ -123,9 +123,7 @@ def spectral_gap(g: Graph, dm: DistanceMatrix | None = None) -> SpectralInfo:
     if dm is None:
         dm = apsp(g)
     n = g.n
-    adj = np.zeros((n, n))
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
+    adj = g.adjacency_matrix.astype(float)
     lap = np.diag(adj.sum(axis=1)) - adj
     lap_eig = symmetric_eigen(lap)
     lap_asc = tuple(float(x) for x in lap_eig.eigenvalues[::-1])

@@ -48,6 +48,13 @@ class TestGraphType:
         assert g.has_edge(3, 1)
         assert not g.has_edge(0, 3)
 
+    def test_adjacency_matrix_is_read_only_and_symmetric(self):
+        g = Graph(4, frozenset({(0, 1), (1, 2), (1, 3)}))
+        adj = g.adjacency_matrix
+        assert adj.dtype == bool and not adj.flags.writeable
+        assert adj.astype(int).tolist() == [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]]
+        assert not Graph(1, frozenset()).adjacency_matrix.any()
+
     def test_labels_must_match_length(self):
         with pytest.raises(ValueError, match="labels"):
             Graph(2, frozenset({(0, 1)}), labels=("a",))
