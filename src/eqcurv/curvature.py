@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError, apsp
-from .linalg import SolveStatus, common_denominator, lp_max_min, pseudo_apply, solve_exact
+from .linalg import (
+    SolveOutcome,
+    SolveStatus,
+    common_denominator,
+    integer_matmul,
+    lp_max_min,
+    pseudo_apply,
+    solve_exact,
+)
 
 __all__ = [
     "CurvatureStatus",
@@ -61,12 +69,21 @@ class CurvatureResult:
 
 
 def exact_matvec(entries: np.ndarray, w: Sequence[Fraction]) -> list[Fraction]:
-    """Exact product of an integer matrix with a rational vector."""
+    """Exact product of an integer matrix with a rational vector, as one integer matmul."""
     nums, den = common_denominator(w)
-    return [
-        Fraction(sum(d * x for d, x in zip(row, nums)), den)
-        for row in entries.tolist()
-    ]
+    return [Fraction(int(v), den) for v in integer_matmul(entries, np.array(nums, dtype=object))]
+
+
+def _distance_solve(dm: DistanceMatrix) -> SolveOutcome:
+    """The exact solve of ``D w = n * 1``, made once per distance matrix and cached on it.
+
+    The outcome is kept in the instance dictionary, where a ``cached_property``
+    would keep it, so every consumer of one ``DistanceMatrix`` shares one solve.
+    """
+    cache = vars(dm)
+    if "distance_solve" not in cache:
+        cache["distance_solve"] = solve_exact(dm.entries, [dm.n] * dm.n)
+    return cache["distance_solve"]
 
 
 def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureResult:
@@ -81,7 +98,7 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     if dm is None:
         dm = apsp(g)
     n = g.n
-    outcome = solve_exact(dm.entries, [Fraction(n)] * n)
+    outcome = _distance_solve(dm)
 
     if outcome.status is SolveStatus.UNIQUE:
         status = CurvatureStatus.EXACT_UNIQUE
@@ -96,7 +113,7 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
-            w = lp_max_min(outcome.solution, outcome.nullspace)
+            w = lp_max_min(outcome.solution, outcome.kernel_rows)
     else:
         status = CurvatureStatus.INCONSISTENT
         w = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
@@ -171,7 +188,7 @@ def total_curvature_invariance_check(
     if dm is None:
         dm = apsp(g)
     n = g.n
-    outcome = solve_exact(dm.entries, [Fraction(n)] * n)
+    outcome = _distance_solve(dm)
     if outcome.status is not SolveStatus.AFFINE:
         return InvarianceReport(outcome.nullspace_dimension, samples, 0, True, None, True)
     p = outcome.solution
@@ -213,10 +230,8 @@ def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> Nullspace
     """
     if dm is None:
         dm = apsp(g)
-    outcome = solve_exact(dm.entries, [Fraction(g.n)] * g.n)
-    sums = tuple(
-        Fraction(sum(nums), den) for nums, den in map(common_denominator, outcome.nullspace)
-    )
+    outcome = _distance_solve(dm)
+    sums = outcome.kernel_sums
     return NullspaceSumReport(
         nullspace_dimension=outcome.nullspace_dimension,
         entry_sums=sums,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, isqrt, lcm
 from typing import Sequence
 
@@ -64,23 +65,113 @@ class SolveStatus(Enum):
     INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
 class SolveOutcome:
     """Exact classification of a square linear system.
 
     ``solution`` is the unique solution (UNIQUE), one particular solution
     (AFFINE), or None (INCONSISTENT). ``nullspace`` is an exact basis of the
     kernel of the coefficient matrix and is reported for every status.
+
+    ``solve_exact`` keeps the certified integer form it computed: the pivot
+    columns, the free columns, and a numerator matrix ``num`` over one common
+    denominator ``den`` whose row t holds the entries on pivot column t of the
+    particular solution (column 0) and of kernel vector j (column 1 + j, which
+    is 1 on free column j and 0 on the other free columns). ``solution`` and
+    ``nullspace`` are Fraction tuples built from it on first access;
+    ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
+    it in integers. The constructor takes the Fraction tuples themselves.
+    An outcome is read-only, as callers share it.
     """
 
-    status: SolveStatus
-    solution: tuple[Fraction, ...] | None
-    nullspace: tuple[tuple[Fraction, ...], ...]
-    rank: int
+    def __init__(
+        self,
+        status: SolveStatus,
+        solution: tuple[Fraction, ...] | None,
+        nullspace: tuple[tuple[Fraction, ...], ...],
+        rank: int,
+    ) -> None:
+        vars(self).update(
+            status=status, solution=solution, nullspace=nullspace, rank=rank, _integer=None
+        )
+
+    @classmethod
+    def _certified(
+        cls,
+        status: SolveStatus,
+        pivot_cols: list[int],
+        free_cols: list[int],
+        num: np.ndarray,
+        den: int,
+    ) -> SolveOutcome:
+        out = cls.__new__(cls)
+        vars(out).update(
+            status=status, rank=len(pivot_cols), _integer=(pivot_cols, free_cols, num, den)
+        )
+        return out
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"SolveOutcome is read-only; cannot set {name!r}")
+
+    @cached_property
+    def _vectors(self) -> list[tuple[Fraction, ...]]:
+        """The particular solution, then the kernel vectors, as Fractions."""
+        pivot_cols, free_cols, num, den = self._integer
+        vectors = [[Fraction(0)] * (len(pivot_cols) + len(free_cols)) for _ in range(num.shape[1])]
+        for vec, f in zip(vectors[1:], free_cols):
+            vec[f] = Fraction(1)
+        for c, nums in zip(pivot_cols, num):
+            for vec, v in zip(vectors, nums):
+                vec[c] = Fraction(v, den)
+        return [tuple(vec) for vec in vectors]
+
+    @cached_property
+    def solution(self) -> tuple[Fraction, ...] | None:
+        return None if self.status is SolveStatus.INCONSISTENT else self._vectors[0]
+
+    @cached_property
+    def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self._vectors[1:])
 
     @property
     def nullspace_dimension(self) -> int:
-        return len(self.nullspace)
+        return len(self.nullspace) if self._integer is None else len(self._integer[1])
+
+    @cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """The nullspace as rows of Python ints: row j is the smallest positive
+        integer multiple of vector j, which keeps the max-min simplex's integers small."""
+        if self._integer is None:
+            rows = [common_denominator(vec)[0] for vec in self.nullspace]
+            rows = np.array(rows, dtype=object).reshape(len(rows), -1)
+        else:
+            pivot_cols, free_cols, num, den = self._integer
+            rows = np.zeros((len(free_cols), len(pivot_cols) + len(free_cols)), dtype=object)
+            rows[:, pivot_cols] = num[:, 1:].T
+            rows[np.arange(len(free_cols)), free_cols] = den
+        rows //= np.array([gcd(*row) for row in rows], dtype=object).reshape(-1, 1)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def kernel_sums(self) -> tuple[Fraction, ...]:
+        """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``."""
+        if self._integer is None:
+            return tuple(sum(vec, Fraction(0)) for vec in self.nullspace)
+        _, _, num, den = self._integer
+        return tuple(Fraction(int(s) + den, den) for s in num[:, 1:].sum(axis=0))
+
+    def _key(self) -> tuple:
+        return self.status, self.solution, self.nullspace, self.rank
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SolveOutcome) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SolveOutcome(status={self.status}, rank={self.rank}, "
+                f"nullspace_dimension={self.nullspace_dimension})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +286,20 @@ def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None
     return np.where(num > modulus // 2, num - modulus, num), den
 
 
+def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact ``a @ x`` of integer arrays, in int64 when ``|a| |x| k < 2^63``, else on Python ints.
+
+    k is the inner dimension; the bound covers every partial sum and every entry.
+    """
+    a_max, x_max = _absmax(a), _absmax(x)
+    dtype = _int_dtype(max(a_max * x_max * a.shape[1], a_max, x_max))
+    return a.astype(dtype) @ x.astype(dtype)
+
+
 def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
     """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers."""
-    lhs_max, x_max, rhs_max = _absmax(lhs), _absmax(x), _absmax(rhs)
-    dtype = _int_dtype(max(lhs_max * x_max * lhs.shape[1], den * rhs_max, den, lhs_max, x_max))
-    holds = lhs.astype(dtype) @ x.astype(dtype) == den * rhs.astype(dtype)
-    return np.asarray(holds, dtype=bool).all(axis=0)
+    target = den * rhs.astype(_int_dtype(max(den * _absmax(rhs), den)))
+    return np.asarray(integer_matmul(lhs, x) == target, dtype=bool).all(axis=0)
 
 
 def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
@@ -236,8 +335,8 @@ def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tup
 
 def _solve_mod(
     m: np.ndarray, b: np.ndarray, p: int
-) -> tuple[list[int], np.ndarray, int, bool] | None:
-    """Certified pivot columns, numerators, denominator and consistency; None if p is unlucky.
+) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
+    """Certified pivot and free columns, numerators, denominator, consistency; None if p is unlucky.
 
     The columns of ``num`` are ``den`` times the pivot entries of the
     particular solution and of each kernel vector (one free variable 1).
@@ -257,7 +356,7 @@ def _solve_mod(
     later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
     if not holds[1:].all() or np.any(num[:, 1:][later] != 0):
         return None
-    return pivot_cols, num, den, bool(holds[0])
+    return pivot_cols, free_cols, num, den, bool(holds[0])
 
 
 def solve_exact(matrix, rhs) -> SolveOutcome:
@@ -312,8 +411,12 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T`` runs
     in int64 when ``|A| |X| k`` and ``den |T|`` stay below 2^63. n and k stay
     below 2^23 for any matrix that fits in memory, so only the lifting and
-    certificate bounds ever pick Python ints. Fractions are built only for
-    the pivot entries of the returned vectors.
+    certificate bounds ever pick Python ints.
+
+    The outcome keeps this certified integer form (pivot and free columns,
+    ``num``, ``den``). No Fraction is built here: ``solution`` and
+    ``nullspace`` are made on first access, and the rank, the kernel
+    dimension, integer kernel rows and the exact kernel sums need none.
     """
     # an integer array needs no per-entry conversion
     int_array = isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype.kind in "iu"
@@ -349,22 +452,12 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
             break
     else:
         raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
-    pivot_cols, num, den, consistent = found
-    rank = len(pivot_cols)
-    free_cols = sorted(set(range(n)) - set(pivot_cols))
-
-    vectors = [[Fraction(0)] * n for _ in range(1 + len(free_cols))]
-    for vec, f in zip(vectors[1:], free_cols):
-        vec[f] = Fraction(1)
-    for c, nums in zip(pivot_cols, num):
-        for vec, v in zip(vectors, nums):
-            vec[c] = Fraction(v, den)
-    particular, *nullspace = map(tuple, vectors)
+    pivot_cols, free_cols, num, den, consistent = found
     if not consistent:
-        return SolveOutcome(SolveStatus.INCONSISTENT, None, tuple(nullspace), rank)
-    if rank == n:
-        return SolveOutcome(SolveStatus.UNIQUE, particular, (), rank)
-    return SolveOutcome(SolveStatus.AFFINE, particular, tuple(nullspace), rank)
+        status = SolveStatus.INCONSISTENT
+    else:
+        status = SolveStatus.AFFINE if free_cols else SolveStatus.UNIQUE
+    return SolveOutcome._certified(status, pivot_cols, free_cols, num, den)
 
 
 def symmetric_eigen(matrix) -> EigenDecomposition:
@@ -507,7 +600,9 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     ``min_i w_i``, then the smallest entry among the coordinates not yet
     fixed, and so on (leximin). Every nullspace vector must sum to zero, else
     ValueError; then the leximin point exists and is unique, so the result
-    does not depend on the nullspace basis.
+    does not depend on the nullspace basis or on the scale of its vectors:
+    integer rows such as ``SolveOutcome.kernel_rows`` serve as well as the
+    Fraction vectors.
 
     Notes
     -----

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqcurv.curvature as curvature_module
 from eqcurv import (
     CurvatureStatus,
     FamilySpec,
     FamilySpecError,
     Graph,
     apsp,
+    cartesian_product,
+    check_product_curvature,
     compute_curvature,
     curvature_of_family,
     generate,
@@ -24,6 +27,7 @@ from eqcurv import (
     solve_exact,
     total_curvature_invariance_check,
 )
+from eqcurv.curvature import exact_matvec
 
 # scanned offline: connected ER graphs with singular D and non-constant row
 # sums, so the canonicalization LP actually runs (not the constant fast path)
@@ -258,15 +262,24 @@ def test_tree_curvature_matches_graham_lovasz(data, n):
     assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
 
 
+def circulant(n: int, jumps: set[int]) -> Graph:
+    """C_n(S): vertex v adjacent to v +- s mod n for every jump s in S."""
+    return Graph(n, frozenset((min(v, (v + s) % n), max(v, (v + s) % n))
+                              for v in range(n) for s in jumps))
+
+
+def jump_sets(n: int):
+    """Jump sets that contain 1, so that C_n(S) is connected."""
+    return st.sets(st.integers(1, max(1, n // 2))).map(lambda s: s | {1})
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(3, 24))
 def test_circulant_curvature_is_constant(data, n):
     # C_n(S) with 1 in S is connected and vertex-transitive, so every distance
     # row sums to the same R and D (n/R * 1) = n * 1; the constant vector is
     # also the leximin point, which the LP skipped by compute_curvature confirms
-    jumps = {1} | data.draw(st.sets(st.integers(1, n // 2)))
-    g = Graph(n, frozenset((min(v, (v + s) % n), max(v, (v + s) % n))
-                           for v in range(n) for s in jumps))
+    g = circulant(n, data.draw(jump_sets(n)))
     dm = apsp(g)
     row_sum = int(dm.entries[0].sum())
     assert (dm.entries.sum(axis=1) == row_sum).all()
@@ -275,3 +288,71 @@ def test_circulant_curvature_is_constant(data, n):
     outcome = solve_exact(dm.entries, [n] * n)
     if outcome.nullspace:
         assert lp_max_min(outcome.solution, outcome.nullspace) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 75))
+def test_circulant_product_curvature_is_harmonic(data, n):
+    # D of the box product is D_G (x) J + J (x) D_H, so every row of the
+    # product sums to m R_1 + n R_2 and w = nm / (m R_1 + n R_2) * 1 solves
+    # D w = nm * 1: 1/K = 1/K_1 + 1/K_2 with K_i = n_i / R_i
+    m = data.draw(st.integers(2, 150 // n))
+    g, h = circulant(n, data.draw(jump_sets(n))), circulant(m, data.draw(jump_sets(m)))
+    r1, r2 = int(apsp(g).entries[0].sum()), int(apsp(h).entries[0].sum())
+    product = cartesian_product(g, h)
+    assert compute_curvature(product).w == (Fraction(n * m, m * r1 + n * r2),) * (n * m)
+    assert check_product_curvature(g, h).passed
+
+
+@pytest.mark.parametrize(
+    "spec", ["path:5", "cycle:6", LP_PATH_SPEC, "complete_multipartite:1,1,1,4"]
+)
+def test_one_solve_per_distance_matrix(monkeypatch, spec):
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve_exact(*args)
+
+    monkeypatch.setattr(curvature_module, "solve_exact", counting_solve)
+    g = fam(spec)
+    dm = apsp(g)
+    compute_curvature(g, dm)
+    nullspace_sum_check(g, dm)
+    total_curvature_invariance_check(g, samples=20, dm=dm)
+    assert len(calls) == 1
+    # a fresh distance matrix is a fresh solve
+    compute_curvature(g, apsp(g))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", [LP_PATH_SPEC, LP_PATH_NEGATIVE_SPEC, "knight_board:3,4"])
+def test_lp_max_min_on_integer_kernel_rows(spec):
+    # the leximin point does not depend on the kernel basis or its scale
+    dm = apsp(fam(spec))
+    outcome = solve_exact(dm.entries, [dm.n] * dm.n)
+    assert outcome.nullspace and dm.constant_row_sum() is None
+    assert lp_max_min(outcome.solution, outcome.kernel_rows) == lp_max_min(
+        outcome.solution, outcome.nullspace
+    )
+
+
+def python_matvec(entries, w):
+    return [sum(Fraction(d) * x for d, x in zip(row, w)) for row in entries.tolist()]
+
+
+@pytest.mark.parametrize(
+    "entries, w",
+    [
+        # |D| |num| n just below 2^63: the product runs in int64
+        (np.ones((2, 2), dtype=np.int64), [Fraction(2**62 - 1)] * 2),
+        (np.ones((2, 2), dtype=np.int64), [Fraction(-(2**62) + 1, 3)] * 2),
+        # exactly 2^63 and above: Python ints; int64 would wrap 2^62 + 2^62
+        (np.ones((2, 2), dtype=np.int64), [Fraction(2**62)] * 2),
+        (np.ones((2, 2), dtype=np.int64), [Fraction(2**62, 5), Fraction(2**62, 5)]),
+        (np.array([[0, 3], [3, 0]]), [Fraction(2**61), Fraction(-(2**62), 7)]),
+        (np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), [Fraction(2**70, 3), 1, Fraction(-1, 2)]),
+    ],
+)
+def test_exact_matvec_matches_python_ints_at_the_int64_bound(entries, w):
+    assert exact_matvec(entries, w) == python_matvec(entries, w)

@@ -87,3 +87,29 @@ def test_matches_bareiss_on_distance_systems(spec):
     entries = apsp(generate(parse_family_spec(spec))).entries
     n = len(entries)
     assert solve_exact(entries, [n] * n) == reference_solve_exact(entries, [n] * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_integer_kernel_form_matches_fractions(n, data):
+    entries = st.one_of(st.integers(-5, 5), st.integers(-2**41, 2**41))
+    row = st.lists(entries, min_size=n, max_size=n)
+    matrix = data.draw(st.lists(row, min_size=n, max_size=n))
+    # forced dependent rows make the system rank-deficient, a random rhs often inconsistent
+    for t, s, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                                st.integers(-3, 3)), max_size=n)):
+        matrix[t] = [c * x for x in matrix[s]]
+    rhs = data.draw(row)
+    out = solve_exact(matrix, rhs)
+    # read off the integer form before any Fraction vector exists
+    dimension, sums, rows = out.nullspace_dimension, out.kernel_sums, out.kernel_rows
+    assert "solution" not in vars(out) and "nullspace" not in vars(out)
+    ref = reference_solve_exact(matrix, rhs)
+    assert (out.status, out.rank, out.solution, out.nullspace) == (
+        ref.status, ref.rank, ref.solution, ref.nullspace
+    )
+    assert dimension == n - out.rank == len(out.nullspace)
+    assert sums == tuple(sum(vec, Fraction(0)) for vec in out.nullspace)
+    for vec, integer_row in zip(out.nullspace, rows):
+        scale = next(Fraction(int(v)) / x for v, x in zip(integer_row, vec) if x)
+        assert scale > 0 and [scale * x for x in vec] == list(integer_row)
