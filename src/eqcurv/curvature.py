@@ -74,16 +74,21 @@ def exact_matvec(entries: np.ndarray, w: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(int(v), den) for v in integer_matmul(entries, np.array(nums, dtype=object))]
 
 
+# Key of the cached solve in a DistanceMatrix's instance dictionary.
+_SOLVE_KEY = "_curvature_solve"
+
+
 def _distance_solve(dm: DistanceMatrix) -> SolveOutcome:
     """The exact solve of ``D w = n * 1``, made once per distance matrix and cached on it.
 
-    The outcome is kept in the instance dictionary, where a ``cached_property``
-    would keep it, so every consumer of one ``DistanceMatrix`` shares one solve.
+    The outcome is kept in the instance dictionary under ``_SOLVE_KEY``, where a
+    ``cached_property`` would keep it, so every consumer of one
+    ``DistanceMatrix`` shares one solve and a fresh matrix gets a fresh solve.
     """
     cache = vars(dm)
-    if "distance_solve" not in cache:
-        cache["distance_solve"] = solve_exact(dm.entries, [dm.n] * dm.n)
-    return cache["distance_solve"]
+    if _SOLVE_KEY not in cache:
+        cache[_SOLVE_KEY] = solve_exact(dm.entries, [dm.n] * dm.n)
+    return cache[_SOLVE_KEY]
 
 
 def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureResult:

@@ -112,11 +112,7 @@ class Graph:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DistanceMatrix:
-    """Symmetric matrix of shortest-path hop counts; entries are read-only.
-
-    The curvature pipeline caches the exact solve of ``D w = n * 1`` on the
-    instance, so a fresh matrix means a fresh solve.
-    """
+    """Symmetric matrix of shortest-path hop counts; entries are read-only."""
 
     entries: np.ndarray
 

@@ -79,8 +79,10 @@ class SolveOutcome:
     is 1 on free column j and 0 on the other free columns). ``solution`` and
     ``nullspace`` are Fraction tuples built from it on first access;
     ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
-    it in integers. The constructor takes the Fraction tuples themselves.
-    An outcome is read-only, as callers share it.
+    it in integers. The constructor takes the Fraction tuples themselves; an
+    outcome built that way has no integer form, so only ``status``,
+    ``solution``, ``nullspace``, ``rank``, ``nullspace_dimension`` and equality
+    apply to it. An outcome is read-only, as callers share it.
     """
 
     def __init__(
@@ -140,14 +142,10 @@ class SolveOutcome:
     def kernel_rows(self) -> np.ndarray:
         """The nullspace as rows of Python ints: row j is the smallest positive
         integer multiple of vector j, which keeps the max-min simplex's integers small."""
-        if self._integer is None:
-            rows = [common_denominator(vec)[0] for vec in self.nullspace]
-            rows = np.array(rows, dtype=object).reshape(len(rows), -1)
-        else:
-            pivot_cols, free_cols, num, den = self._integer
-            rows = np.zeros((len(free_cols), len(pivot_cols) + len(free_cols)), dtype=object)
-            rows[:, pivot_cols] = num[:, 1:].T
-            rows[np.arange(len(free_cols)), free_cols] = den
+        pivot_cols, free_cols, num, den = self._integer
+        rows = np.zeros((len(free_cols), len(pivot_cols) + len(free_cols)), dtype=object)
+        rows[:, pivot_cols] = num[:, 1:].T
+        rows[np.arange(len(free_cols)), free_cols] = den
         rows //= np.array([gcd(*row) for row in rows], dtype=object).reshape(-1, 1)
         rows.setflags(write=False)
         return rows
@@ -155,8 +153,6 @@ class SolveOutcome:
     @cached_property
     def kernel_sums(self) -> tuple[Fraction, ...]:
         """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``."""
-        if self._integer is None:
-            return tuple(sum(vec, Fraction(0)) for vec in self.nullspace)
         _, _, num, den = self._integer
         return tuple(Fraction(int(s) + den, den) for s in num[:, 1:].sum(axis=0))
 
@@ -170,8 +166,8 @@ class SolveOutcome:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return (f"SolveOutcome(status={self.status}, rank={self.rank}, "
-                f"nullspace_dimension={self.nullspace_dimension})")
+        return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
+                f"nullspace={self.nullspace!r}, rank={self.rank})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,3 +113,14 @@ def test_integer_kernel_form_matches_fractions(n, data):
     for vec, integer_row in zip(out.nullspace, rows):
         scale = next(Fraction(int(v)) / x for v, x in zip(integer_row, vec) if x)
         assert scale > 0 and [scale * x for x in vec] == list(integer_row)
+
+
+def test_repr_shows_the_vectors():
+    # a failing oracle comparison prints both reprs, so they must show what differs
+    out = solve_exact([[2, 0], [0, 0]], [1, 0])
+    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+    assert repr(out) == repr(reference_solve_exact([[2, 0], [0, 0]], [1, 0])) == (
+        f"SolveOutcome(status={SolveStatus.AFFINE!r}, solution={(half, zero)!r}, "
+        f"nullspace={((zero, one),)!r}, rank=1)"
+    )
+    assert repr(out) != repr(solve_exact([[2, 0], [0, 0]], [3, 0]))
