@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,7 +24,6 @@ from .graphs import (
     DistanceMatrix,
     FamilySpec,
     Graph,
-    apsp,
     generate,
     parse_edge_list,
     parse_family_spec,
@@ -76,7 +75,10 @@ def _value_payload(x) -> dict:
     return {"exact": None, "float": float(x)}
 
 
-def graph_payload(g: Graph, source: str, dm: DistanceMatrix) -> dict:
+def graph_payload(g: Graph, source: str, dm: DistanceMatrix | None = None) -> dict:
+    """The graph section of a report; ``dm`` defaults to ``g.distance_matrix``."""
+    if dm is None:
+        dm = g.distance_matrix
     return {
         "source": source,
         "n": g.n,
@@ -114,12 +116,13 @@ def theorem_payload(report: TheoremReport) -> dict:
 def build_analysis_report(
     g: Graph,
     source: str,
-    dm: DistanceMatrix,
+    dm: DistanceMatrix | None,
     result: CurvatureResult,
     info: SpectralInfo | None,
     theorems: Sequence[TheoremReport] = (),
     seed: int | None = None,
 ) -> dict:
+    """The JSON report of ``compute`` and ``verify``; ``dm=None`` reads ``g.distance_matrix``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -133,7 +136,6 @@ def build_analysis_report(
 
 def run_verifiers(
     g: Graph,
-    dm: DistanceMatrix,
     result: CurvatureResult,
     info: SpectralInfo,
     names: Sequence[str],
@@ -142,21 +144,16 @@ def run_verifiers(
     reports: list[TheoremReport] = []
     for name in names:
         if name == "bonnet_myers":
-            reports.append(check_bonnet_myers(g, result, dm))
+            reports.append(check_bonnet_myers(g, result))
         elif name == "reverse_bonnet_myers":
-            reports.append(check_reverse_bonnet_myers(g, result, dm))
+            reports.append(check_reverse_bonnet_myers(g, result))
         elif name == "lichnerowicz":
-            reports.append(check_lichnerowicz(g, result, info, dm))
+            reports.append(check_lichnerowicz(g, result, info))
         elif name == "minimax":
-            reports.append(check_minimax(g, result, seed=seed, dm=dm))
+            reports.append(check_minimax(g, result, seed=seed))
         elif name == "theorem5":
-            ones = check_theorem5(g, [1] * g.n, info, dm)
-            reports.append(
-                TheoremReport(
-                    ones.theorem, ones.hypothesis_satisfied, ones.checks, ones.passed,
-                    ones.notes + ("weights: all-ones",), ones.seed,
-                )
-            )
+            ones = check_theorem5(g, [1] * g.n, info)
+            reports.append(replace(ones, notes=ones.notes + ("weights: all-ones",)))
             # the curvature vector itself qualifies whenever it is positive,
             # pseudo solutions included
             if result.is_exact:
@@ -166,13 +163,8 @@ def run_verifiers(
                 w_positive = bool(np.min(result.w) > 0)
                 variant = "weights: pseudo solution"
             if w_positive:
-                with_w = check_theorem5(g, result.w, info, dm)
-                reports.append(
-                    TheoremReport(
-                        with_w.theorem, with_w.hypothesis_satisfied, with_w.checks,
-                        with_w.passed, with_w.notes + (variant,), with_w.seed,
-                    )
-                )
+                with_w = check_theorem5(g, result.w, info)
+                reports.append(replace(with_w, notes=with_w.notes + (variant,)))
         elif name == "spectral_criterion":
             reports.append(spectral_criterion(info, result.status))
         elif name == "perron_alignment":
@@ -253,24 +245,13 @@ def render_dot(g: Graph, result: CurvatureResult) -> str:
 # Corpus runner
 # ---------------------------------------------------------------------------
 
-CORPUS_VERIFIERS = (
-    "bonnet_myers",
-    "reverse_bonnet_myers",
-    "lichnerowicz",
-    "minimax",
-    "theorem5",
-    "spectral_criterion",
-    "perron_alignment",
-)
-
-
-def analyze_graph(g: Graph, seed: int) -> tuple[CurvatureResult, SpectralInfo, list[TheoremReport]]:
-    """Full verifier battery over one connected graph."""
-    dm = apsp(g)
-    result = compute_curvature(g, dm)
-    info = spectral_gap(g, dm)
-    reports = run_verifiers(g, dm, result, info, CORPUS_VERIFIERS, seed)
-    return result, info, reports
+def analyze_graph(
+    g: Graph, seed: int, names: Sequence[str] = THEOREM_NAMES
+) -> tuple[CurvatureResult, SpectralInfo, list[TheoremReport]]:
+    """Curvature, spectral data and the named verifiers (all by default) of one connected graph."""
+    result = compute_curvature(g)
+    info = spectral_gap(g)
+    return result, info, run_verifiers(g, result, info, names, seed)
 
 
 def run_corpus(
@@ -370,10 +351,9 @@ def run_corpus(
 
 def cmd_compute(args) -> int:
     g, source = _load_graph(args)
-    dm = apsp(g)
-    result = compute_curvature(g, dm)
-    info = spectral_gap(g, dm) if g.n >= 2 else None
-    report = build_analysis_report(g, source, dm, result, info)
+    result = compute_curvature(g)
+    info = spectral_gap(g) if g.n >= 2 else None
+    report = build_analysis_report(g, source, None, result, info)
     print(json.dumps(report, indent=2))
     return 2 if result.status is CurvatureStatus.INCONSISTENT else 0
 
@@ -381,11 +361,8 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     names = _parse_theorem_list(args.theorems)
     g, source = _load_graph(args)
-    dm = apsp(g)
-    result = compute_curvature(g, dm)
-    info = spectral_gap(g, dm)
-    reports = run_verifiers(g, dm, result, info, names, args.seed)
-    report = build_analysis_report(g, source, dm, result, info, reports, args.seed)
+    result, info, reports = analyze_graph(g, args.seed, names)
+    report = build_analysis_report(g, source, None, result, info, reports, args.seed)
     print(json.dumps(report, indent=2))
     return 2 if any(r.failed for r in reports) else 0
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError, apsp
+from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError
 from .linalg import (
     SolveOutcome,
     SolveStatus,
@@ -83,7 +83,8 @@ def _distance_solve(dm: DistanceMatrix) -> SolveOutcome:
 
     The outcome is kept in the instance dictionary under ``_SOLVE_KEY``, where a
     ``cached_property`` would keep it, so every consumer of one
-    ``DistanceMatrix`` shares one solve and a fresh matrix gets a fresh solve.
+    ``DistanceMatrix`` (above all a graph's own ``Graph.distance_matrix``)
+    shares one solve, and a fresh matrix gets a fresh solve.
     """
     cache = vars(dm)
     if _SOLVE_KEY not in cache:
@@ -98,10 +99,11 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     affine family is canonicalized to the max-min solution; an inconsistent
     system falls back to the pseudo-inverse with floating arithmetic. The
     residual range min/max of ``(D w)_i`` is always computed through the same
-    code path, so exact statuses report exactly (n, n).
+    code path, so exact statuses report exactly (n, n). ``dm`` defaults to
+    ``g.distance_matrix``.
     """
     if dm is None:
-        dm = apsp(g)
+        dm = g.distance_matrix
     n = g.n
     outcome = _distance_solve(dm)
 
@@ -181,7 +183,7 @@ class InvarianceReport:
 
 
 def total_curvature_invariance_check(
-    g: Graph, samples: int = 10_000, seed: int = 0, dm: DistanceMatrix | None = None
+    g: Graph, samples: int = 10_000, seed: int = 0
 ) -> InvarianceReport:
     """Sample the affine solution space and check the l1 norm is invariant.
 
@@ -190,10 +192,8 @@ def total_curvature_invariance_check(
     that they all share one l1 norm with rational equality. Zero nonnegative
     samples is a vacuous pass, flagged as such.
     """
-    if dm is None:
-        dm = apsp(g)
     n = g.n
-    outcome = _distance_solve(dm)
+    outcome = _distance_solve(g.distance_matrix)
     if outcome.status is not SolveStatus.AFFINE:
         return InvarianceReport(outcome.nullspace_dimension, samples, 0, True, None, True)
     p = outcome.solution
@@ -231,11 +231,10 @@ def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> Nullspace
     """Report the entry sum of each kernel basis vector of the distance matrix.
 
     A kernel vector with nonzero entry sum certifies that ``D w = n * 1`` has
-    no solution, so such graphs are flagged exceptional.
+    no solution, so such graphs are flagged exceptional. ``dm`` defaults to
+    ``g.distance_matrix``.
     """
-    if dm is None:
-        dm = apsp(g)
-    outcome = _distance_solve(dm)
+    outcome = _distance_solve(g.distance_matrix if dm is None else dm)
     sums = outcome.kernel_sums
     return NullspaceSumReport(
         nullspace_dimension=outcome.nullspace_dimension,

@@ -100,6 +100,11 @@ class Graph:
         adj.setflags(write=False)
         return adj
 
+    @cached_property
+    def distance_matrix(self) -> DistanceMatrix:
+        """The hop-count matrix ``apsp(self)``, computed once and shared by every consumer."""
+        return apsp(self)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -79,37 +79,20 @@ class SolveOutcome:
     is 1 on free column j and 0 on the other free columns). ``solution`` and
     ``nullspace`` are Fraction tuples built from it on first access;
     ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
-    it in integers. The constructor takes the Fraction tuples themselves; an
-    outcome built that way has no integer form, so only ``status``,
-    ``solution``, ``nullspace``, ``rank``, ``nullspace_dimension`` and equality
-    apply to it. An outcome is read-only, as callers share it.
+    it in integers. An outcome is read-only, as callers share it.
     """
 
     def __init__(
         self,
         status: SolveStatus,
-        solution: tuple[Fraction, ...] | None,
-        nullspace: tuple[tuple[Fraction, ...], ...],
-        rank: int,
-    ) -> None:
-        vars(self).update(
-            status=status, solution=solution, nullspace=nullspace, rank=rank, _integer=None
-        )
-
-    @classmethod
-    def _certified(
-        cls,
-        status: SolveStatus,
         pivot_cols: list[int],
         free_cols: list[int],
         num: np.ndarray,
         den: int,
-    ) -> SolveOutcome:
-        out = cls.__new__(cls)
-        vars(out).update(
+    ) -> None:
+        vars(self).update(
             status=status, rank=len(pivot_cols), _integer=(pivot_cols, free_cols, num, den)
         )
-        return out
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"SolveOutcome is read-only; cannot set {name!r}")
@@ -136,7 +119,7 @@ class SolveOutcome:
 
     @property
     def nullspace_dimension(self) -> int:
-        return len(self.nullspace) if self._integer is None else len(self._integer[1])
+        return len(self._integer[1])
 
     @cached_property
     def kernel_rows(self) -> np.ndarray:
@@ -155,15 +138,6 @@ class SolveOutcome:
         """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``."""
         _, _, num, den = self._integer
         return tuple(Fraction(int(s) + den, den) for s in num[:, 1:].sum(axis=0))
-
-    def _key(self) -> tuple:
-        return self.status, self.solution, self.nullspace, self.rank
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SolveOutcome) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
@@ -453,7 +427,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
         status = SolveStatus.INCONSISTENT
     else:
         status = SolveStatus.AFFINE if free_cols else SolveStatus.UNIQUE
-    return SolveOutcome._certified(status, pivot_cols, free_cols, num, den)
+    return SolveOutcome(status, pivot_cols, free_cols, num, den)
 
 
 def symmetric_eigen(matrix) -> EigenDecomposition:
@@ -667,7 +641,4 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
 
         # E: the directions' entries on the pinned coordinates; E E^T has E^T's kernel
         e = dirs[:, pinned]
-        dirs = np.array(
-            [common_denominator(c)[0] for c in solve_exact(e.dot(e.T), [0] * k).nullspace],
-            dtype=object,
-        ).reshape(-1, k).dot(dirs)
+        dirs = solve_exact(e.dot(e.T), [0] * k).kernel_rows.dot(dirs)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature, exact_matvec
-from .graphs import DistanceMatrix, Graph, apsp, cartesian_product
+from .graphs import DistanceMatrix, Graph, cartesian_product
 from .linalg import symmetric_eigen
 
 __all__ = [
@@ -116,19 +116,17 @@ def _exact_hypothesis(result: CurvatureResult, need_positive_k: bool = False) ->
     return None
 
 
-def spectral_gap(g: Graph, dm: DistanceMatrix | None = None) -> SpectralInfo:
+def spectral_gap(g: Graph) -> SpectralInfo:
     """Eigendecompose the graph Laplacian and the distance matrix."""
     if g.n < 2:
         raise ValueError("spectral quantities need at least two vertices")
-    if dm is None:
-        dm = apsp(g)
     n = g.n
     adj = g.adjacency_matrix.astype(float)
     lap = np.diag(adj.sum(axis=1)) - adj
     lap_eig = symmetric_eigen(lap)
     lap_asc = tuple(float(x) for x in lap_eig.eigenvalues[::-1])
 
-    dist_eig = symmetric_eigen(dm.entries.astype(float))
+    dist_eig = symmetric_eigen(g.distance_matrix.entries.astype(float))
     v = dist_eig.eigenvectors[:, 0].copy()
     if v.sum() < 0:
         v = -v
@@ -145,14 +143,15 @@ def spectral_gap(g: Graph, dm: DistanceMatrix | None = None) -> SpectralInfo:
 def check_bonnet_myers(
     g: Graph, result: CurvatureResult, dm: DistanceMatrix | None = None
 ) -> TheoremReport:
-    """diam(G) <= 2n/||w||_1 <= 2/K, plus the rigidity clause at diam*K == 2."""
+    """diam(G) <= 2n/||w||_1 <= 2/K, plus the rigidity clause at diam*K == 2.
+
+    ``dm`` defaults to ``g.distance_matrix``.
+    """
     reason = _exact_hypothesis(result)
     if reason is not None:
         return _not_applicable("bonnet_myers", reason)
-    if dm is None:
-        dm = apsp(g)
     n = g.n
-    diam = dm.diameter()
+    diam = (g.distance_matrix if dm is None else dm).diameter()
     total: Fraction = result.total
     k_val: Fraction = result.K
     mid = Fraction(2 * n) / total
@@ -190,16 +189,17 @@ def check_bonnet_myers(
 def check_reverse_bonnet_myers(
     g: Graph, result: CurvatureResult, dm: DistanceMatrix | None = None
 ) -> TheoremReport:
-    """||w||_1 >= n^2 / ((n-1) diam), with equality exactly for complete graphs."""
+    """||w||_1 >= n^2 / ((n-1) diam), with equality exactly for complete graphs.
+
+    ``dm`` defaults to ``g.distance_matrix``.
+    """
     reason = _exact_hypothesis(result)
     if reason is not None:
         return _not_applicable("reverse_bonnet_myers", reason)
     if g.n < 2:
         return _not_applicable("reverse_bonnet_myers", "single-vertex graph has no diameter")
-    if dm is None:
-        dm = apsp(g)
     n = g.n
-    diam = dm.diameter()
+    diam = (g.distance_matrix if dm is None else dm).diameter()
     total: Fraction = result.total
     bound = Fraction(n * n, (n - 1) * diam)
     checks = [
@@ -223,16 +223,11 @@ def check_reverse_bonnet_myers(
     return TheoremReport("reverse_bonnet_myers", True, tuple(checks), passed, tuple(notes))
 
 
-def check_lichnerowicz(
-    g: Graph, result: CurvatureResult, info: SpectralInfo | None = None,
-    dm: DistanceMatrix | None = None,
-) -> TheoremReport:
+def check_lichnerowicz(g: Graph, result: CurvatureResult, info: SpectralInfo) -> TheoremReport:
     """lambda_1 >= ||w||_1 / (2n^2) >= K / (2n), for positive K."""
     reason = _exact_hypothesis(result, need_positive_k=True)
     if reason is not None:
         return _not_applicable("lichnerowicz", reason)
-    if info is None:
-        info = spectral_gap(g, dm)
     n = g.n
     total: Fraction = result.total
     k_val: Fraction = result.K
@@ -285,13 +280,14 @@ def check_minimax(
     measure nu* = w/||w||_1 (checked to achieve equality on both sides), and
     ``n_random`` seeded random simplex draws; ``measures`` replaces the random
     part when given. Exact measures are checked in rational arithmetic, random
-    ones in floating point with the usual slack.
+    ones in floating point with the usual slack. ``dm`` defaults to
+    ``g.distance_matrix``.
     """
     reason = _exact_hypothesis(result)
     if reason is not None:
         return _not_applicable("minimax", reason)
     if dm is None:
-        dm = apsp(g)
+        dm = g.distance_matrix
     n = g.n
     total: Fraction = result.total
     alpha = Fraction(n) / total
@@ -378,12 +374,7 @@ def check_minimax(
     return TheoremReport("minimax", True, tuple(checks), passed, tuple(notes), seed)
 
 
-def check_theorem5(
-    g: Graph,
-    w,
-    info: SpectralInfo | None = None,
-    dm: DistanceMatrix | None = None,
-) -> TheoremReport:
+def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     """Bounds for arbitrary positive weight vectors.
 
     For any w > 0 with K = min_i w_i:
@@ -394,8 +385,7 @@ def check_theorem5(
     if len(w_list) != g.n:
         raise ValueError("w length does not match the vertex count")
     exact = all(isinstance(x, (int, Fraction, np.integer)) for x in w_list)
-    if dm is None:
-        dm = apsp(g)
+    dm = g.distance_matrix
     n = g.n
     diam = dm.diameter()
     if exact:
@@ -415,8 +405,6 @@ def check_theorem5(
         dw_inf = float(np.abs(dm.entries.astype(float) @ w_arr).max())
         diam_holds = diam <= (dw_inf / n) * (8.0 / k_val) + FLOAT_SLACK
         lam_bound = k_val / (8.0 * dw_inf)
-    if info is None:
-        info = spectral_gap(g, dm)
     checks = (
         InequalityCheck(
             "diam <= (||Dw||_inf/n) * 8/K",
@@ -514,8 +502,8 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
     the product curvature comes from the full pipeline, so the relation
     ``1/K = 1/K_1 + 1/K_2`` is a genuine cross-check, with rational equality.
     """
-    r1 = apsp(g).constant_row_sum()
-    r2 = apsp(h).constant_row_sum()
+    r1 = g.distance_matrix.constant_row_sum()
+    r2 = h.distance_matrix.constant_row_sum()
     if r1 is None or r2 is None:
         return _not_applicable(
             "product_curvature", "a factor does not have constant distance row sums"

@@ -2,17 +2,18 @@
 
 Kept as a differential oracle for the p-adic solver, next to the sympy one in
 ``test_solve_exact_oracle.py``. The module name has no ``test_`` prefix, so
-pytest does not collect it; tests import ``reference_solve_exact`` from it.
+pytest does not collect it; tests import ``reference_solve_exact`` from it and
+compare its tuple with the same four fields of ``solve_exact``'s outcome.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from eqcurv.linalg import SolveOutcome, SolveStatus, _exact, common_denominator
+from eqcurv.linalg import SolveStatus, _exact, common_denominator
 
 
-def reference_solve_exact(matrix, rhs) -> SolveOutcome:
+def reference_solve_exact(matrix, rhs) -> tuple:
     """Classify and solve ``M x = rhs`` over exact rationals.
 
     Parameters
@@ -22,9 +23,10 @@ def reference_solve_exact(matrix, rhs) -> SolveOutcome:
 
     Returns
     -------
-    SolveOutcome
+    (status, solution, nullspace, rank)
         Status UNIQUE, AFFINE (particular solution plus exact kernel basis),
-        or INCONSISTENT. No tolerances are involved anywhere.
+        or INCONSISTENT (solution None), with the vectors as Fraction tuples.
+        No tolerances are involved anywhere.
 
     Notes
     -----
@@ -86,7 +88,7 @@ def reference_solve_exact(matrix, rhs) -> SolveOutcome:
             vec[c] = Fraction(num, prev)
     particular, *nullspace = map(tuple, vectors)
     if not consistent:
-        return SolveOutcome(SolveStatus.INCONSISTENT, None, tuple(nullspace), rank)
+        return SolveStatus.INCONSISTENT, None, tuple(nullspace), rank
     if rank == n:
-        return SolveOutcome(SolveStatus.UNIQUE, particular, (), rank)
-    return SolveOutcome(SolveStatus.AFFINE, particular, tuple(nullspace), rank)
+        return SolveStatus.UNIQUE, particular, (), rank
+    return SolveStatus.AFFINE, particular, tuple(nullspace), rank

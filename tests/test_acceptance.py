@@ -59,7 +59,7 @@ def family_results():
 @pytest.fixture(scope="session")
 def family_spectral(family_results):
     return {
-        key: spectral_gap(g, dm) for key, (spec, g, dm, _result) in family_results.items()
+        key: spectral_gap(g) for key, (spec, g, dm, _result) in family_results.items()
     }
 
 
@@ -120,7 +120,7 @@ def test_criterion_03_cycle_lichnerowicz_sharpness():
         g = generate(FamilySpec("cycle", (n,)))
         dm = apsp(g)
         result = compute_curvature(g, dm)
-        info = spectral_gap(g, dm)
+        info = spectral_gap(g)
         assert abs(info.lambda1 - 4 * math.sin(math.pi / n) ** 2) <= 1e-8, n
         mid = result.total / (2 * n * n)
         assert info.lambda1 + 1e-9 >= float(mid), n
@@ -230,7 +230,7 @@ def test_criterion_09_spectral_criterion_soundness(corpus):
         g = generate(parse_family_spec(text))
         dm = apsp(g)
         result = compute_curvature(g, dm)
-        info = spectral_gap(g, dm)
+        info = spectral_gap(g)
         from eqcurv import spectral_criterion
 
         report = spectral_criterion(info, result.status)

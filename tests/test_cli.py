@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqcurv
+import eqcurv.graphs as graphs_module
 from eqcurv import CurvatureStatus
 from eqcurv.cli import main, run_corpus
 
@@ -286,3 +287,12 @@ class TestPackaging:
         assert namespace["result"].status is CurvatureStatus.EXACT_CANONICAL
         assert namespace["result"].K == Fraction(2, 3)
         assert namespace["report"].passed
+
+    def test_readme_library_example_computes_distances_once(self, monkeypatch):
+        apsp = graphs_module.apsp
+        calls = []
+        monkeypatch.setattr(graphs_module, "apsp", lambda g: calls.append(g) or apsp(g))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(block, {})
+        assert len(calls) == 1

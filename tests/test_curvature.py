@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqcurv.curvature as curvature_module
+import eqcurv.graphs as graphs_module
 from eqcurv import (
     CurvatureStatus,
     FamilySpec,
@@ -16,7 +17,12 @@ from eqcurv import (
     Graph,
     apsp,
     cartesian_product,
+    check_bonnet_myers,
+    check_lichnerowicz,
+    check_minimax,
     check_product_curvature,
+    check_reverse_bonnet_myers,
+    check_theorem5,
     compute_curvature,
     curvature_of_family,
     generate,
@@ -25,8 +31,10 @@ from eqcurv import (
     parse_family_spec,
     pseudo_apply,
     solve_exact,
+    spectral_gap,
     total_curvature_invariance_check,
 )
+from eqcurv.cli import analyze_graph
 from eqcurv.curvature import exact_matvec
 
 # scanned offline: connected ER graphs with singular D and non-constant row
@@ -316,14 +324,47 @@ def test_one_solve_per_distance_matrix(monkeypatch, spec):
 
     monkeypatch.setattr(curvature_module, "solve_exact", counting_solve)
     g = fam(spec)
-    dm = apsp(g)
-    compute_curvature(g, dm)
-    nullspace_sum_check(g, dm)
-    total_curvature_invariance_check(g, samples=20, dm=dm)
+    compute_curvature(g)
+    nullspace_sum_check(g)
+    total_curvature_invariance_check(g, samples=20)
     assert len(calls) == 1
     # a fresh distance matrix is a fresh solve
     compute_curvature(g, apsp(g))
     assert len(calls) == 2
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call; returns the record."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", ["cycle:6", LP_PATH_SPEC, "complete_multipartite:1,1,1,4", "hypercube:3"]
+)
+def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec):
+    # every entry point reads the graph's own distance matrix and its cached solve
+    apsp_calls = count_calls(monkeypatch, graphs_module, "apsp")
+    solves = count_calls(monkeypatch, curvature_module, "solve_exact")
+    g = fam(spec)
+    result = compute_curvature(g)
+    info = spectral_gap(g)
+    nullspace_sum_check(g)
+    total_curvature_invariance_check(g, samples=20)
+    check_bonnet_myers(g, result)
+    check_reverse_bonnet_myers(g, result)
+    check_lichnerowicz(g, result, info)
+    check_minimax(g, result)
+    check_theorem5(g, [1] * g.n, info)
+    analyze_graph(g, 0)
+    assert (len(apsp_calls), len(solves)) == (1, 1)
 
 
 @pytest.mark.parametrize("spec", [LP_PATH_SPEC, LP_PATH_NEGATIVE_SPEC, "knight_board:3,4"])

@@ -34,7 +34,7 @@ def fam(text):
 def analyzed(text):
     g = fam(text)
     dm = apsp(g)
-    return g, dm, compute_curvature(g, dm), spectral_gap(g, dm)
+    return g, dm, compute_curvature(g, dm), spectral_gap(g)
 
 
 class TestSpectralGap:
@@ -154,7 +154,7 @@ class TestReverseBonnetMyers:
 class TestLichnerowicz:
     def test_cycle12_sharpness_values(self):
         g, dm, result, info = analyzed("cycle:12")
-        report = check_lichnerowicz(g, result, info, dm)
+        report = check_lichnerowicz(g, result, info)
         assert report.passed
         expected_gap = 4 * math.sin(math.pi / 12) ** 2
         assert abs(info.lambda1 - expected_gap) <= 1e-8
@@ -162,21 +162,21 @@ class TestLichnerowicz:
 
     def test_complete3(self):
         g, dm, result, info = analyzed("complete:3")
-        report = check_lichnerowicz(g, result, info, dm)
+        report = check_lichnerowicz(g, result, info)
         assert report.passed
         assert result.K / (2 * 3) == Fraction(1, 4)
         assert abs(info.lambda1 - 3.0) <= 1e-9
 
     def test_q3_hypercube_gap_is_two(self):
         g, dm, result, info = analyzed("hypercube:3")
-        report = check_lichnerowicz(g, result, info, dm)
+        report = check_lichnerowicz(g, result, info)
         assert report.passed
         assert abs(info.lambda1 - 2.0) <= 1e-8
         assert result.total / (2 * 64) == Fraction(1, 24)
 
     def test_path_hypothesis_unmet(self):
         g, dm, result, info = analyzed("path:4")
-        report = check_lichnerowicz(g, result, info, dm)
+        report = check_lichnerowicz(g, result, info)
         assert not report.hypothesis_satisfied
         assert not report.failed
 
@@ -258,7 +258,7 @@ class TestMinimax:
 class TestTheorem5:
     def test_exact_solution_weights_reduce_to_8_over_k(self):
         g, dm, result, info = analyzed("cycle:6")
-        report = check_theorem5(g, result.w, info, dm)
+        report = check_theorem5(g, result.w, info)
         assert report.passed
         # ||Dw||_inf == n, so the bound is diam <= 8/K: 3 <= 12
         diam_check = report.checks[0]
@@ -267,7 +267,7 @@ class TestTheorem5:
 
     def test_all_ones_on_cycle8(self):
         g, dm, result, info = analyzed("cycle:8")
-        report = check_theorem5(g, [1] * 8, info, dm)
+        report = check_theorem5(g, [1] * 8, info)
         assert report.passed
         # K = 1, ||Dw||_inf = max row sum = floor(64/4) = 16
         assert report.checks[0].rhs.exact == str(Fraction(16, 8) * 8)
@@ -277,16 +277,16 @@ class TestTheorem5:
         assert result.status is CurvatureStatus.INCONSISTENT
         w = result.w
         assert w.min() > 0  # entries within [0.65, 0.99]
-        report = check_theorem5(g, w, info, dm)
+        report = check_theorem5(g, w, info)
         assert report.passed
         assert not report.checks[0].exact_arithmetic
 
     def test_nonpositive_entry_rejected(self):
         g, dm, result, info = analyzed("cycle:5")
         with pytest.raises(ValueError, match="positive"):
-            check_theorem5(g, [1, 1, 0, 1, 1], info, dm)
+            check_theorem5(g, [1, 1, 0, 1, 1], info)
         with pytest.raises(ValueError, match="positive"):
-            check_theorem5(g, [1.0, 1.0, -0.5, 1.0, 1.0], info, dm)
+            check_theorem5(g, [1.0, 1.0, -0.5, 1.0, 1.0], info)
 
 
 class TestSpectralCriterion:
