@@ -9,7 +9,6 @@ smallest entry (the curvature lower bound) and ``total`` the l1 norm.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -51,9 +50,11 @@ class CurvatureResult:
     """Per-vertex curvature with its solvability classification.
 
     For the Exact* statuses ``w`` is a tuple of Fractions and ``D w = n * 1``
-    holds with rational equality, so ``residual_range == (n, n)``. For
-    INCONSISTENT, ``w`` is the floating pseudo-inverse solution and K is only a
-    pseudo lower bound (the exact-solution theorems do not apply to it).
+    holds with rational equality, so ``residual_range == (n, n)``: for
+    EXACT_UNIQUE by ``solve_exact``'s integer certificate over every row, for
+    EXACT_CANONICAL by an exact product ``D w``. For INCONSISTENT, ``w`` is the
+    floating pseudo-inverse solution and K is only a pseudo lower bound (the
+    exact-solution theorems do not apply to it).
     """
 
     status: CurvatureStatus
@@ -97,10 +98,16 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
 
     Solves ``D w = n * 1`` exactly. A unique solution is returned as-is; an
     affine family is canonicalized to the max-min solution; an inconsistent
-    system falls back to the pseudo-inverse with floating arithmetic. The
-    residual range min/max of ``(D w)_i`` is always computed through the same
-    code path, so exact statuses report exactly (n, n). ``dm`` defaults to
-    ``g.distance_matrix``.
+    system falls back to the pseudo-inverse with floating arithmetic. ``dm``
+    defaults to ``g.distance_matrix``.
+
+    The residual range is min/max of ``(D w)_i``. For a unique solution it is
+    ``(n, n)`` on the strength of ``solve_exact``'s certificate: full rank
+    makes every row a pivot row, so ``D nums == den * n * 1`` has already held
+    in exact integers on all n equations, and ``K`` and ``total`` are read off
+    the same integers. The max-min point of an affine family is another member
+    of the family, so ``D w`` is multiplied out for it, exactly; an
+    inconsistent system's is a float product.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -108,37 +115,45 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     outcome = _distance_solve(dm)
 
     if outcome.status is SolveStatus.UNIQUE:
-        status = CurvatureStatus.EXACT_UNIQUE
-        w: tuple[Fraction, ...] | np.ndarray = outcome.solution
-    elif outcome.status is SolveStatus.AFFINE:
-        status = CurvatureStatus.EXACT_CANONICAL
+        nums, den = outcome.particular
+        return CurvatureResult(
+            CurvatureStatus.EXACT_UNIQUE,
+            outcome.solution,
+            Fraction(int(nums.min()), den),
+            Fraction(int(np.abs(nums).sum()), den),
+            (Fraction(n), Fraction(n)),
+            0,
+        )
+    if outcome.status is SolveStatus.AFFINE:
         row_sum = dm.constant_row_sum()
         if row_sum is not None:
             # constant row sums make the constant vector the unique max-min
             # point of the family, so the LP can be skipped
-            w = (Fraction(n) / row_sum,) * n
+            w: tuple[Fraction, ...] = (Fraction(n) / row_sum,) * n
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
             w = lp_max_min(outcome.solution, outcome.kernel_rows)
-    else:
-        status = CurvatureStatus.INCONSISTENT
-        w = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
-
-    if status is CurvatureStatus.INCONSISTENT:
-        residuals = dm.entries.astype(float) @ w
-        k_val: Fraction | float = float(np.min(w))
-        total: Fraction | float = float(np.abs(w).sum())
-        rrange: tuple = (float(residuals.min()), float(residuals.max()))
-        w_arr = np.array(w, dtype=float)
-        w_arr.setflags(write=False)
-        w = w_arr
-    else:
         residuals = exact_matvec(dm.entries, w)
-        k_val = min(w)
-        total = sum(abs(x) for x in w)
-        rrange = (min(residuals), max(residuals))
-    return CurvatureResult(status, w, k_val, total, rrange, outcome.nullspace_dimension)
+        return CurvatureResult(
+            CurvatureStatus.EXACT_CANONICAL,
+            w,
+            min(w),
+            sum(abs(x) for x in w),
+            (min(residuals), max(residuals)),
+            outcome.nullspace_dimension,
+        )
+    w_arr = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
+    w_arr.setflags(write=False)
+    residuals = dm.entries.astype(float) @ w_arr
+    return CurvatureResult(
+        CurvatureStatus.INCONSISTENT,
+        w_arr,
+        float(np.min(w_arr)),
+        float(np.abs(w_arr).sum()),
+        (float(residuals.min()), float(residuals.max())),
+        outcome.nullspace_dimension,
+    )
 
 
 def curvature_of_family(spec: FamilySpec) -> Fraction:
@@ -172,49 +187,40 @@ def curvature_of_family(spec: FamilySpec) -> Fraction:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Outcome of sampling the affine solution family for l1-norm invariance."""
+    """The l1-norm invariance of the solution family of ``D w = n * 1``, stated exactly.
+
+    Every solution is ``p + sum_j c_j v_j`` for the particular solution p and
+    the kernel basis v_j. ``kernel_sums`` holds ``sum(v_j)``, all 0 for a
+    consistent system (``1 . v = w^T D v / n = 0``), so every member has the
+    entry sum ``total = sum(p)``, and on a nonnegative member that sum is its
+    l1 norm. ``nonnegative_exists`` says whether the family has such a member,
+    which holds exactly when its max-min ``K`` is at least 0. An inconsistent
+    system has no member: ``total`` is None and ``nonnegative_exists`` False.
+    """
 
     nullspace_dimension: int
-    samples: int
-    nonnegative_found: int
-    all_equal: bool
     total: Fraction | None
-    vacuous: bool
+    kernel_sums: tuple[Fraction, ...]
+    nonnegative_exists: bool
 
 
-def total_curvature_invariance_check(
-    g: Graph, samples: int = 10_000, seed: int = 0
-) -> InvarianceReport:
-    """Sample the affine solution space and check the l1 norm is invariant.
+def total_curvature_invariance_check(g: Graph) -> InvarianceReport:
+    """State the l1-norm invariance of the curvature family of ``g`` from its exact solve.
 
-    Draws coefficients uniformly from [-2, 2] (as exact thousandths) for each
-    nullspace direction, keeps the entrywise-nonnegative samples, and tests
-    that they all share one l1 norm with rational equality. Zero nonnegative
-    samples is a vacuous pass, flagged as such.
+    The total and the kernel sums come from ``solve_exact``'s integer form,
+    and the sign of ``K`` from ``compute_curvature``.
     """
-    n = g.n
     outcome = _distance_solve(g.distance_matrix)
-    if outcome.status is not SolveStatus.AFFINE:
-        return InvarianceReport(outcome.nullspace_dimension, samples, 0, True, None, True)
-    p = outcome.solution
-    basis = outcome.nullspace
-    k = len(basis)
-    rng = random.Random(seed)
-    norms: set[Fraction] = set()
-    found = 0
-    for _ in range(samples):
-        coeffs = [Fraction(rng.randint(-2000, 2000), 1000) for _ in range(k)]
-        w = [p[i] + sum(c * vec[i] for c, vec in zip(coeffs, basis)) for i in range(n)]
-        if min(w) >= 0:
-            found += 1
-            norms.add(sum(w))
+    particular = outcome.particular
+    total = None
+    if particular is not None:
+        nums, den = particular
+        total = Fraction(int(nums.sum()), den)
     return InvarianceReport(
-        nullspace_dimension=k,
-        samples=samples,
-        nonnegative_found=found,
-        all_equal=len(norms) <= 1,
-        total=next(iter(norms)) if len(norms) == 1 else None,
-        vacuous=found == 0,
+        nullspace_dimension=outcome.nullspace_dimension,
+        total=total,
+        kernel_sums=outcome.kernel_sums,
+        nonnegative_exists=total is not None and compute_curvature(g).K >= 0,
     )
 
 

@@ -387,10 +387,16 @@ def _cocktail_party(n: int) -> Graph:
 def _johnson(n: int, k: int) -> Graph:
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
+    # the neighbours of S swap one member x for one non-member y
     edges = set()
-    for a, b in combinations(subsets, 2):
-        if len(set(a) & set(b)) == k - 1:
-            edges.add((index[a], index[b]))
+    for i, s in enumerate(subsets):
+        outside = [y for y in range(n) if y not in s]
+        for x in s:
+            rest = [v for v in s if v != x]
+            for y in outside:
+                j = index[tuple(sorted(rest + [y]))]
+                if i < j:
+                    edges.add((i, j))
     labels = tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
     return Graph(len(subsets), frozenset(edges), labels)
 
@@ -398,10 +404,9 @@ def _johnson(n: int, k: int) -> Graph:
 def _demicube(n: int) -> Graph:
     verts = [i for i in range(1 << n) if bin(i).count("1") % 2 == 0]
     index = {v: i for i, v in enumerate(verts)}
-    edges = set()
-    for a, b in combinations(verts, 2):
-        if bin(a ^ b).count("1") == 2:
-            edges.add((index[a], index[b]))
+    # the neighbours of v flip exactly two of its n bits
+    flips = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+    edges = {(i, index[v ^ f]) for i, v in enumerate(verts) for f in flips if v < v ^ f}
     labels = tuple(format(v, f"0{n}b") for v in verts)
     return Graph(len(verts), frozenset(edges), labels)
 

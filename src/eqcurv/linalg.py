@@ -78,8 +78,9 @@ class SolveOutcome:
     particular solution (column 0) and of kernel vector j (column 1 + j, which
     is 1 on free column j and 0 on the other free columns). ``solution`` and
     ``nullspace`` are Fraction tuples built from it on first access;
-    ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
-    it in integers. An outcome is read-only, as callers share it.
+    ``particular``, ``nullspace_dimension``, ``kernel_rows`` and
+    ``kernel_sums`` are read off it in integers. An outcome is read-only, as
+    callers share it.
     """
 
     def __init__(
@@ -116,6 +117,24 @@ class SolveOutcome:
     @cached_property
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(self._vectors[1:])
+
+    @cached_property
+    def particular(self) -> tuple[np.ndarray, int] | None:
+        """The certified particular solution as ``(nums, den)``, None if INCONSISTENT.
+
+        ``solution[i] == nums[i] / den``, with ``nums`` a read-only integer
+        array in column order (0 on every free column) and ``den`` the common
+        denominator, not reduced. ``solve_exact`` has proved
+        ``M nums == den * rhs`` in exact integers on every row: on the pivot
+        rows when the lifting stopped, on the others in its consistency check.
+        """
+        if self.status is SolveStatus.INCONSISTENT:
+            return None
+        pivot_cols, free_cols, num, den = self._integer
+        nums = np.zeros(len(pivot_cols) + len(free_cols), dtype=num.dtype)
+        nums[pivot_cols] = num[:, 0]
+        nums.setflags(write=False)
+        return nums, den
 
     @property
     def nullspace_dimension(self) -> int:
@@ -257,13 +276,47 @@ def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None
 
 
 def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact ``a @ x`` of integer arrays, in int64 when ``|a| |x| k < 2^63``, else on Python ints.
+    """Exact ``a @ x`` of a 2-D integer array and a 1-D or 2-D one, multiplied in int64.
 
-    k is the inner dimension; the bound covers every partial sum and every entry.
+    k is the inner dimension. The regime follows from the bounds alone:
+
+    * ``|a| |x| k < 2^63`` bounds every partial sum and every entry, so the
+      product is one int64 matmul;
+    * otherwise, if ``|a| k < 2^62``, x is split into signed limbs,
+      ``x = sum_l y_l 2^(s l)`` with ``|y_l| < 2^s`` and
+      ``s = 63 - bitlen(|a| k) >= 1``, so every partial sum of ``a y_l`` stays
+      below ``|a| k 2^s < 2^63``. One int64 matmul of ``a`` with the stacked
+      limbs gives every ``a y_l``, and only the result is recombined on Python
+      ints, by Horner's rule ``out = (out << s) + a y_l``;
+    * an ``a`` with ``|a| k >= 2^62`` runs on Python ints throughout.
+
+    An ``a`` with no rows or only zeros (``|a| = 0``) gives int64 zeros at
+    once, as the first case does an int64 product; the other cases give
+    Python ints.
     """
     a_max, x_max = _absmax(a), _absmax(x)
-    dtype = _int_dtype(max(a_max * x_max * a.shape[1], a_max, x_max))
-    return a.astype(dtype) @ x.astype(dtype)
+    k = a.shape[1]
+    if not a_max:
+        return np.zeros(a.shape[:1] + x.shape[1:], dtype=np.int64)
+    if max(a_max * x_max * k, a_max, x_max) < INT64_LIMIT:
+        return a.astype(np.int64) @ x.astype(np.int64)
+    s = 63 - (a_max * k).bit_length()
+    if s < 1:
+        return a.astype(object) @ x.astype(object)
+    cols = x.reshape(k, -1).astype(object)
+    negative, rest, mask = cols < 0, np.abs(cols), (1 << s) - 1
+    limbs = []
+    for _ in range(-(-x_max.bit_length() // s)):
+        limb = (rest & mask).astype(np.int64)
+        np.negative(limb, out=limb, where=negative)
+        limbs.append(limb)
+        rest >>= s
+    width = cols.shape[1]
+    products = a.astype(np.int64) @ np.concatenate(limbs, axis=1)
+    out = products[:, -width:].astype(object)
+    for start in range(len(limbs) - 2, -1, -1):
+        out = (out << s) + products[:, start * width:(start + 1) * width]
+    return out.reshape(a.shape[:1] + x.shape[1:])
 
 
 def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
@@ -378,10 +431,13 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     the same code runs on Python ints): the elimination keeps entries below
     ``p + n (p - 1)^2``; a lifting step keeps the residual below
     ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, and the digit product
-    ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T`` runs
-    in int64 when ``|A| |X| k`` and ``den |T|`` stay below 2^63. n and k stay
-    below 2^23 for any matrix that fits in memory, so only the lifting and
-    certificate bounds ever pick Python ints.
+    ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T``
+    multiplies in int64 whenever ``|A| k < 2^62``, cutting X into int64 limbs
+    when ``|A| |X| k`` reaches 2^63 (``integer_matmul``), and forms ``den T``
+    in int64 when ``den |T| < 2^63``. n and k stay below 2^23 for any matrix
+    that fits in memory, so Python ints hold only a lifting step with
+    ``B p >= 2^63``, the lifted numerators, a certificate's recombined
+    product and ``den T`` beyond 2^63, and a product with ``|A| k >= 2^62``.
 
     The outcome keeps this certified integer form (pivot and free columns,
     ``num``, ``den``). No Fraction is built here: ``solution`` and

@@ -1,0 +1,121 @@
+"""Exact products and the certificate behind EXACT_UNIQUE, against plain Python ints.
+
+``integer_matmul`` multiplies in int64, cutting wide right-hand sides into
+limbs; ``compute_curvature`` reads a unique solution's ``K``, ``total`` and
+residual range off the integers ``solve_exact`` certified. Both are checked
+here against arithmetic that shares no code with them.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqcurv import CurvatureStatus, Graph, compute_curvature, generate, parse_family_spec
+from eqcurv.linalg import integer_matmul
+
+CUTOVER = 2**62  # integer_matmul cuts x into int64 limbs while |a| k is below this
+
+
+def python_matmul(a, x):
+    """``a @ x`` on nested lists of Python ints, x 1-D or 2-D."""
+    a, x = a.tolist(), x.tolist()
+    if x and not isinstance(x[0], list):
+        return [sum(p * q for p, q in zip(row, x)) for row in a]
+    return [[sum(row[t] * x[t][c] for t in range(len(x))) for c in range(len(x[0]))] for row in a]
+
+
+# right-hand side entries: zeros, small values, and numerators of 63 to 400 bits
+wide_entries = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.integers(63, 400).flatmap(lambda b: st.integers(-(2**b), 2**b)),
+)
+
+
+@st.composite
+def matmul_inputs(draw):
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    # |a| k just below the cutover (limbs), at or above it (Python ints), small, or huge
+    a_max = draw(st.sampled_from(
+        [0, 1, 7, (CUTOVER - 1) // k, -(-CUTOVER // k), 2**61, 2**70]
+    ))
+    a = [[draw(st.integers(-a_max, a_max)) for _ in range(k)] for _ in range(m)]
+    a[0][0] = draw(st.sampled_from([a_max, -a_max]))  # the bound is attained
+    a = np.array(a, dtype=object)
+    if a_max < 2**63 and draw(st.booleans()):
+        a = a.astype(np.int64)
+    shape = (k,) if draw(st.booleans()) else (k, draw(st.integers(1, 4)))
+    x = np.array(draw(st.lists(wide_entries, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape)))), dtype=object).reshape(shape)
+    if np.abs(x).max() < 2**63 and draw(st.booleans()):
+        x = x.astype(np.int64)
+    return a, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(matmul_inputs())
+def test_integer_matmul_matches_python_ints(inputs):
+    a, x = inputs
+    got = integer_matmul(a, x)
+    assert got.shape == a.shape[:1] + x.shape[1:]
+    assert got.tolist() == python_matmul(a, x)
+
+
+@pytest.mark.parametrize("k", [1, 3, 180])
+@pytest.mark.parametrize("side", [-1, 0])
+def test_integer_matmul_on_both_sides_of_the_cutover(k, side):
+    # |a| k == 2^62 - 1 runs on limbs, |a| k >= 2^62 on Python ints
+    a_max = (CUTOVER - 1) // k if side < 0 else -(-CUTOVER // k)
+    a = np.full((2, k), a_max, dtype=np.int64)
+    a[1, ::2] = -a_max
+    x = np.array([[(-1) ** t * (2**400 - t), 0, -(2**63) + t] for t in range(k)], dtype=object)
+    assert integer_matmul(a, x).tolist() == python_matmul(a, x)
+    assert integer_matmul(a, x[:, 0]).tolist() == python_matmul(a, x[:, 0])
+
+
+def test_integer_matmul_on_an_object_dtype_a():
+    x = np.array([2**300 + 1, -(2**200), 0], dtype=object)
+    for a in (np.array([[1, -2, 3], [0, 4, -5]], dtype=object),
+              np.array([[2**80, -1, 3], [0, 2**70, -5]], dtype=object)):
+        assert integer_matmul(a, x).tolist() == python_matmul(a, x)
+
+
+def test_integer_matmul_with_no_rows():
+    # the certificate on the rows outside the pivot block, when there are none
+    x = np.array([[2**300, -1], [0, 2**70], [-(2**90), 5]], dtype=object)
+    for a in (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=object)):
+        assert integer_matmul(a, x).shape == (0, 2)
+        assert integer_matmul(a, x[:, 0]).shape == (0,)
+
+
+def atlas_and_random_graphs():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 2 and nx.is_connected(h):
+            yield Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+    for spec in ("erdos_renyi:150,0.08,1", "erdos_renyi:165,0.06,2", "erdos_renyi:180,0.05,3"):
+        yield generate(parse_family_spec(spec))
+
+
+def test_exact_unique_summary_matches_python_ints():
+    unique = 0
+    for g in atlas_and_random_graphs():
+        result = compute_curvature(g)
+        if result.status is not CurvatureStatus.EXACT_UNIQUE:
+            continue
+        unique += 1
+        w = result.w
+        den = lcm(*(x.denominator for x in w))
+        nums = [x.numerator * (den // x.denominator) for x in w]
+        dw = [Fraction(sum(d * v for d, v in zip(row, nums)), den)
+              for row in g.distance_matrix.entries.tolist()]
+        assert result.residual_range == (min(dw), max(dw)) == (g.n, g.n)
+        assert result.K == min(w)
+        assert result.total == sum(abs(x) for x in w)
+        assert all(type(v) is Fraction for v in (result.K, result.total, *result.residual_range))
+    # the atlas has 787 full-rank graphs; the three random graphs are full rank too
+    assert unique == 787 + 3

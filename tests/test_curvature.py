@@ -181,35 +181,59 @@ class TestCurvatureOfFamily:
 
 
 class TestInvarianceCheck:
-    def test_unique_solution_is_vacuous(self):
-        report = total_curvature_invariance_check(fam("path:3"), samples=50)
-        assert report.vacuous and report.all_equal
-        assert report.nullspace_dimension == 0
+    def test_unique_solution_is_a_one_member_family(self):
+        # path:3 has w = (3/2, 0, 3/2): K == 0, so its one member is nonnegative
+        report = total_curvature_invariance_check(fam("path:3"))
+        assert report.nullspace_dimension == 0 and report.kernel_sums == ()
+        assert report.total == 3 and report.nonnegative_exists
+        # a star's centre has w < 0, and there is no other member
+        star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+        report = total_curvature_invariance_check(star)
+        assert report.total == sum(compute_curvature(star).w) and not report.nonnegative_exists
 
     def test_cycle4_family_has_invariant_total(self):
-        report = total_curvature_invariance_check(fam("cycle:4"), samples=2000, seed=1)
+        report = total_curvature_invariance_check(fam("cycle:4"))
         assert report.nullspace_dimension == 1
-        assert report.nonnegative_found > 0
-        assert not report.vacuous
-        assert report.all_equal
+        assert report.kernel_sums == (0,)
+        assert report.nonnegative_exists
         assert report.total == 4  # n * K = 4 * 1
 
     def test_scanned_multi_solution_graph(self):
-        # K > 0 here, so the nonnegative slice of the family has interior and
-        # random sampling actually lands in it
         g = fam(LP_PATH_POSITIVE_SPEC)
         r = compute_curvature(g)
         assert r.status is CurvatureStatus.EXACT_CANONICAL and r.K > 0
-        report = total_curvature_invariance_check(g, samples=2000, seed=2)
+        report = total_curvature_invariance_check(g)
         assert report.nullspace_dimension >= 1
-        assert report.nonnegative_found > 0
-        assert report.all_equal
+        assert not any(report.kernel_sums)
+        # the max-min point is a nonnegative member: its l1 norm is the total
+        assert report.nonnegative_exists and report.total == r.total
 
-    def test_boundary_case_reports_vacuous(self):
-        # canonical min w == 0: the nonnegative slice has empty interior, so
-        # sampling finds nothing and the report says so instead of failing
-        report = total_curvature_invariance_check(fam(LP_PATH_SPEC), samples=500, seed=2)
-        assert report.vacuous and report.all_equal
+    def test_boundary_case_has_a_nonnegative_member(self):
+        # canonical min w == 0: the nonnegative slice of the family has empty
+        # interior, which random sampling missed, but the max-min point is in it
+        g = fam(LP_PATH_SPEC)
+        assert compute_curvature(g).K == 0
+        report = total_curvature_invariance_check(g)
+        assert report.nonnegative_exists and report.total == compute_curvature(g).total
+
+    def test_negative_max_min_has_no_nonnegative_member(self):
+        g = fam(LP_PATH_NEGATIVE_SPEC)
+        assert compute_curvature(g).K < 0
+        report = total_curvature_invariance_check(g)
+        assert not report.nonnegative_exists and not any(report.kernel_sums)
+        assert report.total == sum(compute_curvature(g).w)
+
+    def test_hypercube4_has_the_constant_member(self):
+        # w = 1/2 everywhere is a member; sampling the 11-dimensional family
+        # found no nonnegative point
+        report = total_curvature_invariance_check(fam("hypercube:4"))
+        assert report.nullspace_dimension == 11 and not any(report.kernel_sums)
+        assert report.nonnegative_exists and report.total == 8
+
+    def test_inconsistent_system_has_no_member(self):
+        report = total_curvature_invariance_check(fam("complete_multipartite:1,1,1,4"))
+        assert report.total is None and not report.nonnegative_exists
+        assert any(report.kernel_sums)
 
 
 class TestNullspaceSumCheck:
@@ -326,7 +350,7 @@ def test_one_solve_per_distance_matrix(monkeypatch, spec):
     g = fam(spec)
     compute_curvature(g)
     nullspace_sum_check(g)
-    total_curvature_invariance_check(g, samples=20)
+    total_curvature_invariance_check(g)
     assert len(calls) == 1
     # a fresh distance matrix is a fresh solve
     compute_curvature(g, apsp(g))
@@ -357,7 +381,7 @@ def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec)
     result = compute_curvature(g)
     info = spectral_gap(g)
     nullspace_sum_check(g)
-    total_curvature_invariance_check(g, samples=20)
+    total_curvature_invariance_check(g)
     check_bonnet_myers(g, result)
     check_reverse_bonnet_myers(g, result)
     check_lichnerowicz(g, result, info)

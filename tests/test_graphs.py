@@ -204,6 +204,30 @@ class TestGenerators:
         h = fam("cocktail_party:4")
         assert (h.n, h.edge_count) == (8, 24)
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+    def test_johnson_matches_the_pairwise_construction(self, n, k):
+        # oracle: every pair of k-subsets, adjacent when they share k - 1 elements
+        subsets = list(combinations(range(n), k))
+        expected = {
+            (i, j) for (i, a), (j, b) in combinations(enumerate(subsets), 2)
+            if len(set(a) & set(b)) == k - 1
+        }
+        g = fam(f"johnson:{n},{k}")
+        assert g.edges == expected
+        assert g.labels == tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_demicube_matches_the_pairwise_construction(self, n):
+        # oracle: every pair of even-weight words, adjacent at Hamming distance 2
+        verts = [v for v in range(1 << n) if bin(v).count("1") % 2 == 0]
+        expected = {
+            (i, j) for (i, a), (j, b) in combinations(enumerate(verts), 2)
+            if bin(a ^ b).count("1") == 2
+        }
+        g = fam(f"demicube:{n}")
+        assert g.edges == expected
+        assert g.labels == tuple(format(v, f"0{n}b") for v in verts)
+
     def test_multipartite_table_rows(self):
         g = fam("complete_multipartite:1,1,1,4")
         assert (g.n, g.edge_count) == (7, 15)
