@@ -75,22 +75,28 @@ def exact_matvec(entries: np.ndarray, w: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(int(v), den) for v in integer_matmul(entries, np.array(nums, dtype=object))]
 
 
-# Key of the cached solve in a DistanceMatrix's instance dictionary.
+# Keys of the cached solve and curvature in a DistanceMatrix's instance dictionary.
 _SOLVE_KEY = "_curvature_solve"
+_RESULT_KEY = "_curvature_result"
+
+
+def _cached(dm: DistanceMatrix, key: str, make):
+    """``make()``, computed once per distance matrix and cached on it under ``key``.
+
+    The value is kept in the instance dictionary, where a ``cached_property``
+    would keep it, so every consumer of one ``DistanceMatrix`` (above all a
+    graph's own ``Graph.distance_matrix``) shares one value, and a fresh
+    matrix gets a fresh one.
+    """
+    cache = vars(dm)
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
 
 
 def _distance_solve(dm: DistanceMatrix) -> SolveOutcome:
-    """The exact solve of ``D w = n * 1``, made once per distance matrix and cached on it.
-
-    The outcome is kept in the instance dictionary under ``_SOLVE_KEY``, where a
-    ``cached_property`` would keep it, so every consumer of one
-    ``DistanceMatrix`` (above all a graph's own ``Graph.distance_matrix``)
-    shares one solve, and a fresh matrix gets a fresh solve.
-    """
-    cache = vars(dm)
-    if _SOLVE_KEY not in cache:
-        cache[_SOLVE_KEY] = solve_exact(dm.entries, [dm.n] * dm.n)
-    return cache[_SOLVE_KEY]
+    """The exact solve of ``D w = n * 1``, made once per distance matrix."""
+    return _cached(dm, _SOLVE_KEY, lambda: solve_exact(dm.entries, [dm.n] * dm.n))
 
 
 def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureResult:
@@ -99,7 +105,9 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     Solves ``D w = n * 1`` exactly. A unique solution is returned as-is; an
     affine family is canonicalized to the max-min solution; an inconsistent
     system falls back to the pseudo-inverse with floating arithmetic. ``dm``
-    defaults to ``g.distance_matrix``.
+    defaults to ``g.distance_matrix``. The result is made once per distance
+    matrix and cached on it, like the solve, so every caller shares one
+    max-min LP.
 
     The residual range is min/max of ``(D w)_i``. For a unique solution it is
     ``(n, n)`` on the strength of ``solve_exact``'s certificate: full rank
@@ -111,7 +119,11 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     """
     if dm is None:
         dm = g.distance_matrix
-    n = g.n
+    return _cached(dm, _RESULT_KEY, lambda: _curvature(dm))
+
+
+def _curvature(dm: DistanceMatrix) -> CurvatureResult:
+    n = dm.n
     outcome = _distance_solve(dm)
 
     if outcome.status is SolveStatus.UNIQUE:

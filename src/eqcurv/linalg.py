@@ -76,11 +76,12 @@ class SolveOutcome:
     columns, the free columns, and a numerator matrix ``num`` over one common
     denominator ``den`` whose row t holds the entries on pivot column t of the
     particular solution (column 0) and of kernel vector j (column 1 + j, which
-    is 1 on free column j and 0 on the other free columns). ``solution`` and
-    ``nullspace`` are Fraction tuples built from it on first access;
-    ``particular``, ``nullspace_dimension``, ``kernel_rows`` and
-    ``kernel_sums`` are read off it in integers. An outcome is read-only, as
-    callers share it.
+    is 1 on free column j and 0 on the other free columns). ``particular``,
+    ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
+    it in integers; ``solution`` and ``nullspace`` are Fraction views of
+    ``particular`` and of ``kernel_rows``, each built on first access, so a
+    caller that needs only the solution builds no kernel vector. An outcome
+    is read-only, as callers share it.
     """
 
     def __init__(
@@ -99,24 +100,20 @@ class SolveOutcome:
         raise AttributeError(f"SolveOutcome is read-only; cannot set {name!r}")
 
     @cached_property
-    def _vectors(self) -> list[tuple[Fraction, ...]]:
-        """The particular solution, then the kernel vectors, as Fractions."""
-        pivot_cols, free_cols, num, den = self._integer
-        vectors = [[Fraction(0)] * (len(pivot_cols) + len(free_cols)) for _ in range(num.shape[1])]
-        for vec, f in zip(vectors[1:], free_cols):
-            vec[f] = Fraction(1)
-        for c, nums in zip(pivot_cols, num):
-            for vec, v in zip(vectors, nums):
-                vec[c] = Fraction(v, den)
-        return [tuple(vec) for vec in vectors]
-
-    @cached_property
     def solution(self) -> tuple[Fraction, ...] | None:
-        return None if self.status is SolveStatus.INCONSISTENT else self._vectors[0]
+        """``particular`` as Fractions, None if INCONSISTENT."""
+        if self.particular is None:
+            return None
+        nums, den = self.particular
+        return tuple(Fraction(int(v), den) for v in nums)
 
     @cached_property
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self._vectors[1:])
+        """``kernel_rows`` as Fractions: vector j is ``kernel_rows[j] / kernel_rows[j, free_j]``."""
+        free_cols = self._integer[1]
+        return tuple(
+            tuple(Fraction(v, row[f]) for v in row) for row, f in zip(self.kernel_rows, free_cols)
+        )
 
     @cached_property
     def particular(self) -> tuple[np.ndarray, int] | None:
@@ -538,15 +535,12 @@ def pseudo_apply(matrix, rhs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_max(
-    a_rows: Sequence[Sequence[int | Fraction]],
-    b: Sequence[int | Fraction],
-    c: Sequence[int | Fraction],
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Maximize ``c . x`` over ``{A x <= b}`` with x free and b >= 0.
+def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int]:
+    """Maximize ``c . x`` over ``{A x <= b}`` with x free, for integer A, b >= 0 and c.
 
-    Dense tableau with Bland's rule (guaranteed termination). Returns (x, y)
-    with x optimal and y the optimal dual (``y >= 0``, ``A^T y = c``,
+    Dense tableau with Bland's rule (guaranteed termination). Returns
+    ``(x, y, d)``, x and y arrays of Python ints and ``d > 0``: ``x / d`` is
+    optimal and ``y / d`` the optimal dual (``y >= 0``, ``A^T y = d c``,
     ``b . y = c . x``), read off the slack columns of the final objective row.
     Callers must shift the problem so b >= 0, so that the all-slack basis is
     feasible and no phase-1 is needed, and must pose a bounded LP: an
@@ -554,37 +548,28 @@ def _simplex_max(
 
     Notes
     -----
-    The tableau holds Python integers only and is pivoted fraction-free
-    (Edmonds 1967), the simplex form of the Bareiss elimination
-    (1968). Row i of ``[A | b]`` is scaled to integers by its factor
-    ``s_i`` (so its slack variable is scaled by ``s_i`` too) and the objective
-    row by ``c_den``. One shared denominator ``d``, starting at 1, is the
-    determinant of the current basis: pivoting on ``p = T[r, e]`` replaces
-    every other row, the objective row included, by
-    ``(p * T_i - T[i, e] * T_r) // d``, an exact division, keeps ``T_r`` and
-    sets ``d = p``. Every entry is ``d`` times the entry of the rational
-    tableau of the scaled problem. Positive row and column scalings change no
-    sign and no ratio order, so Bland's rule takes the same pivots as a
-    ``Fraction`` tableau. On the way out, a basic ``x`` is ``T[i, rhs] / d``
-    and the dual is ``y_i = s_i * T[obj, slack_i] / (d * c_den)``.
+    The tableau ``[A | -A | I | b]`` over the objective row ``[-c | c | 0 | 0]``
+    holds Python integers only and is pivoted fraction-free (Edmonds 1967),
+    the simplex form of the Bareiss elimination (1968). One shared
+    denominator ``d``, starting at 1, is the determinant of the current
+    basis: pivoting on ``p = T[r, e]`` replaces every other row, the
+    objective row included, by ``(p * T_i - T[i, e] * T_r) // d``, an exact
+    division, keeps ``T_r`` and sets ``d = p``. Every entry is ``d`` times the
+    entry of the rational tableau and ``d > 0``, so Bland's rule takes the
+    same pivots as a ``Fraction`` tableau. A basic ``x`` is ``T[i, rhs] / d``
+    and the dual is ``y_i = T[obj, slack_i] / d``.
     """
-    m = len(a_rows)
-    nv = len(c)
-    assert all(x >= 0 for x in b), "simplex caller must shift to b >= 0"
+    a = np.array(a, dtype=object).reshape(len(b), len(c))
+    m, nv = a.shape
+    assert min(b, default=0) >= 0, "simplex caller must shift to b >= 0"
     ncols = 2 * nv + m
-    # rows 0..m-1: [A | -A | I | b] scaled to integers; row m: reduced costs -c, c
     tab = np.zeros((m + 1, ncols + 1), dtype=object)
-    scale = []
-    for i in range(m):
-        nums, s = common_denominator([*a_rows[i], b[i]])
-        tab[i, :nv] = nums[:nv]
-        tab[i, nv:2 * nv] = [-x for x in nums[:nv]]
-        tab[i, 2 * nv + i] = 1
-        tab[i, ncols] = nums[nv]
-        scale.append(s)
-    nums, c_den = common_denominator(c)
-    tab[m, :nv] = [-x for x in nums]
-    tab[m, nv:2 * nv] = nums
+    tab[:m, :nv] = a
+    tab[:m, nv:2 * nv] = -a
+    tab[:m, 2 * nv:ncols] = np.eye(m, dtype=int)
+    tab[:m, ncols] = b
+    tab[m, nv:2 * nv] = c
+    tab[m, :nv] = -tab[m, nv:2 * nv]
     basis = [2 * nv + i for i in range(m)]
     d = 1
 
@@ -612,11 +597,9 @@ def _simplex_max(
         d = p
         basis[leave] = enter
 
-    xfull = [Fraction(0)] * ncols
-    for i in range(m):
-        xfull[basis[i]] = Fraction(tab[i, ncols], d)
-    y = [Fraction(s * t, d * c_den) for s, t in zip(scale, tab[m, 2 * nv:ncols])]
-    return [xfull[j] - xfull[nv + j] for j in range(nv)], y
+    x = np.zeros(ncols, dtype=object)
+    x[basis] = tab[:m, ncols]
+    return x[:nv] - x[nv:2 * nv], tab[m, 2 * nv:ncols], d
 
 
 def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
@@ -638,25 +621,31 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     and sums to 0, so it sums to 0 over the free ones, and the level value
     ``t`` can never exceed the mean of the free ``w_i``.
 
-    The current face is a point plus a list of direction vectors, each kept
-    as an integer row because its scale does not matter. Each level:
+    The input is converted to integers once: the point is a numerator array
+    ``w`` over one denominator ``den`` and each direction an integer row, as
+    its scale does not matter. Each level:
 
     1. coordinates that are 0 in every direction are constant on the face and
        stay fixed at their current value;
     2. one exact simplex maximizes ``t`` subject to ``w_i >= t`` over the
-       other coordinates, and the point moves to its optimum ``t_level``;
-    3. its dual ``y`` is certified with rational equality (``y >= 0``,
-       ``sum y = 1``, ``y`` orthogonal to every direction, ``y . w =
-       t_level``, ``w_i >= t_level``); by complementary slackness every
-       coordinate with ``y_i > 0`` equals ``t_level`` on the whole optimal
-       face, and ``sum y = 1`` pins at least one;
+       other coordinates F, posed in numerators as
+       ``[-dirs_F^T | 1] X <= w_F - t0`` (``t0`` the smallest free numerator);
+       for its optimum ``x / d`` the point becomes
+       ``(d w + x[:k] . dirs) / (d den)`` and the level value
+       ``t_level = (d t0 + x[k]) / (d den)``;
+    3. its dual ``y / d`` is certified on those numerators over ``d den``:
+       ``y >= 0``, ``sum y = d``, ``dirs_F y = 0``, ``w_F . y = t_level d``
+       and ``w_F >= t_level``; by complementary slackness every coordinate
+       with ``y_i > 0`` equals ``t_level`` on the whole optimal face, and
+       ``sum y = d`` pins at least one. One gcd then reduces ``w`` and ``den``;
     4. the directions are replaced by a basis of the combinations that vanish
        on the pinned coordinates, the kernel of the Gram matrix of the
        directions' entries there, so the face dimension drops by at least one.
 
     With k nullspace vectors that is at most k simplex solves.
     """
-    w = [Fraction(_exact(x)) for x in particular]
+    nums, den = common_denominator([_exact(x) for x in particular])
+    w = np.array(nums, dtype=object)
     n = len(w)
     if any(len(vec) != n for vec in nullspace):
         raise ValueError("nullspace vectors must match the particular solution's length")
@@ -671,29 +660,29 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
         # a coordinate that is 0 in every direction is constant on the face
         free = np.flatnonzero((dirs != 0).any(axis=0))
         if not free.size:
-            return tuple(w)
+            return tuple(Fraction(v, den) for v in w)
         k = len(dirs)
-        # variables (step coefficients, t - t0); b = w - t0 >= 0 on the free rows
-        t0 = min(w[i] for i in free)
-        rows = [[-v for v in dirs[:, i]] + [1] for i in free]
-        rhs = [w[i] - t0 for i in free]
-        x, y = _simplex_max(rows, rhs, [0] * k + [1])
-        num, den = common_denominator(x[:k])
-        step = [Fraction(v, den) for v in np.array(num, dtype=object).dot(dirs)]
-        t_level = t0 + x[k]
-        w = [a + b for a, b in zip(w, step)]
+        t0 = min(w[free])
+        a = np.ones((len(free), k + 1), dtype=object)
+        a[:, :k] = -dirs[:, free].T
+        x, y, d = _simplex_max(a, w[free] - t0, [0] * k + [1])
+        w = d * w + x[:k].dot(dirs)
+        t_level = d * t0 + x[k]
+        den *= d
 
-        # the dual certificate in integers: y = num / den
-        num, den = common_denominator(y)
-        pinned = free[np.flatnonzero(num)]
+        # the dual certificate, on numerators over d * den
+        pinned = free[np.flatnonzero(y)]
         if not (
-            min(num) >= 0
-            and sum(num) == den
-            and not dirs[:, free].dot(np.array(num, dtype=object)).any()
-            and sum(v * w[i] for i, v in zip(free, num)) == t_level * den
-            and all(w[i] >= t_level for i in free)
+            min(y) >= 0
+            and sum(y) == d
+            and not dirs[:, free].dot(y).any()
+            and w[free].dot(y) == t_level * d
+            and min(w[free]) >= t_level
         ):
             raise RuntimeError("max-min level failed its exact optimality certificate")
+        g = gcd(den, *w)
+        w //= g
+        den //= g
 
         # E: the directions' entries on the pinned coordinates; E E^T has E^T's kernel
         e = dirs[:, pinned]

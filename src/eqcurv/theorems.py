@@ -196,8 +196,6 @@ def check_reverse_bonnet_myers(
     reason = _exact_hypothesis(result)
     if reason is not None:
         return _not_applicable("reverse_bonnet_myers", reason)
-    if g.n < 2:
-        return _not_applicable("reverse_bonnet_myers", "single-vertex graph has no diameter")
     n = g.n
     diam = (g.distance_matrix if dm is None else dm).diameter()
     total: Fraction = result.total
@@ -259,6 +257,8 @@ def simplex_measures(n: int, count: int, seed: int) -> list[np.ndarray]:
 
 
 def _validate_measure(nu: np.ndarray) -> None:
+    if not np.isfinite(nu).all():
+        raise ValueError("measure has a non-finite entry")
     if nu.min() < 0:
         raise ValueError("measure has a negative entry")
     if abs(float(nu.sum()) - 1.0) > 1e-12:
@@ -399,6 +399,8 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
         lam_bound: Fraction | float = k_val / (8 * dw_inf)
     else:
         w_arr = np.asarray(w_list, dtype=float)
+        if not np.isfinite(w_arr).all():
+            raise ValueError("theorem5 needs every entry of w to be finite")
         if w_arr.min() <= 0:
             raise ValueError("theorem5 needs every entry of w to be positive")
         k_val = float(w_arr.min())
@@ -427,17 +429,15 @@ def _frac_or_float(dw_inf, n, k_val):
     return (float(dw_inf) / n) * (8.0 / float(k_val))
 
 
-def spectral_criterion(
-    info: SpectralInfo, curvature_status: CurvatureStatus | None = None
-) -> TheoremReport:
+def spectral_criterion(info: SpectralInfo, curvature_status: CurvatureStatus) -> TheoremReport:
     """Sufficient solvability test from the distance spectrum.
 
     When D has one positive eigenvalue (lambda_1 > 0 >= lambda_2 >= ...) and
     ``1 - <v, 1/sqrt(n)>^2 < |lambda_2| / (lambda_1 - lambda_2)``, the system
     ``D x = 1`` is solvable. The prediction is evaluated one-sidedly (slack
-    subtracted) so floating noise cannot produce a false "solvable". With the
-    exact classification supplied, soundness is cross-checked: a true
-    criterion must not meet an inconsistent classification.
+    subtracted) so floating noise cannot produce a false "solvable". Soundness
+    is cross-checked against the exact classification: a true criterion must
+    not meet an inconsistent classification.
     """
     ds = info.distance_spectrum
     if len(ds) < 2:
@@ -460,19 +460,16 @@ def spectral_criterion(
         )
     ]
     notes = [f"criterion {'holds: predicts solvable' if criterion_true else 'does not hold: no prediction'}"]
-    passed = True
-    if curvature_status is not None:
-        sound = not (criterion_true and curvature_status is CurvatureStatus.INCONSISTENT)
-        checks.append(
-            InequalityCheck(
-                "criterion true implies exactly solvable",
-                _q("criterion", int(criterion_true)), "=>",
-                _q("solvable", int(curvature_status is not CurvatureStatus.INCONSISTENT)),
-                sound, False,
-            )
+    sound = not (criterion_true and curvature_status is CurvatureStatus.INCONSISTENT)
+    checks.append(
+        InequalityCheck(
+            "criterion true implies exactly solvable",
+            _q("criterion", int(criterion_true)), "=>",
+            _q("solvable", int(curvature_status is not CurvatureStatus.INCONSISTENT)),
+            sound, False,
         )
-        passed = sound
-    return TheoremReport("spectral_criterion", True, tuple(checks), passed, tuple(notes))
+    )
+    return TheoremReport("spectral_criterion", True, tuple(checks), sound, tuple(notes))
 
 
 def perron_alignment(info: SpectralInfo) -> TheoremReport:
@@ -511,12 +508,9 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
     k1 = Fraction(g.n) / r1
     k2 = Fraction(h.n) / r2
     product = cartesian_product(g, h)
+    # a product of factors with constant row sums has constant row sums, so
+    # D w = n * 1 is solvable and the curvature is exact
     result = compute_curvature(product)
-    if not result.is_exact:
-        return TheoremReport(
-            "product_curvature", True, (), False,
-            ("product graph unexpectedly has no exact solution",),
-        )
     constant = all(x == result.w[0] for x in result.w)
     k_prod: Fraction = result.w[0]
     checks = [
@@ -534,5 +528,5 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
                 1 / k_prod == 1 / k1 + 1 / k2, True,
             )
         )
-    passed = all(c.holds for c in checks) and constant
+    passed = all(c.holds for c in checks)
     return TheoremReport("product_curvature", True, tuple(checks), passed)

@@ -374,9 +374,11 @@ def count_calls(monkeypatch, module, name):
     "spec", ["cycle:6", LP_PATH_SPEC, "complete_multipartite:1,1,1,4", "hypercube:3"]
 )
 def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec):
-    # every entry point reads the graph's own distance matrix and its cached solve
+    # every entry point reads the graph's own distance matrix, its cached
+    # solve and its cached curvature, so the max-min LP runs at most once
     apsp_calls = count_calls(monkeypatch, graphs_module, "apsp")
     solves = count_calls(monkeypatch, curvature_module, "solve_exact")
+    lps = count_calls(monkeypatch, curvature_module, "lp_max_min")
     g = fam(spec)
     result = compute_curvature(g)
     info = spectral_gap(g)
@@ -389,6 +391,7 @@ def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec)
     check_theorem5(g, [1] * g.n, info)
     analyze_graph(g, 0)
     assert (len(apsp_calls), len(solves)) == (1, 1)
+    assert len(lps) == (1 if spec == LP_PATH_SPEC else 0)
 
 
 @pytest.mark.parametrize("spec", [LP_PATH_SPEC, LP_PATH_NEGATIVE_SPEC, "knight_board:3,4"])

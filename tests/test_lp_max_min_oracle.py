@@ -172,10 +172,6 @@ def in_family(w, particular, basis) -> bool:
 
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-# ints, and Fractions whose denominators differ within a row
-entries = st.one_of(
-    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=6)
-)
 
 
 def dot(u, v):
@@ -184,32 +180,35 @@ def dot(u, v):
 
 @st.composite
 def lps(draw):
-    """Bounded (A, b, c): m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0.
+    """Bounded integer (A, b, c): m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0.
 
     ``c = A^T u`` with ``u >= 0``, so ``c . x = u . A x <= u . b`` bounds the LP.
     """
     m = draw(st.integers(1, 8))
     nv = draw(st.integers(1, 5))
-    nonnegative = st.one_of(st.just(0), entries.map(abs))
-    a_rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=m, max_size=m))
+    nonnegative = st.one_of(st.just(0), st.integers(0, 6))
+    row = st.lists(st.integers(-6, 6), min_size=nv, max_size=nv)
+    a_rows = draw(st.lists(row, min_size=m, max_size=m))
     b = draw(st.lists(nonnegative, min_size=m, max_size=m))
     u = draw(st.lists(nonnegative, min_size=m, max_size=m))
-    c = [dot(col, u) for col in zip(*a_rows)]
+    c = [sum(a * ui for a, ui in zip(col, u)) for col in zip(*a_rows)]
     return a_rows, b, c
 
 
 @settings(max_examples=200, deadline=None)
 @given(lps())
 def test_simplex_matches_fraction_tableau(lp):
-    # same Bland path, so x and y agree with rational equality
+    # same Bland path, so x / d and y / d agree with rational equality
     a_rows, b, c = lp
-    x, y = _simplex_max(a_rows, b, c)
+    x_num, y_num, d = _simplex_max(a_rows, b, c)
+    assert d > 0 and all(type(v) is int for v in [*x_num, *y_num, d])
+    x = [Fraction(v, d) for v in x_num]
+    y = [Fraction(v, d) for v in y_num]
     # the reference expects Fraction entries
     reference = reference_simplex_max(
         [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
     )
     assert ("optimal", x, y) == reference
-    assert all(isinstance(v, Fraction) for v in x + y)
     assert all(dot(row, x) <= bi for row, bi in zip(a_rows, b))
     assert all(yi >= 0 for yi in y)
     assert all(dot(col, y) == cj for col, cj in zip(zip(*a_rows), c))

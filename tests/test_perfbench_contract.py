@@ -23,19 +23,26 @@ import workloads  # noqa: E402
 
 from eqcurv.graphs import FamilySpec  # noqa: E402
 
+# each item with its exact-output digest, ``workloads.fingerprint(out)[0]``, so a
+# change that alters a benchmark output fails here without a benchmark run
 ITEMS = [
-    ("corpus", workloads.Item(FamilySpec("erdos_renyi", (9, 0.5, 11)))),
-    ("canonical_lp", workloads.Item(FamilySpec("cycle", (16,)), 1, 5)),
-    ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1)))),
-    ("families", workloads.Item(FamilySpec("hypercube", (4,)), 0, 3)),
-    ("families", workloads.Item(FamilySpec("complete_multipartite", (1, 1, 1, 4)), 0, 3)),
+    ("corpus", workloads.Item(FamilySpec("erdos_renyi", (9, 0.5, 11))),
+     "5eef842c6aa67265b7c48ae1b27bd0b4977c1ce317a54da6b3e76948af8914a5"),
+    ("canonical_lp", workloads.Item(FamilySpec("cycle", (16,)), 1, 5),
+     "b86d141df9e834bf8abeb10f7b2f2907c5939beb26df72c6dd86e65da1404cc7"),
+    ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1))),
+     "5a5355146029f09b57daac4efcf5adf6bf2518b6eba143f9583ce52f03a1615c"),
+    ("families", workloads.Item(FamilySpec("hypercube", (4,)), 0, 3),
+     "ed2b950f84583b3a02deb4571c4f1d8835e12161f1da9dd91ccc579ab4b410c2"),
+    ("families", workloads.Item(FamilySpec("complete_multipartite", (1, 1, 1, 4)), 0, 3),
+     "a88a16d7f93068802cb6af0af9640d2b81bb5e57ddec19dcae3bc378bbc9f583"),
 ]
 
 
 @pytest.mark.parametrize(
-    "workload, item", ITEMS, ids=[f"{w}-{item.spec}" for w, item in ITEMS]
+    "workload, item, digest_exact", ITEMS, ids=[f"{w}-{item.spec}" for w, item, _ in ITEMS]
 )
-def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item):
+def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item, digest_exact):
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -48,3 +55,4 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item)
     assert tracer.absent == set()
     spans = Counter(rec[0] for rec in tracer.spans)
     assert (spans["graphs.apsp"], spans["linalg.solve_exact"]) == (1, 1)
+    assert workloads.fingerprint(out)[0] == digest_exact

@@ -216,6 +216,8 @@ class TestMinimax:
             check_minimax(g, result, measures=[np.full(5, 0.3)], dm=dm)
         with pytest.raises(ValueError, match="negative"):
             check_minimax(g, result, measures=[np.array([1.5, -0.5, 0, 0, 0])], dm=dm)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_minimax(g, result, measures=[np.array([np.nan, 0.5, 0.5, 0, 0])], dm=dm)
 
     def test_wrong_length_measure(self):
         g, dm, result, _ = analyzed("cycle:5")
@@ -287,6 +289,8 @@ class TestTheorem5:
             check_theorem5(g, [1, 1, 0, 1, 1], info)
         with pytest.raises(ValueError, match="positive"):
             check_theorem5(g, [1.0, 1.0, -0.5, 1.0, 1.0], info)
+        with pytest.raises(ValueError, match="finite"):
+            check_theorem5(g, [1.0, np.nan, 1, 1, 1], info)
 
 
 class TestSpectralCriterion:
