@@ -230,7 +230,7 @@ def render_dot(g: Graph, result: CurvatureResult) -> str:
         else:
             shown = f"{values[i]:.4g}"
         color = _diverging_color(values[i] / scale)
-        name = g.labels[i] if g.labels else str(i)
+        name = g.labels[i].replace("\\", "\\\\").replace('"', '\\"') if g.labels else str(i)
         lines.append(
             f'  {i} [label="{name}\\n{shown}", tooltip="w[{i}] = {shown}", '
             f'fillcolor="{color}"];'

@@ -49,12 +49,13 @@ class CurvatureStatus(Enum):
 class CurvatureResult:
     """Per-vertex curvature with its solvability classification.
 
-    For the Exact* statuses ``w`` is a tuple of Fractions and ``D w = n * 1``
-    holds with rational equality, so ``residual_range == (n, n)``: for
-    EXACT_UNIQUE by ``solve_exact``'s integer certificate over every row, for
-    EXACT_CANONICAL by an exact product ``D w``. For INCONSISTENT, ``w`` is the
-    floating pseudo-inverse solution and K is only a pseudo lower bound (the
-    exact-solution theorems do not apply to it).
+    For the Exact* statuses ``w``, ``K``, ``total`` and ``residual_range``
+    are Fractions read off one integer point ``nums / den``, and
+    ``D w = n * 1`` holds with rational equality, so ``residual_range ==
+    (n, n)``: for EXACT_UNIQUE by ``solve_exact``'s integer certificate over
+    every row, for EXACT_CANONICAL by an exact product ``D nums``. For
+    INCONSISTENT, ``w`` is the floating pseudo-inverse solution and K is only
+    a pseudo lower bound (the exact-solution theorems do not apply to it).
     """
 
     status: CurvatureStatus
@@ -109,13 +110,15 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     matrix and cached on it, like the solve, so every caller shares one
     max-min LP.
 
-    The residual range is min/max of ``(D w)_i``. For a unique solution it is
-    ``(n, n)`` on the strength of ``solve_exact``'s certificate: full rank
-    makes every row a pivot row, so ``D nums == den * n * 1`` has already held
-    in exact integers on all n equations, and ``K`` and ``total`` are read off
-    the same integers. The max-min point of an affine family is another member
-    of the family, so ``D w`` is multiplied out for it, exactly; an
-    inconsistent system's is a float product.
+    Every exact result is read off one point ``(nums, den)`` of integer
+    numerators over one denominator: ``solve_exact``'s particular solution if
+    unique, ``(n * 1, R)`` for constant row sums R, else ``lp_max_min`` of
+    that solution and the integer kernel rows. Its residual range, min/max of
+    ``(D w)_i``, is ``(n, n)`` for a unique solution on the strength of
+    ``solve_exact``'s certificate: full rank makes every row a pivot row, so
+    ``D nums == den * n * 1`` has already held in exact integers on all n
+    equations. For the max-min point, another member of the family, ``D nums``
+    is multiplied out in integers; an inconsistent system's is a float product.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -126,44 +129,41 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
     n = dm.n
     outcome = _distance_solve(dm)
 
-    if outcome.status is SolveStatus.UNIQUE:
-        nums, den = outcome.particular
+    if outcome.status is SolveStatus.INCONSISTENT:
+        w_arr = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
+        w_arr.setflags(write=False)
+        residuals = dm.entries.astype(float) @ w_arr
         return CurvatureResult(
-            CurvatureStatus.EXACT_UNIQUE,
-            outcome.solution,
-            Fraction(int(nums.min()), den),
-            Fraction(int(np.abs(nums).sum()), den),
-            (Fraction(n), Fraction(n)),
-            0,
+            CurvatureStatus.INCONSISTENT,
+            w_arr,
+            float(np.min(w_arr)),
+            float(np.abs(w_arr).sum()),
+            (float(residuals.min()), float(residuals.max())),
+            outcome.nullspace_dimension,
         )
-    if outcome.status is SolveStatus.AFFINE:
+    if outcome.status is SolveStatus.UNIQUE:
+        status = CurvatureStatus.EXACT_UNIQUE
+        nums, den = outcome.particular
+        residual_range = (Fraction(n), Fraction(n))
+    else:
+        status = CurvatureStatus.EXACT_CANONICAL
         row_sum = dm.constant_row_sum()
         if row_sum is not None:
             # constant row sums make the constant vector the unique max-min
             # point of the family, so the LP can be skipped
-            w: tuple[Fraction, ...] = (Fraction(n) / row_sum,) * n
+            nums, den = np.full(n, n), int(row_sum)
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
-            w = lp_max_min(outcome.solution, outcome.kernel_rows)
-        residuals = exact_matvec(dm.entries, w)
-        return CurvatureResult(
-            CurvatureStatus.EXACT_CANONICAL,
-            w,
-            min(w),
-            sum(abs(x) for x in w),
-            (min(residuals), max(residuals)),
-            outcome.nullspace_dimension,
-        )
-    w_arr = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
-    w_arr.setflags(write=False)
-    residuals = dm.entries.astype(float) @ w_arr
+            nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
+        dw = integer_matmul(dm.entries, nums)
+        residual_range = (Fraction(int(dw.min()), den), Fraction(int(dw.max()), den))
     return CurvatureResult(
-        CurvatureStatus.INCONSISTENT,
-        w_arr,
-        float(np.min(w_arr)),
-        float(np.abs(w_arr).sum()),
-        (float(residuals.min()), float(residuals.max())),
+        status,
+        tuple(Fraction(int(v), den) for v in nums),
+        Fraction(int(nums.min()), den),
+        Fraction(int(np.abs(nums).sum()), den),
+        residual_range,
         outcome.nullspace_dimension,
     )
 

@@ -27,6 +27,7 @@ of its inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -602,16 +603,19 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int]:
     return x[:nv] - x[nv:2 * nv], tab[m, 2 * nv:ncols], d
 
 
-def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
+def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
     """Canonical point of an affine solution family: the lexicographic max-min.
 
-    Over ``w(c) = particular + sum_j c_j * nullspace_j`` this maximizes
+    ``particular`` is a point as integer numerators over one denominator,
+    ``(nums, den)``, and ``nullspace`` the family's directions as integer
+    rows: exactly ``SolveOutcome.particular`` and ``SolveOutcome.kernel_rows``.
+    Over ``w(c) = nums / den + sum_j c_j * nullspace_j`` this maximizes
     ``min_i w_i``, then the smallest entry among the coordinates not yet
-    fixed, and so on (leximin). Every nullspace vector must sum to zero, else
-    ValueError; then the leximin point exists and is unique, so the result
-    does not depend on the nullspace basis or on the scale of its vectors:
-    integer rows such as ``SolveOutcome.kernel_rows`` serve as well as the
-    Fraction vectors.
+    fixed, and so on (leximin). It returns that point as ``(nums, den)``,
+    ``nums`` an object array of Python ints. A non-integer entry raises
+    TypeError. Every nullspace row must sum to zero, else ValueError;
+    then the leximin point exists and is unique, so the result does not
+    depend on the nullspace basis or on the scale of its rows.
 
     Notes
     -----
@@ -621,9 +625,8 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
     and sums to 0, so it sums to 0 over the free ones, and the level value
     ``t`` can never exceed the mean of the free ``w_i``.
 
-    The input is converted to integers once: the point is a numerator array
-    ``w`` over one denominator ``den`` and each direction an integer row, as
-    its scale does not matter. Each level:
+    The point is kept as a numerator array ``w`` over one denominator
+    ``den``, and each direction as an integer row. Each level:
 
     1. coordinates that are 0 in every direction are constant on the face and
        stay fixed at their current value;
@@ -644,15 +647,12 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
 
     With k nullspace vectors that is at most k simplex solves.
     """
-    nums, den = common_denominator([_exact(x) for x in particular])
-    w = np.array(nums, dtype=object)
+    # operator.index refuses every non-integer entry, where int() would truncate 0.5
+    integers = np.frompyfunc(operator.index, 1, 1)
+    nums, den = particular
+    w, den = integers(np.asarray(nums, dtype=object)), operator.index(den)
     n = len(w)
-    if any(len(vec) != n for vec in nullspace):
-        raise ValueError("nullspace vectors must match the particular solution's length")
-    # one integer row per direction: a direction's scale does not matter
-    dirs = np.array(
-        [common_denominator([_exact(x) for x in vec])[0] for vec in nullspace], dtype=object
-    ).reshape(len(nullspace), n)
+    dirs = integers(np.asarray(nullspace, dtype=object)).reshape(len(nullspace), n)
     if dirs.sum(axis=1).any():
         raise ValueError("every nullspace vector must sum to 0")
 
@@ -660,7 +660,7 @@ def lp_max_min(particular, nullspace) -> tuple[Fraction, ...]:
         # a coordinate that is 0 in every direction is constant on the face
         free = np.flatnonzero((dirs != 0).any(axis=0))
         if not free.size:
-            return tuple(Fraction(v, den) for v in w)
+            return w, den
         k = len(dirs)
         t0 = min(w[free])
         a = np.ones((len(free), k + 1), dtype=object)

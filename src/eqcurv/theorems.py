@@ -395,7 +395,8 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
         k_val: Fraction | float = min(w_frac)
         dw = exact_matvec(dm.entries, w_frac)
         dw_inf: Fraction | float = max(abs(x) for x in dw)
-        diam_holds = Fraction(diam) * n * k_val <= 8 * dw_inf
+        diam_bound: Fraction | float = (dw_inf / n) * (8 / k_val)
+        diam_holds = diam <= diam_bound
         lam_bound: Fraction | float = k_val / (8 * dw_inf)
     else:
         w_arr = np.asarray(w_list, dtype=float)
@@ -405,12 +406,13 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
             raise ValueError("theorem5 needs every entry of w to be positive")
         k_val = float(w_arr.min())
         dw_inf = float(np.abs(dm.entries.astype(float) @ w_arr).max())
-        diam_holds = diam <= (dw_inf / n) * (8.0 / k_val) + FLOAT_SLACK
+        diam_bound = (dw_inf / n) * (8.0 / k_val)
+        diam_holds = diam <= diam_bound + FLOAT_SLACK
         lam_bound = k_val / (8.0 * dw_inf)
     checks = (
         InequalityCheck(
             "diam <= (||Dw||_inf/n) * 8/K",
-            _q("diam", diam), "<=", _q("(||Dw||_inf/n)*8/K", _frac_or_float(dw_inf, n, k_val)),
+            _q("diam", diam), "<=", _q("(||Dw||_inf/n)*8/K", diam_bound),
             bool(diam_holds), exact,
         ),
         InequalityCheck(
@@ -421,12 +423,6 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     )
     passed = all(c.holds for c in checks)
     return TheoremReport("theorem5", True, checks, passed)
-
-
-def _frac_or_float(dw_inf, n, k_val):
-    if isinstance(dw_inf, Fraction) and isinstance(k_val, Fraction):
-        return (dw_inf / n) * (8 / k_val)
-    return (float(dw_inf) / n) * (8.0 / float(k_val))
 
 
 def spectral_criterion(info: SpectralInfo, curvature_status: CurvatureStatus) -> TheoremReport:

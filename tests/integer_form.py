@@ -1,0 +1,31 @@
+"""``lp_max_min`` on a family given in ints and Fractions.
+
+``lp_max_min`` takes a point as integer numerators over one denominator and
+integer direction rows, the form ``solve_exact`` certifies. ``max_min``
+converts a Fraction family to that form with its own arithmetic, calls it and
+returns the point as Fractions. The module name has no ``test_`` prefix, so
+pytest does not collect it.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from eqcurv import lp_max_min
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """``(nums, den)`` with ``values[i] == nums[i] / den``, den the lcm of the denominators."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def max_min(particular, nullspace) -> tuple[Fraction, ...]:
+    """The leximin point of ``particular + span(nullspace)``, as Fractions.
+
+    Each nullspace vector becomes its integer multiple by the lcm of its
+    denominators; the scale of a direction does not change the point.
+    """
+    rows = [_numerators(vec)[0] for vec in nullspace]
+    nums, den = lp_max_min(_numerators(particular), rows)
+    return tuple(Fraction(v, den) for v in nums)

@@ -7,10 +7,26 @@ compare its tuple with the same four fields of ``solve_exact``'s outcome.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from eqcurv.linalg import SolveStatus, _exact, common_denominator
+from eqcurv.linalg import SolveStatus
+
+
+def _exact(value) -> int | Fraction:
+    """``value`` as an int or a Fraction; TypeError on any other entry."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value
+    raise TypeError(f"exact arithmetic needs int or Fraction entries, got {type(value).__name__}")
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """``(nums, den)`` with ``values[i] == nums[i] / den``; den is the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def reference_solve_exact(matrix, rhs) -> tuple:

@@ -1,9 +1,10 @@
-"""Exact products and the certificate behind EXACT_UNIQUE, against plain Python ints.
+"""Exact products and the certificates behind the exact statuses, against plain Python ints.
 
 ``integer_matmul`` multiplies in int64, cutting wide right-hand sides into
-limbs; ``compute_curvature`` reads a unique solution's ``K``, ``total`` and
-residual range off the integers ``solve_exact`` certified. Both are checked
-here against arithmetic that shares no code with them.
+limbs; ``compute_curvature`` reads ``K``, ``total`` and the residual range of
+every exact result off one integer point: the solution ``solve_exact``
+certified, or the canonical max-min point. Both are checked here against
+arithmetic that shares no code with them.
 """
 
 from fractions import Fraction
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqcurv.curvature as curvature_module
 from eqcurv import CurvatureStatus, Graph, compute_curvature, generate, parse_family_spec
-from eqcurv.linalg import integer_matmul
+from eqcurv.linalg import integer_matmul, lp_max_min
 
 CUTOVER = 2**62  # integer_matmul cuts x into int64 limbs while |a| k is below this
 
@@ -101,14 +103,27 @@ def atlas_and_random_graphs():
         yield generate(parse_family_spec(spec))
 
 
-def test_exact_unique_summary_matches_python_ints():
-    unique = 0
+def test_exact_summary_matches_python_ints(monkeypatch):
+    # both exact statuses build K, total and the residual range from one
+    # integer point; check each against w with arithmetic of its own
+    lp_calls = []
+
+    def counting_lp(*args):
+        lp_calls.append(1)
+        return lp_max_min(*args)
+
+    monkeypatch.setattr(curvature_module, "lp_max_min", counting_lp)
+    counts = {CurvatureStatus.EXACT_UNIQUE: 0, CurvatureStatus.EXACT_CANONICAL: 0}
+    constant = 0
     for g in atlas_and_random_graphs():
         result = compute_curvature(g)
-        if result.status is not CurvatureStatus.EXACT_UNIQUE:
+        if not result.is_exact:
             continue
-        unique += 1
+        counts[result.status] += 1
+        if result.status is CurvatureStatus.EXACT_CANONICAL:
+            constant += g.distance_matrix.constant_row_sum() is not None
         w = result.w
+        assert all(type(x) is Fraction for x in w)
         den = lcm(*(x.denominator for x in w))
         nums = [x.numerator * (den // x.denominator) for x in w]
         dw = [Fraction(sum(d * v for d, v in zip(row, nums)), den)
@@ -117,5 +132,8 @@ def test_exact_unique_summary_matches_python_ints():
         assert result.K == min(w)
         assert result.total == sum(abs(x) for x in w)
         assert all(type(v) is Fraction for v in (result.K, result.total, *result.residual_range))
-    # the atlas has 787 full-rank graphs; the three random graphs are full rank too
-    assert unique == 787 + 3
+    # the atlas has 787 full-rank graphs, and the three random graphs are full
+    # rank too; 206 atlas graphs are canonical, 4 of them with constant row sums
+    assert counts[CurvatureStatus.EXACT_UNIQUE] == 787 + 3
+    assert counts[CurvatureStatus.EXACT_CANONICAL] == 206
+    assert (len(lp_calls), constant) == (202, 4)

@@ -13,8 +13,8 @@ import pytest
 
 import eqcurv
 import eqcurv.graphs as graphs_module
-from eqcurv import CurvatureStatus
-from eqcurv.cli import main, run_corpus
+from eqcurv import CurvatureStatus, Graph, compute_curvature
+from eqcurv.cli import main, render_dot, run_corpus
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +258,14 @@ class TestExportDot:
         run_cli(capsys, "export-dot", "--family", "johnson:5,2", "--out", str(a))
         run_cli(capsys, "export-dot", "--family", "johnson:5,2", "--out", str(b))
         assert a.read_text() == b.read_text()
+
+    def test_labels_are_escaped(self):
+        # a quote must not end the DOT string, and a trailing backslash must
+        # not escape the line break that follows the label
+        g = Graph(2, {(0, 1)}, labels=('a"b', "c\\"))
+        lines = render_dot(g, compute_curvature(g)).splitlines()
+        assert lines[2].startswith('  0 [label="a\\"b\\n2", ')
+        assert lines[3].startswith('  1 [label="c\\\\\\n2", ')
 
 
 class TestPackaging:

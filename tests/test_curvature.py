@@ -36,6 +36,7 @@ from eqcurv import (
 )
 from eqcurv.cli import analyze_graph
 from eqcurv.curvature import exact_matvec
+from integer_form import max_min
 
 # scanned offline: connected ER graphs with singular D and non-constant row
 # sums, so the canonicalization LP actually runs (not the constant fast path)
@@ -319,7 +320,7 @@ def test_circulant_curvature_is_constant(data, n):
     assert compute_curvature(g, dm).w == expected
     outcome = solve_exact(dm.entries, [n] * n)
     if outcome.nullspace:
-        assert lp_max_min(outcome.solution, outcome.nullspace) == expected
+        assert max_min(outcome.solution, outcome.nullspace) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -396,13 +397,20 @@ def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec)
 
 @pytest.mark.parametrize("spec", [LP_PATH_SPEC, LP_PATH_NEGATIVE_SPEC, "knight_board:3,4"])
 def test_lp_max_min_on_integer_kernel_rows(spec):
-    # the leximin point does not depend on the kernel basis or its scale
-    dm = apsp(fam(spec))
+    # the leximin point does not depend on the scale of the kernel basis:
+    # each row multiplied by a different nonzero integer gives the same point
+    g = fam(spec)
+    dm = apsp(g)
     outcome = solve_exact(dm.entries, [dm.n] * dm.n)
-    assert outcome.nullspace and dm.constant_row_sum() is None
-    assert lp_max_min(outcome.solution, outcome.kernel_rows) == lp_max_min(
-        outcome.solution, outcome.nullspace
-    )
+    rows = outcome.kernel_rows
+    assert len(rows) and dm.constant_row_sum() is None
+    scales = np.array([(-1) ** j * (j + 2) for j in range(len(rows))], dtype=object)
+    nums, den = lp_max_min(outcome.particular, rows)
+    scaled_nums, scaled_den = lp_max_min(outcome.particular, rows * scales.reshape(-1, 1))
+    assert all(type(v) is int for v in [*nums, den, *scaled_nums, scaled_den])
+    w = tuple(Fraction(v, den) for v in nums)
+    assert w == tuple(Fraction(v, scaled_den) for v in scaled_nums)
+    assert w == compute_curvature(g, dm).w
 
 
 def python_matvec(entries, w):

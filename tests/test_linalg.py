@@ -22,6 +22,7 @@ from eqcurv import (
     solve_exact,
     symmetric_eigen,
 )
+from integer_form import max_min
 
 
 def dist(text):
@@ -291,10 +292,10 @@ def sweep_oracle(particular, basis_vec, grid):
 class TestLpMaxMin:
     def test_empty_nullspace_returns_particular(self):
         p = (Fraction(3, 2), Fraction(0), Fraction(3, 2))
-        assert lp_max_min(p, ()) == p
+        assert max_min(p, ()) == p
 
     def test_symmetric_family_forces_center(self):
-        w = lp_max_min((1, 1), ((1, -1),))
+        w = max_min((1, 1), ((1, -1),))
         assert w == (Fraction(1), Fraction(1))
         assert min(w) == 1
 
@@ -304,7 +305,7 @@ class TestLpMaxMin:
         grid = [Fraction(i, 100) for i in range(-300, 301)]
         best_c, best_key = sweep_oracle(particular, basis, grid)
         assert best_c == 1 and best_key == [0, 1, 1]
-        w = lp_max_min(particular, (basis,))
+        w = max_min(particular, (basis,))
         assert w == (Fraction(1), Fraction(1), Fraction(0))
         assert min(w) == 0
 
@@ -325,16 +326,20 @@ class TestLpMaxMin:
     def test_refuses_vectors_with_nonzero_sum(self, particular, basis):
         # a consistent distance system has a kernel of zero-sum vectors only
         with pytest.raises(ValueError, match="sum to 0"):
-            lp_max_min(particular, basis)
+            max_min(particular, basis)
 
     def test_rejects_float_entries(self):
-        with pytest.raises(TypeError, match="int or Fraction"):
-            lp_max_min((0.5, 1), ())
+        # a float or a Fraction numerator is refused, not truncated to an int
+        for bad in (0.5, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                lp_max_min(([bad, 1], 1), [])
+            with pytest.raises(TypeError):
+                lp_max_min(([0, 0], 1), [[bad, -bad]])
 
     def test_two_dimensional_family_against_fine_sweep(self):
         particular = (3, -1, 0, 2)
         basis = ((1, 1, -1, -1), (0, 1, 1, -2))
-        w = lp_max_min(particular, basis)
+        w = max_min(particular, basis)
         # oracle: dense sweep over both coefficients
         best = None
         for c1 in np.linspace(-4, 4, 161):
@@ -359,7 +364,7 @@ class TestLpMaxMin:
                 head = [Fraction(rng.randint(-3, 3)) for _ in range(n - 1)]
                 if any(head):
                     basis.append(head + [-sum(head)])
-            w = lp_max_min(particular, basis)
+            w = max_min(particular, basis)
             best = min(w)
             for _ in range(1000):
                 cs = [Fraction(rng.randint(-3000, 3000), 1000) for _ in range(k)]
@@ -394,7 +399,7 @@ class TestLpMaxMin:
                 bounds=[(None, None)] * (k + 1),
                 method="highs",
             )
-            w = lp_max_min(particular, basis)
+            w = max_min(particular, basis)
             assert res.status == 0
             assert abs(float(min(w)) - (-res.fun)) <= 1e-7
             checked += 1

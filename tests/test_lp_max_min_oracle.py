@@ -22,11 +22,11 @@ from eqcurv import (
     apsp,
     compute_curvature,
     generate,
-    lp_max_min,
     parse_family_spec,
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
+from integer_form import max_min
 
 
 class LpUnboundedError(RuntimeError):
@@ -239,7 +239,7 @@ def families(draw, zero_sum: bool):
 def test_matches_oracle_on_bounded_families(family):
     # every kernel vector sums to 0, so sum(w) is constant and min_i w_i <= mean
     particular, basis = family
-    assert lp_max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,9 +250,9 @@ def test_possibly_unbounded_families_agree_on_level_one(family):
     particular, basis = family
     if any(sum(vec) for vec in basis):
         with pytest.raises(ValueError, match="sum to 0"):
-            lp_max_min(particular, basis)
+            max_min(particular, basis)
         return
-    ours = lp_max_min(particular, basis)
+    ours = max_min(particular, basis)
     assert min(ours) == min(lp_max_min_oracle(particular, basis))
     assert in_family(ours, particular, basis)
 
@@ -275,7 +275,7 @@ def distance_family(g: Graph):
 @pytest.mark.parametrize("tail", [1, 2, 3])
 def test_matches_oracle_on_cycle_with_tail(m, tail):
     particular, basis = distance_family(cycle_with_tail(m, tail))
-    assert lp_max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
 
 
 def test_cycle_120_with_pendant_matches_linprog():
@@ -304,7 +304,7 @@ def test_cycle_120_with_pendant_matches_linprog():
 @pytest.mark.parametrize("spec", ["knight_board:3,4", "knight_board:4,4", "knight_board:5,8"])
 def test_matches_oracle_on_knight_boards(spec):
     particular, basis = distance_family(generate(parse_family_spec(spec)))
-    assert lp_max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
 
 
 @pytest.mark.parametrize(
@@ -323,5 +323,5 @@ def test_at_most_k_simplex_solves(g, monkeypatch):
         return _simplex_max(*args)
 
     monkeypatch.setattr(eqcurv.linalg, "_simplex_max", counting)
-    lp_max_min(particular, basis)
+    max_min(particular, basis)
     assert 1 <= len(calls) <= len(basis)
