@@ -548,6 +548,9 @@ def generate(spec: FamilySpec) -> Graph:
         if n_raw < 1:
             raise FamilySpecError("erdos_renyi needs n >= 1")
         _check_vertex_count(spec, n_raw)
+        if p == 0.0 and n_raw >= 2:
+            # no draw has an edge, so resampling could never succeed
+            raise FamilySpecError(f"erdos_renyi with p = 0 is never connected for n = {n_raw} >= 2")
         return _erdos_renyi(n_raw, p, seed_raw)
     raise FamilySpecError(f"unknown family {family!r}")  # unreachable
 

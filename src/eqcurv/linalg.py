@@ -4,20 +4,22 @@ Two arithmetic worlds are kept deliberately separate:
 
 * solvability classification, nullspaces and the lexicographic max-min
   canonicalization run on integers, with Fractions only at the boundary.
-  The solve is p-adic lifting (Dixon 1982): one int64 Gauss-Jordan pass mod
-  a prime p < 2^20 finds the pivot block and its inverse mod p, int64 digit
-  steps lift the solution and the whole kernel basis at once, and rational
-  reconstruction gives one common denominator. Exact integer certificates
-  (the solve on the pivot rows, the kernel on every row, the lex-first
-  basis) prove the result, and a failed one moves on to the next prime of a
-  fixed sequence. Each array is int64 exactly when a documented bound rules
-  out overflow, and Python integers otherwise. The max-min accepts only
-  families whose kernel vectors sum to zero, as those of a consistent
-  distance system do, so every level LP is bounded. It runs one simplex
-  per level on an integer tableau pivoted fraction-free over one shared
-  denominator, each level certified by its dual, at most one level per
-  kernel dimension. So "singular", "inconsistent" and "optimal" are
-  structural verdicts rather than tolerance calls;
+  The solve is p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a
+  prime p < 2^20, in column panels whose row operations reach the trailing
+  columns as one exact float64 product each, finds the pivot block and its
+  inverse mod p, int64 digit steps lift the solution and the whole kernel
+  basis at once, and rational reconstruction gives one common denominator.
+  Exact integer certificates (the solve on the pivot rows, the kernel on
+  every row, the lex-first basis) prove the result, and a failed one moves
+  on to the next prime of a fixed sequence. Each array is int64 exactly
+  when a documented bound rules out overflow, and Python integers
+  otherwise. The max-min accepts only families whose kernel vectors sum to
+  zero, as those of a consistent distance system do, so every level LP is
+  bounded. It runs one simplex per level on an integer tableau pivoted
+  fraction-free over one shared denominator, each level certified by its
+  dual, at most one level per kernel dimension. So "singular",
+  "inconsistent" and "optimal" are structural verdicts rather than
+  tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
   LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 
@@ -54,6 +56,9 @@ PRIME_LIMIT = 2**20
 # every composite below PRIME_LIMIT has a factor of at most sqrt(PRIME_LIMIT),
 # so a larger q is prime exactly when it is coprime to this factorial
 _SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
+# columns per panel of the mod-p elimination; a panel's float64 product has
+# entries below PANEL_WIDTH * p^2 < 2^45, exact in binary64
+PANEL_WIDTH = 32
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -218,11 +223,22 @@ def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     Each column pivots on its first nonzero entry among the rows that are not
     pivots yet, so the pivot columns are the lex-first column basis mod p.
     Row r, pivot number t, keeps its identity entry in column ``n + t``: the
-    inverse part of a pivot row only ever involves earlier pivot rows, so step
-    t touches columns ``c .. n + t`` and the rows its column hits. Only the
-    pivot row and the column are reduced mod p; the other entries stay below
-    ``p + n (p - 1)^2 < 2^63`` in magnitude (an int64 array with n >= 2^23
-    rows would not fit in memory).
+    inverse part of a pivot row only ever involves earlier pivot rows.
+
+    The columns are taken in panels of ``PANEL_WIDTH`` (delayed reduction,
+    as in Dumas, Giorgi and Pernet's FFLAS-FFPACK, 2008). A panel's column
+    steps run on a 2w x n buffer, the transpose of its w columns mod p and
+    of one identity column per new pivot, so each update runs along rows of
+    length n. Only the pivot row and the column are reduced mod p, so the
+    buffer stays below ``p + w (p - 1)^2``. The panel's row operations are
+    ``T = I + (L - E_R)`` on its k new pivot rows R, with L the buffer's
+    identity part. They reach the trailing columns and the inverse part of
+    the earlier pivots as one float64 product
+    ``((L - E_R) mod p) @ (rows R mod p)``, whose entries are below
+    ``k (p - 1)^2 < 2^53``, so it is exact in any summation order. Added
+    into int64, the entries of ``[M | I]`` stay nonnegative and below
+    ``p + n (p - 1)^2 < 2^63`` (an int64 array with n >= 2^23 rows would not
+    fit in memory).
     """
     n = len(m)
     a = np.zeros((n, 2 * n), dtype=np.int64)
@@ -230,22 +246,36 @@ def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     open_rows = np.ones(n, dtype=bool)
-    for c in range(n):
-        col = a[:, c] % p
-        candidates = np.flatnonzero(col * open_rows)
-        if not candidates.size:
+    for c0 in range(0, n, PANEL_WIDTH):
+        w = min(PANEL_WIDTH, n - c0)
+        t0 = len(pivot_rows)
+        panel = np.zeros((2 * w, n), dtype=np.int64)
+        panel[:w] = a[:, c0:c0 + w].T % p
+        for j in range(w):
+            col = panel[j] % p
+            candidates = np.flatnonzero(col * open_rows)
+            if not candidates.size:
+                continue
+            r = int(candidates[0])
+            end = w + len(pivot_rows) - t0 + 1
+            panel[end - 1, r] = 1
+            pivot = panel[j:end, r] % p * pow(int(col[r]), -1, p) % p
+            panel[j:end, r] = pivot
+            col[r] = 0
+            panel[j:end] -= pivot[:, None] * col
+            open_rows[r] = False
+            pivot_rows.append(r)
+            pivot_cols.append(c0 + j)
+        rows = pivot_rows[t0:]
+        k = len(rows)
+        if not k:
             continue
-        r = int(candidates[0])
-        end = n + len(pivot_rows) + 1
-        a[r, end - 1] = 1
-        pivot = a[r, c:end] % p * pow(int(col[r]), -1, p) % p
-        a[r, c:end] = pivot
-        col[r] = 0
-        hit = np.flatnonzero(col)
-        a[hit, c:end] -= np.outer(col[hit], pivot)
-        open_rows[r] = False
-        pivot_rows.append(r)
-        pivot_cols.append(c)
+        left = panel[w:w + k] % p
+        u = left.copy()
+        u[range(k), rows] = (u[range(k), rows] - 1) % p
+        trailing = a[:, c0 + w:n + t0]
+        trailing += (u.T.astype(float) @ (trailing[rows] % p).astype(float)).astype(np.int64)
+        a[:, n + t0:n + t0 + k] = left.T
     return pivot_rows, pivot_cols, a[pivot_rows, n:n + len(pivot_rows)] % p
 
 
@@ -401,8 +431,9 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     1048571, ...), a fixed sequence, so the result is deterministic. For a
     prime p:
 
-    1. one int64 Gauss-Jordan pass over ``[M mod p | I]`` gives the pivot
-       rows I, the lex-first pivot columns J and ``C = inv(M_IJ) mod p``;
+    1. one Gauss-Jordan pass over ``[M mod p | I]``, in panels of
+       ``PANEL_WIDTH`` columns, gives the pivot rows I, the lex-first pivot
+       columns J and ``C = inv(M_IJ) mod p``;
     2. p-adic lifting (Dixon 1982) solves ``M_IJ [x | Z] = [b_I | -M_I,free]``
        as one multi-right-hand-side system, with rational reconstruction of
        one common denominator, until ``M_IJ X == den * RHS`` holds exactly.
@@ -426,7 +457,10 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     any solution would have to be this x.
 
     Overflow bounds, each checked before an array is made int64 (otherwise
-    the same code runs on Python ints): the elimination keeps entries below
+    the same code runs on Python ints): in the elimination, a panel's int64
+    buffer stays below ``p + PANEL_WIDTH (p - 1)^2`` and its float64 product
+    of residues below ``PANEL_WIDTH (p - 1)^2 < 2^53``, so the product is
+    exact, and the int64 entries of ``[M | I]`` it is added into stay below
     ``p + n (p - 1)^2``; a lifting step keeps the residual below
     ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, and the digit product
     ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T``

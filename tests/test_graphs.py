@@ -246,8 +246,19 @@ class TestGenerators:
             assert is_connected(fam(f"erdos_renyi:8,0.3,{seed}"))
 
     def test_erdos_renyi_impossible_density_errors(self):
-        with pytest.raises(FamilySpecError, match="1000 draws"):
+        with pytest.raises(FamilySpecError, match="p = 0 is never connected"):
             fam("erdos_renyi:5,0.0,1")
+
+    def test_erdos_renyi_without_edges_fails_before_drawing(self, monkeypatch):
+        def never(g):
+            raise AssertionError("drew a graph")
+
+        monkeypatch.setattr("eqcurv.graphs.is_connected", never)
+        with pytest.raises(FamilySpecError, match="p = 0 is never connected for n = 4096"):
+            fam(f"erdos_renyi:{MAX_FAMILY_VERTICES},0,1")
+        # a single vertex is connected without an edge
+        monkeypatch.undo()
+        assert fam("erdos_renyi:1,0,1").n == 1
 
 
 class TestCartesianProduct:

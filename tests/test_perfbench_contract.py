@@ -32,6 +32,9 @@ ITEMS = [
      "b86d141df9e834bf8abeb10f7b2f2907c5939beb26df72c6dd86e65da1404cc7"),
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1))),
      "5a5355146029f09b57daac4efcf5adf6bf2518b6eba143f9583ce52f03a1615c"),
+    # n = 100 spans four column panels of the mod-p elimination
+    ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (100, 0.1, 1))),
+     "143d72f44cb4cad2c972a72a0c9544f8786f371ee867498c19db860540fd52fd"),
     ("families", workloads.Item(FamilySpec("hypercube", (4,)), 0, 3),
      "ed2b950f84583b3a02deb4571c4f1d8835e12161f1da9dd91ccc579ab4b410c2"),
     ("families", workloads.Item(FamilySpec("complete_multipartite", (1, 1, 1, 4)), 0, 3),
