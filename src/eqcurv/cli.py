@@ -266,41 +266,13 @@ def run_corpus(
         raise ValueError("corpus needs count >= 1 and 2 <= n_lo <= n_hi")
     rng = random.Random(seed)
     records: list[dict] = []
-    statuses: dict[str, int] = {s.value: 0 for s in CurvatureStatus}
-    failures_total = 0
-    failing = []
-    c_g_values = []
-    criterion_applicable = 0
-    criterion_true = 0
-    criterion_unsound = 0
-    theorem5_ones_failures = 0
-    negative_k = 0
     for index in range(count):
         n = rng.randint(n_lo, n_hi)
         p_i = p if p is not None else rng.uniform(0.25, 0.75)
         graph_seed = rng.randrange(2**32)
         g = generate(FamilySpec("erdos_renyi", (n, p_i, graph_seed)))
         result, info, reports = analyze_graph(g, graph_seed)
-        statuses[result.status.value] += 1
-        fails = [r.theorem for r in reports if r.failed]
-        failures_total += len(fails)
-        if fails:
-            failing.append(index)
-        c_g_values.append(info.c_G)
         crit = next(r for r in reports if r.theorem == "spectral_criterion")
-        crit_true = False
-        if crit.hypothesis_satisfied:
-            criterion_applicable += 1
-            crit_true = bool(crit.checks[0].holds)
-            if crit_true:
-                criterion_true += 1
-                if result.status is CurvatureStatus.INCONSISTENT:
-                    criterion_unsound += 1
-        t5_ones = next(r for r in reports if r.theorem == "theorem5")
-        if not t5_ones.passed:
-            theorem5_ones_failures += 1
-        if result.is_exact and result.K < 0:
-            negative_k += 1
         records.append(
             {
                 "index": index,
@@ -314,11 +286,13 @@ def run_corpus(
                 "k_exact": str(result.K) if result.is_exact else None,
                 "c_g": info.c_G,
                 "criterion_applicable": crit.hypothesis_satisfied,
-                "criterion_true": crit_true,
-                "theorem5_ones_pass": t5_ones.passed,
-                "failures": fails,
+                "criterion_true": crit.hypothesis_satisfied and bool(crit.checks[0].holds),
+                "theorem5_ones_pass": next(r for r in reports if r.theorem == "theorem5").passed,
+                "failures": [r.theorem for r in reports if r.failed],
             }
         )
+    c_g_values = [r["c_g"] for r in records]
+    predicted = [r for r in records if r["criterion_true"]]
     summary = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -326,19 +300,23 @@ def run_corpus(
         "count": count,
         "n_range": [n_lo, n_hi],
         "p": p,
-        "statuses": statuses,
-        "verifier_failures": failures_total,
-        "failing_graphs": failing,
-        "negative_curvature_graphs": negative_k,
-        "theorem5_ones_failures": theorem5_ones_failures,
+        "statuses": {s.value: sum(r["status"] == s.value for r in records) for s in CurvatureStatus},
+        "verifier_failures": sum(len(r["failures"]) for r in records),
+        "failing_graphs": [r["index"] for r in records if r["failures"]],
+        "negative_curvature_graphs": sum(
+            r["k_exact"] is not None and Fraction(r["k_exact"]) < 0 for r in records
+        ),
+        "theorem5_ones_failures": sum(not r["theorem5_ones_pass"] for r in records),
         "c_g": {
             "min": min(c_g_values),
-            "fraction_above_0_95": sum(1 for c in c_g_values if c > 0.95) / len(c_g_values),
+            "fraction_above_0_95": sum(c > 0.95 for c in c_g_values) / len(c_g_values),
         },
         "spectral_criterion": {
-            "applicable": criterion_applicable,
-            "predicted_solvable": criterion_true,
-            "unsound_predictions": criterion_unsound,
+            "applicable": sum(r["criterion_applicable"] for r in records),
+            "predicted_solvable": len(predicted),
+            "unsound_predictions": sum(
+                r["status"] == CurvatureStatus.INCONSISTENT.value for r in predicted
+            ),
         },
     }
     return records, summary

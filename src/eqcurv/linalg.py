@@ -17,7 +17,9 @@ Two arithmetic worlds are kept deliberately separate:
   zero, as those of a consistent distance system do, so every level LP is
   bounded. It runs one simplex per level on an integer tableau pivoted
   fraction-free over one shared denominator, each level certified by its
-  dual, at most one level per kernel dimension. So "singular",
+  dual, at most one level per kernel dimension; the same tableau gives the
+  next level's directions, each certified to vanish where the dual pins the
+  point, so the max-min makes no exact solve. So "singular",
   "inconsistent" and "optimal" are structural verdicts rather than
   tolerance calls;
 * eigendecomposition and pseudo-inverse application run in binary64 through
@@ -570,71 +572,77 @@ def pseudo_apply(matrix, rhs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int]:
+def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free, for integer A, b >= 0 and c.
 
-    Dense tableau with Bland's rule (guaranteed termination). Returns
-    ``(x, y, d)``, x and y arrays of Python ints and ``d > 0``: ``x / d`` is
-    optimal and ``y / d`` the optimal dual (``y >= 0``, ``A^T y = d c``,
-    ``b . y = c . x``), read off the slack columns of the final objective row.
+    Dense tableau, free columns first, then Bland's rule (guaranteed
+    termination). Returns ``(x, y, d, face)``, arrays of Python ints and
+    ``d > 0``: ``x / d`` is optimal and ``y / d`` the optimal dual (``y >= 0``,
+    ``A^T y = d c``, ``b . y = c . x``), read off the slack columns of the
+    final objective row. The rows of ``face`` are independent and span the
+    optimal face's directions ``{dx : A_i dx = 0 wherever y_i > 0}``, so
+    ``c . dx = 0``, up to those of free columns that depend on earlier ones.
     Callers must shift the problem so b >= 0, so that the all-slack basis is
     feasible and no phase-1 is needed, and must pose a bounded LP: an
-    entering column with no positive entry fails an assertion.
+    entering column that no row blocks fails an assertion.
 
     Notes
     -----
-    The tableau ``[A | -A | I | b]`` over the objective row ``[-c | c | 0 | 0]``
-    holds Python integers only and is pivoted fraction-free (Edmonds 1967),
-    the simplex form of the Bareiss elimination (1968). One shared
-    denominator ``d``, starting at 1, is the determinant of the current
-    basis: pivoting on ``p = T[r, e]`` replaces every other row, the
-    objective row included, by ``(p * T_i - T[i, e] * T_r) // d``, an exact
-    division, keeps ``T_r`` and sets ``d = p``. Every entry is ``d`` times the
-    entry of the rational tableau and ``d > 0``, so Bland's rule takes the
-    same pivots as a ``Fraction`` tableau. A basic ``x`` is ``T[i, rhs] / d``
-    and the dual is ``y_i = T[obj, slack_i] / d``.
+    The tableau ``[A | I | b]`` over the objective row ``[-c | 0 | 0]`` holds
+    Python integers only and is pivoted fraction-free (Edmonds 1967), the
+    simplex form of the Bareiss elimination (1968). One shared denominator
+    ``d``, starting at 1, is the determinant of the current basis up to sign:
+    pivoting on ``p = T[r, e] > 0`` replaces every other row, the objective
+    row included, by ``(p * T_i - T[i, e] * T_r) // d``, an exact division,
+    keeps ``T_r`` and sets ``d = p``. Every entry is ``d`` times the entry of
+    the rational tableau. Each free column enters once, in order, upwards
+    unless only a downward step is blocked (then the pivot row is negated
+    first, so ``p > 0``); one that is 0 on every slack row depends on those
+    already in and stays out at 0. Free variables never leave, so the ratio
+    tests skip their rows. A basic ``x`` is ``T[i, rhs] / d``, the dual is
+    ``y_i = T[obj, slack_i] / d``, and each nonbasic slack with ``y_i = 0``
+    gives a face row: its column on the rows of the free variables.
     """
     a = np.array(a, dtype=object).reshape(len(b), len(c))
     m, nv = a.shape
     assert min(b, default=0) >= 0, "simplex caller must shift to b >= 0"
-    ncols = 2 * nv + m
+    ncols = nv + m
     tab = np.zeros((m + 1, ncols + 1), dtype=object)
     tab[:m, :nv] = a
-    tab[:m, nv:2 * nv] = -a
-    tab[:m, 2 * nv:ncols] = np.eye(m, dtype=int)
+    tab[:m, nv:ncols] = np.eye(m, dtype=int)
     tab[:m, ncols] = b
-    tab[m, nv:2 * nv] = c
-    tab[m, :nv] = -tab[m, nv:2 * nv]
-    basis = [2 * nv + i for i in range(m)]
+    tab[m, :nv] = -np.array(c, dtype=object)
+    basis = np.arange(nv, ncols)
     d = 1
 
-    while True:
-        negative = np.flatnonzero(tab[m, :ncols] < 0)
-        if not negative.size:
-            break
-        enter = int(negative[0])
-        leave = None
-        for i in range(m):
-            aie = tab[i, enter]
-            if aie > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # compare T[i, rhs] / aie with T[leave, rhs] / T[leave, enter]
-                lhs = tab[i, ncols] * tab[leave, enter]
-                rhs = tab[leave, ncols] * aie
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        assert leave is not None, "simplex caller must pose a bounded LP"
-        p = tab[leave, enter]
-        others = np.arange(m + 1) != leave
-        tab[others] = (p * tab[others] - np.outer(tab[others, enter], tab[leave])) // d
-        d = p
-        basis[leave] = enter
+    def entering():
+        yield from range(nv)
+        while (negative := np.flatnonzero(tab[m, nv:ncols] < 0)).size:
+            yield nv + int(negative[0])
 
-    x = np.zeros(ncols, dtype=object)
-    x[basis] = tab[:m, ncols]
-    return x[:nv] - x[nv:2 * nv], tab[m, 2 * nv:ncols], d
+    for e in entering():
+        # the rows that block a step along column e; a free variable never leaves
+        step = np.where(basis < nv, 0, tab[:m, e])
+        if e < nv and not (step > 0).any():
+            step = -step
+        block = np.flatnonzero(step > 0)
+        if not block.size:
+            assert e < nv and tab[m, e] == 0, "simplex caller must pose a bounded LP"
+            continue
+        r = min(block, key=lambda i: (Fraction(tab[i, ncols], step[i]), basis[i]))
+        if tab[r, e] < 0:
+            tab[r] = -tab[r]
+        p = tab[r, e]
+        others = np.arange(m + 1) != r
+        tab[others] = (p * tab[others] - np.outer(tab[others, e], tab[r])) // d
+        d = p
+        basis[r] = e
+
+    # the tableau on the free variables, one row per variable (0 when nonbasic)
+    on_x = np.zeros((nv, ncols + 1), dtype=object)
+    on_x[basis[basis < nv]] = tab[:m][basis < nv]
+    face = [j for j in range(nv, ncols) if tab[m, j] == 0 and j not in basis]
+    return on_x[:, ncols], tab[m, nv:ncols], d, on_x[:, face].T
 
 
 def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
@@ -675,9 +683,10 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
        and ``w_F >= t_level``; by complementary slackness every coordinate
        with ``y_i > 0`` equals ``t_level`` on the whole optimal face, and
        ``sum y = d`` pins at least one. One gcd then reduces ``w`` and ``den``;
-    4. the directions are replaced by a basis of the combinations that vanish
-       on the pinned coordinates, the kernel of the Gram matrix of the
-       directions' entries there, so the face dimension drops by at least one.
+    4. the directions are replaced by the simplex's face rows, ``face[:, :k] .
+       dirs`` with each row divided by its gcd: independent steps that span
+       the optimal face, each checked in integers to be 0 on the pinned
+       coordinates, so the face dimension drops by at least one.
 
     With k nullspace vectors that is at most k simplex solves.
     """
@@ -699,25 +708,26 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
         t0 = min(w[free])
         a = np.ones((len(free), k + 1), dtype=object)
         a[:, :k] = -dirs[:, free].T
-        x, y, d = _simplex_max(a, w[free] - t0, [0] * k + [1])
+        x, y, d, face = _simplex_max(a, w[free] - t0, [0] * k + [1])
         w = d * w + x[:k].dot(dirs)
         t_level = d * t0 + x[k]
         den *= d
 
-        # the dual certificate, on numerators over d * den
+        # the dual certificate, on numerators over d * den, and the face
+        # certificate: every new direction is 0 on the coordinates y pins
         pinned = free[np.flatnonzero(y)]
+        face = face[:, :k].dot(dirs)
+        face //= np.gcd.reduce(face, axis=1)[:, None]
         if not (
             min(y) >= 0
             and sum(y) == d
             and not dirs[:, free].dot(y).any()
             and w[free].dot(y) == t_level * d
             and min(w[free]) >= t_level
+            and not face[:, pinned].any()
         ):
             raise RuntimeError("max-min level failed its exact optimality certificate")
         g = gcd(den, *w)
         w //= g
         den //= g
-
-        # E: the directions' entries on the pinned coordinates; E E^T has E^T's kernel
-        e = dirs[:, pinned]
-        dirs = solve_exact(e.dot(e.T), [0] * k).kernel_rows.dot(dirs)
+        dirs = face

@@ -3,16 +3,18 @@
 The oracle solves one level LP, then one more LP per active coordinate to find
 the coordinates that cannot exceed the level value anywhere on the optimal
 face, and pins those. On a bounded family both must return the unique
-leximin point, with rational equality. The oracle's LPs run on a dense
-``Fraction`` tableau kept here, so it shares no simplex code with the
-package's integer tableau, which is also checked against it directly.
+leximin point, with rational equality, and ``lp_max_min`` must get there
+without ``solve_exact``. The oracle's LPs run on a dense ``Fraction`` tableau
+kept here, so it shares no simplex code with the package's integer tableau,
+whose optimal value is also checked against it directly.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eqcurv.linalg
@@ -162,6 +164,18 @@ def lp_max_min_oracle(particular, nullspace) -> tuple[Fraction, ...]:
     return tuple(bounds)
 
 
+@contextmanager
+def solve_exact_refused():
+    """Every ``solve_exact`` call from inside ``eqcurv.linalg`` fails."""
+
+    def refuse(*args):
+        raise AssertionError("the max-min called solve_exact")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eqcurv.linalg, "solve_exact", refuse)
+        yield
+
+
 def in_family(w, particular, basis) -> bool:
     """Whether ``w - particular`` is a combination of the basis vectors."""
     diff = [Fraction(x) - Fraction(p) for x, p in zip(w, particular)]
@@ -198,21 +212,41 @@ def lps(draw):
 @settings(max_examples=200, deadline=None)
 @given(lps())
 def test_simplex_matches_fraction_tableau(lp):
-    # same Bland path, so x / d and y / d agree with rational equality
+    # the pivot orders differ, so the optimal vertex and dual may too: the
+    # optimal value agrees with rational equality
     a_rows, b, c = lp
-    x_num, y_num, d = _simplex_max(a_rows, b, c)
+    x_num, y_num, d, _ = _simplex_max(a_rows, b, c)
     assert d > 0 and all(type(v) is int for v in [*x_num, *y_num, d])
     x = [Fraction(v, d) for v in x_num]
     y = [Fraction(v, d) for v in y_num]
     # the reference expects Fraction entries
-    reference = reference_simplex_max(
+    status, x_ref, _ = reference_simplex_max(
         [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
     )
-    assert ("optimal", x, y) == reference
+    assert status == "optimal" and dot(c, x) == dot(c, x_ref)
     assert all(dot(row, x) <= bi for row, bi in zip(a_rows, b))
     assert all(yi >= 0 for yi in y)
     assert all(dot(col, y) == cj for col, cj in zip(zip(*a_rows), c))
     assert dot(b, y) == dot(c, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps())
+def test_simplex_face_spans_the_optimal_face(lp):
+    # for full column rank, the face rows are a basis of {dx : A_P dx = 0},
+    # P = {i : y_i > 0}
+    sympy = pytest.importorskip("sympy")
+    a_rows, b, c = lp
+    nv = len(c)
+    a = sympy.Matrix(a_rows)
+    assume(a.rank() == nv)
+    _, y, _, face = _simplex_max(a_rows, b, c)
+    face = sympy.Matrix(len(face), nv, face.ravel().tolist())
+    a_p = a.extract([i for i, yi in enumerate(y) if yi > 0], list(range(nv)))
+    assert face.rank() == face.rows
+    assert (a_p * face.T).is_zero_matrix
+    assert (face * sympy.Matrix(c)).is_zero_matrix
+    assert face.rows == nv - a_p.rank()
 
 
 @st.composite
@@ -239,7 +273,9 @@ def families(draw, zero_sum: bool):
 def test_matches_oracle_on_bounded_families(family):
     # every kernel vector sums to 0, so sum(w) is constant and min_i w_i <= mean
     particular, basis = family
-    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    with solve_exact_refused():
+        ours = max_min(particular, basis)
+    assert ours == lp_max_min_oracle(particular, basis)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,7 +311,9 @@ def distance_family(g: Graph):
 @pytest.mark.parametrize("tail", [1, 2, 3])
 def test_matches_oracle_on_cycle_with_tail(m, tail):
     particular, basis = distance_family(cycle_with_tail(m, tail))
-    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    with solve_exact_refused():
+        ours = max_min(particular, basis)
+    assert ours == lp_max_min_oracle(particular, basis)
 
 
 def test_cycle_120_with_pendant_matches_linprog():
@@ -304,7 +342,9 @@ def test_cycle_120_with_pendant_matches_linprog():
 @pytest.mark.parametrize("spec", ["knight_board:3,4", "knight_board:4,4", "knight_board:5,8"])
 def test_matches_oracle_on_knight_boards(spec):
     particular, basis = distance_family(generate(parse_family_spec(spec)))
-    assert max_min(particular, basis) == lp_max_min_oracle(particular, basis)
+    with solve_exact_refused():
+        ours = max_min(particular, basis)
+    assert ours == lp_max_min_oracle(particular, basis)
 
 
 @pytest.mark.parametrize(
