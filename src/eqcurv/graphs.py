@@ -440,14 +440,31 @@ def _knight_board(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, frozenset(edges), labels)
 
 
+def _random_block(rng: random.Random, m: int) -> np.ndarray:
+    """The next ``m`` values of ``rng.random()`` as one float64 array, bit for bit.
+
+    CPython's ``random()`` (``genrand_res53``) takes two 32-bit Mersenne
+    Twister outputs ``a``, ``b`` and returns ``(a >> 5) * 2^26 + (b >> 6)``
+    over ``2^53``. ``getrandbits(64 m)`` consumes the same ``2 m`` outputs in
+    the same order and places the first in the least significant 32 bits, so
+    the little-endian 32-bit words of its bytes are those outputs in order.
+    Every step below is exact in float64 (the numerator is below ``2^53`` and
+    the divisor a power of two), so the floats are identical, and ``rng`` is
+    left in the state that ``m`` calls of ``random()`` leave it in.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
     # resample until connected; all draws come from one seeded stream so the
-    # result is a deterministic function of (n, p, seed)
+    # result is a deterministic function of (n, p, seed). The upper triangle
+    # in row-major order is combinations(range(n), 2), one draw per pair.
     rng = random.Random(seed)
-    pairs = list(combinations(range(n), 2))
+    u, v = np.triu_indices(n, 1)
     for _ in range(1000):
-        edges = frozenset(pair for pair in pairs if rng.random() < p)
-        g = Graph(n, edges)
+        keep = _random_block(rng, len(u)) < p
+        g = Graph(n, frozenset(zip(u[keep].tolist(), v[keep].tolist())))
         if is_connected(g):
             return g
     raise FamilySpecError(f"no connected graph found in 1000 draws (n={n}, p={p})")

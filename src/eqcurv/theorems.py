@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import log, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature, exact_matvec
-from .graphs import DistanceMatrix, Graph, cartesian_product
+from .graphs import DistanceMatrix, Graph, _random_block, cartesian_product
 from .linalg import symmetric_eigen
 
 __all__ = [
@@ -246,22 +246,32 @@ def check_lichnerowicz(g: Graph, result: CurvatureResult, info: SpectralInfo) ->
 
 
 def simplex_measures(n: int, count: int, seed: int) -> list[np.ndarray]:
-    """Seeded random probability measures: normalized independent exponentials."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        e = [rng.expovariate(1.0) for _ in range(n)]
-        s = sum(e)
-        out.append(np.array([x / s for x in e]))
-    return out
+    """Seeded random probability measures: normalized independent exponentials.
+
+    Each entry is ``expovariate(1.0) = -log(1 - u)`` for the next ``u`` of
+    ``random.Random(seed).random()``, and each measure divides its ``n``
+    entries by their left-to-right Python sum. All ``n * count`` values of
+    ``u`` come from one ``_random_block`` draw, which is bit-identical to the
+    per-call stream; the log is ``math.log``, as in ``expovariate``, because
+    ``np.log`` may differ from it in the last bit. So every measure is equal
+    byte for byte to ``count`` rows of ``n`` calls of ``rng.expovariate(1.0)``.
+    """
+    if n < 0:
+        raise ValueError(f"simplex_measures needs n >= 0, got {n}")
+    if count < 0:
+        raise ValueError(f"simplex_measures needs count >= 0, got {count}")
+    u = _random_block(random.Random(seed), n * count)
+    e = -np.fromiter(map(log, (1.0 - u).tolist()), float, u.size).reshape(count, n)
+    return [row / sum(row.tolist()) for row in e]
 
 
-def _validate_measure(nu: np.ndarray) -> None:
-    if not np.isfinite(nu).all():
+def _validate_measures(batch: np.ndarray) -> None:
+    """Check that every column of ``batch`` is a probability measure."""
+    if not np.isfinite(batch).all():
         raise ValueError("measure has a non-finite entry")
-    if nu.min() < 0:
+    if batch.min() < 0:
         raise ValueError("measure has a negative entry")
-    if abs(float(nu.sum()) - 1.0) > 1e-12:
+    if np.abs(batch.sum(axis=0) - 1.0).max() > 1e-12:
         raise ValueError("measure does not sum to 1 within 1e-12")
 
 
@@ -281,7 +291,8 @@ def check_minimax(
     ``n_random`` seeded random simplex draws; ``measures`` replaces the random
     part when given. Exact measures are checked in rational arithmetic, random
     ones in floating point with the usual slack. ``dm`` defaults to
-    ``g.distance_matrix``.
+    ``g.distance_matrix``. A given measure that is not 1-D of length ``n``, or
+    not a probability measure, raises ``ValueError``.
     """
     reason = _exact_hypothesis(result)
     if reason is not None:
@@ -347,11 +358,11 @@ def check_minimax(
         measures = simplex_measures(n, n_random, seed)
         notes.append(f"{n_random} random simplex measures from seed {seed}")
     if measures:
-        batch = np.column_stack([np.asarray(m, dtype=float) for m in measures])
-        if batch.shape[0] != n:
+        columns = [np.asarray(m, dtype=float) for m in measures]
+        if any(c.shape != (n,) for c in columns):
             raise ValueError("measure length does not match the vertex count")
-        for j in range(batch.shape[1]):
-            _validate_measure(batch[:, j])
+        batch = np.column_stack(columns)
+        _validate_measures(batch)
         values = dm.entries.astype(float) @ batch
         worst_min = float(values.min(axis=0).max())
         worst_max = float(values.max(axis=0).min())

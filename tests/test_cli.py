@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON schema, determinism, and the DOT exporter."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -219,6 +220,31 @@ class TestCorpus:
             run_corpus(0, 5, 10)
         with pytest.raises(ValueError):
             run_corpus(3, 8, 5)
+
+
+class TestByteIdentity:
+    """Pinned sha256 of whole outputs, float digits included.
+
+    The minimax battery's random measures and the corpus graphs come from
+    seeded streams; a faster draw must leave every bit of both unchanged.
+    The hashes were recorded with numpy 2.4 (OpenBLAS) on x86-64.
+    """
+
+    def test_verify_all_on_hypercube6(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family", "hypercube:6", "--theorems", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "77ddaff8982a40fe03dba0acdd7f4a86a65f05187af00e3d5fc1b2c84a9add2a"
+        )
+
+    def test_seeded_corpus_json_lines(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "corpus", "--count", "6", "--n-range", "5..30", "--seed", "5", "--json-lines"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "800aa7628252e94c9d1395b6f757c06b7e9c624db4ed63f2cf025c087c51f9da"
+        )
 
 
 class TestExportDot:

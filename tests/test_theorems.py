@@ -223,6 +223,11 @@ class TestMinimax:
         g, dm, result, _ = analyzed("cycle:5")
         with pytest.raises(ValueError, match="length"):
             check_minimax(g, result, measures=[np.full(4, 0.25)], dm=dm)
+        # measures of different lengths, and a 2-D one, fail the same way
+        with pytest.raises(ValueError, match="measure length does not match the vertex count"):
+            check_minimax(g, result, measures=[np.full(5, 0.2), np.full(4, 0.25)], dm=dm)
+        with pytest.raises(ValueError, match="measure length does not match the vertex count"):
+            check_minimax(g, result, measures=[np.full((5, 1), 0.2)], dm=dm)
 
     def test_simplex_measures_deterministic(self):
         a = simplex_measures(6, 5, seed=3)
@@ -230,6 +235,17 @@ class TestMinimax:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         for nu in a:
             assert abs(nu.sum() - 1.0) <= 1e-12 and nu.min() >= 0
+
+    def test_simplex_measures_sizes(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            simplex_measures(-1, 3, 0)
+        with pytest.raises(ValueError, match="count >= 0"):
+            simplex_measures(3, -1, 0)
+        with pytest.raises(ValueError, match="n >= 0"):
+            simplex_measures(-2, -2, 0)
+        empty = simplex_measures(0, 3, 0)
+        assert len(empty) == 3 and all(nu.shape == (0,) and nu.dtype == float for nu in empty)
+        assert simplex_measures(4, 0, 0) == []
 
     def test_random_battery_on_sample_graphs(self):
         for text in ("erdos_renyi:9,0.5,7", "johnson:5,2", "cocktail_party:3"):
