@@ -346,10 +346,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like 'a..b', got {text!r}")
-    return int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"range must look like 'a..b' with integer ends, got {text!r}") from None
 
 
 def cmd_corpus(args) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError
 from .linalg import (
     SolveOutcome,
     SolveStatus,
-    common_denominator,
     integer_matmul,
     lp_max_min,
     pseudo_apply,
@@ -68,12 +66,6 @@ class CurvatureResult:
     @property
     def is_exact(self) -> bool:
         return self.status is not CurvatureStatus.INCONSISTENT
-
-
-def exact_matvec(entries: np.ndarray, w: Sequence[Fraction]) -> list[Fraction]:
-    """Exact product of an integer matrix with a rational vector, as one integer matmul."""
-    nums, den = common_denominator(w)
-    return [Fraction(int(v), den) for v in integer_matmul(entries, np.array(nums, dtype=object))]
 
 
 # Keys of the cached solve and curvature in a DistanceMatrix's instance dictionary.

@@ -3,7 +3,8 @@
 Two arithmetic worlds are kept deliberately separate:
 
 * solvability classification, nullspaces and the lexicographic max-min
-  canonicalization run on integers, with Fractions only at the boundary.
+  canonicalization run on integers: ``solve_exact`` takes integer entries
+  only, and Fractions appear only in its outcome's views.
   The solve is p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a
   prime p < 2^20, in column panels whose row operations reach the trailing
   columns as one exact float64 product each, finds the pivot block and its
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, isqrt, lcm
-from typing import Sequence
+from math import factorial, gcd, isqrt
 
 import numpy as np
 
@@ -73,39 +73,35 @@ class SolveStatus(Enum):
     INCONSISTENT = "inconsistent"
 
 
+@dataclass(frozen=True, eq=False)
 class SolveOutcome:
-    """Exact classification of a square linear system.
+    """Exact classification of a square linear system, as its certified integer form.
 
-    ``solution`` is the unique solution (UNIQUE), one particular solution
-    (AFFINE), or None (INCONSISTENT). ``nullspace`` is an exact basis of the
-    kernel of the coefficient matrix and is reported for every status.
-
-    ``solve_exact`` keeps the certified integer form it computed: the pivot
-    columns, the free columns, and a numerator matrix ``num`` over one common
-    denominator ``den`` whose row t holds the entries on pivot column t of the
-    particular solution (column 0) and of kernel vector j (column 1 + j, which
-    is 1 on free column j and 0 on the other free columns). ``particular``,
-    ``nullspace_dimension``, ``kernel_rows`` and ``kernel_sums`` are read off
-    it in integers; ``solution`` and ``nullspace`` are Fraction views of
-    ``particular`` and of ``kernel_rows``, each built on first access, so a
-    caller that needs only the solution builds no kernel vector. An outcome
-    is read-only, as callers share it.
+    ``solve_exact`` keeps the pivot columns, the free columns, and a read-only
+    numerator matrix ``num`` over one common denominator ``den`` whose row t
+    holds the entries on pivot column t of the particular solution (column 0)
+    and of kernel vector j (column 1 + j, which is 1 on free column j and 0 on
+    the other free columns). Everything else is read off this form in
+    integers, except ``solution`` (the unique solution if UNIQUE, one
+    particular solution if AFFINE, None if INCONSISTENT) and ``nullspace`` (an
+    exact kernel basis, for every status): Fraction views of ``particular``
+    and of ``kernel_rows``, each built on first access. An outcome is
+    read-only, as callers share it.
     """
 
-    def __init__(
-        self,
-        status: SolveStatus,
-        pivot_cols: list[int],
-        free_cols: list[int],
-        num: np.ndarray,
-        den: int,
-    ) -> None:
-        vars(self).update(
-            status=status, rank=len(pivot_cols), _integer=(pivot_cols, free_cols, num, den)
-        )
+    status: SolveStatus
+    pivot_cols: list[int]
+    free_cols: list[int]
+    num: np.ndarray
+    den: int
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"SolveOutcome is read-only; cannot set {name!r}")
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    @property
+    def nullspace_dimension(self) -> int:
+        return len(self.free_cols)
 
     @cached_property
     def solution(self) -> tuple[Fraction, ...] | None:
@@ -118,10 +114,8 @@ class SolveOutcome:
     @cached_property
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
         """``kernel_rows`` as Fractions: vector j is ``kernel_rows[j] / kernel_rows[j, free_j]``."""
-        free_cols = self._integer[1]
-        return tuple(
-            tuple(Fraction(v, row[f]) for v in row) for row, f in zip(self.kernel_rows, free_cols)
-        )
+        rows = zip(self.kernel_rows, self.free_cols)
+        return tuple(tuple(Fraction(v, row[f]) for v in row) for row, f in rows)
 
     @cached_property
     def particular(self) -> tuple[np.ndarray, int] | None:
@@ -135,24 +129,19 @@ class SolveOutcome:
         """
         if self.status is SolveStatus.INCONSISTENT:
             return None
-        pivot_cols, free_cols, num, den = self._integer
-        nums = np.zeros(len(pivot_cols) + len(free_cols), dtype=num.dtype)
-        nums[pivot_cols] = num[:, 0]
+        nums = np.zeros(self.rank + self.nullspace_dimension, dtype=self.num.dtype)
+        nums[self.pivot_cols] = self.num[:, 0]
         nums.setflags(write=False)
-        return nums, den
-
-    @property
-    def nullspace_dimension(self) -> int:
-        return len(self._integer[1])
+        return nums, self.den
 
     @cached_property
     def kernel_rows(self) -> np.ndarray:
         """The nullspace as rows of Python ints: row j is the smallest positive
         integer multiple of vector j, which keeps the max-min simplex's integers small."""
-        pivot_cols, free_cols, num, den = self._integer
-        rows = np.zeros((len(free_cols), len(pivot_cols) + len(free_cols)), dtype=object)
-        rows[:, pivot_cols] = num[:, 1:].T
-        rows[np.arange(len(free_cols)), free_cols] = den
+        k = self.nullspace_dimension
+        rows = np.zeros((k, self.rank + k), dtype=object)
+        rows[:, self.pivot_cols] = self.num[:, 1:].T
+        rows[np.arange(k), self.free_cols] = self.den
         rows //= np.array([gcd(*row) for row in rows], dtype=object).reshape(-1, 1)
         rows.setflags(write=False)
         return rows
@@ -160,8 +149,7 @@ class SolveOutcome:
     @cached_property
     def kernel_sums(self) -> tuple[Fraction, ...]:
         """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``."""
-        _, _, num, den = self._integer
-        return tuple(Fraction(int(s) + den, den) for s in num[:, 1:].sum(axis=0))
+        return tuple(Fraction(int(s) + self.den, self.den) for s in self.num[:, 1:].sum(axis=0))
 
     def __repr__(self) -> str:
         return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
@@ -188,18 +176,18 @@ class EigenDecomposition:
             object.__setattr__(self, name, arr)
 
 
-def _exact(value) -> int | Fraction:
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, Fraction):
-        return value
-    raise TypeError(f"exact arithmetic needs int or Fraction entries, got {type(value).__name__}")
+# operator.index refuses every non-integer entry, where int() would truncate 0.5
+_index = np.frompyfunc(operator.index, 1, 1)
 
 
-def common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """``(nums, den)`` with ``values[i] == nums[i] / den``; den is the lcm of the denominators."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _integers(values, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as an integer array of ``shape``, None if its shape differs: an int or
+    uint ndarray as it is, anything else as an object array (``np.asarray`` would make
+    ``[[2**63, 1], [1, 1]]`` float64) whose entries, once its shape is right, pass ``_index``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values if values.shape == shape else None
+    a = np.array(values, dtype=object)
+    return _index(a) if a.shape == shape else None
 
 
 def _absmax(a: np.ndarray) -> int:
@@ -417,8 +405,11 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Parameters
     ----------
-    matrix : square 2-D array or nested sequence of int/Fraction entries
-    rhs : sequence of int/Fraction, same length as the matrix side
+    matrix : square 2-D array or nested sequence of integer entries
+    rhs : 1-D array or sequence of integers, one per matrix row
+
+    Any other entry (a float, a Fraction) raises TypeError; a ragged, 1-D or
+    non-square matrix, or an rhs of another shape, raises ValueError.
 
     Returns
     -------
@@ -428,10 +419,9 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Notes
     -----
-    Each row of ``[M | rhs]`` is scaled to integers. The moduli are the
-    primes between 2^10 and ``PRIME_LIMIT = 2^20``, largest first (1048573,
-    1048571, ...), a fixed sequence, so the result is deterministic. For a
-    prime p:
+    The moduli are the primes between 2^10 and ``PRIME_LIMIT = 2^20``,
+    largest first (1048573, 1048571, ...), a fixed sequence, so the result is
+    deterministic. For a prime p:
 
     1. one Gauss-Jordan pass over ``[M mod p | I]``, in panels of
        ``PANEL_WIDTH`` columns, gives the pivot rows I, the lex-first pivot
@@ -474,37 +464,20 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     product and ``den T`` beyond 2^63, and a product with ``|A| k >= 2^62``.
 
     The outcome keeps this certified integer form (pivot and free columns,
-    ``num``, ``den``). No Fraction is built here: ``solution`` and
-    ``nullspace`` are made on first access, and the rank, the kernel
-    dimension, integer kernel rows and the exact kernel sums need none.
+    ``num``, ``den``); no Fraction is built here.
     """
-    # an integer array needs no per-entry conversion
-    int_array = isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype.kind in "iu"
-    rows = matrix if int_array else [list(row) for row in matrix]
-    n = len(rows)
+    n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    if any(len(row) != n for row in rows):
+    m = _integers(matrix, (n, n))
+    if m is None:
         raise ValueError("matrix must be square")
-    rhs = list(rhs)
-    if len(rhs) != n:
-        raise ValueError(f"rhs length {len(rhs)} does not match matrix size {n}")
-
-    # one integer row per equation: clear denominators of [row | rhs]
-    if int_array:
-        rhs = [Fraction(_exact(x)) for x in rhs]
-        dens = [x.denominator for x in rhs]
-        nums = [x.numerator for x in rhs]
-        bound = max(_absmax(matrix) * max(dens), *map(abs, nums))
-        a = np.empty((n, n + 1), dtype=_int_dtype(bound))
-        a[:, :n] = matrix
-        a[:, :n] *= np.array(dens, dtype=a.dtype)[:, None]
-        a[:, n] = nums
-    else:
-        a = np.empty((n, n + 1), dtype=object)
-        for i in range(n):
-            a[i], _ = common_denominator([_exact(x) for x in rows[i]] + [_exact(rhs[i])])
-        a = a.astype(_int_dtype(_absmax(a)))
+    b = _integers(rhs, (n,))
+    if b is None:
+        raise ValueError(f"rhs length does not match matrix size {n}: need one integer per row")
+    a = np.empty((n, n + 1), dtype=_int_dtype(max(_absmax(m), _absmax(b))))
+    a[:, :n] = m
+    a[:, n] = b
 
     for p in _primes():
         found = _solve_mod(a[:, :n], a[:, n], p)
@@ -513,6 +486,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     else:
         raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
     pivot_cols, free_cols, num, den, consistent = found
+    num.setflags(write=False)
     if not consistent:
         status = SolveStatus.INCONSISTENT
     else:
@@ -690,12 +664,10 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
 
     With k nullspace vectors that is at most k simplex solves.
     """
-    # operator.index refuses every non-integer entry, where int() would truncate 0.5
-    integers = np.frompyfunc(operator.index, 1, 1)
     nums, den = particular
-    w, den = integers(np.asarray(nums, dtype=object)), operator.index(den)
+    w, den = _index(np.asarray(nums, dtype=object)), operator.index(den)
     n = len(w)
-    dirs = integers(np.asarray(nullspace, dtype=object)).reshape(len(nullspace), n)
+    dirs = _index(np.asarray(nullspace, dtype=object)).reshape(len(nullspace), n)
     if dirs.sum(axis=1).any():
         raise ValueError("every nullspace vector must sum to 0")
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, sqrt
+from math import lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .curvature import CurvatureResult, CurvatureStatus, compute_curvature, exact_matvec
+from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
 from .graphs import DistanceMatrix, Graph, _random_block, cartesian_product
-from .linalg import symmetric_eigen
+from .linalg import integer_matmul, symmetric_eigen
 
 __all__ = [
     "SpectralInfo",
@@ -278,7 +278,7 @@ def _validate_measures(batch: np.ndarray) -> None:
 def check_minimax(
     g: Graph,
     result: CurvatureResult,
-    measures: Sequence[np.ndarray] | None = None,
+    measures: Sequence[np.ndarray] | np.ndarray | None = None,
     *,
     seed: int = 0,
     n_random: int = 100,
@@ -289,8 +289,9 @@ def check_minimax(
     The battery is every vertex point mass, the uniform measure, the sharp
     measure nu* = w/||w||_1 (checked to achieve equality on both sides), and
     ``n_random`` seeded random simplex draws; ``measures`` replaces the random
-    part when given. Exact measures are checked in rational arithmetic, random
-    ones in floating point with the usual slack. ``dm`` defaults to
+    part when given, as vectors or as the rows of a ``count x n`` array.
+    Exact measures are checked in rational arithmetic, random ones in
+    floating point with the usual slack. ``dm`` defaults to
     ``g.distance_matrix``. A given measure that is not 1-D of length ``n``, or
     not a probability measure, raises ``ValueError``.
     """
@@ -357,7 +358,7 @@ def check_minimax(
     if measures is None:
         measures = simplex_measures(n, n_random, seed)
         notes.append(f"{n_random} random simplex measures from seed {seed}")
-    if measures:
+    if len(measures):
         columns = [np.asarray(m, dtype=float) for m in measures]
         if any(c.shape != (n,) for c in columns):
             raise ValueError("measure length does not match the vertex count")
@@ -400,12 +401,14 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     n = g.n
     diam = dm.diameter()
     if exact:
-        w_frac = [Fraction(x) for x in w_list]
+        # Fraction(np.int64) would keep a wrapping int64 numerator
+        w_frac = [x if isinstance(x, Fraction) else Fraction(int(x)) for x in w_list]
         if min(w_frac) <= 0:
             raise ValueError("theorem5 needs every entry of w to be positive")
         k_val: Fraction | float = min(w_frac)
-        dw = exact_matvec(dm.entries, w_frac)
-        dw_inf: Fraction | float = max(abs(x) for x in dw)
+        den = lcm(*(x.denominator for x in w_frac))
+        nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
+        dw_inf: Fraction | float = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)
         diam_bound: Fraction | float = (dw_inf / n) * (8 / k_val)
         diam_holds = diam <= diam_bound
         lam_bound: Fraction | float = k_val / (8 * dw_inf)

@@ -1,10 +1,12 @@
-"""``lp_max_min`` on a family given in ints and Fractions.
+"""``lp_max_min`` and ``solve_exact`` on input given in ints and Fractions.
 
 ``lp_max_min`` takes a point as integer numerators over one denominator and
 integer direction rows, the form ``solve_exact`` certifies. ``max_min``
 converts a Fraction family to that form with its own arithmetic, calls it and
-returns the point as Fractions. The module name has no ``test_`` prefix, so
-pytest does not collect it.
+returns the point as Fractions. ``solve_exact`` takes integer entries only;
+``integer_rows`` restates a rational system ``[M | rhs]`` with each row
+multiplied by the lcm of its denominators, which keeps every solution and the
+kernel. The module name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from fractions import Fraction
@@ -18,6 +20,12 @@ def _numerators(values) -> tuple[list[int], int]:
     values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_rows(matrix, rhs) -> tuple[list[list[int]], list[int]]:
+    """``(M', rhs')``: row i of ``[M | rhs]`` times the lcm of its denominators."""
+    rows = [_numerators([*row, b])[0] for row, b in zip(matrix, rhs)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def max_min(particular, nullspace) -> tuple[Fraction, ...]:

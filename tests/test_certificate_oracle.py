@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqcurv.curvature as curvature_module
-from eqcurv import CurvatureStatus, Graph, compute_curvature, generate, parse_family_spec
+from eqcurv import (
+    CurvatureStatus,
+    Graph,
+    check_theorem5,
+    compute_curvature,
+    generate,
+    parse_family_spec,
+    spectral_gap,
+)
 from eqcurv.linalg import integer_matmul, lp_max_min
 
 CUTOVER = 2**62  # integer_matmul cuts x into int64 limbs while |a| k is below this
@@ -92,6 +100,45 @@ def test_integer_matmul_with_no_rows():
     for a in (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=object)):
         assert integer_matmul(a, x).shape == (0, 2)
         assert integer_matmul(a, x[:, 0]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "entries, nums",
+    [
+        # the numerators of a rational w over the lcm of its denominators, as
+        # check_theorem5 forms them; |D| |num| n just below 2^63: one int64 product
+        (np.ones((2, 2), dtype=np.int64), [2**62 - 1] * 2),  # w = 2^62 - 1
+        (np.ones((2, 2), dtype=np.int64), [-(2**62) + 1] * 2),  # w = (1 - 2^62)/3
+        # exactly 2^63 and above: int64 would wrap 2^62 + 2^62
+        (np.ones((2, 2), dtype=np.int64), [2**62] * 2),  # w = 2^62
+        (np.ones((2, 2), dtype=np.int64), [3 * 2**62, 5 * 2**62]),  # w = (2^62/5, 2^62/3)
+        (np.array([[0, 3], [3, 0]]), [7 * 2**61, -(2**62)]),  # w = (2^61, -2^62/7)
+        (np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), [2**71, 6, -3]),  # w = (2^70/3, 1, -1/2)
+    ],
+)
+def test_integer_matmul_on_numerators_at_the_int64_bound(entries, nums):
+    x = np.array(nums, dtype=object)
+    assert integer_matmul(entries, x).tolist() == python_matmul(entries, x)
+
+
+def test_theorem5_exact_bound_past_int64_matches_fractions():
+    # a positive w with mixed denominators whose numerator product D nums
+    # passes 2^63; the bounds are checked against plain Fraction arithmetic
+    g = generate(parse_family_spec("path:5"))
+    w = [Fraction(2**62, 3), Fraction(2**61, 5), Fraction(1, 7), np.int64(2**62),
+         Fraction(2**63 + 1, 11)]
+    w_q = w[:3] + [Fraction(2**62)] + w[4:]
+    rows = g.distance_matrix.entries.tolist()
+    den = lcm(*(x.denominator for x in w_q))
+    assert max(abs(sum(d * x * den for d, x in zip(row, w_q))) for row in rows) >= 2**63
+    dw_inf = max(abs(sum((d * x for d, x in zip(row, w_q)), Fraction(0))) for row in rows)
+    k_val = min(w_q)
+    report = check_theorem5(g, w, spectral_gap(g))
+    diam_check, lam_check = report.checks
+    assert diam_check.exact_arithmetic
+    assert Fraction(diam_check.rhs.exact) == (dw_inf / g.n) * 8 / k_val
+    assert diam_check.holds == (4 <= (dw_inf / g.n) * 8 / k_val)
+    assert Fraction(lam_check.rhs.exact) == k_val / (8 * dw_inf)
 
 
 def atlas_and_random_graphs():

@@ -215,6 +215,12 @@ class TestCorpus:
         assert code == 1
         assert "a..b" in err
 
+    @pytest.mark.parametrize("text", ["5..", "..9", "a..9", "5..x", "5..9..12", "5.5..9"])
+    def test_non_integer_range_end_exit_1(self, capsys, text):
+        code, out, err = run_cli(capsys, "corpus", "--count", "2", "--n-range", text)
+        assert code == 1 and out == ""
+        assert f"range must look like 'a..b' with integer ends, got {text!r}" in err
+
     def test_run_corpus_validates_parameters(self):
         with pytest.raises(ValueError):
             run_corpus(0, 5, 10)
@@ -235,6 +241,18 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "77ddaff8982a40fe03dba0acdd7f4a86a65f05187af00e3d5fc1b2c84a9add2a"
+        )
+
+    def test_verify_all_on_a_canonical_random_graph(self, capsys):
+        # the exact w is positive and not constant, so both theorem5 weightings
+        # run on its exact integer path
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "erdos_renyi:8,0.6,8", "--theorems", "all"
+        )
+        assert code == 0
+        assert '"status": "exact_canonical"' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7572a2381160235577a4f1aba0811730b7db45e0ad997c4452911ce1be640f4a"
         )
 
     def test_seeded_corpus_json_lines(self, capsys):

@@ -40,7 +40,7 @@ def draw_matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 12, (n, n))
     if kind == "near_p":
         return rng.integers(P - 64, P, (n, n))
-    # object dtype up to about 10^20, as solve_exact's row scaling makes for large entries
+    # object dtype up to about 10^20, as solve_exact builds for entries past int64
     high = rng.integers(-10**9, 10**9 + 1, (n, n)).astype(object)
     return high * 10**11 + rng.integers(0, 10**11, (n, n)).astype(object)
 

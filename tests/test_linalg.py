@@ -22,7 +22,7 @@ from eqcurv import (
     solve_exact,
     symmetric_eigen,
 )
-from integer_form import max_min
+from integer_form import integer_rows, max_min
 
 
 def dist(text):
@@ -43,7 +43,10 @@ class TestSolveExact:
         assert out.solution == (Fraction(3, 2), Fraction(0), Fraction(3, 2))
 
     def test_identity(self):
-        out = solve_exact([[1, 0], [0, 1]], [Fraction(5, 3), 7])
+        # x = 5/3 as the integer row 3 x = 5
+        matrix, rhs = integer_rows([[1, 0], [0, 1]], [Fraction(5, 3), 7])
+        assert (matrix, rhs) == ([[3, 0], [0, 1]], [5, 7])
+        out = solve_exact(matrix, rhs)
         assert out.status is SolveStatus.UNIQUE
         assert out.solution == (Fraction(5, 3), Fraction(7))
 
@@ -66,7 +69,9 @@ class TestSolveExact:
 
     def test_rational_entries(self):
         m = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-        out = solve_exact(m, [1, 1])
+        matrix, rhs = integer_rows(m, [1, 1])
+        assert (matrix, rhs) == ([[1, 0], [0, 1]], [2, 3])
+        out = solve_exact(matrix, rhs)
         assert out.solution == (Fraction(2), Fraction(3))
 
     def test_single_zero_entry(self):
@@ -88,8 +93,35 @@ class TestSolveExact:
             solve_exact([[1, 0, 0], [0, 1, 0]], [1, 2])
 
     def test_rejects_float_entries(self):
-        with pytest.raises(TypeError, match="int or Fraction"):
-            solve_exact([[1.5, 0], [0, 1]], [1, 1])
+        # integer entries only: a float, a Fraction or a float64 array, in the
+        # matrix or in the rhs, is a TypeError
+        identity, ones = [[1, 0], [0, 1]], [1, 1]
+        for bad in (1.5, 1.0, Fraction(1, 2), Fraction(1)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                solve_exact([[bad, 0], [0, 1]], ones)
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                solve_exact(identity, [1, bad])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            solve_exact(np.eye(2), ones)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            solve_exact(identity, np.ones(2))
+        # the shape is checked first: ragged or 1-D input is a ValueError
+        with pytest.raises(ValueError, match="square"):
+            solve_exact([[1, 0], [1]], ones)
+        with pytest.raises(ValueError, match="square"):
+            solve_exact(np.array([1, 2]), ones)
+        with pytest.raises(ValueError, match="square"):
+            solve_exact([1, 2], ones)
+        with pytest.raises(ValueError, match="rhs length"):
+            solve_exact(identity, [[1], [1]])
+        # a ragged rhs has the right length, and its entries are lists, not integers
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            solve_exact(identity, [[1], [1, 2]])
+        # an int array past int64 stays exact; np.asarray would make this one float64
+        big = [[2**63, 1], [1, 1]]
+        assert solve_exact(big, ones).solution == (Fraction(0), Fraction(1))
+        unsigned = np.array(big, dtype=np.uint64)
+        assert solve_exact(unsigned, np.array(ones)).solution == (Fraction(0), Fraction(1))
 
 
 @settings(max_examples=120, deadline=None)

@@ -28,7 +28,7 @@ from eqcurv import (
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
-from integer_form import max_min
+from integer_form import integer_rows, max_min
 
 
 class LpUnboundedError(RuntimeError):
@@ -181,7 +181,7 @@ def in_family(w, particular, basis) -> bool:
     diff = [Fraction(x) - Fraction(p) for x, p in zip(w, particular)]
     gram = [[sum(Fraction(a) * b for a, b in zip(u, v)) for v in basis] for u in basis]
     rhs = [sum(Fraction(a) * d for a, d in zip(u, diff)) for u in basis]
-    coef = solve_exact(gram, rhs).solution  # normal equations: always consistent
+    coef = solve_exact(*integer_rows(gram, rhs)).solution  # normal equations: always consistent
     return all(sum(c * vec[i] for c, vec in zip(coef, basis)) == diff[i] for i in range(len(diff)))
 
 

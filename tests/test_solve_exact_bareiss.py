@@ -16,6 +16,7 @@ from solve_exact_reference import reference_solve_exact
 
 from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
 from eqcurv.linalg import _primes, _solve_mod
+from integer_form import integer_rows
 
 # the first modulus solve_exact tries
 FIRST_PRIME = next(_primes())
@@ -51,7 +52,8 @@ def test_matches_bareiss_on_random_systems(n, data):
         rhs = [sum(Fraction(a) * b for a, b in zip(r, y)) for r in matrix]
     else:
         rhs = data.draw(row)
-    assert fields(solve_exact(matrix, rhs)) == reference_solve_exact(matrix, rhs)
+    # the reference solves the system as drawn, solve_exact its rows scaled to integers
+    assert fields(solve_exact(*integer_rows(matrix, rhs))) == reference_solve_exact(matrix, rhs)
 
 
 def test_lex_first_check_rejects_the_greedy_basis_mod_p():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
+from integer_form import integer_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,7 +33,8 @@ def sympy_outcome(matrix, rhs):
 
 
 def assert_matches_sympy(matrix, rhs):
-    out = solve_exact(matrix, rhs)
+    # sympy solves the system as drawn, solve_exact its rows scaled to integers
+    out = solve_exact(*integer_rows(matrix, rhs))
     status, rank, solution, nullspace = sympy_outcome(matrix, rhs)
     assert out.status is status
     assert out.rank == rank

@@ -229,6 +229,19 @@ class TestMinimax:
         with pytest.raises(ValueError, match="measure length does not match the vertex count"):
             check_minimax(g, result, measures=[np.full((5, 1), 0.2)], dm=dm)
 
+    def test_two_dimensional_measure_array(self):
+        # a count x n array is the list of its rows; an empty one adds no random check
+        g, dm, result, _ = analyzed("knight_board:3,4")
+        rows = simplex_measures(g.n, 7, seed=2)
+        batch = np.array(rows)
+        assert batch.shape == (7, g.n)
+        report = check_minimax(g, result, measures=batch, dm=dm)
+        assert report == check_minimax(g, result, measures=rows, dm=dm)
+        assert len(report.checks) == 8
+        empty = check_minimax(g, result, measures=np.zeros((0, g.n)), dm=dm)
+        assert empty == check_minimax(g, result, measures=[], dm=dm)
+        assert len(empty.checks) == 6
+
     def test_simplex_measures_deterministic(self):
         a = simplex_measures(6, 5, seed=3)
         b = simplex_measures(6, 5, seed=3)
