@@ -7,9 +7,10 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sized
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -47,54 +48,118 @@ class DisconnectedGraphError(ValueError):
     """An operation that needs a connected graph received a disconnected one."""
 
 
-@dataclass(frozen=True, repr=False)
+def _first_bad_pair(n: int, edges) -> ValueError:
+    """The error for the first pair of ``edges``, in input order, that is no edge on 0..n-1.
+
+    Only the error path walks the pairs in Python, so an endpoint past int64
+    gets the same out-of-range error as any other, and a pair that is not a
+    pair fails to unpack.
+    """
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+    return ValueError("each edge must be a pair of vertex indices")
+
+
+def _canonical_pairs(n: int, edges) -> np.ndarray:
+    """``edges`` as rows ``(u, v)`` with ``u < v``: distinct, sorted, a read-only int64 array.
+
+    An ``(m, 2)`` integer array is read as it is, any other iterable of pairs
+    with one ``np.fromiter``; duplicates go with one sort of ``u * n + v``.
+    """
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        ends = edges.astype(np.int64, copy=False).reshape(-1)
+    else:
+        if not isinstance(edges, Sized):
+            edges = tuple(edges)
+        items = chain.from_iterable(edges)
+        try:
+            ends = np.fromiter(items, np.int64, 2 * len(edges))
+        except (OverflowError, ValueError):
+            raise _first_bad_pair(n, edges) from None
+        if next(items, None) is not None:
+            raise _first_bad_pair(n, edges)
+    a, b = ends[0::2], ends[1::2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if len(lo) and (lo.min() < 0 or hi.max() >= n or np.count_nonzero(lo == hi)):
+        raise _first_bad_pair(n, edges)
+    if n * n > 2**63:  # lo * n + hi would overflow int64
+        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    else:
+        key = lo * n + hi
+        key.sort()
+        fresh = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        pairs = np.empty((len(key), 2), dtype=np.int64)
+        np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
+    pairs.setflags(write=False)
+    return pairs
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``edges`` holds unordered pairs normalized to (min, max); self-loops and
+    ``pairs`` holds the edges as a read-only (m, 2) int64 array of distinct
+    rows ``(u, v)`` with ``u < v``, in sorted order; ``edges`` is the same set
+    as a frozenset of tuples, built on first access. Self-loops and
     out-of-range endpoints are rejected at construction.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges, labels=None) -> None:
+        n = operator.index(n)
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        normalized = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
-            normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.n:
+        pairs = _canonical_pairs(n, edges)
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != n:
                 raise ValueError("labels length must equal vertex count")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n, self.labels) == (other.n, other.labels) and np.array_equal(
+            self.pairs, other.pairs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.pairs.tobytes(), self.labels))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The pairs as a frozenset of ``(u, v)`` tuples of Python ints, ``u < v``."""
+        return frozenset(map(tuple, self.pairs.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, one per vertex."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        bounds = np.searchsorted(ends[:, 0], np.arange(self.n + 1)).tolist()
+        nbrs = ends[:, 1].tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
         """Read-only n x n bool adjacency matrix: symmetric, False on the diagonal."""
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.edge_count)
-        u, v = ends[0::2], ends[1::2]
+        u, v = self.pairs.T
         adj = np.zeros((self.n, self.n), dtype=bool)
         adj[u, v] = adj[v, u] = True
         adj.setflags(write=False)
@@ -106,7 +171,7 @@ class Graph:
         return apsp(self)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(np.count_nonzero(self.pairs == v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -178,8 +243,7 @@ class DistanceMatrix:
             if np.any(d > d[:, [k]] + d[[k], :]):
                 raise ValueError("triangle inequality violated")
         if graph is not None:
-            ones = {(int(i), int(j)) for i, j in np.argwhere(d == 1) if i < j}
-            if ones != set(graph.edges):
+            if not np.array_equal(np.argwhere(np.triu(d == 1)), graph.pairs):
                 raise ValueError("distance-1 pairs differ from the edge set")
 
 
@@ -223,23 +287,27 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(max_index + 1, frozenset(edges))
 
 
-def _bfs(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
-
 def is_connected(g: Graph) -> bool:
-    """True when a single BFS from vertex 0 reaches every vertex."""
-    return min(_bfs(g.adjacency, 0)) >= 0
+    """True when every vertex is in the component of vertex 0.
+
+    Label propagation with pointer jumping over ``g.pairs`` (Shiloach and
+    Vishkin 1982): each root hooks onto the smallest root across its edges,
+    then every label jumps to its root, until no edge joins two labels. Each
+    round at least halves the roots of every component, so there are
+    O(log n) rounds of vectorised work.
+    """
+    label = np.arange(g.n)
+    u, v = g.pairs.T
+    while True:
+        lu, lv = label[u], label[v]
+        if (lu == lv).all():
+            return not label.any()
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
 
 
 def apsp(g: Graph) -> DistanceMatrix:
@@ -359,85 +427,82 @@ def _int_params(spec: FamilySpec, count: int, usage: str) -> list[int]:
 
 
 def _complete(n: int) -> Graph:
-    return Graph(n, frozenset(combinations(range(n), 2)))
+    return _complete_multipartite([1] * n)
 
 
 def _cycle(n: int) -> Graph:
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    i = np.arange(n)
+    return Graph(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def _path(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    i = np.arange(n - 1)
+    return Graph(n, np.stack([i, i + 1], axis=1))
+
+
+def _flip_pairs(verts: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Index pairs ``(i, j)``, ``i < j``, with ``verts[j] == verts[i] ^ f`` for a flip ``f``.
+
+    ``verts`` is increasing and closed under every flip.
+    """
+    index = np.zeros(int(verts[-1]) + 1, dtype=np.int64)
+    index[verts] = np.arange(len(verts))
+    other = verts[:, None] ^ flips[None, :]
+    i, f = np.nonzero(verts[:, None] < other)
+    return np.stack([i, index[other[i, f]]], axis=1)
 
 
 def _hypercube(n: int) -> Graph:
     size = 1 << n
-    edges = {(i, i ^ (1 << b)) for i in range(size) for b in range(n) if i < i ^ (1 << b)}
+    # the neighbours of i flip one of its n bits
+    pairs = _flip_pairs(np.arange(size), 1 << np.arange(n))
     labels = tuple(format(i, f"0{n}b") for i in range(size))
-    return Graph(size, frozenset(edges), labels)
+    return Graph(size, pairs, labels)
 
 
 def _cocktail_party(n: int) -> Graph:
     # 2n vertices; vertex 2i is paired with 2i+1 and adjacent to everyone else
-    verts = range(2 * n)
-    edges = {(u, v) for u, v in combinations(verts, 2) if not (u // 2 == v // 2)}
-    return Graph(2 * n, frozenset(edges))
+    return _complete_multipartite([2] * n)
 
 
 def _johnson(n: int, k: int) -> Graph:
     subsets = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
-    # the neighbours of S swap one member x for one non-member y
-    edges = set()
-    for i, s in enumerate(subsets):
-        outside = [y for y in range(n) if y not in s]
-        for x in s:
-            rest = [v for v in s if v != x]
-            for y in outside:
-                j = index[tuple(sorted(rest + [y]))]
-                if i < j:
-                    edges.add((i, j))
+    # S ~ T when they share k - 1 members: one product of the membership matrix
+    member = np.zeros((len(subsets), n), dtype=np.float32)
+    member[np.repeat(np.arange(len(subsets)), k), np.ravel(subsets)] = 1
+    pairs = np.argwhere(np.triu(member @ member.T == k - 1))
     labels = tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
-    return Graph(len(subsets), frozenset(edges), labels)
+    return Graph(len(subsets), pairs, labels)
 
 
 def _demicube(n: int) -> Graph:
-    verts = [i for i in range(1 << n) if bin(i).count("1") % 2 == 0]
-    index = {v: i for i, v in enumerate(verts)}
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    verts = np.flatnonzero(bits.sum(axis=1) % 2 == 0)
     # the neighbours of v flip exactly two of its n bits
-    flips = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
-    edges = {(i, index[v ^ f]) for i, v in enumerate(verts) for f in flips if v < v ^ f}
-    labels = tuple(format(v, f"0{n}b") for v in verts)
-    return Graph(len(verts), frozenset(edges), labels)
+    flips = np.array([(1 << a) | (1 << b) for a, b in combinations(range(n), 2)])
+    labels = tuple(format(v, f"0{n}b") for v in verts.tolist())
+    return Graph(len(verts), _flip_pairs(verts, flips), labels)
 
 
 def _complete_multipartite(sizes: list[int]) -> Graph:
-    part = []
-    for p, size in enumerate(sizes):
-        part.extend([p] * size)
-    n = len(part)
-    edges = {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
-    return Graph(n, frozenset(edges))
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    u, v = np.triu_indices(len(part), 1)
+    keep = part[u] != part[v]
+    return Graph(len(part), np.stack([u[keep], v[keep]], axis=1))
 
 
-_KNIGHT_MOVES = ((1, 2), (2, 1), (-1, 2), (-2, 1), (1, -2), (2, -1), (-1, -2), (-2, -1))
+_KNIGHT_MOVES = np.array([(1, 2), (2, 1), (-1, 2), (-2, 1), (1, -2), (2, -1), (-1, -2), (-2, -1)])
 
 
 def _knight_board(rows: int, cols: int) -> Graph:
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            for dr, dc in _KNIGHT_MOVES:
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < rows and 0 <= c2 < cols:
-                    a, b = vid(r, c), vid(r2, c2)
-                    if a < b:
-                        edges.add((a, b))
+    # square r * cols + c; every move from every square that stays on the board,
+    # so each edge comes once from either end
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    r2, c2 = r[:, None] + _KNIGHT_MOVES[:, 0], c[:, None] + _KNIGHT_MOVES[:, 1]
+    square, move = np.nonzero((0 <= r2) & (r2 < rows) & (0 <= c2) & (c2 < cols))
+    pairs = np.stack([square, r2[square, move] * cols + c2[square, move]], axis=1)
     labels = tuple(f"({r},{c})" for r in range(rows) for c in range(cols))
-    return Graph(rows * cols, frozenset(edges), labels)
+    return Graph(rows * cols, pairs, labels)
 
 
 def _random_block(rng: random.Random, m: int) -> np.ndarray:
@@ -464,7 +529,7 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
     u, v = np.triu_indices(n, 1)
     for _ in range(1000):
         keep = _random_block(rng, len(u)) < p
-        g = Graph(n, frozenset(zip(u[keep].tolist(), v[keep].tolist())))
+        g = Graph(n, np.stack([u[keep], v[keep]], axis=1))
         if is_connected(g):
             return g
     raise FamilySpecError(f"no connected graph found in 1000 draws (n={n}, p={p})")

@@ -54,6 +54,9 @@ __all__ = [
 
 SYMMETRY_TOLERANCE = 1e-12
 INT64_LIMIT = 2**63
+# float64 holds every integer below this exactly, so a sum of such integers
+# is exact in any order while every partial sum stays below it
+FLOAT64_LIMIT = 2**53
 PRIME_LIMIT = 2**20
 # every composite below PRIME_LIMIT has a factor of at most sqrt(PRIME_LIMIT),
 # so a larger q is prime exactly when it is coprime to this factorial
@@ -183,11 +186,19 @@ _index = np.frompyfunc(operator.index, 1, 1)
 def _integers(values, shape: tuple[int, ...]) -> np.ndarray | None:
     """``values`` as an integer array of ``shape``, None if its shape differs: an int or
     uint ndarray as it is, anything else as an object array (``np.asarray`` would make
-    ``[[2**63, 1], [1, 1]]`` float64) whose entries, once its shape is right, pass ``_index``."""
+    ``[[2**63, 1], [1, 1]]`` float64) whose entries, once its shape is right, pass ``_index``.
+    A ragged input, whose rows are left as entries, counts as a shape that differs."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values if values.shape == shape else None
     a = np.array(values, dtype=object)
-    return _index(a) if a.shape == shape else None
+    if a.shape != shape:
+        return None
+    try:
+        return _index(a)
+    except TypeError:
+        if any(np.ndim(x) for x in a.flat):
+            return None
+        raise
 
 
 def _absmax(a: np.ndarray) -> int:
@@ -350,20 +361,23 @@ def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tup
     ``R_{i+1} = (R_i - M_IJ X_i) / p`` is an exact division, so after s steps
     ``sum_i X_i p^i`` solves the system mod ``p^s``. The residual keeps
     ``|R_i| <= B = max(|rhs|, k |M_IJ|)``, and ``|R_i - M_IJ X_i| <= B p``,
-    while ``C (R_i mod p)`` stays below ``k p^2``. Both run in int64 when
+    while ``C (R_i mod p)`` stays below ``k p^2``. Both run as float64 BLAS
+    products when ``max(B p, k p^2) < 2^53``, since every partial sum is then
+    an integer that float64 holds exactly; otherwise in int64 when
     ``B p < 2^63`` (``k p^2`` is smaller still for any k that fits in memory),
-    otherwise on Python ints. Reconstruction is tried after a growing number
+    and on Python ints beyond. Reconstruction is tried after a growing number
     of digits, and only the exact check ends the loop.
     """
     k = len(m_ij)
-    dtype = _int_dtype(max(_absmax(rhs), k * _absmax(m_ij)) * p)
+    bound = max(_absmax(rhs), k * _absmax(m_ij)) * p
+    dtype = np.float64 if max(bound, k * p * p) < FLOAT64_LIMIT else _int_dtype(bound)
     m_w, c_w, r = m_ij.astype(dtype), inverse.astype(dtype), rhs.astype(dtype)
     acc = np.zeros(rhs.shape, dtype=object)
     modulus, steps, attempt = 1, 0, 1
     while True:
         digit = c_w @ (r % p) % p
         r = (r - m_w @ digit) // p
-        acc += digit.astype(object) * modulus
+        acc += digit.astype(np.int64).astype(object) * modulus
         modulus *= p
         steps += 1
         if steps < attempt:
@@ -455,7 +469,8 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     exact, and the int64 entries of ``[M | I]`` it is added into stay below
     ``p + n (p - 1)^2``; a lifting step keeps the residual below
     ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, and the digit product
-    ``C (R mod p)`` below ``k p^2``; a certificate ``A X == den * T``
+    ``C (R mod p)`` below ``k p^2``, and both products run in float64 while
+    ``max(B p, k p^2) < 2^53``, in int64 while ``B p < 2^63``; a certificate ``A X == den * T``
     multiplies in int64 whenever ``|A| k < 2^62``, cutting X into int64 limbs
     when ``|A| |X| k`` reaches 2^63 (``integer_matmul``), and forms ``den T``
     in int64 when ``den |T| < 2^63``. n and k stay below 2^23 for any matrix

@@ -331,6 +331,21 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["curvature"]["k"]["exact"] == "2/3"
 
+    def test_closed_pipe_exits_141_without_a_message(self):
+        # the child reads its edge list from stdin and writes only after EOF,
+        # so the read end of its stdout is closed before it writes a byte
+        src = Path(eqcurv.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eqcurv", "verify", "--edge-list", "/dev/stdin",
+             "--theorems", "all"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(b"0 1\n1 2\n2 3\n3 0\n", timeout=120)
+        assert stderr == b""
+        assert proc.returncode == 141
+
     def test_readme_library_example_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

@@ -114,9 +114,12 @@ class TestSolveExact:
             solve_exact([1, 2], ones)
         with pytest.raises(ValueError, match="rhs length"):
             solve_exact(identity, [[1], [1]])
-        # a ragged rhs has the right length, and its entries are lists, not integers
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            solve_exact(identity, [[1], [1, 2]])
+        # a ragged rhs has the right length, but its rows are no integers: a shape error
+        for ragged in ([[1], [1, 2]], [[1], 1], [1, [2, 3]]):
+            with pytest.raises(ValueError, match="rhs length"):
+                solve_exact(identity, ragged)
+        with pytest.raises(ValueError, match="square"):
+            solve_exact([[1, 0], [0, [1]]], ones)
         # an int array past int64 stays exact; np.asarray would make this one float64
         big = [[2**63, 1], [1, 1]]
         assert solve_exact(big, ones).solution == (Fraction(0), Fraction(1))

@@ -39,6 +39,9 @@ ITEMS = [
      "ed2b950f84583b3a02deb4571c4f1d8835e12161f1da9dd91ccc579ab4b410c2"),
     ("families", workloads.Item(FamilySpec("complete_multipartite", (1, 1, 1, 4)), 0, 3),
      "a88a16d7f93068802cb6af0af9640d2b81bb5e57ddec19dcae3bc378bbc9f583"),
+    # built from an edge array, then relabelled through a frozenset of tuples
+    ("families", workloads.Item(FamilySpec("cocktail_party", (6,)), 0, 3),
+     "a8dae1fc35c30b749572a48eb93f4a63bb5840880104ca589239133855be61c6"),
 ]
 
 

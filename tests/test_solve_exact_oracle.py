@@ -75,3 +75,29 @@ def test_matches_sympy_on_distance_systems(spec):
     entries = apsp(generate(parse_family_spec(spec))).entries
     n = len(entries)
     assert_matches_sympy(entries.tolist(), [n] * n)
+
+
+# the first prime modulus; a lifting step runs in float64 exactly when
+# B p < 2^53 (and k p^2 < 2^53), B = max(|rhs|, k |M_IJ|)
+FIRST_PRIME = 1048573
+FLOAT_BOUND = (2**53 - 1) // FIRST_PRIME
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
+def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data):
+    # largest entry s, set once in the matrix, so that B p falls just below or
+    # just above 2^53 through k |M_IJ| (full rank) or through |rhs|
+    if rhs_side:
+        s = data.draw(st.integers(1, FLOAT_BOUND // n))
+        top = FLOAT_BOUND + above
+    else:
+        s = FLOAT_BOUND // n + above
+        top = data.draw(st.integers(1, FLOAT_BOUND))
+    matrix = data.draw(st.lists(st.lists(st.integers(-s, s), min_size=n, max_size=n),
+                                min_size=n, max_size=n))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    matrix[i][j] = data.draw(st.sampled_from([s, -s]))
+    rhs = data.draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
+    rhs[data.draw(st.integers(0, n - 1))] = top
+    assert_matches_sympy(matrix, rhs)
