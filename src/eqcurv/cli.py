@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
 from .graphs import (
+    FAMILY_NAMES,
     DistanceMatrix,
     FamilySpec,
     Graph,
@@ -44,25 +45,20 @@ from .theorems import (
 
 SCHEMA_VERSION = "2"
 
-THEOREM_NAMES = (
-    "bonnet_myers",
-    "reverse_bonnet_myers",
-    "lichnerowicz",
-    "minimax",
-    "theorem5",
-    "spectral_criterion",
-    "perron_alignment",
-)
-
-_THEOREM_ALIASES = {
-    "bm": "bonnet_myers",
-    "reverse_bm": "reverse_bonnet_myers",
-    "rbm": "reverse_bonnet_myers",
-    "lich": "lichnerowicz",
-    "perron": "perron_alignment",
-    "criterion": "spectral_criterion",
-    "prop4": "spectral_criterion",
+# Each theorem name with the aliases that --theorems accepts for it.
+_THEOREMS = {
+    "bonnet_myers": ("bm",),
+    "reverse_bonnet_myers": ("reverse_bm", "rbm"),
+    "lichnerowicz": ("lich",),
+    "minimax": (),
+    "theorem5": (),
+    "spectral_criterion": ("criterion", "prop4"),
+    "perron_alignment": ("perron",),
 }
+
+THEOREM_NAMES = tuple(_THEOREMS)
+
+_THEOREM_ALIASES = {alias: name for name, aliases in _THEOREMS.items() for alias in aliases}
 
 
 def _frac_payload(x: Fraction | int) -> dict:
@@ -226,17 +222,14 @@ def render_dot(g: Graph, result: CurvatureResult) -> str:
     scale = max((abs(v) for v in values), default=0.0) or 1.0
     lines = ["graph curvature {", "  node [shape=circle, style=filled];"]
     for i in range(g.n):
-        if result.is_exact:
-            shown = str(result.w[i])
-        else:
-            shown = f"{values[i]:.4g}"
+        shown = str(result.w[i]) if result.is_exact else f"{values[i]:.4g}"
         color = _diverging_color(values[i] / scale)
         name = g.labels[i].replace("\\", "\\\\").replace('"', '\\"') if g.labels else str(i)
         lines.append(
             f'  {i} [label="{name}\\n{shown}", tooltip="w[{i}] = {shown}", '
             f'fillcolor="{color}"];'
         )
-    for u, v in sorted(g.edges):
+    for u, v in g.pairs.tolist():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -377,9 +370,7 @@ def _add_source_arguments(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--family",
-        help="family spec 'name:arg1,arg2' (complete, cycle, path, hypercube, "
-        "cocktail_party, johnson, demicube, complete_multipartite, "
-        "knight_board, erdos_renyi)",
+        help=f"family spec 'name:arg1,arg2' ({', '.join(FAMILY_NAMES)})",
     )
     group.add_argument("--edge-list", help="path to a 'u v' edge-list file")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, FamilySpec, Graph, FamilySpecError
+from .graphs import DistanceMatrix, FamilySpec, FamilySpecError, Graph, check_family_params
 from .linalg import (
     SolveOutcome,
     SolveStatus,
@@ -160,33 +160,33 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
     )
 
 
-def curvature_of_family(spec: FamilySpec) -> Fraction:
-    """Closed-form constant curvature of the families that have one.
+def _complete_form(n: int) -> Fraction:
+    if n < 2:
+        raise FamilySpecError("complete closed form needs n >= 2")
+    return Fraction(n, n - 1)
 
-    complete n -> n/(n-1); cycle n -> n/floor(n^2/4); hypercube n -> 2/n;
-    cocktail_party -> 1; johnson (n,k) -> n/(k(n-k)); demicube n -> 4/n.
+
+# family -> its constant curvature, a function of the parameters
+_CLOSED_FORMS = {
+    "complete": _complete_form,
+    "cycle": lambda n: Fraction(n, n * n // 4),
+    "hypercube": lambda n: Fraction(2, n),
+    "cocktail_party": lambda n: Fraction(1),
+    "johnson": lambda n, k: Fraction(n, k * (n - k)),
+    "demicube": lambda n: Fraction(4, n),
+}
+
+
+def curvature_of_family(spec: FamilySpec) -> Fraction:
+    """Closed-form constant curvature of the families in ``_CLOSED_FORMS``.
+
+    The parameters pass ``check_family_params`` first, but no graph is built,
+    so the vertex limit does not apply.
     """
-    family, params = spec.family, spec.params
-    if family == "complete":
-        (n,) = params
-        if n < 2:
-            raise FamilySpecError("complete closed form needs n >= 2")
-        return Fraction(int(n), int(n) - 1)
-    if family == "cycle":
-        (n,) = params
-        return Fraction(int(n), (int(n) * int(n)) // 4)
-    if family == "hypercube":
-        (n,) = params
-        return Fraction(2, int(n))
-    if family == "cocktail_party":
-        return Fraction(1)
-    if family == "johnson":
-        n, k = params
-        return Fraction(int(n), int(k) * (int(n) - int(k)))
-    if family == "demicube":
-        (n,) = params
-        return Fraction(4, int(n))
-    raise FamilySpecError(f"family {family!r} has no closed-form curvature")
+    check_family_params(spec)
+    if spec.family not in _CLOSED_FORMS:
+        raise FamilySpecError(f"family {spec.family!r} has no closed-form curvature")
+    return _CLOSED_FORMS[spec.family](*spec.params)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "MAX_FAMILY_VERTICES",
     "parse_edge_list",
     "parse_family_spec",
+    "check_family_params",
     "generate",
     "cartesian_product",
     "is_connected",
@@ -197,9 +198,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return int(self.entries.shape[0])
 
-    def __getitem__(self, key):
-        return self.entries[key]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DistanceMatrix) and np.array_equal(self.entries, other.entries)
 
@@ -355,19 +353,6 @@ def apsp(g: Graph) -> DistanceMatrix:
 # Graph families
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = (
-    "complete",
-    "cycle",
-    "path",
-    "hypercube",
-    "cocktail_party",
-    "johnson",
-    "demicube",
-    "complete_multipartite",
-    "knight_board",
-    "erdos_renyi",
-)
-
 _ALIASES = {
     "knight": "knight_board",
     "cp": "cocktail_party",
@@ -418,18 +403,6 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(name, tuple(params))
 
 
-def _int_params(spec: FamilySpec, count: int, usage: str) -> list[int]:
-    if len(spec.params) != count or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in spec.params
-    ):
-        raise FamilySpecError(f"family {spec.family!r} expects {usage}, got {spec.params}")
-    return [int(p) for p in spec.params]
-
-
-def _complete(n: int) -> Graph:
-    return _complete_multipartite([1] * n)
-
-
 def _cycle(n: int) -> Graph:
     i = np.arange(n)
     return Graph(n, np.stack([i, (i + 1) % n], axis=1))
@@ -460,11 +433,6 @@ def _hypercube(n: int) -> Graph:
     return Graph(size, pairs, labels)
 
 
-def _cocktail_party(n: int) -> Graph:
-    # 2n vertices; vertex 2i is paired with 2i+1 and adjacent to everyone else
-    return _complete_multipartite([2] * n)
-
-
 def _johnson(n: int, k: int) -> Graph:
     subsets = list(combinations(range(n), k))
     # S ~ T when they share k - 1 members: one product of the membership matrix
@@ -484,7 +452,7 @@ def _demicube(n: int) -> Graph:
     return Graph(len(verts), _flip_pairs(verts, flips), labels)
 
 
-def _complete_multipartite(sizes: list[int]) -> Graph:
+def _multipartite(sizes: list[int]) -> Graph:
     part = np.repeat(np.arange(len(sizes)), sizes)
     u, v = np.triu_indices(len(part), 1)
     keep = part[u] != part[v]
@@ -542,99 +510,75 @@ def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
 MAX_FAMILY_VERTICES = 4096
 
 
-def _check_vertex_count(spec: FamilySpec, count: int) -> None:
-    """Refuse a family member with more than MAX_FAMILY_VERTICES vertices, before building it.
+# The catalog, the one place that knows the families, in the order of FAMILY_NAMES:
+# name -> (usage, parameter count or None for any, range predicate, vertex count,
+# builder). The last three take the parameters unpacked; a vertex count may be
+# 2^64 for any count at least that large.
+_FAMILIES = {
+    "complete": ("n >= 1", 1, lambda n: n >= 1, lambda n: n, lambda n: _multipartite([1] * n)),
+    "cycle": ("n >= 3", 1, lambda n: n >= 3, lambda n: n, _cycle),
+    "path": ("n >= 1", 1, lambda n: n >= 1, lambda n: n, _path),
+    "hypercube": ("n >= 1", 1, lambda n: n >= 1, lambda n: 2 ** min(n, 64), _hypercube),
+    # vertex 2i is paired with 2i+1 and adjacent to everyone else
+    "cocktail_party": (
+        "n >= 2 (graph has 2n vertices)", 1, lambda n: n >= 2, lambda n: 2 * n,
+        lambda n: _multipartite([2] * n),
+    ),
+    # comb(n, j) >= 2^j for j = min(k, n - k)
+    "johnson": (
+        "n, k with 1 <= k <= n-1", 2, lambda n, k: 1 <= k <= n - 1,
+        lambda n, k: comb(n, k) if min(k, n - k) <= 64 else 2**64, _johnson,
+    ),
+    "demicube": ("n >= 2", 1, lambda n: n >= 2, lambda n: 2 ** min(n - 1, 64), _demicube),
+    "complete_multipartite": (
+        "two or more part sizes >= 1", None, lambda *sizes: len(sizes) >= 2 and min(sizes) >= 1,
+        lambda *sizes: sum(sizes), lambda *sizes: _multipartite(sizes),
+    ),
+    "knight_board": ("rows, cols >= 1", 2, lambda r, c: min(r, c) > 0, operator.mul, _knight_board),
+    "erdos_renyi": (
+        "n, p, seed with n >= 1 and 0 <= p <= 1", 3, lambda n, p, seed: n >= 1 and 0 <= p <= 1,
+        lambda n, p, seed: n, _erdos_renyi,
+    ),
+}
 
-    Callers may pass 2^64 for any count at least that large.
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def check_family_params(spec: FamilySpec) -> None:
+    """Refuse parameters of the wrong count, of the wrong type or out of range.
+
+    Parameters are ints, bool refused, but erdos_renyi's p may be a float.
     """
-    if count > MAX_FAMILY_VERTICES:
-        shown = count if count < 2**64 else "at least 2^64"
-        raise FamilySpecError(
-            f"{spec} would have {shown} vertices; the limit is {MAX_FAMILY_VERTICES}"
-        )
+    usage, arity, valid, _vertices, _build = _FAMILIES[spec.family]
+    params = spec.params
+    p_index = 1 if spec.family == "erdos_renyi" else None
+    typed = all(
+        not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and i == p_index))
+        for i, x in enumerate(params)
+    )
+    if arity not in (None, len(params)) or not typed or not valid(*params):
+        raise FamilySpecError(f"family {spec.family!r} expects {usage}, got {params}")
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the named family member; see FAMILY_NAMES for the catalog.
 
-    The vertex count is worked out from the parameters first, and a member
-    with more than MAX_FAMILY_VERTICES vertices raises FamilySpecError.
+    After ``check_family_params`` the vertex count is worked out from the
+    parameters, and a member with more than MAX_FAMILY_VERTICES vertices
+    raises FamilySpecError before anything is built.
     """
-    family = spec.family
-    if family == "complete":
-        (n,) = _int_params(spec, 1, "n >= 1")
-        if n < 1:
-            raise FamilySpecError("complete graph needs n >= 1")
-        _check_vertex_count(spec, n)
-        return _complete(n)
-    if family == "cycle":
-        (n,) = _int_params(spec, 1, "n >= 3")
-        if n < 3:
-            raise FamilySpecError("cycle needs n >= 3")
-        _check_vertex_count(spec, n)
-        return _cycle(n)
-    if family == "path":
-        (n,) = _int_params(spec, 1, "n >= 1")
-        if n < 1:
-            raise FamilySpecError("path needs n >= 1")
-        _check_vertex_count(spec, n)
-        return _path(n)
-    if family == "hypercube":
-        (n,) = _int_params(spec, 1, "n >= 1")
-        if n < 1:
-            raise FamilySpecError("hypercube needs n >= 1")
-        _check_vertex_count(spec, 2 ** min(n, 64))
-        return _hypercube(n)
-    if family == "cocktail_party":
-        (n,) = _int_params(spec, 1, "n >= 2 (graph has 2n vertices)")
-        if n < 2:
-            raise FamilySpecError("cocktail_party needs n >= 2")
-        _check_vertex_count(spec, 2 * n)
-        return _cocktail_party(n)
-    if family == "johnson":
-        n, k = _int_params(spec, 2, "n, k with 1 <= k <= n-1")
-        if not (1 <= k <= n - 1):
-            raise FamilySpecError(f"johnson needs 1 <= k <= n-1, got n={n}, k={k}")
-        # comb(n, j) >= 2^j for j = min(k, n - k)
-        _check_vertex_count(spec, comb(n, k) if min(k, n - k) <= 64 else 2**64)
-        return _johnson(n, k)
-    if family == "demicube":
-        (n,) = _int_params(spec, 1, "n >= 2")
-        if n < 2:
-            raise FamilySpecError("demicube needs n >= 2")
-        _check_vertex_count(spec, 2 ** min(n - 1, 64))
-        return _demicube(n)
-    if family == "complete_multipartite":
-        if len(spec.params) < 2:
-            raise FamilySpecError("complete_multipartite needs at least two part sizes")
-        sizes = _int_params(spec, len(spec.params), "part sizes >= 1")
-        if any(s < 1 for s in sizes):
-            raise FamilySpecError("complete_multipartite part sizes must be >= 1")
-        _check_vertex_count(spec, sum(sizes))
-        return _complete_multipartite(sizes)
-    if family == "knight_board":
-        rows, cols = _int_params(spec, 2, "rows, cols >= 1")
-        if rows < 1 or cols < 1:
-            raise FamilySpecError("knight_board needs rows, cols >= 1")
-        _check_vertex_count(spec, rows * cols)
-        return _knight_board(rows, cols)
-    if family == "erdos_renyi":
-        if len(spec.params) != 3:
-            raise FamilySpecError("erdos_renyi needs n, p, seed")
-        n_raw, p_raw, seed_raw = spec.params
-        if not isinstance(n_raw, int) or not isinstance(seed_raw, int):
-            raise FamilySpecError("erdos_renyi n and seed must be integers")
-        p = float(p_raw)
-        if not (0.0 <= p <= 1.0):
-            raise FamilySpecError(f"erdos_renyi needs 0 <= p <= 1, got {p}")
-        if n_raw < 1:
-            raise FamilySpecError("erdos_renyi needs n >= 1")
-        _check_vertex_count(spec, n_raw)
-        if p == 0.0 and n_raw >= 2:
-            # no draw has an edge, so resampling could never succeed
-            raise FamilySpecError(f"erdos_renyi with p = 0 is never connected for n = {n_raw} >= 2")
-        return _erdos_renyi(n_raw, p, seed_raw)
-    raise FamilySpecError(f"unknown family {family!r}")  # unreachable
+    check_family_params(spec)
+    *_, vertices, build = _FAMILIES[spec.family]
+    count = vertices(*spec.params)
+    if count > MAX_FAMILY_VERTICES:
+        shown = count if count < 2**64 else "at least 2^64"
+        raise FamilySpecError(
+            f"{spec} would have {shown} vertices; the limit is {MAX_FAMILY_VERTICES}"
+        )
+    if spec.family == "erdos_renyi" and spec.params[1] == 0 and count >= 2:
+        # no draw has an edge, so resampling could never succeed
+        raise FamilySpecError(f"erdos_renyi with p = 0 is never connected for n = {count} >= 2")
+    return build(*spec.params)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -642,18 +586,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     Vertex (a, b) receives index a * h.n + b, so distances add coordinatewise.
     """
-    n = g.n * h.n
-    edges = set()
-    for a in range(g.n):
-        base = a * h.n
-        for b1, b2 in h.edges:
-            edges.add((base + b1, base + b2))
-    for a1, a2 in g.edges:
-        for b in range(h.n):
-            edges.add((a1 * h.n + b, a2 * h.n + b))
+    # a copy of h's edges for every vertex a of g, then a copy of g's for every b
+    fibres = h.pairs + (np.arange(g.n) * h.n)[:, None, None]
+    layers = g.pairs[:, None, :] * h.n + np.arange(h.n)[:, None]
     labels = None
     if g.labels is not None or h.labels is not None:
         gl = g.labels or tuple(str(i) for i in range(g.n))
         hl = h.labels or tuple(str(i) for i in range(h.n))
         labels = tuple(f"({x},{y})" for x in gl for y in hl)
-    return Graph(n, frozenset(edges), labels)
+    pairs = np.concatenate([fibres.reshape(-1, 2), layers.reshape(-1, 2)])
+    return Graph(g.n * h.n, pairs, labels)

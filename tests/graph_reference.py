@@ -1,7 +1,8 @@
 """Per-edge Python graph code: what ``eqcurv.graphs`` ran before it held edges as an array.
 
 Kept as a differential oracle for ``Graph``'s array normalisation, for the
-array family generators and for the label-propagation ``is_connected``. The
+array family generators, for ``cartesian_product`` and for the
+label-propagation ``is_connected``. The
 module name has no ``test_`` prefix, so pytest does not collect it. It shares
 nothing with ``eqcurv.graphs``: every function takes plain integers and
 returns a frozenset of ``(u, v)`` tuples with ``u < v``, a tuple of labels,
@@ -122,6 +123,24 @@ def reference_complete_multipartite(*sizes: int):
     n = len(part)
     edges = {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
     return n, frozenset(edges), None
+
+
+def reference_cartesian_product(gn: int, g_edges, g_labels, hn: int, h_edges, h_labels):
+    """The box product by nested loops over both edge sets; vertex (a, b) is a * hn + b."""
+    edges = set()
+    for a in range(gn):
+        base = a * hn
+        for b1, b2 in h_edges:
+            edges.add((base + b1, base + b2))
+    for a1, a2 in g_edges:
+        for b in range(hn):
+            edges.add((a1 * hn + b, a2 * hn + b))
+    labels = None
+    if g_labels is not None or h_labels is not None:
+        gl = g_labels or tuple(str(i) for i in range(gn))
+        hl = h_labels or tuple(str(i) for i in range(hn))
+        labels = tuple(f"({x},{y})" for x in gl for y in hl)
+    return gn * hn, frozenset(edges), labels
 
 
 REFERENCE_FAMILIES = {

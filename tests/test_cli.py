@@ -14,8 +14,8 @@ import pytest
 
 import eqcurv
 import eqcurv.graphs as graphs_module
-from eqcurv import CurvatureStatus, Graph, compute_curvature
-from eqcurv.cli import main, render_dot, run_corpus
+from eqcurv import FAMILY_NAMES, CurvatureStatus, Graph, compute_curvature
+from eqcurv.cli import _THEOREMS, _parse_theorem_list, main, render_dot, run_corpus
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +70,14 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "tesseract:4")
         assert code == 1
         assert "cycle" in err and "johnson" in err
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_help_names_every_family(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        # the --family help lists the catalog as "(complete, cycle, ..., erdos_renyi)"
+        assert re.search(rf"[ (]{name}[,)]", capsys.readouterr().out)
 
     def test_oversized_family_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "compute", "--family", "hypercube:20")
@@ -138,6 +146,12 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "at least two vertices" in err
+
+    @pytest.mark.parametrize("name, alias", [
+        (name, alias) for name, aliases in _THEOREMS.items() for alias in aliases
+    ])
+    def test_every_alias_parses_to_its_theorem(self, name, alias):
+        assert _parse_theorem_list(alias) == [name]
 
     def test_unknown_theorem_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "cycle:5", "--theorems", "fermat")
@@ -262,6 +276,15 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "800aa7628252e94c9d1395b6f757c06b7e9c624db4ed63f2cf025c087c51f9da"
+        )
+
+    def test_export_dot_knight_3_4(self, capsys, tmp_path):
+        # the edge lines follow the sorted edge order, read off the pairs array
+        out_path = tmp_path / "knight.dot"
+        code, _, _ = run_cli(capsys, "export-dot", "--family", "knight:3,4", "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "3d5a9aea7403f9929bf1b60d241bc5ec473e24b1aab0dad337b4acd78a61d1aa"
         )
 
 

@@ -164,6 +164,25 @@ class TestCurvatureOfFamily:
         with pytest.raises(FamilySpecError, match="closed-form"):
             curvature_of_family(parse_family_spec("path:5"))
 
+    def test_complete_1_has_no_closed_form(self):
+        with pytest.raises(FamilySpecError, match="complete closed form needs n >= 2"):
+            curvature_of_family(parse_family_spec("complete:1"))
+
+    @pytest.mark.parametrize(
+        "text", ["cycle:2", "cycle:2.5", "johnson:3,5", "johnson:4,0", "demicube:-2", "hypercube:0"]
+    )
+    def test_refuses_the_specs_generate_refuses(self, text):
+        # these once gave a value (cycle:2.5 truncated to 2) or divided by zero
+        spec = parse_family_spec(text)
+        with pytest.raises(FamilySpecError, match=f"family '{spec.family}' expects"):
+            curvature_of_family(spec)
+        with pytest.raises(FamilySpecError, match=f"family '{spec.family}' expects"):
+            generate(spec)
+
+    def test_needs_no_vertex_limit(self):
+        # no graph is built, so a member past MAX_FAMILY_VERTICES has its closed form
+        assert curvature_of_family(parse_family_spec("hypercube:100")) == Fraction(1, 50)
+
     def test_small_families_match_pipeline(self):
         specs = (
             [f"complete:{n}" for n in range(2, 7)]

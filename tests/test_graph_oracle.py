@@ -1,8 +1,9 @@
 """``Graph``'s array layer against the per-edge Python code in ``tests/graph_reference.py``.
 
-The edge normalisation, the family generators and ``is_connected`` must give
-what the per-edge loop, the Python generators and a BFS give: the same edge
-set, the same adjacency, the same error for the same first bad pair.
+The edge normalisation, the family generators, ``cartesian_product`` and
+``is_connected`` must give what the per-edge loop, the Python generators, the
+nested product loops and a BFS give: the same edge set, the same labels, the
+same adjacency, the same error for the same first bad pair.
 """
 
 import random
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcurv import Graph, generate, is_connected, parse_family_spec
+from eqcurv import Graph, cartesian_product, generate, is_connected, parse_family_spec
 from graph_reference import (
     REFERENCE_FAMILIES,
     reference_adjacency,
+    reference_cartesian_product,
     reference_edges,
     reference_is_connected,
 )
@@ -130,6 +132,29 @@ def test_generator_matches_the_python_construction(family, params):
     g = generate(parse_family_spec(f"{family}:{params}"))
     n, edges, labels = REFERENCE_FAMILIES[family](*map(int, params.split(",")))
     assert (g.n, g.edges, g.labels) == (n, edges, labels)
+
+
+def reference_product(g, h):
+    return reference_cartesian_product(g.n, g.edges, g.labels, h.n, h.edges, h.labels)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("complete:2", "complete:2"),
+        ("hypercube:2", "hypercube:2"),
+        ("path:2", "path:3"),
+        ("erdos_renyi:5,0.6,3", "cycle:4"),
+        ("hypercube:2", "path:3"),  # labelled times unlabelled
+        ("cycle:5", "knight_board:3,4"),  # unlabelled times labelled
+        ("path:1", "johnson:4,2"),
+        ("complete:3", "path:1"),
+    ],
+)
+def test_cartesian_product_matches_the_loops(left, right):
+    g, h = generate(parse_family_spec(left)), generate(parse_family_spec(right))
+    product = cartesian_product(g, h)
+    assert (product.n, product.edges, product.labels) == reference_product(g, h)
 
 
 def relabelled(g, seed):

@@ -1,14 +1,18 @@
 """Graph construction, family generators, products, and BFS metrics."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from graph_reference import reference_cartesian_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqcurv.graphs as graphs_module
 from eqcurv import (
+    FAMILY_NAMES,
     DisconnectedGraphError,
     FamilySpec,
     FamilySpecError,
@@ -142,6 +146,8 @@ class TestFamilySpec:
             ("johnson:40,20", "137846528820"),
             ("cocktail_party:1000000000", "2000000000"),
             ("erdos_renyi:1000000000,0.5,1", "1000000000"),
+            ("hypercube:64", r"at least 2\^64"),
+            ("johnson:200,100", r"at least 2\^64"),
         ],
     )
     def test_oversized_family_refused_before_building(self, text, count):
@@ -152,6 +158,67 @@ class TestFamilySpec:
     def test_str_round_trip(self):
         spec = parse_family_spec("knight:7,7")
         assert parse_family_spec(str(spec)) == spec
+
+
+# per family: a valid member, a member below its range, and one past the
+# vertex limit with its vertex count
+CATALOG_CASES = {
+    "complete": ((3,), (0,), (4097,), 4097),
+    "cycle": ((4,), (2,), (5000,), 5000),
+    "path": ((3,), (0,), (4097,), 4097),
+    "hypercube": ((2,), (0,), (13,), 8192),
+    "cocktail_party": ((2,), (1,), (2049,), 4098),
+    "johnson": ((4, 2), (3, 5), (20, 10), 184756),
+    "demicube": ((3,), (1,), (14,), 8192),
+    "complete_multipartite": ((1, 2), (0, 2), (4000, 97), 4097),
+    "knight_board": ((3, 4), (0, 3), (64, 65), 4160),
+    "erdos_renyi": ((5, 0.5, 1), (5, 1.5, 1), (4097, 0.5, 1), 4097),
+}
+
+
+def test_catalog_cases_cover_every_family():
+    assert tuple(CATALOG_CASES) == FAMILY_NAMES
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+class TestCatalog:
+    def refused(self, name, params):
+        with pytest.raises(FamilySpecError, match=f"^family '{name}' expects "):
+            generate(FamilySpec(name, params))
+
+    def test_valid_member_builds(self, name):
+        assert is_connected(generate(FamilySpec(name, CATALOG_CASES[name][0])))
+
+    def test_wrong_arity(self, name):
+        valid = CATALOG_CASES[name][0]
+        self.refused(name, valid[:-1])
+        if name != "complete_multipartite":  # takes any number of part sizes from two up
+            self.refused(name, valid + (1,))
+
+    def test_bool(self, name):
+        valid = CATALOG_CASES[name][0]
+        self.refused(name, (True,) + valid[1:])
+        self.refused(name, valid[:-1] + (False,))
+
+    def test_float_where_an_int_is_due(self, name):
+        valid = CATALOG_CASES[name][0]
+        self.refused(name, (float(valid[0]),) + valid[1:])
+        self.refused(name, valid[:-1] + (float(valid[-1]),))
+
+    def test_below_range(self, name):
+        self.refused(name, CATALOG_CASES[name][1])
+
+    def test_oversized_member_refused_before_building(self, name, monkeypatch):
+        def build(*params):
+            raise AssertionError("built an oversized member")
+
+        entry = graphs_module._FAMILIES[name]
+        monkeypatch.setitem(graphs_module._FAMILIES, name, entry[:-1] + (build,))
+        *_, params, count = CATALOG_CASES[name]
+        spec = FamilySpec(name, params)
+        with pytest.raises(FamilySpecError, match=rf"^{re.escape(str(spec))} would have {count} "
+                                                  rf"vertices; the limit is 4096$"):
+            generate(spec)
 
 
 class TestGenerators:
@@ -280,8 +347,8 @@ class TestCartesianProduct:
     def test_distances_add_coordinatewise(self):
         a = fam("erdos_renyi:5,0.6,3")
         b = fam("cycle:4")
-        da, db = apsp(a), apsp(b)
-        dp = apsp(cartesian_product(a, b))
+        da, db = apsp(a).entries, apsp(b).entries
+        dp = apsp(cartesian_product(a, b)).entries
         for g1 in range(a.n):
             for h1 in range(b.n):
                 for g2 in range(a.n):
@@ -327,7 +394,7 @@ class TestMetrics:
     def test_hypercube_distance_is_hamming(self):
         for n in range(1, 7):
             g = fam(f"hypercube:{n}")
-            d = apsp(g)
+            d = apsp(g).entries
             for i in range(g.n):
                 for j in range(g.n):
                     assert d[i, j] == bin(i ^ j).count("1")
@@ -337,7 +404,7 @@ class TestMetrics:
             for k in range(1, n):
                 g = fam(f"johnson:{n},{k}")
                 subsets = list(combinations(range(n), k))
-                d = apsp(g)
+                d = apsp(g).entries
                 for i, a in enumerate(subsets):
                     for j, b in enumerate(subsets):
                         assert d[i, j] == k - len(set(a) & set(b))
@@ -375,4 +442,7 @@ def test_distance_matrix_invariants_hold_for_products(left, right):
     if a.n * b.n > 150 or not is_connected(a) or not is_connected(b):
         return
     g = cartesian_product(a, b)
+    assert (g.n, g.edges, g.labels) == reference_cartesian_product(
+        a.n, a.edges, a.labels, b.n, b.edges, b.labels
+    )
     apsp(g).validate(g)
