@@ -60,7 +60,6 @@ from .theorems import (
     check_reverse_bonnet_myers,
     check_theorem5,
     perron_alignment,
-    simplex_measures,
     spectral_criterion,
     spectral_gap,
 )
@@ -110,5 +109,4 @@ __all__ = [
     "spectral_criterion",
     "perron_alignment",
     "check_product_curvature",
-    "simplex_measures",
 ]

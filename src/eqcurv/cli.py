@@ -2,8 +2,9 @@
 random corpora, and export curvature-colored DOT files.
 
 All reports are JSON with ``schema_version`` "2". Rational values are carried
-as exact "p/q" strings next to floating approximations. Every random choice
-flows from the --seed flag, so identical invocations are byte-identical.
+as exact "p/q" strings next to floating approximations. Every random graph of
+a corpus flows from its --seed flag, so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ def run_verifiers(
     result: CurvatureResult,
     info: SpectralInfo,
     names: Sequence[str],
-    seed: int,
 ) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
     for name in names:
@@ -147,21 +147,16 @@ def run_verifiers(
         elif name == "lichnerowicz":
             reports.append(check_lichnerowicz(g, result, info))
         elif name == "minimax":
-            reports.append(check_minimax(g, result, seed=seed))
+            reports.append(check_minimax(g, result))
         elif name == "theorem5":
             ones = check_theorem5(g, [1] * g.n, info)
             reports.append(replace(ones, notes=ones.notes + ("weights: all-ones",)))
             # the curvature vector itself qualifies whenever it is positive,
             # pseudo solutions included
-            if result.is_exact:
-                w_positive = min(result.w) > 0
-                variant = "weights: curvature solution"
-            else:
-                w_positive = bool(np.min(result.w) > 0)
-                variant = "weights: pseudo solution"
-            if w_positive:
+            if min(result.w) > 0:
+                variant = "curvature solution" if result.is_exact else "pseudo solution"
                 with_w = check_theorem5(g, result.w, info)
-                reports.append(replace(with_w, notes=with_w.notes + (variant,)))
+                reports.append(replace(with_w, notes=with_w.notes + (f"weights: {variant}",)))
         elif name == "spectral_criterion":
             reports.append(spectral_criterion(info, result.status))
         elif name == "perron_alignment":
@@ -240,12 +235,15 @@ def render_dot(g: Graph, result: CurvatureResult) -> str:
 # ---------------------------------------------------------------------------
 
 def analyze_graph(
-    g: Graph, seed: int, names: Sequence[str] = THEOREM_NAMES
+    g: Graph, seed: int | None = None, names: Sequence[str] = THEOREM_NAMES
 ) -> tuple[CurvatureResult, SpectralInfo, list[TheoremReport]]:
-    """Curvature, spectral data and the named verifiers (all by default) of one connected graph."""
+    """Curvature, spectral data and the named verifiers (all by default) of one connected graph.
+
+    ``seed`` is accepted and ignored: every verifier is deterministic.
+    """
     result = compute_curvature(g)
     info = spectral_gap(g)
-    return result, info, run_verifiers(g, result, info, names, seed)
+    return result, info, run_verifiers(g, result, info, names)
 
 
 def run_corpus(
@@ -265,7 +263,7 @@ def run_corpus(
         p_i = p if p is not None else rng.uniform(0.25, 0.75)
         graph_seed = rng.randrange(2**32)
         g = generate(FamilySpec("erdos_renyi", (n, p_i, graph_seed)))
-        result, info, reports = analyze_graph(g, graph_seed)
+        result, info, reports = analyze_graph(g)
         crit = next(r for r in reports if r.theorem == "spectral_criterion")
         records.append(
             {
@@ -333,8 +331,8 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     names = _parse_theorem_list(args.theorems)
     g, source = _load_graph(args)
-    result, info, reports = analyze_graph(g, args.seed, names)
-    report = build_analysis_report(g, source, None, result, info, reports, args.seed)
+    result, info, reports = analyze_graph(g, names=names)
+    report = build_analysis_report(g, source, None, result, info, reports)
     print(json.dumps(report, indent=2))
     return 2 if any(r.failed for r in reports) else 0
 
@@ -392,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run theorem verifiers (exit 2 on any failure)")
     _add_source_arguments(verify)
     verify.add_argument("--theorems", default="all", help="'all' or comma list of theorem names")
-    verify.add_argument("--seed", type=int, default=0, help="seed for random measures")
     verify.set_defaults(func=cmd_verify)
 
     corpus = sub.add_parser("corpus", help="verify a seeded random-graph corpus")

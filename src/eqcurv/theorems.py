@@ -3,23 +3,23 @@
 Each checker returns a TheoremReport. Inequalities between exact rational
 quantities are compared with rational equality (zero tolerance); wherever a
 floating eigenvalue enters, the floating side gets a one-sided 1e-9 absolute
-slack so numerical noise can never fail a true statement. Reports distinguish
-"hypothesis unmet" (not applicable, counts as passed) from a genuine failed
-inequality.
+slack so numerical noise can never fail a true statement. Nothing is sampled:
+the minimax bracketing is proved for every measure at once through the sharp
+measure nu* and the symmetry of D, and theorem5 takes float weights at their
+exact dyadic values. Reports distinguish "hypothesis unmet" (not applicable,
+counts as passed) from a genuine failed inequality.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log, sqrt
-from typing import Sequence
+from math import isfinite, lcm, sqrt
 
 import numpy as np
 
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
-from .graphs import DistanceMatrix, Graph, _random_block, cartesian_product
+from .graphs import DistanceMatrix, Graph, cartesian_product
 from .linalg import integer_matmul, symmetric_eigen
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "spectral_criterion",
     "perron_alignment",
     "check_product_curvature",
-    "simplex_measures",
 ]
 
 FLOAT_SLACK = 1e-9
@@ -84,7 +83,6 @@ class TheoremReport:
     checks: tuple[InequalityCheck, ...]
     passed: bool
     notes: tuple[str, ...] = ()
-    seed: int | None = None
 
     @property
     def failed(self) -> bool:
@@ -245,55 +243,22 @@ def check_lichnerowicz(g: Graph, result: CurvatureResult, info: SpectralInfo) ->
     return TheoremReport("lichnerowicz", True, checks, passed)
 
 
-def simplex_measures(n: int, count: int, seed: int) -> list[np.ndarray]:
-    """Seeded random probability measures: normalized independent exponentials.
-
-    Each entry is ``expovariate(1.0) = -log(1 - u)`` for the next ``u`` of
-    ``random.Random(seed).random()``, and each measure divides its ``n``
-    entries by their left-to-right Python sum. All ``n * count`` values of
-    ``u`` come from one ``_random_block`` draw, which is bit-identical to the
-    per-call stream; the log is ``math.log``, as in ``expovariate``, because
-    ``np.log`` may differ from it in the last bit. So every measure is equal
-    byte for byte to ``count`` rows of ``n`` calls of ``rng.expovariate(1.0)``.
-    """
-    if n < 0:
-        raise ValueError(f"simplex_measures needs n >= 0, got {n}")
-    if count < 0:
-        raise ValueError(f"simplex_measures needs count >= 0, got {count}")
-    u = _random_block(random.Random(seed), n * count)
-    e = -np.fromiter(map(log, (1.0 - u).tolist()), float, u.size).reshape(count, n)
-    return [row / sum(row.tolist()) for row in e]
-
-
-def _validate_measures(batch: np.ndarray) -> None:
-    """Check that every column of ``batch`` is a probability measure."""
-    if not np.isfinite(batch).all():
-        raise ValueError("measure has a non-finite entry")
-    if batch.min() < 0:
-        raise ValueError("measure has a negative entry")
-    if np.abs(batch.sum(axis=0) - 1.0).max() > 1e-12:
-        raise ValueError("measure does not sum to 1 within 1e-12")
-
-
 def check_minimax(
     g: Graph,
     result: CurvatureResult,
-    measures: Sequence[np.ndarray] | np.ndarray | None = None,
     *,
-    seed: int = 0,
-    n_random: int = 100,
+    seed: int | None = None,
     dm: DistanceMatrix | None = None,
 ) -> TheoremReport:
     """min_a (D nu)_a <= n/||w||_1 <= max_b (D nu)_b for every probability measure nu.
 
-    The battery is every vertex point mass, the uniform measure, the sharp
-    measure nu* = w/||w||_1 (checked to achieve equality on both sides), and
-    ``n_random`` seeded random simplex draws; ``measures`` replaces the random
-    part when given, as vectors or as the rows of a ``count x n`` array.
-    Exact measures are checked in rational arithmetic, random ones in
-    floating point with the usual slack. ``dm`` defaults to
-    ``g.distance_matrix``. A given measure that is not 1-D of length ``n``, or
-    not a probability measure, raises ``ValueError``.
+    Every check is exact. Under the hypothesis K >= 0, nu* = w/||w||_1 is a
+    probability measure; once ``D nu* = alpha * 1`` and ``D = D^T`` are
+    checked, every nu satisfies ``min_a (D nu)_a <= nu*.(D nu) = nu.(D nu*) =
+    alpha <= max_b (D nu)_b``, so the statement holds for all measures at
+    once. The point masses and the uniform measure are checked directly as
+    well. ``dm`` defaults to ``g.distance_matrix``; ``seed`` is accepted and
+    ignored, as no measure is drawn at random.
     """
     reason = _exact_hypothesis(result)
     if reason is not None:
@@ -304,7 +269,6 @@ def check_minimax(
     total: Fraction = result.total
     alpha = Fraction(n) / total
     checks: list[InequalityCheck] = []
-    notes: list[str] = []
 
     # point masses: (D e_a)_i = d(i, a); the min side is 0 at i = a, the max
     # side is the eccentricity of a
@@ -355,35 +319,35 @@ def check_minimax(
         )
     )
 
-    if measures is None:
-        measures = simplex_measures(n, n_random, seed)
-        notes.append(f"{n_random} random simplex measures from seed {seed}")
-    if len(measures):
-        columns = [np.asarray(m, dtype=float) for m in measures]
-        if any(c.shape != (n,) for c in columns):
-            raise ValueError("measure length does not match the vertex count")
-        batch = np.column_stack(columns)
-        _validate_measures(batch)
-        values = dm.entries.astype(float) @ batch
-        worst_min = float(values.min(axis=0).max())
-        worst_max = float(values.max(axis=0).min())
-        alpha_f = float(alpha)
-        checks.append(
-            InequalityCheck(
-                "random: worst min side <= alpha",
-                _q("max over nu of min (D nu)", worst_min), "<=", _q("alpha", alpha),
-                worst_min <= alpha_f + FLOAT_SLACK, False,
-            )
+    # D = D^T and D nu* = alpha * 1 give the bracketing for every measure
+    symmetric = bool(np.array_equal(dm.entries, dm.entries.T))
+    sharp = lo == alpha == hi
+    checks.append(
+        InequalityCheck(
+            "every nu: min (D nu)_a <= alpha <= max (D nu)_b",
+            _q("D == D^T", int(symmetric)), "and", _q("D nu* == alpha * 1", int(sharp)),
+            symmetric and sharp, True,
         )
-        checks.append(
-            InequalityCheck(
-                "random: alpha <= worst max side",
-                _q("alpha", alpha), "<=", _q("min over nu of max (D nu)", worst_max),
-                alpha_f <= worst_max + FLOAT_SLACK, False,
-            )
-        )
+    )
+    notes = (
+        "D = D^T and D nu* = alpha * 1 give, for every nu, "
+        "min_a (D nu)_a <= nu*.(D nu) = nu.(D nu*) = alpha <= max_b (D nu)_b",
+    )
     passed = all(c.holds for c in checks)
-    return TheoremReport("minimax", True, tuple(checks), passed, tuple(notes), seed)
+    return TheoremReport("minimax", True, tuple(checks), passed, notes)
+
+
+def _exact_weight(x) -> Fraction:
+    """``x`` as a Fraction; a float becomes its exact dyadic value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        # Fraction(np.int64) would keep a wrapping int64 numerator
+        return Fraction(int(x))
+    x = float(x)
+    if not isfinite(x):
+        raise ValueError("theorem5 needs every entry of w to be finite")
+    return Fraction(x)
 
 
 def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
@@ -391,43 +355,30 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
 
     For any w > 0 with K = min_i w_i:
     ``diam(G) <= (||Dw||_inf / n) * 8/K`` and ``lambda_1 >= K / (8 ||Dw||_inf)``.
-    Unlike the other checkers, w need not solve the distance system.
+    Unlike the other checkers, w need not solve the distance system. Float
+    entries are taken at their exact dyadic values, so the diameter bound is
+    always checked in rational arithmetic.
     """
     w_list = list(w)
     if len(w_list) != g.n:
         raise ValueError("w length does not match the vertex count")
-    exact = all(isinstance(x, (int, Fraction, np.integer)) for x in w_list)
+    w_frac = [_exact_weight(x) for x in w_list]
+    if min(w_frac) <= 0:
+        raise ValueError("theorem5 needs every entry of w to be positive")
     dm = g.distance_matrix
     n = g.n
     diam = dm.diameter()
-    if exact:
-        # Fraction(np.int64) would keep a wrapping int64 numerator
-        w_frac = [x if isinstance(x, Fraction) else Fraction(int(x)) for x in w_list]
-        if min(w_frac) <= 0:
-            raise ValueError("theorem5 needs every entry of w to be positive")
-        k_val: Fraction | float = min(w_frac)
-        den = lcm(*(x.denominator for x in w_frac))
-        nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
-        dw_inf: Fraction | float = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)
-        diam_bound: Fraction | float = (dw_inf / n) * (8 / k_val)
-        diam_holds = diam <= diam_bound
-        lam_bound: Fraction | float = k_val / (8 * dw_inf)
-    else:
-        w_arr = np.asarray(w_list, dtype=float)
-        if not np.isfinite(w_arr).all():
-            raise ValueError("theorem5 needs every entry of w to be finite")
-        if w_arr.min() <= 0:
-            raise ValueError("theorem5 needs every entry of w to be positive")
-        k_val = float(w_arr.min())
-        dw_inf = float(np.abs(dm.entries.astype(float) @ w_arr).max())
-        diam_bound = (dw_inf / n) * (8.0 / k_val)
-        diam_holds = diam <= diam_bound + FLOAT_SLACK
-        lam_bound = k_val / (8.0 * dw_inf)
+    k_val = min(w_frac)
+    den = lcm(*(x.denominator for x in w_frac))
+    nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
+    dw_inf = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)
+    diam_bound = (dw_inf / n) * (8 / k_val)
+    lam_bound = k_val / (8 * dw_inf)
     checks = (
         InequalityCheck(
             "diam <= (||Dw||_inf/n) * 8/K",
             _q("diam", diam), "<=", _q("(||Dw||_inf/n)*8/K", diam_bound),
-            bool(diam_holds), exact,
+            diam <= diam_bound, True,
         ),
         InequalityCheck(
             "lambda_1 >= K/(8 ||Dw||_inf)",

@@ -121,6 +121,20 @@ class TestVerify:
         bm = next(t for t in report["theorems"] if t["theorem"] == "bonnet_myers")
         assert bm["passed"] and any("diam * K == 2" in n for n in bm["notes"])
 
+    def test_report_carries_no_seed(self, capsys):
+        # nothing in verify is random: the report's seed is null, no theorem
+        # report has one, and there is no --seed option to set
+        code, out, _ = run_cli(capsys, "verify", "--family", "cycle:5", "--theorems", "minimax")
+        assert code == 0
+        report = json.loads(out)
+        assert report["seed"] is None
+        (entry,) = report["theorems"]
+        assert "seed" not in entry
+        assert all(c["exact_arithmetic"] for c in entry["checks"])
+        with pytest.raises(SystemExit):
+            main(["verify", "--family", "cycle:5", "--seed", "0"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_complete5_reverse_bm_equality(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "complete:5", "--theorems", "reverse_bm"
@@ -245,8 +259,8 @@ class TestCorpus:
 class TestByteIdentity:
     """Pinned sha256 of whole outputs, float digits included.
 
-    The minimax battery's random measures and the corpus graphs come from
-    seeded streams; a faster draw must leave every bit of both unchanged.
+    The corpus graphs come from one seeded stream, and every verifier is
+    deterministic; a faster draw or solve must leave every bit unchanged.
     The hashes were recorded with numpy 2.4 (OpenBLAS) on x86-64.
     """
 
@@ -254,7 +268,7 @@ class TestByteIdentity:
         code, out, _ = run_cli(capsys, "verify", "--family", "hypercube:6", "--theorems", "all")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "77ddaff8982a40fe03dba0acdd7f4a86a65f05187af00e3d5fc1b2c84a9add2a"
+            "3509fe41f50af6b620aa9f43fb3664b059afc271649ac9da12cf6e2c5731072f"
         )
 
     def test_verify_all_on_a_canonical_random_graph(self, capsys):
@@ -266,7 +280,7 @@ class TestByteIdentity:
         assert code == 0
         assert '"status": "exact_canonical"' in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7572a2381160235577a4f1aba0811730b7db45e0ad997c4452911ce1be640f4a"
+            "22b40d6cb5b5cc438755e1fde6911835abd6d94c41cffd2f2de3f76753a97699"
         )
 
     def test_seeded_corpus_json_lines(self, capsys):

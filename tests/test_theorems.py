@@ -1,13 +1,18 @@
 """Theorem verifiers: spectral gap, the inequality suite, and the product law."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqcurv import (
     CurvatureStatus,
+    DistanceMatrix,
     apsp,
     cartesian_product,
     check_bonnet_myers,
@@ -21,7 +26,6 @@ from eqcurv import (
     generate,
     parse_family_spec,
     perron_alignment,
-    simplex_measures,
     spectral_criterion,
     spectral_gap,
 )
@@ -208,65 +212,46 @@ class TestMinimax:
         zero_check = next(c for c in report.checks if "0 <= alpha" in c.label)
         assert zero_check.holds
 
-    def test_explicit_measures_and_validation(self):
-        g, dm, result, _ = analyzed("cycle:5")
-        good = [np.full(5, 0.2)]
-        assert check_minimax(g, result, measures=good, dm=dm).passed
-        with pytest.raises(ValueError, match="sum to 1"):
-            check_minimax(g, result, measures=[np.full(5, 0.3)], dm=dm)
-        with pytest.raises(ValueError, match="negative"):
-            check_minimax(g, result, measures=[np.array([1.5, -0.5, 0, 0, 0])], dm=dm)
-        with pytest.raises(ValueError, match="non-finite"):
-            check_minimax(g, result, measures=[np.array([np.nan, 0.5, 0.5, 0, 0])], dm=dm)
-
-    def test_wrong_length_measure(self):
-        g, dm, result, _ = analyzed("cycle:5")
-        with pytest.raises(ValueError, match="length"):
-            check_minimax(g, result, measures=[np.full(4, 0.25)], dm=dm)
-        # measures of different lengths, and a 2-D one, fail the same way
-        with pytest.raises(ValueError, match="measure length does not match the vertex count"):
-            check_minimax(g, result, measures=[np.full(5, 0.2), np.full(4, 0.25)], dm=dm)
-        with pytest.raises(ValueError, match="measure length does not match the vertex count"):
-            check_minimax(g, result, measures=[np.full((5, 1), 0.2)], dm=dm)
-
-    def test_two_dimensional_measure_array(self):
-        # a count x n array is the list of its rows; an empty one adds no random check
-        g, dm, result, _ = analyzed("knight_board:3,4")
-        rows = simplex_measures(g.n, 7, seed=2)
-        batch = np.array(rows)
-        assert batch.shape == (7, g.n)
-        report = check_minimax(g, result, measures=batch, dm=dm)
-        assert report == check_minimax(g, result, measures=rows, dm=dm)
-        assert len(report.checks) == 8
-        empty = check_minimax(g, result, measures=np.zeros((0, g.n)), dm=dm)
-        assert empty == check_minimax(g, result, measures=[], dm=dm)
-        assert len(empty.checks) == 6
-
-    def test_simplex_measures_deterministic(self):
-        a = simplex_measures(6, 5, seed=3)
-        b = simplex_measures(6, 5, seed=3)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        for nu in a:
-            assert abs(nu.sum() - 1.0) <= 1e-12 and nu.min() >= 0
-
-    def test_simplex_measures_sizes(self):
-        with pytest.raises(ValueError, match="n >= 0"):
-            simplex_measures(-1, 3, 0)
-        with pytest.raises(ValueError, match="count >= 0"):
-            simplex_measures(3, -1, 0)
-        with pytest.raises(ValueError, match="n >= 0"):
-            simplex_measures(-2, -2, 0)
-        empty = simplex_measures(0, 3, 0)
-        assert len(empty) == 3 and all(nu.shape == (0,) and nu.dtype == float for nu in empty)
-        assert simplex_measures(4, 0, 0) == []
-
     def test_random_battery_on_sample_graphs(self):
+        # seven exact checks, the last one proving the bracketing for every nu
         for text in ("erdos_renyi:9,0.5,7", "johnson:5,2", "cocktail_party:3"):
             g, dm, result, _ = analyzed(text)
-            report = check_minimax(g, result, seed=11, n_random=50, dm=dm)
+            report = check_minimax(g, result, dm=dm)
             assert report.hypothesis_satisfied, text
             assert report.passed, text
-            assert report.seed == 11
+            assert len(report.checks) == 7, text
+            assert all(c.exact_arithmetic for c in report.checks), text
+            every = report.checks[-1]
+            assert every.label.startswith("every nu") and every.holds, text
+            assert (every.lhs.exact, every.rhs.exact) == ("1", "1"), text
+
+    def test_seed_is_ignored(self):
+        g, dm, result, _ = analyzed("knight_board:3,4")
+        assert check_minimax(g, result, seed=5, dm=dm) == check_minimax(g, result)
+
+    def test_asymmetric_distance_matrix_fails_the_proof(self):
+        # the same result with one entry of D moved off the diagonal mirror:
+        # nu* still equalizes, but nu.(D nu*) = nu*.(D nu) no longer holds
+        g, dm, result, _ = analyzed("cycle:6")
+        entries = dm.entries.copy()
+        entries[0, 3] += 1
+        report = check_minimax(g, result, dm=DistanceMatrix(entries))
+        every = report.checks[-1]
+        assert every.label.startswith("every nu")
+        assert not every.holds and every.lhs.exact == "0" and every.rhs.exact == "1"
+        assert report.failed
+
+    def test_residuals_off_n_fail_the_proof(self):
+        # a forged exact result with K >= 0 whose D w is not n * 1
+        g, dm, result, _ = analyzed("cycle:6")
+        n = Fraction(g.n)
+        forged = replace(result, residual_range=(n, n + 1))
+        report = check_minimax(g, forged, dm=dm)
+        assert report.hypothesis_satisfied
+        every = report.checks[-1]
+        assert every.label.startswith("every nu")
+        assert not every.holds and every.lhs.exact == "1" and every.rhs.exact == "0"
+        assert report.failed
 
     def test_negative_curvature_not_applicable(self):
         g, dm, result, _ = analyzed("erdos_renyi:9,0.4,5")
@@ -284,6 +269,39 @@ class TestMinimax:
             alpha = Fraction(g.n) / result.total
             assert Fraction(uniform[0].lhs.exact) == alpha, text
             assert Fraction(uniform[1].rhs.exact) == alpha, text
+
+
+# exact graphs with K >= 0: closed-form families and random graphs, some with
+# constant curvature, some with a nonconstant unique or canonical solution
+MINIMAX_ORACLE_SPECS = (
+    "cycle:5", "cycle:6", "path:4", "complete:4", "hypercube:3", "johnson:5,2",
+    "cocktail_party:3", "demicube:4", "knight_board:3,4", "complete_multipartite:2,3",
+    "erdos_renyi:5,0.5,9", "erdos_renyi:6,0.5,8", "erdos_renyi:6,0.6,10",
+    "erdos_renyi:7,0.5,1", "erdos_renyi:8,0.5,8", "erdos_renyi:9,0.5,7",
+    "erdos_renyi:10,0.5,3",
+)
+
+
+@lru_cache(maxsize=None)
+def minimax_case(text):
+    g, dm, result, _ = analyzed(text)
+    assert result.is_exact and result.K >= 0, text
+    return g, [[int(d) for d in row] for row in dm.entries.tolist()], result
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(MINIMAX_ORACLE_SPECS), data=st.data())
+def test_minimax_bracketing_holds_for_drawn_rational_measures(text, data):
+    # nu = weights / sum over the rationals: the bracketing that check_minimax
+    # proves for every nu must hold for each one, with no slack
+    g, rows, result = minimax_case(text)
+    weights = data.draw(st.lists(st.integers(1, 10**6), min_size=g.n, max_size=g.n))
+    total = sum(weights)
+    nu = [Fraction(x, total) for x in weights]
+    d_nu = [sum(d * x for d, x in zip(row, nu)) for row in rows]
+    alpha = Fraction(g.n) / result.total
+    assert min(d_nu) <= alpha <= max(d_nu)
+    assert check_minimax(g, result).passed
 
 
 class TestTheorem5:
@@ -310,7 +328,9 @@ class TestTheorem5:
         assert w.min() > 0  # entries within [0.65, 0.99]
         report = check_theorem5(g, w, info)
         assert report.passed
-        assert not report.checks[0].exact_arithmetic
+        # the float weights are taken at their exact dyadic values
+        assert report.checks[0].exact_arithmetic
+        assert Fraction(report.checks[0].rhs.exact).denominator > 1
 
     def test_nonpositive_entry_rejected(self):
         g, dm, result, info = analyzed("cycle:5")
