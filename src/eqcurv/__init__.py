@@ -3,11 +3,12 @@
 The curvature vector w of a connected graph on n vertices solves the distance
 system ``D w = n * 1``. This package builds D exactly, classifies solvability
 over the rationals (unique / affine family / none), canonicalizes
-multi-solution cases by the max-min criterion, falls back to the Moore-Penrose
-pseudo-inverse when no solution exists, and verifies the accompanying theorem
-suite (Bonnet-Myers with rigidity, its reverse, Lichnerowicz, the minimax
-bracketing, generalized bounds for arbitrary positive weights, and a spectral
-solvability criterion) on built-in graph families and user-supplied graphs.
+multi-solution cases by the max-min criterion, falls back to the exact
+Moore-Penrose solution when no solution exists (so every curvature value is a
+Fraction), and verifies the accompanying theorem suite (Bonnet-Myers with
+rigidity, its reverse, Lichnerowicz, the minimax bracketing, generalized bounds
+for arbitrary positive weights, and a spectral solvability criterion) on
+built-in graph families and user-supplied graphs.
 """
 
 __version__ = "0.1.0"

@@ -18,8 +18,6 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
 from .graphs import (
@@ -62,15 +60,8 @@ THEOREM_NAMES = tuple(_THEOREMS)
 _THEOREM_ALIASES = {alias: name for name, aliases in _THEOREMS.items() for alias in aliases}
 
 
-def _frac_payload(x: Fraction | int) -> dict:
-    f = Fraction(x)
-    return {"exact": str(f), "float": float(f)}
-
-
-def _value_payload(x) -> dict:
-    if isinstance(x, (Fraction, int, np.integer)):
-        return _frac_payload(Fraction(x))
-    return {"exact": None, "float": float(x)}
+def _frac_payload(x: Fraction) -> dict:
+    return {"exact": str(x), "float": float(x)}
 
 
 def graph_payload(g: Graph, source: str, dm: DistanceMatrix | None = None) -> dict:
@@ -89,10 +80,10 @@ def graph_payload(g: Graph, source: str, dm: DistanceMatrix | None = None) -> di
 def curvature_payload(result: CurvatureResult) -> dict:
     return {
         "status": result.status.value,
-        "w": [_value_payload(x) for x in result.w],
-        "k": {**_value_payload(result.K), "pseudo": not result.is_exact},
-        "total": _value_payload(result.total),
-        "residual_range": [_value_payload(x) for x in result.residual_range],
+        "w": [_frac_payload(x) for x in result.w],
+        "k": {**_frac_payload(result.K), "pseudo": not result.is_exact},
+        "total": _frac_payload(result.total),
+        "residual_range": [_frac_payload(x) for x in result.residual_range],
         "nullspace_dimension": result.nullspace_dimension,
     }
 
@@ -217,11 +208,10 @@ def render_dot(g: Graph, result: CurvatureResult) -> str:
     scale = max((abs(v) for v in values), default=0.0) or 1.0
     lines = ["graph curvature {", "  node [shape=circle, style=filled];"]
     for i in range(g.n):
-        shown = str(result.w[i]) if result.is_exact else f"{values[i]:.4g}"
         color = _diverging_color(values[i] / scale)
         name = g.labels[i].replace("\\", "\\\\").replace('"', '\\"') if g.labels else str(i)
         lines.append(
-            f'  {i} [label="{name}\\n{shown}", tooltip="w[{i}] = {shown}", '
+            f'  {i} [label="{name}\\n{result.w[i]}", tooltip="w[{i}] = {result.w[i]}", '
             f'fillcolor="{color}"];'
         )
     for u, v in g.pairs.tolist():

@@ -1,5 +1,5 @@
-"""Curvature pipeline: distance matrix -> exact solve -> canonical choice ->
-pseudo-inverse fallback -> summary quantities.
+"""Curvature pipeline: distance matrix -> exact solve -> canonical choice or
+exact pseudo-inverse -> summary quantities, all in exact rationals.
 
 The curvature vector w of a connected graph on n vertices solves
 ``D w = n * 1`` over the hop-count distance matrix D: a signed vertex measure
@@ -47,20 +47,21 @@ class CurvatureStatus(Enum):
 class CurvatureResult:
     """Per-vertex curvature with its solvability classification.
 
-    For the Exact* statuses ``w``, ``K``, ``total`` and ``residual_range``
-    are Fractions read off one integer point ``nums / den``, and
+    ``w``, ``K``, ``total`` and ``residual_range`` are Fractions for every
+    status, read off one integer point ``nums / den``. For the Exact* statuses
     ``D w = n * 1`` holds with rational equality, so ``residual_range ==
     (n, n)``: for EXACT_UNIQUE by ``solve_exact``'s integer certificate over
     every row, for EXACT_CANONICAL by an exact product ``D nums``. For
-    INCONSISTENT, ``w`` is the floating pseudo-inverse solution and K is only
+    INCONSISTENT, ``w`` is the exact Moore-Penrose solution ``D^+ (n * 1)``,
+    its residual range comes from the exact product ``D nums``, and K is only
     a pseudo lower bound (the exact-solution theorems do not apply to it).
     """
 
     status: CurvatureStatus
-    w: tuple[Fraction, ...] | np.ndarray
-    K: Fraction | float
-    total: Fraction | float
-    residual_range: tuple[Fraction, Fraction] | tuple[float, float]
+    w: tuple[Fraction, ...]
+    K: Fraction
+    total: Fraction
+    residual_range: tuple[Fraction, Fraction]
     nullspace_dimension: int
 
     @property
@@ -97,20 +98,21 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
 
     Solves ``D w = n * 1`` exactly. A unique solution is returned as-is; an
     affine family is canonicalized to the max-min solution; an inconsistent
-    system falls back to the pseudo-inverse with floating arithmetic. ``dm``
+    system falls back to the exact pseudo-inverse solution. ``dm``
     defaults to ``g.distance_matrix``. The result is made once per distance
     matrix and cached on it, like the solve, so every caller shares one
     max-min LP.
 
-    Every exact result is read off one point ``(nums, den)`` of integer
-    numerators over one denominator: ``solve_exact``'s particular solution if
-    unique, ``(n * 1, R)`` for constant row sums R, else ``lp_max_min`` of
-    that solution and the integer kernel rows. Its residual range, min/max of
-    ``(D w)_i``, is ``(n, n)`` for a unique solution on the strength of
-    ``solve_exact``'s certificate: full rank makes every row a pivot row, so
-    ``D nums == den * n * 1`` has already held in exact integers on all n
-    equations. For the max-min point, another member of the family, ``D nums``
-    is multiplied out in integers; an inconsistent system's is a float product.
+    Every result is read off one point ``(nums, den)`` of integer numerators
+    over one denominator: ``solve_exact``'s particular solution if unique,
+    ``(n * 1, R)`` for constant row sums R, else ``lp_max_min`` of that
+    solution and the integer kernel rows; for an inconsistent system,
+    ``pseudo_apply`` of ``n * 1`` and the kernel rows. Its residual range,
+    min/max of ``(D w)_i``, is ``(n, n)`` for a unique solution on the
+    strength of ``solve_exact``'s certificate: full rank makes every row a
+    pivot row, so ``D nums == den * n * 1`` has already held in exact
+    integers on all n equations. For every other point ``D nums`` is
+    multiplied out in integers.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -121,22 +123,12 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
     n = dm.n
     outcome = _distance_solve(dm)
 
-    if outcome.status is SolveStatus.INCONSISTENT:
-        w_arr = pseudo_apply(dm.entries.astype(float), np.full(n, float(n)))
-        w_arr.setflags(write=False)
-        residuals = dm.entries.astype(float) @ w_arr
-        return CurvatureResult(
-            CurvatureStatus.INCONSISTENT,
-            w_arr,
-            float(np.min(w_arr)),
-            float(np.abs(w_arr).sum()),
-            (float(residuals.min()), float(residuals.max())),
-            outcome.nullspace_dimension,
-        )
     if outcome.status is SolveStatus.UNIQUE:
         status = CurvatureStatus.EXACT_UNIQUE
         nums, den = outcome.particular
-        residual_range = (Fraction(n), Fraction(n))
+    elif outcome.status is SolveStatus.INCONSISTENT:
+        status = CurvatureStatus.INCONSISTENT
+        nums, den = pseudo_apply(dm.entries, np.full(n, n), outcome.kernel_rows)
     else:
         status = CurvatureStatus.EXACT_CANONICAL
         row_sum = dm.constant_row_sum()
@@ -148,8 +140,10 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
             nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
-        dw = integer_matmul(dm.entries, nums)
-        residual_range = (Fraction(int(dw.min()), den), Fraction(int(dw.max()), den))
+    # a unique solution's D nums == den * n * 1 is solve_exact's certificate
+    unique = status is CurvatureStatus.EXACT_UNIQUE
+    dw = [n * den] if unique else integer_matmul(dm.entries, nums).tolist()
+    residual_range = (Fraction(min(dw), den), Fraction(max(dw), den))
     return CurvatureResult(
         status,
         tuple(Fraction(int(v), den) for v in nums),

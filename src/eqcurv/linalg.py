@@ -1,6 +1,7 @@
 """Numeric kernels: exact rational solving, symmetric eigenwork, and a small LP.
 
-Two arithmetic worlds are kept deliberately separate:
+Two arithmetic worlds are kept deliberately separate, and only eigenwork
+is in floating point:
 
 * solvability classification, nullspaces and the lexicographic max-min
   canonicalization run on integers: ``solve_exact`` takes integer entries
@@ -20,11 +21,12 @@ Two arithmetic worlds are kept deliberately separate:
   fraction-free over one shared denominator, each level certified by its
   dual, at most one level per kernel dimension; the same tableau gives the
   next level's directions, each certified to vanish where the dual pins the
-  point, so the max-min makes no exact solve. So "singular",
-  "inconsistent" and "optimal" are structural verdicts rather than
-  tolerance calls;
-* eigendecomposition and pseudo-inverse application run in binary64 through
-  LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
+  point, so the max-min makes no exact solve. The Moore-Penrose solution
+  is one more exact solve, of the system bordered by a kernel basis. So
+  "singular", "inconsistent" and "optimal" are structural verdicts rather
+  than tolerance calls;
+* eigendecomposition runs in binary64 through LAPACK's symmetric
+  eigensolver (``numpy.linalg.eigh``).
 
 Callers convert explicitly at the boundary. Everything here is a pure function
 of its inputs.
@@ -67,7 +69,7 @@ PANEL_WIDTH = 32
 
 
 class NonSymmetricMatrixError(ValueError):
-    """Matrix handed to the eigensolver is not symmetric within tolerance."""
+    """Matrix handed to the eigensolver or ``pseudo_apply`` is not symmetric."""
 
 
 class SolveStatus(Enum):
@@ -534,26 +536,38 @@ def symmetric_eigen(matrix) -> EigenDecomposition:
     return EigenDecomposition(lam, v, float(np.abs(rotated).max(initial=0.0)))
 
 
-def pseudo_apply(matrix, rhs) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse of a symmetric matrix to rhs.
+def pseudo_apply(matrix, rhs, kernel) -> tuple[np.ndarray, int]:
+    """The Moore-Penrose solution ``M^+ rhs`` of a symmetric integer matrix, exactly.
 
-    Spectral truncation with cutoff ``n * 1e-10 * max|lambda|`` (the single
-    truncation knob); the result is the minimum-norm least-squares solution of
-    ``M z = rhs``.
+    ``kernel`` holds an integer basis Z of ``ker M`` as rows, as
+    ``SolveOutcome.kernel_rows`` does for every status. Returns ``(nums, den)``
+    with ``M^+ rhs == nums / den``. A non-symmetric M (NonSymmetricMatrixError),
+    a row with ``M z != 0``, a dependent or incomplete basis, or a length
+    mismatch raises ValueError; a non-integer entry raises TypeError.
+
+    One ``solve_exact`` of ``[[M, Z^T], [Z, 0]] [x; c] = [rhs; 0]``, which for
+    symmetric M is nonsingular exactly when the rows of Z are a basis of
+    ``ker M = range(M)^perp``. Then ``M x = rhs - Z^T c`` is the projection of
+    rhs on ``range(M)`` and ``Z x = 0`` puts x in ``range(M)``: ``x = M^+ rhs``.
     """
-    eig = symmetric_eigen(matrix)
-    lam = eig.eigenvalues
-    n = lam.size
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    lam_max = float(np.abs(lam).max(initial=0.0))
-    cutoff = n * 1e-10 * lam_max
-    keep = np.abs(lam) > cutoff
-    if not keep.any():
-        return np.zeros(n)
-    vk = eig.eigenvectors[:, keep]
-    return vk @ ((vk.T @ b) / lam[keep])
+    n = len(matrix)
+    m = _integers(matrix, (n, n))
+    if m is None or not np.array_equal(m, m.T):
+        raise NonSymmetricMatrixError("matrix must be square and symmetric")
+    b = _integers(rhs, (n,))
+    if b is None:
+        raise ValueError(f"rhs length does not match matrix size {n}")
+    z = _integers(kernel, (len(kernel), n)) if len(kernel) else np.zeros((0, n), dtype=np.int64)
+    if z is None:
+        raise ValueError(f"every kernel row needs {n} entries")
+    if integer_matmul(m, z.T).any():
+        raise ValueError("a kernel row z has M z != 0")
+    outcome = solve_exact(np.block([[m, z.T], [z, np.zeros((len(z), len(z)), dtype=z.dtype)]]),
+                          np.concatenate([b, np.zeros(len(z), dtype=b.dtype)]))
+    if outcome.status is not SolveStatus.UNIQUE:
+        raise ValueError("the kernel rows are not a basis of the matrix kernel")
+    nums, den = outcome.particular
+    return nums[:n], den
 
 
 # ---------------------------------------------------------------------------

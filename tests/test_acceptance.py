@@ -9,7 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from eqcurv import (
@@ -27,6 +26,7 @@ from eqcurv import (
     generate,
     nullspace_sum_check,
     parse_family_spec,
+    solve_exact,
     spectral_gap,
 )
 from eqcurv.cli import analyze_graph, run_corpus
@@ -98,6 +98,16 @@ TABLE1_ROWS = {
 # the published ranges carry two decimals, so each endpoint gets 0.01 slack
 TABLE1_TOLERANCE = 0.01
 
+# the exact ranges of w = D^+ (n * 1) and of D w behind each published row
+TABLE1_EXACT = {
+    "complete_multipartite:1,1,1,4": (
+        (Fraction(21, 32), Fraction(63, 64)), (Fraction(21, 4), Fraction(63, 8))),
+    "complete_multipartite:1,1,1,1,3": (
+        (Fraction(6, 7), Fraction(8, 7)), (Fraction(6), Fraction(8))),
+    "knight_board:7,7": (
+        (Fraction(-126371, 11552), Fraction(63553, 23104)), (Fraction(882, 19), Fraction(3969, 76))),
+}
+
 
 def test_criterion_02_exceptional_graph_table():
     table_tol = TABLE1_TOLERANCE
@@ -105,14 +115,19 @@ def test_criterion_02_exceptional_graph_table():
         g = generate(parse_family_spec(text))
         result = compute_curvature(g)
         assert result.status is CurvatureStatus.INCONSISTENT, text
-        w = np.asarray(result.w, dtype=float)
-        assert w_range[0] - table_tol <= w.min(), (text, w.min())
-        assert w.max() <= w_range[1] + table_tol, (text, w.max())
+        w = result.w
+        assert all(type(x) is Fraction for x in (*w, result.K, result.total)), text
+        assert ((min(w), max(w)), result.residual_range) == TABLE1_EXACT[text], text
+        assert w_range[0] - table_tol <= min(w) and max(w) <= w_range[1] + table_tol, text
         lo, hi = result.residual_range
-        assert dw_range[0] - table_tol <= lo, (text, lo)
-        assert hi <= dw_range[1] + table_tol, (text, hi)
+        assert dw_range[0] - table_tol <= lo and hi <= dw_range[1] + table_tol, text
+        # the pseudo solution is orthogonal to the kernel of D
+        kernel = solve_exact(g.distance_matrix.entries, [0] * g.n).kernel_rows
+        assert kernel.shape[0] == result.nullspace_dimension >= 1, text
+        assert not any(sum(x * int(v) for x, v in zip(w, z)) for z in kernel), text
     print("\nACCEPTANCE 2 PASS: the three generable exceptional graphs classify "
-          "as inconsistent and reproduce the published ranges within 0.01")
+          "as inconsistent and reproduce the published ranges within 0.01, "
+          "with exact pseudo solutions orthogonal to ker D")
 
 
 def test_criterion_03_cycle_lichnerowicz_sharpness():

@@ -2,9 +2,9 @@
 
 ``integer_matmul`` multiplies in int64, cutting wide right-hand sides into
 limbs; ``compute_curvature`` reads ``K``, ``total`` and the residual range of
-every exact result off one integer point: the solution ``solve_exact``
-certified, or the canonical max-min point. Both are checked here against
-arithmetic that shares no code with them.
+every result off one integer point: the solution ``solve_exact`` certified,
+the canonical max-min point, or the exact pseudo solution. Both are checked
+here against arithmetic that shares no code with them.
 """
 
 from fractions import Fraction
@@ -151,8 +151,10 @@ def atlas_and_random_graphs():
 
 
 def test_exact_summary_matches_python_ints(monkeypatch):
-    # both exact statuses build K, total and the residual range from one
-    # integer point; check each against w with arithmetic of its own
+    # every status builds K, total and the residual range from one integer
+    # point; check each against w with arithmetic of its own, and the pseudo
+    # solution of an inconsistent graph against the kernel sympy finds
+    sp = pytest.importorskip("sympy")
     lp_calls = []
 
     def counting_lp(*args):
@@ -160,12 +162,10 @@ def test_exact_summary_matches_python_ints(monkeypatch):
         return lp_max_min(*args)
 
     monkeypatch.setattr(curvature_module, "lp_max_min", counting_lp)
-    counts = {CurvatureStatus.EXACT_UNIQUE: 0, CurvatureStatus.EXACT_CANONICAL: 0}
+    counts = dict.fromkeys(CurvatureStatus, 0)
     constant = 0
     for g in atlas_and_random_graphs():
         result = compute_curvature(g)
-        if not result.is_exact:
-            continue
         counts[result.status] += 1
         if result.status is CurvatureStatus.EXACT_CANONICAL:
             constant += g.distance_matrix.constant_row_sum() is not None
@@ -173,14 +173,26 @@ def test_exact_summary_matches_python_ints(monkeypatch):
         assert all(type(x) is Fraction for x in w)
         den = lcm(*(x.denominator for x in w))
         nums = [x.numerator * (den // x.denominator) for x in w]
-        dw = [Fraction(sum(d * v for d, v in zip(row, nums)), den)
-              for row in g.distance_matrix.entries.tolist()]
-        assert result.residual_range == (min(dw), max(dw)) == (g.n, g.n)
+        rows = g.distance_matrix.entries.tolist()
+        dw = [Fraction(sum(d * v for d, v in zip(row, nums)), den) for row in rows]
+        assert result.residual_range == (min(dw), max(dw))
+        if result.is_exact:
+            assert dw == [g.n] * g.n
+        else:
+            # D^+ (n * 1): the residual D w - n * 1 lies in ker D, and w is
+            # orthogonal to every kernel vector
+            residual = [x - g.n for x in dw]
+            assert all(sum(d * r for d, r in zip(row, residual)) == 0 for row in rows)
+            kernel = sp.Matrix(rows).nullspace()
+            assert len(kernel) == result.nullspace_dimension >= 1
+            assert all(sum(x * sp.Rational(v) for x, v in zip(w, z)) == 0 for z in kernel)
         assert result.K == min(w)
         assert result.total == sum(abs(x) for x in w)
         assert all(type(v) is Fraction for v in (result.K, result.total, *result.residual_range))
     # the atlas has 787 full-rank graphs, and the three random graphs are full
-    # rank too; 206 atlas graphs are canonical, 4 of them with constant row sums
+    # rank too; 206 atlas graphs are canonical, 4 of them with constant row
+    # sums, and 2 are inconsistent
     assert counts[CurvatureStatus.EXACT_UNIQUE] == 787 + 3
     assert counts[CurvatureStatus.EXACT_CANONICAL] == 206
+    assert counts[CurvatureStatus.INCONSISTENT] == 2
     assert (len(lp_calls), constant) == (202, 4)

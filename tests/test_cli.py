@@ -100,6 +100,15 @@ class TestCompute:
         assert report["curvature"]["nullspace_dimension"] == 1
         assert report["spectral"] is None
 
+    def test_single_vertex_reports_the_exact_zero_pseudo_solution(self, capsys):
+        # the pseudo-inverse of D = [0] is 0, reported exactly
+        code, out, _ = run_cli(capsys, "compute", "--family", "complete:1")
+        assert code == 2
+        curvature = json.loads(out)["curvature"]
+        assert curvature["w"] == [{"exact": "0", "float": 0.0}]
+        assert curvature["k"] == {"exact": "0", "float": 0.0, "pseudo": True}
+        assert curvature["residual_range"] == [{"exact": "0", "float": 0.0}] * 2
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "johnson:4,2")
         report = json.loads(out)
@@ -290,6 +299,28 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "800aa7628252e94c9d1395b6f757c06b7e9c624db4ed63f2cf025c087c51f9da"
+        )
+
+    def test_compute_on_the_inconsistent_knight_7_7(self, capsys):
+        # the pseudo solution is exact, so every value has its "p/q" string
+        code, out, _ = run_cli(capsys, "compute", "--family", "knight:7,7")
+        assert code == 2
+        curvature = json.loads(out)["curvature"]
+        assert curvature["k"]["exact"] == "-126371/11552"
+        assert [x["exact"] for x in curvature["residual_range"]] == ["882/19", "3969/76"]
+        assert all(Fraction(x["exact"]) for x in curvature["w"])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "92861ca0e6c65d39df6fc5927bc6c8b69909e95f483858e5e9696cef655f64ff"
+        )
+
+    def test_export_dot_knight_7_7(self, capsys, tmp_path):
+        # the inconsistent graph's labels are exact fractions too
+        out_path = tmp_path / "knight.dot"
+        code, _, _ = run_cli(capsys, "export-dot", "--family", "knight:7,7", "--out", str(out_path))
+        assert code == 0
+        assert 'label="(0,1)\\n63553/23104"' in out_path.read_text()
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "55f5ea1795d7ff28d56cc17c2b66f15808c5e251a1bd0b0cfc75b312b4bbdb50"
         )
 
     def test_export_dot_knight_3_4(self, capsys, tmp_path):

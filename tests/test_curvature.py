@@ -1,4 +1,4 @@
-"""Curvature pipeline: exact statuses, canonicalization, pseudo fallback."""
+"""Curvature pipeline: exact statuses, canonicalization, exact pseudo fallback."""
 
 import random
 from fractions import Fraction
@@ -83,12 +83,24 @@ class TestComputeCurvature:
             assert r.residual_range == (Fraction(g.n), Fraction(g.n))
 
     def test_k1114_inconsistent_with_paper_ranges(self):
-        r = compute_curvature(fam("complete_multipartite:1,1,1,4"))
+        g = fam("complete_multipartite:1,1,1,4")
+        r = compute_curvature(g)
         assert r.status is CurvatureStatus.INCONSISTENT
         assert not r.is_exact
-        assert isinstance(r.w, np.ndarray)
-        lo, hi = r.residual_range
-        assert 5.25 - 0.01 <= lo and hi <= 7.875 + 0.01
+        # the exact pseudo solution: every field a Fraction, w orthogonal to ker D
+        assert all(type(x) is Fraction for x in (*r.w, r.K, r.total, *r.residual_range))
+        assert (min(r.w), max(r.w)) == (Fraction(21, 32), Fraction(63, 64))
+        assert r.residual_range == (Fraction(21, 4), Fraction(63, 8))
+        assert r.K == min(r.w) and r.total == sum(r.w)
+        for z in solve_exact(g.distance_matrix.entries, [0] * 7).kernel_rows:
+            assert sum(x * int(v) for x, v in zip(r.w, z)) == 0
+
+    def test_single_vertex_gives_the_zero_pseudo_solution(self):
+        # D = [0] has kernel (1), and the pseudo-inverse of 0 is 0
+        r = compute_curvature(fam("complete:1"))
+        assert r.status is CurvatureStatus.INCONSISTENT
+        assert r.w == (0,) and type(r.w[0]) is Fraction
+        assert r.residual_range == (0, 0)
 
     def test_lp_path_graph_runs_the_simplex(self):
         g = fam(LP_PATH_SPEC)
@@ -139,8 +151,8 @@ class TestComputeCurvature:
         d = apsp(g)
         r = compute_curvature(g, d)
         assert r.status is CurvatureStatus.EXACT_UNIQUE
-        w = pseudo_apply(d.entries.astype(float), np.full(5, 5.0))
-        assert np.abs(w - [float(x) for x in r.w]).max() <= 1e-8
+        nums, den = pseudo_apply(d.entries, [5] * 5, np.zeros((0, 5), dtype=int))
+        assert tuple(Fraction(int(v), den) for v in nums) == r.w
 
 
 class TestCurvatureOfFamily:
@@ -309,6 +321,21 @@ def test_tree_curvature_matches_graham_lovasz(data, n):
         degree[u] += 1
         degree[v] += 1
     result = compute_curvature(g)
+    assert result.status is CurvatureStatus.EXACT_UNIQUE
+    assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
+
+
+@pytest.mark.parametrize("n", [10, 200, 500])
+def test_graham_lovasz_on_large_random_recursive_trees(n):
+    # sizes no sympy oracle reaches; in a random recursive tree vertex v joins
+    # a uniformly drawn earlier vertex. D is invertible (Graham and Pollak 1971)
+    rng = random.Random(n)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    result = compute_curvature(Graph(n, frozenset(edges)))
     assert result.status is CurvatureStatus.EXACT_UNIQUE
     assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
 

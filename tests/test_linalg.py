@@ -1,4 +1,4 @@
-"""Exact solver, LAPACK-backed symmetric eigendecomposition, pseudo-inverse, and max-min LP."""
+"""Exact solver, LAPACK-backed symmetric eigendecomposition, exact pseudo-inverse, and max-min LP."""
 
 import math
 import random
@@ -265,13 +265,42 @@ class TestSymmetricEigen:
 # ---------------------------------------------------------------------------
 
 
+def sympy_pinv_case(rng):
+    """A seeded symmetric integer matrix ``B^T S B`` of rank at most r <= n, its
+    integer kernel basis from sympy, an integer rhs, and sympy's exact ``M^+ rhs``."""
+    sp = pytest.importorskip("sympy")
+    n = rng.randint(1, 7)
+    r = rng.randint(0, n)
+    b = sp.Matrix(r, n, lambda i, j: rng.randint(-3, 3))
+    m = b.T * sp.diag(*[rng.choice([-1, 1]) for _ in range(r)]) * b if r else sp.zeros(n, n)
+    kernel = [[int(x * math.lcm(*(sp.fraction(y)[1] for y in v))) for x in v]
+              for v in m.nullspace()]
+    rhs = [rng.randint(-9, 9) for _ in range(n)]
+    expected = [Fraction(int(p), int(q)) for p, q in map(sp.fraction, m.pinv() * sp.Matrix(rhs))]
+    return np.array(m.tolist(), dtype=np.int64), kernel, rhs, expected
+
+
+def exact_pseudo(matrix, rhs, kernel):
+    nums, den = pseudo_apply(matrix, rhs, kernel)
+    return [Fraction(int(v), den) for v in nums]
+
+
 class TestPseudoApply:
+    def test_matches_sympy_pinv_on_seeded_symmetric_matrices(self):
+        rng = random.Random(7)
+        ranks = set()
+        for _ in range(150):
+            m, kernel, rhs, expected = sympy_pinv_case(rng)
+            ranks.add((len(m), len(m) - len(kernel)))
+            assert exact_pseudo(m, rhs, kernel) == expected
+        # every rank from 0 to 7 is drawn: the zero matrix, singular ones, full rank
+        assert {r for _, r in ranks} == set(range(8))
+
     def test_invertible_matches_exact_solve(self):
         d = dist("cycle:5")
         exact = solve_exact(d.entries, [5] * 5)
         assert exact.status is SolveStatus.UNIQUE
-        w = pseudo_apply(d.entries.astype(float), np.full(5, 5.0))
-        assert np.abs(w - [float(x) for x in exact.solution]).max() <= 1e-8
+        assert exact_pseudo(d.entries, [5] * 5, exact.kernel_rows) == list(exact.solution)
 
     def test_random_invertible_agreement(self):
         rng = np.random.default_rng(3)
@@ -280,32 +309,70 @@ class TestPseudoApply:
             n = int(rng.integers(2, 9))
             m = rng.integers(-4, 5, size=(n, n))
             m = m + m.T
-            rhs = rng.integers(-9, 10, size=n)
-            exact = solve_exact(m, [int(b) for b in rhs])
+            rhs = [int(b) for b in rng.integers(-9, 10, size=n)]
+            exact = solve_exact(m, rhs)
             if exact.status is not SolveStatus.UNIQUE:
                 continue
-            w = pseudo_apply(m.astype(float), rhs.astype(float))
-            assert np.abs(w - [float(x) for x in exact.solution]).max() <= 1e-8
+            assert exact_pseudo(m, rhs, np.zeros((0, n), dtype=int)) == list(exact.solution)
             done += 1
 
     def test_zero_matrix_gives_zero_vector(self):
-        w = pseudo_apply(np.zeros((4, 4)), np.ones(4))
-        assert np.all(w == 0)
+        nums, den = pseudo_apply(np.zeros((4, 4), dtype=int), [1] * 4, np.eye(4, dtype=int))
+        assert not nums.any() and den > 0
 
     def test_k1114_entry_range(self):
         d = dist("complete_multipartite:1,1,1,4")
-        w = pseudo_apply(d.entries.astype(float), np.full(7, 7.0))
-        assert 0.64 <= w.min() and w.max() <= 1.00
+        outcome = solve_exact(d.entries, [7] * 7)
+        assert outcome.status is SolveStatus.INCONSISTENT
+        w = exact_pseudo(d.entries, [7] * 7, outcome.kernel_rows)
+        assert (min(w), max(w)) == (Fraction(21, 32), Fraction(63, 64))
 
     def test_matches_numpy_pinv_on_singular(self):
-        d = dist("cycle:6").entries.astype(float)
-        ours = pseudo_apply(d, np.full(6, 6.0))
-        ref = np.linalg.pinv(d) @ np.full(6, 6.0)
-        assert np.abs(ours - ref).max() <= 1e-8
+        d = dist("cycle:6").entries
+        kernel = solve_exact(d, [0] * 6).kernel_rows
+        assert len(kernel) == 2
+        ref = np.linalg.pinv(d.astype(float)) @ np.full(6, 6.0)
+        assert np.abs(np.array(exact_pseudo(d, [6] * 6, kernel), dtype=float) - ref).max() <= 1e-8
 
     def test_rhs_shape_check(self):
-        with pytest.raises(ValueError, match="rhs shape"):
-            pseudo_apply(np.zeros((3, 3)), np.ones(4))
+        with pytest.raises(ValueError, match="rhs length"):
+            pseudo_apply(np.zeros((3, 3), dtype=int), [1] * 4, np.eye(3, dtype=int))
+
+    def test_refuses_a_non_symmetric_matrix(self):
+        with pytest.raises(NonSymmetricMatrixError, match="symmetric"):
+            pseudo_apply([[0, 1], [2, 0]], [1, 1], np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="symmetric"):
+            pseudo_apply([[0, 1, 2], [1, 0, 1]], [1, 1], np.zeros((0, 3), dtype=int))
+
+    def test_refuses_a_row_outside_the_kernel(self):
+        d = dist("cycle:6").entries
+        kernel = np.array(solve_exact(d, [0] * 6).kernel_rows)
+        kernel[1, 0] += 1
+        with pytest.raises(ValueError, match="M z != 0"):
+            pseudo_apply(d, [6] * 6, kernel)
+
+    def test_refuses_a_dependent_basis(self):
+        d = dist("cycle:6").entries
+        kernel = solve_exact(d, [0] * 6).kernel_rows
+        dependent = np.vstack([kernel[0], kernel[1], kernel[0] + 2 * kernel[1]])
+        with pytest.raises(ValueError, match="not a basis"):
+            pseudo_apply(d, [6] * 6, dependent)
+        with pytest.raises(ValueError, match="not a basis"):
+            pseudo_apply(d, [6] * 6, np.vstack([kernel[0], kernel[0]]))
+
+    def test_refuses_a_basis_with_a_row_missing(self):
+        d = dist("cycle:6").entries
+        kernel = solve_exact(d, [0] * 6).kernel_rows
+        with pytest.raises(ValueError, match="not a basis"):
+            pseudo_apply(d, [6] * 6, kernel[:1])
+        with pytest.raises(ValueError, match="not a basis"):
+            pseudo_apply(np.zeros((2, 2), dtype=int), [1, 1], np.zeros((0, 2), dtype=int))
+
+    def test_refuses_rows_of_another_length_and_non_integer_entries(self):
+        with pytest.raises(ValueError, match="kernel row needs 3 entries"):
+            pseudo_apply(np.zeros((3, 3), dtype=int), [1] * 3, [[1, 0]])
+        with pytest.raises(TypeError):
+            pseudo_apply(np.zeros((2, 2)), [1.0, 1.0], np.eye(2, dtype=int))
 
 
 # ---------------------------------------------------------------------------

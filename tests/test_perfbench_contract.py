@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+from eqcurv.curvature import CurvatureStatus  # noqa: E402
 from eqcurv.graphs import FamilySpec  # noqa: E402
 
 # each item with its exact-output digest, ``workloads.fingerprint(out)[0]``, so a
@@ -39,6 +40,8 @@ ITEMS = [
      "ed2b950f84583b3a02deb4571c4f1d8835e12161f1da9dd91ccc579ab4b410c2"),
     ("families", workloads.Item(FamilySpec("complete_multipartite", (1, 1, 1, 4)), 0, 3),
      "a88a16d7f93068802cb6af0af9640d2b81bb5e57ddec19dcae3bc378bbc9f583"),
+    ("families", workloads.Item(FamilySpec("knight_board", (7, 7)), 0, 3),
+     "12a50f40432e60ca58fe5c8b05bbabe804a525bb851c41c5c82ba868ec8e7a36"),
     # built from an edge array, then relabelled through a frozenset of tuples
     ("families", workloads.Item(FamilySpec("cocktail_party", (6,)), 0, 3),
      "a8dae1fc35c30b749572a48eb93f4a63bb5840880104ca589239133855be61c6"),
@@ -61,4 +64,8 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item,
     assert tracer.absent == set()
     spans = Counter(rec[0] for rec in tracer.spans)
     assert (spans["graphs.apsp"], spans["linalg.solve_exact"]) == (1, 1)
+    # the exact pseudo-inverse runs once for an inconsistent graph and never
+    # otherwise; its bordered solve is not a second distance solve
+    inconsistent = out["result"].status is CurvatureStatus.INCONSISTENT
+    assert spans["linalg.pseudo_apply"] == int(inconsistent)
     assert workloads.fingerprint(out)[0] == digest_exact

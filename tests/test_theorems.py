@@ -325,12 +325,15 @@ class TestTheorem5:
         g, dm, result, info = analyzed("complete_multipartite:1,1,1,4")
         assert result.status is CurvatureStatus.INCONSISTENT
         w = result.w
-        assert w.min() > 0  # entries within [0.65, 0.99]
+        assert min(w) > 0  # entries within [21/32, 63/64]
         report = check_theorem5(g, w, info)
         assert report.passed
-        # the float weights are taken at their exact dyadic values
+        # the exact pseudo solution runs the integer path
         assert report.checks[0].exact_arithmetic
         assert Fraction(report.checks[0].rhs.exact).denominator > 1
+        # float weights are taken at their exact dyadic values, and 21/32 and
+        # 63/64 are dyadic, so the floats give the same report
+        assert check_theorem5(g, [float(x) for x in w], info) == report
 
     def test_nonpositive_entry_rejected(self):
         g, dm, result, info = analyzed("cycle:5")
