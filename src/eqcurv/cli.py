@@ -142,9 +142,9 @@ def run_verifiers(
         elif name == "theorem5":
             ones = check_theorem5(g, [1] * g.n, info)
             reports.append(replace(ones, notes=ones.notes + ("weights: all-ones",)))
-            # the curvature vector itself qualifies whenever it is positive,
-            # pseudo solutions included
-            if min(result.w) > 0:
+            # the curvature vector itself qualifies whenever it is positive
+            # (K is its smallest entry for every status), pseudo solutions included
+            if result.K > 0:
                 variant = "curvature solution" if result.is_exact else "pseudo solution"
                 with_w = check_theorem5(g, result.w, info)
                 reports.append(replace(with_w, notes=with_w.notes + (f"weights: {variant}",)))

@@ -18,10 +18,12 @@ is in floating point:
   otherwise. The max-min accepts only families whose kernel vectors sum to
   zero, as those of a consistent distance system do, so every level LP is
   bounded. It runs one simplex per level on an integer tableau pivoted
-  fraction-free over one shared denominator, each level certified by its
-  dual, at most one level per kernel dimension; the same tableau gives the
-  next level's directions, each certified to vanish where the dual pins the
-  point, so the max-min makes no exact solve. The Moore-Penrose solution
+  fraction-free over one shared denominator, in int64 while a bound taken
+  before each pivot rules out overflow and on Python integers from the
+  first pivot it does not, each level certified by its dual, at most one
+  level per kernel dimension; the same tableau gives the next level's
+  directions, each certified to vanish where the dual pins the point, so
+  the max-min makes no exact solve. The Moore-Penrose solution
   is one more exact solve, of the system bordered by a kernel basis. So
   "singular", "inconsistent" and "optimal" are structural verdicts rather
   than tolerance calls;
@@ -575,6 +577,16 @@ def pseudo_apply(matrix, rhs, kernel) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
+def _pivots_in_int64(tab: np.ndarray) -> bool:
+    """Whether one fraction-free pivot of ``tab`` stays below 2^63 in int64.
+
+    Each new entry is ``(p * T_i - T_ie * T_r) // d`` with ``|p|``, ``|T_ie|``
+    and every entry at most ``max|T|``, so every value on the way is within
+    ``2 max|T|^2``.
+    """
+    return 2 * _absmax(tab) ** 2 < INT64_LIMIT
+
+
 def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free, for integer A, b >= 0 and c.
 
@@ -591,20 +603,29 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
 
     Notes
     -----
-    The tableau ``[A | I | b]`` over the objective row ``[-c | 0 | 0]`` holds
-    Python integers only and is pivoted fraction-free (Edmonds 1967), the
-    simplex form of the Bareiss elimination (1968). One shared denominator
-    ``d``, starting at 1, is the determinant of the current basis up to sign:
-    pivoting on ``p = T[r, e] > 0`` replaces every other row, the objective
-    row included, by ``(p * T_i - T[i, e] * T_r) // d``, an exact division,
+    The tableau ``[A | I | b]`` over the objective row ``[-c | 0 | 0]`` is
+    pivoted fraction-free (Edmonds 1967), the simplex form of the Bareiss
+    elimination (1968). One shared denominator ``d``, starting at 1, is the
+    determinant of the current basis up to sign: pivoting on
+    ``p = T[r, e] > 0`` replaces every other row, the objective row
+    included, by ``(p * T_i - T[i, e] * T_r) // d``, an exact division,
     keeps ``T_r`` and sets ``d = p``. Every entry is ``d`` times the entry of
-    the rational tableau. Each free column enters once, in order, upwards
-    unless only a downward step is blocked (then the pivot row is negated
-    first, so ``p > 0``); one that is 0 on every slack row depends on those
-    already in and stays out at 0. Free variables never leave, so the ratio
-    tests skip their rows. A basic ``x`` is ``T[i, rhs] / d``, the dual is
-    ``y_i = T[obj, slack_i] / d``, and each nonbasic slack with ``y_i = 0``
-    gives a face row: its column on the rows of the free variables.
+    the rational tableau, a minor of ``[A | I | b]`` up to sign, and small
+    on distance systems. So the tableau is int64 while
+    ``2 max|T|^2 < 2^63``, checked before each pivot: that bounds
+    ``p * T_i``, ``T[i, e] * T_r`` and their difference, so the pivot is
+    exact. At the first pivot the bound does not cover, or from the start,
+    the tableau moves to Python integers for good. The pivots and the result
+    do not depend on the dtype; the ratio test compares ``T[i, rhs] / step_i``
+    by cross-multiplying Python integers.
+
+    Each free column enters once, in order, upwards unless only a downward
+    step is blocked (then the pivot row is negated first, so ``p > 0``); one
+    that is 0 on every slack row depends on those already in and stays out
+    at 0. Free variables never leave, so the ratio tests skip their rows. A
+    basic ``x`` is ``T[i, rhs] / d``, the dual is ``y_i = T[obj, slack_i] / d``,
+    and each nonbasic slack with ``y_i = 0`` gives a face row: its column on
+    the rows of the free variables.
     """
     a = np.array(a, dtype=object).reshape(len(b), len(c))
     m, nv = a.shape
@@ -615,6 +636,7 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     tab[:m, nv:ncols] = np.eye(m, dtype=int)
     tab[:m, ncols] = b
     tab[m, :nv] = -np.array(c, dtype=object)
+    tab = tab.astype(np.int64 if _pivots_in_int64(tab) else object)
     basis = np.arange(nv, ncols)
     d = 1
 
@@ -632,19 +654,32 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         if not block.size:
             assert e < nv and tab[m, e] == 0, "simplex caller must pose a bounded LP"
             continue
-        r = min(block, key=lambda i: (Fraction(tab[i, ncols], step[i]), basis[i]))
+        # smallest (rhs_i / step_i, basis_i), the ratios compared by cross-multiplying
+        rhs, steps, labels = (v[block].tolist() for v in (tab[:m, ncols], step, basis))
+        best = 0
+        for i in range(1, len(block)):
+            left, right = rhs[i] * steps[best], rhs[best] * steps[i]
+            if left < right or (left == right and labels[i] < labels[best]):
+                best = i
+        r = int(block[best])
+        if tab.dtype != object and not _pivots_in_int64(tab):
+            tab = tab.astype(object)
         if tab[r, e] < 0:
-            tab[r] = -tab[r]
-        p = tab[r, e]
-        others = np.arange(m + 1) != r
-        tab[others] = (p * tab[others] - np.outer(tab[others, e], tab[r])) // d
+            tab[r] *= -1
+        p, row, col = int(tab[r, e]), tab[r].copy(), tab[:, e].copy()
+        tab *= p
+        tab -= np.outer(col, row)
+        tab //= d
+        tab[r] = row
         d = p
         basis[r] = e
 
     # the tableau on the free variables, one row per variable (0 when nonbasic)
+    tab = tab.astype(object)
     on_x = np.zeros((nv, ncols + 1), dtype=object)
     on_x[basis[basis < nv]] = tab[:m][basis < nv]
-    face = [j for j in range(nv, ncols) if tab[m, j] == 0 and j not in basis]
+    in_basis = set(basis.tolist())
+    face = [j for j in range(nv, ncols) if tab[m, j] == 0 and j not in in_basis]
     return on_x[:, ncols], tab[m, nv:ncols], d, on_x[:, face].T
 
 

@@ -363,12 +363,12 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     if len(w_list) != g.n:
         raise ValueError("w length does not match the vertex count")
     w_frac = [_exact_weight(x) for x in w_list]
-    if min(w_frac) <= 0:
+    k_val = min(w_frac)
+    if k_val <= 0:
         raise ValueError("theorem5 needs every entry of w to be positive")
     dm = g.distance_matrix
     n = g.n
     diam = dm.diameter()
-    k_val = min(w_frac)
     den = lcm(*(x.denominator for x in w_frac))
     nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
     dw_inf = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)

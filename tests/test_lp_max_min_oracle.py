@@ -24,6 +24,7 @@ from eqcurv import (
     apsp,
     compute_curvature,
     generate,
+    lp_max_min,
     parse_family_spec,
     solve_exact,
 )
@@ -197,13 +198,18 @@ def lps(draw):
     """Bounded integer (A, b, c): m <= 8 rows, nv <= 5 free variables, b >= 0, many b_i = 0.
 
     ``c = A^T u`` with ``u >= 0``, so ``c . x = u . A x <= u . b`` bounds the LP.
+    A and b are scaled by one drawn ``s``, which leaves the optimal vertex as
+    it is. The draws cover the three regimes of the tableau: int64 throughout,
+    int64 until a pivot would pass the bound and Python ints after it, and
+    Python ints from the start.
     """
     m = draw(st.integers(1, 8))
     nv = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1, 2**20, 2**28, 2**40]))
     nonnegative = st.one_of(st.just(0), st.integers(0, 6))
-    row = st.lists(st.integers(-6, 6), min_size=nv, max_size=nv)
+    row = st.lists(st.integers(-6, 6).map(lambda v: v * scale), min_size=nv, max_size=nv)
     a_rows = draw(st.lists(row, min_size=m, max_size=m))
-    b = draw(st.lists(nonnegative, min_size=m, max_size=m))
+    b = [v * scale for v in draw(st.lists(nonnegative, min_size=m, max_size=m))]
     u = draw(st.lists(nonnegative, min_size=m, max_size=m))
     c = [sum(a * ui for a, ui in zip(col, u)) for col in zip(*a_rows)]
     return a_rows, b, c
@@ -365,3 +371,31 @@ def test_at_most_k_simplex_solves(g, monkeypatch):
     monkeypatch.setattr(eqcurv.linalg, "_simplex_max", counting)
     max_min(particular, basis)
     assert 1 <= len(calls) <= len(basis)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_with_tail(16, 3),
+        generate(parse_family_spec("knight_board:6,9")),
+        cycle_with_tail(60, 1),
+    ],
+    ids=["C32+3", "knight_board:6,9", "C120+1"],
+)
+def test_point_does_not_depend_on_the_scale_of_the_directions(g, monkeypatch):
+    # unscaled, every tableau pivots in int64; with the rows times 2^40 the
+    # first level's tableau starts past the int64 bound and pivots on Python
+    # ints (the face rows it hands on are divided by their gcd, so later
+    # levels are back at the unscaled size)
+    out = solve_exact(apsp(g).entries, [g.n] * g.n)
+    regimes = []
+    bound = eqcurv.linalg._pivots_in_int64
+    monkeypatch.setattr(
+        eqcurv.linalg, "_pivots_in_int64", lambda tab: regimes.append(bound(tab)) or regimes[-1]
+    )
+    nums, den = lp_max_min(out.particular, out.kernel_rows)
+    assert regimes and all(regimes)
+    regimes.clear()
+    scaled = lp_max_min(out.particular, 2**40 * out.kernel_rows.astype(object))
+    assert not regimes[0]
+    assert (scaled[0].tolist(), scaled[1]) == (nums.tolist(), den)

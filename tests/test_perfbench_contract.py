@@ -31,6 +31,9 @@ ITEMS = [
      "5eef842c6aa67265b7c48ae1b27bd0b4977c1ce317a54da6b3e76948af8914a5"),
     ("canonical_lp", workloads.Item(FamilySpec("cycle", (16,)), 1, 5),
      "b86d141df9e834bf8abeb10f7b2f2907c5939beb26df72c6dd86e65da1404cc7"),
+    # the largest graph of the workload, n = 54
+    ("canonical_lp", workloads.Item(FamilySpec("knight_board", (6, 9)), 0, 7),
+     "ba2d9c8f8af428da61b717f95e6be26aa172a2c3b97d73c8ecc67c7d5aaf1920"),
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1))),
      "5a5355146029f09b57daac4efcf5adf6bf2518b6eba143f9583ce52f03a1615c"),
     # n = 100 spans four column panels of the mod-p elimination
