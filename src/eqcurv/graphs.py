@@ -174,9 +174,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.pairs == v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 

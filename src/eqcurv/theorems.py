@@ -1,17 +1,21 @@
 """Verifiers for the curvature theorem suite and the spectral quantities they use.
 
-Each checker returns a TheoremReport. Inequalities between exact rational
-quantities are compared with rational equality (zero tolerance); wherever a
-floating eigenvalue enters, the floating side gets a one-sided 1e-9 absolute
-slack so numerical noise can never fail a true statement. Nothing is sampled:
-the minimax bracketing is proved for every measure at once through the sharp
-measure nu* and the symmetry of D, and theorem5 takes float weights at their
-exact dyadic values. Reports distinguish "hypothesis unmet" (not applicable,
-counts as passed) from a genuine failed inequality.
+Each checker returns a TheoremReport, and every assertion in it is stated
+once, through ``_check``: exact rational quantities compare exactly (zero
+tolerance); wherever a float enters, both sides compare as floats with a
+1e-9 absolute slack in favour of holding (``a + s >= b``, ``a <= b + s``),
+so numerical noise can never fail a true statement. The one comparison
+slacked the other way is ``spectral_criterion``'s prediction: there noise
+must never predict "solvable". Nothing is sampled: the minimax bracketing is
+proved for every measure at once through the sharp measure nu* and the
+symmetry of D, and theorem5 takes float weights at their exact dyadic
+values. Reports distinguish "hypothesis unmet" (not applicable, counts as
+passed) from a genuine failed inequality.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm, sqrt
@@ -91,11 +95,33 @@ class TheoremReport:
 
 
 def _q(label: str, value) -> Quantity:
-    if isinstance(value, Fraction):
-        return Quantity(label, float(value), str(value))
-    if isinstance(value, (int, np.integer)):
-        return Quantity(label, float(value), str(int(value)))
-    return Quantity(label, float(value), None)
+    return Quantity(label, float(value), None if isinstance(value, float) else str(value))
+
+
+_EXACT_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+                    "and": lambda a, b: a and b}
+
+
+def _check(label: str, lhs: tuple, relation: str, rhs: tuple) -> InequalityCheck:
+    """``lhs relation rhs``, each side a ``(label, value)`` pair.
+
+    Ints and Fractions compare exactly. When either side is a float, both
+    compare as floats with FLOAT_SLACK in favour of holding.
+    """
+    (lhs_label, a), (rhs_label, b) = lhs, rhs
+    exact = not (isinstance(a, float) or isinstance(b, float))
+    if exact:
+        holds = bool(_EXACT_RELATIONS[relation](a, b))
+    else:
+        x, y = float(a), float(b)
+        le, ge = x <= y + FLOAT_SLACK, x + FLOAT_SLACK >= y
+        holds = {"<=": le, ">=": ge, "==": le and ge}[relation]
+    return InequalityCheck(label, _q(lhs_label, a), relation, _q(rhs_label, b), holds, exact)
+
+
+def _report(theorem: str, checks, notes=()) -> TheoremReport:
+    checks = tuple(checks)
+    return TheoremReport(theorem, True, checks, all(c.holds for c in checks), tuple(notes))
 
 
 def _not_applicable(theorem: str, reason: str) -> TheoremReport:
@@ -150,38 +176,25 @@ def check_bonnet_myers(
         return _not_applicable("bonnet_myers", reason)
     n = g.n
     diam = (g.distance_matrix if dm is None else dm).diameter()
-    total: Fraction = result.total
     k_val: Fraction = result.K
-    mid = Fraction(2 * n) / total
-    checks = [
-        InequalityCheck(
-            "diam <= 2n/||w||_1", _q("diam", diam), "<=", _q("2n/||w||_1", mid),
-            Fraction(diam) <= mid, True,
-        )
-    ]
+    mid = Fraction(2 * n) / result.total
+    checks = [_check("diam <= 2n/||w||_1", ("diam", diam), "<=", ("2n/||w||_1", mid))]
     notes: list[str] = []
     if k_val > 0:
-        # 2n/total <= 2/K  <=>  n*K <= total
         checks.append(
-            InequalityCheck(
-                "2n/||w||_1 <= 2/K", _q("2n/||w||_1", mid), "<=", _q("2/K", Fraction(2) / k_val),
-                n * k_val <= total, True,
-            )
+            _check("2n/||w||_1 <= 2/K", ("2n/||w||_1", mid), "<=", ("2/K", Fraction(2) / k_val))
         )
-        if Fraction(diam) * k_val == 2:
-            constant = all(x == result.w[0] for x in result.w)
+        if diam * k_val == 2:
             checks.append(
-                InequalityCheck(
+                _check(
                     "diam*K == 2 implies constant curvature",
-                    _q("distinct w values", len(set(result.w))), "==", _q("one", 1),
-                    constant, True,
+                    ("distinct w values", len(set(result.w))), "==", ("one", 1),
                 )
             )
             notes.append("sharp: diam * K == 2, rigidity clause checked")
     else:
         notes.append("K == 0: the 2/K bound is vacuous")
-    passed = all(c.holds for c in checks)
-    return TheoremReport("bonnet_myers", True, tuple(checks), passed, tuple(notes))
+    return _report("bonnet_myers", checks, notes)
 
 
 def check_reverse_bonnet_myers(
@@ -198,25 +211,17 @@ def check_reverse_bonnet_myers(
     diam = (g.distance_matrix if dm is None else dm).diameter()
     total: Fraction = result.total
     bound = Fraction(n * n, (n - 1) * diam)
-    checks = [
-        InequalityCheck(
-            "||w||_1 >= n^2/((n-1) diam)", _q("||w||_1", total), ">=", _q("bound", bound),
-            total >= bound, True,
-        )
-    ]
+    checks = [_check("||w||_1 >= n^2/((n-1) diam)", ("||w||_1", total), ">=", ("bound", bound))]
     notes: list[str] = []
     if total == bound:
-        complete = g.edge_count == n * (n - 1) // 2
         checks.append(
-            InequalityCheck(
+            _check(
                 "equality implies complete graph",
-                _q("edge count", g.edge_count), "==", _q("n(n-1)/2", n * (n - 1) // 2),
-                complete, True,
+                ("edge count", g.edge_count), "==", ("n(n-1)/2", n * (n - 1) // 2),
             )
         )
         notes.append("equality case: graph must be (and is checked to be) complete")
-    passed = all(c.holds for c in checks)
-    return TheoremReport("reverse_bonnet_myers", True, tuple(checks), passed, tuple(notes))
+    return _report("reverse_bonnet_myers", checks, notes)
 
 
 def check_lichnerowicz(g: Graph, result: CurvatureResult, info: SpectralInfo) -> TheoremReport:
@@ -225,22 +230,11 @@ def check_lichnerowicz(g: Graph, result: CurvatureResult, info: SpectralInfo) ->
     if reason is not None:
         return _not_applicable("lichnerowicz", reason)
     n = g.n
-    total: Fraction = result.total
-    k_val: Fraction = result.K
-    mid = total / (2 * n * n)
-    right = k_val / (2 * n)
-    checks = (
-        InequalityCheck(
-            "lambda_1 >= ||w||_1/(2n^2)", _q("lambda_1", info.lambda1), ">=", _q("mid", mid),
-            info.lambda1 + FLOAT_SLACK >= float(mid), False,
-        ),
-        InequalityCheck(
-            "||w||_1/(2n^2) >= K/(2n)", _q("mid", mid), ">=", _q("K/(2n)", right),
-            mid >= right, True,
-        ),
-    )
-    passed = all(c.holds for c in checks)
-    return TheoremReport("lichnerowicz", True, checks, passed)
+    mid = result.total / (2 * n * n)
+    return _report("lichnerowicz", (
+        _check("lambda_1 >= ||w||_1/(2n^2)", ("lambda_1", info.lambda1), ">=", ("mid", mid)),
+        _check("||w||_1/(2n^2) >= K/(2n)", ("mid", mid), ">=", ("K/(2n)", result.K / (2 * n))),
+    ))
 
 
 def check_minimax(
@@ -268,73 +262,36 @@ def check_minimax(
     n = g.n
     total: Fraction = result.total
     alpha = Fraction(n) / total
-    checks: list[InequalityCheck] = []
-
-    # point masses: (D e_a)_i = d(i, a); the min side is 0 at i = a, the max
-    # side is the eccentricity of a
-    ecc_min = int(dm.entries.max(axis=0).min())
-    checks.append(
-        InequalityCheck(
-            "point masses: min_a ecc(a) >= alpha",
-            _q("min eccentricity", ecc_min), ">=", _q("alpha", alpha),
-            Fraction(ecc_min) >= alpha, True,
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "point masses: 0 <= alpha", _q("zero", 0), "<=", _q("alpha", alpha),
-            alpha >= 0, True,
-        )
-    )
-
     # uniform measure, exact
     row = [Fraction(int(s), n) for s in dm.row_sums()]
-    checks.append(
-        InequalityCheck(
-            "uniform: min (D nu)_a <= alpha", _q("min", min(row)), "<=", _q("alpha", alpha),
-            min(row) <= alpha, True,
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "uniform: alpha <= max (D nu)_b", _q("alpha", alpha), "<=", _q("max", max(row)),
-            alpha <= max(row), True,
-        )
-    )
-
     # nu* = w / ||w||_1 achieves equality on both sides; D nu* entries are the
     # already-computed residuals divided by the total
     lo = result.residual_range[0] / total
     hi = result.residual_range[1] / total
-    checks.append(
-        InequalityCheck(
-            "nu*: min (D nu*)_a == alpha", _q("min", lo), "==", _q("alpha", alpha),
-            lo == alpha, True,
-        )
-    )
-    checks.append(
-        InequalityCheck(
-            "nu*: max (D nu*)_b == alpha", _q("max", hi), "==", _q("alpha", alpha),
-            hi == alpha, True,
-        )
-    )
-
-    # D = D^T and D nu* = alpha * 1 give the bracketing for every measure
     symmetric = bool(np.array_equal(dm.entries, dm.entries.T))
-    sharp = lo == alpha == hi
-    checks.append(
-        InequalityCheck(
+    checks = (
+        # point masses: (D e_a)_i = d(i, a); the min side is 0 at i = a, the
+        # max side is the eccentricity of a
+        _check(
+            "point masses: min_a ecc(a) >= alpha",
+            ("min eccentricity", int(dm.entries.max(axis=0).min())), ">=", ("alpha", alpha),
+        ),
+        _check("point masses: 0 <= alpha", ("zero", 0), "<=", ("alpha", alpha)),
+        _check("uniform: min (D nu)_a <= alpha", ("min", min(row)), "<=", ("alpha", alpha)),
+        _check("uniform: alpha <= max (D nu)_b", ("alpha", alpha), "<=", ("max", max(row))),
+        _check("nu*: min (D nu*)_a == alpha", ("min", lo), "==", ("alpha", alpha)),
+        _check("nu*: max (D nu*)_b == alpha", ("max", hi), "==", ("alpha", alpha)),
+        # D = D^T and D nu* = alpha * 1 give the bracketing for every measure
+        _check(
             "every nu: min (D nu)_a <= alpha <= max (D nu)_b",
-            _q("D == D^T", int(symmetric)), "and", _q("D nu* == alpha * 1", int(sharp)),
-            symmetric and sharp, True,
-        )
+            ("D == D^T", int(symmetric)), "and", ("D nu* == alpha * 1", int(lo == alpha == hi)),
+        ),
     )
     notes = (
         "D = D^T and D nu* = alpha * 1 give, for every nu, "
         "min_a (D nu)_a <= nu*.(D nu) = nu.(D nu*) = alpha <= max_b (D nu)_b",
     )
-    passed = all(c.holds for c in checks)
-    return TheoremReport("minimax", True, tuple(checks), passed, notes)
+    return _report("minimax", checks, notes)
 
 
 def _exact_weight(x) -> Fraction:
@@ -367,27 +324,19 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     if k_val <= 0:
         raise ValueError("theorem5 needs every entry of w to be positive")
     dm = g.distance_matrix
-    n = g.n
-    diam = dm.diameter()
     den = lcm(*(x.denominator for x in w_frac))
     nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
     dw_inf = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)
-    diam_bound = (dw_inf / n) * (8 / k_val)
-    lam_bound = k_val / (8 * dw_inf)
-    checks = (
-        InequalityCheck(
+    return _report("theorem5", (
+        _check(
             "diam <= (||Dw||_inf/n) * 8/K",
-            _q("diam", diam), "<=", _q("(||Dw||_inf/n)*8/K", diam_bound),
-            diam <= diam_bound, True,
+            ("diam", dm.diameter()), "<=", ("(||Dw||_inf/n)*8/K", (dw_inf / g.n) * (8 / k_val)),
         ),
-        InequalityCheck(
+        _check(
             "lambda_1 >= K/(8 ||Dw||_inf)",
-            _q("lambda_1", info.lambda1), ">=", _q("K/(8||Dw||_inf)", lam_bound),
-            info.lambda1 + FLOAT_SLACK >= float(lam_bound), False,
+            ("lambda_1", info.lambda1), ">=", ("K/(8||Dw||_inf)", k_val / (8 * dw_inf)),
         ),
-    )
-    passed = all(c.holds for c in checks)
-    return TheoremReport("theorem5", True, checks, passed)
+    ))
 
 
 def spectral_criterion(info: SpectralInfo, curvature_status: CurvatureStatus) -> TheoremReport:
@@ -404,33 +353,34 @@ def spectral_criterion(info: SpectralInfo, curvature_status: CurvatureStatus) ->
     if len(ds) < 2:
         return _not_applicable("spectral_criterion", "spectrum too small")
     lam1, lam2 = ds[0], ds[1]
-    hyp = lam1 > 0 and lam2 <= FLOAT_SLACK and (lam1 - lam2) > 0
-    if not hyp:
+    if not (lam1 > 0 and lam2 <= FLOAT_SLACK and (lam1 - lam2) > 0):
         return _not_applicable(
             "spectral_criterion",
             f"distance spectrum not of the form lambda_1 > 0 >= lambda_2 (lambda_2 = {lam2:.3e})",
         )
+    # Built by hand rather than through _check: the first check is a
+    # prediction, so its slack works against holding (float noise must never
+    # predict "solvable"), and ``passed`` is the soundness check alone.
     lhs = 1.0 - info.c_G**2
     rhs = abs(lam2) / (lam1 - lam2)
     criterion_true = lhs < rhs - FLOAT_SLACK
-    checks = [
+    verdict = "holds: predicts solvable" if criterion_true else "does not hold: no prediction"
+    notes = (f"criterion {verdict}",)
+    sound = not (criterion_true and curvature_status is CurvatureStatus.INCONSISTENT)
+    checks = (
         InequalityCheck(
             "1 - <v, 1/sqrt(n)>^2 < |lambda_2|/(lambda_1 - lambda_2)",
             _q("1 - c_G^2", lhs), "<", _q("|lambda_2|/(lambda_1-lambda_2)", rhs),
             criterion_true, False,
-        )
-    ]
-    notes = [f"criterion {'holds: predicts solvable' if criterion_true else 'does not hold: no prediction'}"]
-    sound = not (criterion_true and curvature_status is CurvatureStatus.INCONSISTENT)
-    checks.append(
+        ),
         InequalityCheck(
             "criterion true implies exactly solvable",
             _q("criterion", int(criterion_true)), "=>",
             _q("solvable", int(curvature_status is not CurvatureStatus.INCONSISTENT)),
             sound, False,
-        )
+        ),
     )
-    return TheoremReport("spectral_criterion", True, tuple(checks), sound, tuple(notes))
+    return TheoremReport("spectral_criterion", True, checks, sound, notes)
 
 
 def perron_alignment(info: SpectralInfo) -> TheoremReport:
@@ -439,18 +389,9 @@ def perron_alignment(info: SpectralInfo) -> TheoremReport:
     Asserts c_G >= 1/sqrt(2) (a metric-space fact); values at or below 0.95
     are merely flagged as notable since they are hard to find.
     """
-    bound = 1.0 / sqrt(2.0)
-    holds = info.c_G >= bound - FLOAT_SLACK
-    checks = (
-        InequalityCheck(
-            "c_G >= 1/sqrt(2)", _q("c_G", info.c_G), ">=", _q("1/sqrt(2)", bound),
-            holds, False,
-        ),
-    )
-    notes = []
-    if info.c_G <= 0.95:
-        notes.append(f"notable: c_G = {info.c_G:.6f} <= 0.95")
-    return TheoremReport("perron_alignment", True, checks, holds, tuple(notes))
+    notes = [f"notable: c_G = {info.c_G:.6f} <= 0.95"] if info.c_G <= 0.95 else []
+    check = _check("c_G >= 1/sqrt(2)", ("c_G", info.c_G), ">=", ("1/sqrt(2)", 1.0 / sqrt(2.0)))
+    return _report("perron_alignment", (check,), notes)
 
 
 def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
@@ -466,28 +407,17 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
         return _not_applicable(
             "product_curvature", "a factor does not have constant distance row sums"
         )
-    k1 = Fraction(g.n) / r1
-    k2 = Fraction(h.n) / r2
-    product = cartesian_product(g, h)
+    k1, k2 = Fraction(g.n) / r1, Fraction(h.n) / r2
     # a product of factors with constant row sums has constant row sums, so
     # D w = n * 1 is solvable and the curvature is exact
-    result = compute_curvature(product)
-    constant = all(x == result.w[0] for x in result.w)
+    result = compute_curvature(cartesian_product(g, h))
+    distinct = len(set(result.w))
     k_prod: Fraction = result.w[0]
     checks = [
-        InequalityCheck(
-            "product curvature is constant",
-            _q("distinct w values", len(set(result.w))), "==", _q("one", 1),
-            constant, True,
-        )
+        _check("product curvature is constant", ("distinct w values", distinct), "==", ("one", 1))
     ]
-    if constant and k_prod > 0:
-        checks.append(
-            InequalityCheck(
-                "1/K == 1/K_1 + 1/K_2",
-                _q("1/K", 1 / k_prod), "==", _q("1/K_1 + 1/K_2", 1 / k1 + 1 / k2),
-                1 / k_prod == 1 / k1 + 1 / k2, True,
-            )
-        )
-    passed = all(c.holds for c in checks)
-    return TheoremReport("product_curvature", True, tuple(checks), passed)
+    if distinct == 1 and k_prod > 0:
+        checks.append(_check(
+            "1/K == 1/K_1 + 1/K_2", ("1/K", 1 / k_prod), "==", ("1/K_1 + 1/K_2", 1 / k1 + 1 / k2)
+        ))
+    return _report("product_curvature", checks)

@@ -6,6 +6,7 @@ random graphs) runs once.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -281,6 +282,26 @@ ATLAS_INCONSISTENT = {
            (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)),
 }
 
+# this test's own reading of each relation, applied to a check's exact sides
+EXACT_RELATIONS = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "and": lambda a, b: bool(a and b),
+}
+
+
+def stated_consistently(check):
+    """An exact check's verdict is its relation on its exact sides; any other has a float side.
+
+    The spectral criterion's implication is the one exception: its sides are
+    0/1 flags, but its premise is a float prediction.
+    """
+    if check.exact_arithmetic:
+        lhs, rhs = Fraction(check.lhs.exact), Fraction(check.rhs.exact)
+        return check.holds == EXACT_RELATIONS[check.relation](lhs, rhs)
+    return None in (check.lhs.exact, check.rhs.exact) or check.relation == "=>"
+
 
 def test_criterion_11_every_connected_graph_up_to_7_vertices():
     nx = pytest.importorskip("networkx")
@@ -294,6 +315,8 @@ def test_criterion_11_every_connected_graph_up_to_7_vertices():
         dm = apsp(g)
         result, _, reports = analyze_graph(g)
         assert not [r.theorem for r in reports if r.failed], index
+        checks = [c for r in reports for c in r.checks]
+        assert [c.label for c in checks if not stated_consistently(c)] == [], index
         minimax = next(r for r in reports if r.theorem == "minimax")
         minimax_applicable += minimax.hypothesis_satisfied
         statuses[result.status] += 1
@@ -317,5 +340,6 @@ def test_criterion_11_every_connected_graph_up_to_7_vertices():
         assert nx.is_isomorphic(nx.Graph(list(edges)), nx.Graph(list(family.edges))), text
     print("\nACCEPTANCE 11 PASS: all 995 connected graphs on 2..7 vertices: 787 "
           "exact_unique, 206 exact_canonical, 2 inconsistent (K_{1,1,1,4} and K_{1,1,1,1,3}); "
-          "no verifier failed (minimax applicable and passed on 271), and a nonzero kernel "
+          "no verifier failed (minimax applicable and passed on 271), every exact check's "
+          "verdict is its relation on its exact sides, and a nonzero kernel "
           "sum marks exactly the inconsistent ones")

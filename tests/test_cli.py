@@ -292,6 +292,23 @@ class TestByteIdentity:
             "22b40d6cb5b5cc438755e1fde6911835abd6d94c41cffd2f2de3f76753a97699"
         )
 
+    @pytest.mark.parametrize("spec, marker, digest", [
+        # K == 0: the 2/K bound is vacuous, Lichnerowicz is not applicable
+        ("path:3", "K == 0: the 2/K bound is vacuous",
+         "083da090ef51c6c460e42184f0dc39752220bdacfe4f9b448f973f0c97a3c868"),
+        # the reverse Bonnet-Myers bound is an equality, so completeness is checked
+        ("complete:5", "equality implies complete graph",
+         "561e89f386f5d6a3bece1fd007ec41e9f64040c8e55a010a6e74cd6b54bf836f"),
+        # K < 0: every curvature theorem reports its hypothesis unmet
+        ("knight_board:4,4", "hypothesis not satisfied: K = -8/3 is negative",
+         "1d87c7cbd8ad5e53e4688cc0641d905726268283ad5ab773a0aa5d503f8b8601"),
+    ])
+    def test_verify_all_beyond_positive_curvature(self, capsys, spec, marker, digest):
+        code, out, _ = run_cli(capsys, "verify", "--family", spec, "--theorems", "all")
+        assert code == 0
+        assert marker in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_seeded_corpus_json_lines(self, capsys):
         code, out, _ = run_cli(
             capsys, "corpus", "--count", "6", "--n-range", "5..30", "--seed", "5", "--json-lines"

@@ -325,7 +325,7 @@ def test_tree_curvature_matches_graham_lovasz(data, n):
     assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
 
 
-@pytest.mark.parametrize("n", [10, 200, 500])
+@pytest.mark.parametrize("n", [10, 200, 500, 1000])
 def test_graham_lovasz_on_large_random_recursive_trees(n):
     # sizes no sympy oracle reaches; in a random recursive tree vertex v joins
     # a uniformly drawn earlier vertex. D is invertible (Graham and Pollak 1971)

@@ -393,6 +393,57 @@ class TestPerronAlignment:
             assert report.passed, text
 
 
+class TestFloatSlack:
+    """The 1e-9 slack favours holding; the spectral criterion's favours no prediction."""
+
+    # a float 0.5e-9 short of its bound is noise; 2e-9 short is a failure
+    NOISE = 0.5e-9
+    SHORT = 2e-9
+
+    def test_lichnerowicz(self):
+        g, dm, result, info = analyzed("cycle:6")
+        bound = float(result.total / (2 * g.n**2))
+        near = check_lichnerowicz(g, result, replace(info, lambda1=bound - self.NOISE))
+        far = check_lichnerowicz(g, result, replace(info, lambda1=bound - self.SHORT))
+        assert near.checks[0].rhs.value == bound
+        assert near.checks[0].holds and near.passed
+        assert not far.checks[0].holds and far.failed
+
+    def test_theorem5_lambda(self):
+        g, dm, result, info = analyzed("cycle:6")
+        bound = check_theorem5(g, result.w, info).checks[1].rhs.value
+        near = check_theorem5(g, result.w, replace(info, lambda1=bound - self.NOISE))
+        far = check_theorem5(g, result.w, replace(info, lambda1=bound - self.SHORT))
+        assert near.checks[1].holds and near.passed
+        assert not far.checks[1].holds and far.failed
+
+    def test_perron_alignment(self):
+        info = spectral_gap(fam("path:4"))
+        bound = 1.0 / math.sqrt(2.0)
+        assert perron_alignment(replace(info, c_G=bound - self.NOISE)).passed
+        assert perron_alignment(replace(info, c_G=bound - self.SHORT)).failed
+
+    def test_spectral_criterion_makes_no_prediction_within_the_slack(self):
+        info = spectral_gap(fam("complete:3"))
+        # lambda_1 = 2, lambda_2 = -1: the criterion's right side is 1/3
+        spectrum = replace(info, distance_spectrum=(2.0, -1.0, -1.0))
+
+        def at(lhs):
+            # the exact classification says inconsistent, so a prediction fails
+            c_g = math.sqrt(1 - lhs)
+            return spectral_criterion(replace(spectrum, c_G=c_g), CurvatureStatus.INCONSISTENT)
+
+        near = at(1 / 3 - self.NOISE)
+        assert near.checks[0].lhs.value == pytest.approx(1 / 3 - self.NOISE, abs=1e-15)
+        assert not near.checks[0].holds
+        assert near.notes == ("criterion does not hold: no prediction",)
+        assert near.passed  # no prediction, so nothing to contradict
+        far = at(1 / 3 - self.SHORT)
+        assert far.checks[0].holds
+        assert far.notes == ("criterion holds: predicts solvable",)
+        assert far.failed  # a prediction the exact classification refutes
+
+
 class TestProductCurvature:
     def test_c4_times_c4(self):
         report = check_product_curvature(fam("cycle:4"), fam("cycle:4"))
