@@ -1,19 +1,25 @@
 """Numeric kernels: exact rational solving, symmetric eigenwork, and a small LP.
 
 Two arithmetic worlds are kept deliberately separate, and only eigenwork
-is in floating point:
+returns floating-point results:
 
 * solvability classification, nullspaces and the lexicographic max-min
   canonicalization run on integers: ``solve_exact`` takes integer entries
   only, and Fractions appear only in its outcome's views.
-  The solve is p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a
+  A square system that LAPACK's log-determinant shows to be nonsingular is
+  first tried on a certified float64 route (numeric-symbolic lifting, Wan
+  2006): an exact integer check on ``M X`` proves M nonsingular from a
+  rounded float64 inverse X, and BLAS products lift the solution 2^k bits at
+  a time. Every other system, and every one the route refuses, takes the
+  general solve, p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a
   prime p < 2^20, in column panels whose row operations reach the trailing
   columns as one exact float64 product each, finds the pivot block and its
   inverse mod p, int64 digit steps lift the solution and the whole kernel
   basis at once, and rational reconstruction gives one common denominator.
   Exact integer certificates (the solve on the pivot rows, the kernel on
   every row, the lex-first basis) prove the result, and a failed one moves
-  on to the next prime of a fixed sequence. Each array is int64 exactly
+  on to the next prime of a fixed sequence. Both routes give the same
+  outcome, and LAPACK output never decides one. Each array is int64 exactly
   when a documented bound rules out overflow, and Python integers
   otherwise. The max-min accepts only families whose kernel vectors sum to
   zero, as those of a consistent distance system do, so every level LP is
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, isqrt
+from math import ceil, factorial, gcd, isqrt, log, log2
 
 import numpy as np
 
@@ -68,6 +74,9 @@ _SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
 # columns per panel of the mod-p elimination; a panel's float64 product has
 # entries below PANEL_WIDTH * p^2 < 2^45, exact in binary64
 PANEL_WIDTH = 32
+# a nonsingular integer matrix has |det M| >= 1, so the float route's screen
+# leaves a matrix whose float64 log|det M| is below log(1/2) to the mod-p path
+_LOG_DET_FLOOR = log(0.5)
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -392,6 +401,153 @@ def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tup
             return found
 
 
+def _convergent_denominator(z: int, bits: int, tol: int, limit: int) -> int | None:
+    """Denominator of the first convergent p/q of ``z / 2^bits`` with
+    ``|z q - p 2^bits| <= tol q``, None if q would pass ``limit`` first.
+
+    That distance is the Euclidean remainder left after the convergent, so
+    the numerators p are never formed.
+    """
+    q0, q1 = 1, 0
+    num, den = z, 1 << bits
+    while den:
+        a, rem = divmod(num, den)
+        q0, q1 = q1, a * q1 + q0
+        if q1 > limit:
+            return None
+        if rem <= tol * q1:
+            return q1
+        num, den = den, rem
+    return None
+
+
+def _reconstruct_dyadic(acc: np.ndarray, bits: int, err: int, den: int = 1) -> tuple[np.ndarray, int] | None:
+    """``(num, den)`` from approximations ``acc / 2^bits`` of a vector x, each within ``err / 2^bits``.
+
+    With ``Q = isqrt((2^bits - 1) // (2 err))``, two distinct fractions with
+    denominators at most Q are more than ``2 err / 2^bits`` apart, so each
+    entry has at most one such fraction within the error, and by Legendre's
+    theorem it is a convergent of the approximation. One common denominator
+    is grown entry by entry from ``den``, as ``_reconstruct`` does: it takes
+    on the denominator of the first convergent of ``den * acc_i / 2^bits``
+    within ``den * err / 2^bits``, searched up to ``Q / den``, or 1 at once
+    when ``den`` already makes the entry an integer. When the lcm of x's
+    denominators is at most Q and a multiple of the starting ``den``, the
+    result is that lcm and ``num`` is ``den * x``; otherwise the caller's
+    exact check fails. None when some entry has no such convergent, which
+    needs more bits.
+    """
+    one, half = 1 << bits, 1 << (bits - 1)
+    limit = isqrt((one - 1) // (2 * err))
+    tol = den * err
+    for u in acc.tolist():
+        z = den * u
+        rem = z & (one - 1)
+        if min(rem, one - rem) <= tol:
+            continue
+        q = _convergent_denominator(z, bits, tol, limit // den)
+        if q is None:
+            return None
+        den *= q
+        tol = den * err
+    return (den * acc + half) >> bits, den
+
+
+def _combine_digits(digits: list[np.ndarray], k: int) -> np.ndarray:
+    """``sum_j digits[j] 2^(k (T - 1 - j))`` per entry, for T int64 digit vectors, as Python ints.
+
+    Carries, least significant digit first, bring every digit into
+    ``[0, 2^k)``; its bits go into little-endian 64-bit words, which
+    ``int.from_bytes`` reads in one call per entry, and the last carry is the
+    signed top part. The digits stay below 2^53 and ``k < 53``, so no int64
+    value overflows.
+    """
+    count, mask = len(digits), (1 << k) - 1
+    words = np.zeros((len(digits[0]), count * k // 64 + 2), dtype="<u8")
+    carry = np.zeros(len(digits[0]), dtype=np.int64)
+    for j, y in enumerate(reversed(digits)):
+        d = y + carry
+        carry = d >> k
+        field = (d & mask).astype(np.uint64)
+        w, off = divmod(j * k, 64)
+        words[:, w] |= field << np.uint64(off)
+        if off + k > 64:
+            words[:, w + 1] |= field >> np.uint64(64 - off)
+    low = (int.from_bytes(row.tobytes(), "little") for row in words)
+    return np.array([(c << (count * k)) + v for c, v in zip(carry.tolist(), low)], dtype=object)
+
+
+def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
+    """``_solve_mod``'s tuple for a certified nonsingular M, lifted on float64 BLAS; None to fall back.
+
+    Numeric-symbolic lifting (Wan 2006; Saunders, Wood and Youse 2011):
+    LAPACK's log-determinant and inverse only choose and steer the route,
+    and exact integer checks prove the result. ``solve_exact``'s Notes give
+    the screen, both certificates and every exactness bound.
+    """
+    n = len(m)
+    scale = n * _absmax(m)
+    if m.dtype == object or _absmax(b) > 4 * scale or 4 * scale >= FLOAT64_LIMIT:
+        return None
+    mf = m.astype(np.float64)
+    log_det = np.linalg.slogdet(mf)[1]
+    if not log_det >= _LOG_DET_FLOOR:
+        return None
+    try:
+        inverse = np.linalg.inv(mf)
+    except np.linalg.LinAlgError:  # an exactly zero pivot that slogdet's LU did not meet
+        return None
+    if not np.isfinite(inverse).all():
+        return None
+    # X = rint(2^s inv M) with scale |X| < 2^53, so that M X is exact in float64
+    s = min(52, int(np.floor(52 - np.log2(scale) - np.log2(np.abs(inverse).max()))))
+    x = np.rint(np.ldexp(inverse, s))
+    x_int = x.astype(np.int64)
+    if s < 6 or scale * _absmax(x_int) >= FLOAT64_LIMIT:
+        return None
+    e = -(mf @ x).astype(np.int64)
+    e[range(n), range(n)] += 1 << s
+    if _absmax(e) >= 1 << (s - 1):
+        return None
+    delta = int(np.abs(e).astype(_int_dtype(n * _absmax(e))).sum(axis=1).max())
+    # ||E||_inf < 2^(s-1) proves ||I - M X 2^-s||_inf <= 1/2: M is nonsingular
+    # and ||inv M||_inf <= 2 ||X||_inf 2^-s
+    if 2 * delta >= 1 << s:
+        return None
+    x_norm = int(np.abs(x_int).sum(axis=1).max())
+    # 2^k delta <= 2^(s-2), and |y| <= 2^(k-s) ||X||_inf 4 scale + 1 keeps scale |y| below 2^53
+    k = min(s - 2 - delta.bit_length(), s + 51 - (4 * x_norm * scale * scale).bit_length())
+    if k < 4:
+        return None
+    # den <= |det M| predicts the step count that suffices, and Hadamard's bound caps it
+    err_bits = log2(2 * ((8 * x_norm * scale >> s) + 1))
+    predicted = ceil((err_bits + 2 * log_det / log(2) + 2) / k)
+    cap = ceil((err_bits + float(np.log2(np.square(mf).sum(axis=1)).sum()) + 8) / k)
+    r, digits, head, steps = b.astype(np.float64), [], [0, 0], 1
+    while steps <= cap:
+        while len(digits) < steps:
+            # M N = 2^K b - r: y ~ 2^k inv(M) r, then r <- 2^k r - M y, exact in float64
+            y = np.rint(np.ldexp(x @ r, k - s))
+            if scale * np.abs(y).max() >= FLOAT64_LIMIT:
+                return None
+            r = np.ldexp(r, k) - mf @ y
+            if np.abs(r).max() > 4 * scale:
+                return None
+            digits.append(y.astype(np.int64))
+            head = [(h << k) + v for h, v in zip(head, digits[-1][:2].tolist())]
+        # |x - N / 2^K| <= ||inv M||_inf |r| / 2^K; the first two entries probe it cheaply
+        err = (2 * x_norm * int(np.abs(r).max()) >> s) + 1
+        probe = _reconstruct_dyadic(np.array(head, dtype=object), k * steps, err)
+        if probe is not None:
+            found = _reconstruct_dyadic(_combine_digits(digits, k), k * steps, err, probe[1])
+            if found is not None and _columns_hold(m, found[0][:, None], found[1], b[:, None]).all():
+                num, den = found
+                g = gcd(den, *num.tolist())
+                return list(range(n)), [], num[:, None] // g, den // g, True
+        steps = min(2 * steps, predicted) if steps < predicted else steps + max(1, steps // 4)
+    return None
+
+
 def _solve_mod(
     m: np.ndarray, b: np.ndarray, p: int
 ) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
@@ -418,6 +574,15 @@ def _solve_mod(
     return pivot_cols, free_cols, num, den, bool(holds[0])
 
 
+def _solve_modular(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool]:
+    """``_solve_mod`` with the first prime of the fixed sequence that is not unlucky."""
+    for p in _primes():
+        found = _solve_mod(m, b, p)
+        if found is not None:
+            return found
+    raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
+
+
 def solve_exact(matrix, rhs) -> SolveOutcome:
     """Classify and solve ``M x = rhs`` over exact rationals.
 
@@ -437,9 +602,61 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Notes
     -----
-    The moduli are the primes between 2^10 and ``PRIME_LIMIT = 2^20``,
-    largest first (1048573, 1048571, ...), a fixed sequence, so the result is
-    deterministic. For a prime p:
+    Two routes give the same outcome, and the first that succeeds is taken.
+
+    **The float route** (numeric-symbolic lifting: Wan, J. Symb. Comp. 2006;
+    Saunders, Wood and Youse, ISSAC 2011) is tried first. It proves M
+    nonsingular and then gives UNIQUE with pivot columns ``0..n-1``, no free
+    columns, and ``(num, den)`` reduced by their common gcd, which makes
+    ``den`` the lcm of the solution's denominators, as the mod-p route's
+    reconstruction does. With ``scale = n |M|``:
+
+    1. screen: M is int64, ``|b| <= 4 scale`` and ``4 scale < 2^53``, and
+       ``numpy.linalg.slogdet`` of the float64 matrix gives
+       ``log|det M| >= log(1/2)``, since a nonsingular integer matrix has
+       ``|det M| >= 1``. LAPACK output only chooses the route;
+    2. nonsingularity certificate: ``X = rint(2^s inv(M))``, from
+       ``numpy.linalg.inv``, with ``s <= 52`` taken from the largest entry
+       of the inverse so that ``scale |X| < 2^53`` (checked in integers). Every partial sum of
+       ``M X`` is then an integer below 2^53, so the float64 product is
+       exact in any order, and ``E = 2^s I - M X`` is exact in int64. Every
+       absolute row sum of E below ``2^(s-1)``, checked in exact integers,
+       proves ``||I - M X 2^-s||_inf = delta <= 1/2``, so M is nonsingular
+       and ``||inv M||_inf <= 2 ||X||_inf 2^-s``;
+    3. lifting: with ``M N = 2^K b - r`` (``N = 0``, ``r = b`` at first),
+       each step takes ``y = rint(2^(k-s) X r)`` and sets
+       ``r <- 2^k r - M y``, ``N <- 2^k N + y``, ``K <- K + k``. Then
+       ``r = 2^k (I - M X 2^-s) r - M rho``, with ``rho`` the rounding of
+       y, about 1/2, and ``k`` is the largest with ``2^k delta <= 1/4``, so
+       ``|r| <= |r| / 4 + scale |rho|`` stays below ``4 scale``, which
+       each step checks. ``k`` also keeps
+       ``2^(k-s) ||X||_inf 4 scale^2 <= 2^51``, and each step checks
+       ``scale |y| < 2^53``: ``M y`` is then exact, and so is the new r, an
+       integer below 2^53. The digits y are int64 and are combined into
+       Python ints only at a reconstruction;
+    4. reconstruction: ``|x - N / 2^K| <= 2 ||X||_inf |r| / 2^(s+K)``. One
+       common denominator is built entry by entry, as in the mod-p route,
+       from continued fractions of ``N_i / 2^K`` whose denominators are
+       small enough for the closest one to be the only one within that
+       error (``_reconstruct_dyadic``). Attempts come after 1, 2, 4, ...
+       steps up to the count that ``den <= |det M|`` predicts from the
+       log-determinant, enough whenever that float64 value is close, then
+       after a quarter more steps each. The first two entries alone are
+       tried first, so an attempt with too few bits costs little, and a
+       solution whose denominator is far below ``|det M|``, as on trees,
+       ends early. Only ``M num == den b`` on every row, in exact integers,
+       ends the loop; with M nonsingular, that proves ``num / den`` is the
+       solution.
+
+    Every other case falls back to the mod-p route as it is: a matrix the
+    screen calls singular, an inverse LAPACK refuses or returns non-finite,
+    ``s < 6``, a failed certificate, fewer than 4 bits per step, a residual
+    or digit past its bound, or more steps than Hadamard's bound on
+    ``|det M|`` can need.
+
+    **The mod-p route.** The moduli are the primes between 2^10 and
+    ``PRIME_LIMIT = 2^20``, largest first (1048573, 1048571, ...), a fixed
+    sequence, so the result is deterministic. For a prime p:
 
     1. one Gauss-Jordan pass over ``[M mod p | I]``, in panels of
        ``PANEL_WIDTH`` columns, gives the pivot rows I, the lex-first pivot
@@ -498,12 +715,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     a[:, :n] = m
     a[:, n] = b
 
-    for p in _primes():
-        found = _solve_mod(a[:, :n], a[:, n], p)
-        if found is not None:
-            break
-    else:
-        raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
+    found = _solve_float(a[:, :n], a[:, n]) or _solve_modular(a[:, :n], a[:, n])
     pivot_cols, free_cols, num, den, consistent = found
     num.setflags(write=False)
     if not consistent:

@@ -407,6 +407,9 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
         return _not_applicable(
             "product_curvature", "a factor does not have constant distance row sums"
         )
+    if not (r1 and r2):
+        # a one-vertex factor: its D w = n * 1 reads 0 = 1, so it has no curvature
+        return _not_applicable("product_curvature", "a factor has a single vertex")
     k1, k2 = Fraction(g.n) / r1, Fraction(h.n) / r2
     # a product of factors with constant row sums has constant row sums, so
     # D w = n * 1 is solvable and the curvature is exact

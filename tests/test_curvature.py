@@ -340,6 +340,17 @@ def test_graham_lovasz_on_large_random_recursive_trees(n):
     assert result.w == tuple(Fraction(n * (2 - d), n - 1) for d in degree)
 
 
+def test_graham_lovasz_on_path_2000():
+    # n = 2000, half the vertex limit: max|D| = 1999 puts n max|D| near 2^22,
+    # so the float route's lifting gains only 4 bits per step; w is
+    # n / (n - 1) at both ends and 0 inside
+    n = 2000
+    result = compute_curvature(fam(f"path:{n}"))
+    assert result.status is CurvatureStatus.EXACT_UNIQUE
+    ends = Fraction(n, n - 1)
+    assert result.w == (ends,) + (Fraction(0),) * (n - 2) + (ends,)
+
+
 def circulant(n: int, jumps: set[int]) -> Graph:
     """C_n(S): vertex v adjacent to v +- s mod n for every jump s in S."""
     return Graph(n, frozenset((min(v, (v + s) % n), max(v, (v + s) % n))

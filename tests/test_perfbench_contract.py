@@ -36,7 +36,8 @@ ITEMS = [
      "ba2d9c8f8af428da61b717f95e6be26aa172a2c3b97d73c8ecc67c7d5aaf1920"),
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1))),
      "5a5355146029f09b57daac4efcf5adf6bf2518b6eba143f9583ce52f03a1615c"),
-    # n = 100 spans four column panels of the mod-p elimination
+    # n = 100 takes the float route; the mod-p route, four column panels of
+    # elimination, gives the same digest
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (100, 0.1, 1))),
      "143d72f44cb4cad2c972a72a0c9544f8786f371ee867498c19db860540fd52fd"),
     ("families", workloads.Item(FamilySpec("hypercube", (4,)), 0, 3),

@@ -7,6 +7,7 @@ the first prime make that prime unlucky, so the retry path runs too.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from solve_exact_reference import reference_solve_exact
 
 from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
+from eqcurv import linalg
 from eqcurv.linalg import _primes, _solve_mod
 from integer_form import integer_rows
 
@@ -37,9 +39,7 @@ reference_entries = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 7), data=st.data())
-def test_matches_bareiss_on_random_systems(n, data):
+def draw_system(n, data):
     row = st.lists(reference_entries, min_size=n, max_size=n)
     matrix = data.draw(st.lists(row, min_size=n, max_size=n))
     # forced dependent rows: row t becomes c * row s
@@ -52,8 +52,27 @@ def test_matches_bareiss_on_random_systems(n, data):
         rhs = [sum(Fraction(a) * b for a, b in zip(r, y)) for r in matrix]
     else:
         rhs = data.draw(row)
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_matches_bareiss_on_random_systems(n, data):
+    matrix, rhs = draw_system(n, data)
     # the reference solves the system as drawn, solve_exact its rows scaled to integers
     assert fields(solve_exact(*integer_rows(matrix, rhs))) == reference_solve_exact(matrix, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_mod_p_route_alone_matches_bareiss_on_random_systems(n, data):
+    # solve_exact tries the float route first, and it takes most nonsingular
+    # draws; with it off, the mod-p route, unlucky first primes included,
+    # meets the same reference on the same draws
+    matrix, rhs = draw_system(n, data)
+    with mock.patch.object(linalg, "_solve_float", lambda m, b: None):
+        out = solve_exact(*integer_rows(matrix, rhs))
+    assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
 def test_lex_first_check_rejects_the_greedy_basis_mod_p():
@@ -80,6 +99,9 @@ def test_rank_deficient_mod_p_retries_with_the_next_prime():
     out = solve_exact([[p0]], [1])
     assert out.status is SolveStatus.UNIQUE and out.rank == 1
     assert out.solution == (Fraction(1, p0),)
+    # solve_exact took the float route; the mod-p route alone gets there too
+    _, _, num, den, consistent = linalg._solve_modular(np.array([[p0]]), np.array([1]))
+    assert (num.tolist(), den, consistent) == ([[1]], p0, True)
 
 
 @pytest.mark.parametrize(

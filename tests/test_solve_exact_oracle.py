@@ -2,12 +2,13 @@
 and the particular solution with every free variable set to 0."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
+from eqcurv import SolveStatus, apsp, generate, linalg, parse_family_spec, solve_exact
 from integer_form import integer_rows
 
 sympy = pytest.importorskip("sympy")
@@ -83,9 +84,7 @@ FIRST_PRIME = 1048573
 FLOAT_BOUND = (2**53 - 1) // FIRST_PRIME
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
-def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data):
+def lifting_bound_case(n, above, rhs_side, data):
     # largest entry s, set once in the matrix, so that B p falls just below or
     # just above 2^53 through k |M_IJ| (full rank) or through |rhs|
     if rhs_side:
@@ -101,3 +100,18 @@ def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data
     rhs = data.draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
     rhs[data.draw(st.integers(0, n - 1))] = top
     assert_matches_sympy(matrix, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
+def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data):
+    lifting_bound_case(n, above, rhs_side, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
+def test_mod_p_route_alone_around_the_float64_lifting_bound(n, above, rhs_side, data):
+    # the float route takes some nonsingular draws above; with it off, the
+    # mod-p lifting runs on both sides of its float64 bound
+    with mock.patch.object(linalg, "_solve_float", lambda m, b: None):
+        lifting_bound_case(n, above, rhs_side, data)

@@ -1,0 +1,209 @@
+"""The float route of ``solve_exact`` against the mod-p route.
+
+``linalg._solve_float`` certifies a nonsingular system from a rounded float64
+inverse and lifts it on BLAS; ``linalg._solve_modular`` is the general route
+(``_solve_mod`` with the first prime that is not unlucky). Whenever the float
+route returns, its outcome must be the mod-p route's, part by part: pivot
+and free columns, numerators, denominator and consistency. When it refuses,
+``solve_exact`` must still give the mod-p outcome.
+"""
+
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqcurv import Graph, SolveStatus, generate, parse_family_spec, solve_exact
+from eqcurv import linalg
+
+
+def distance_system(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    return g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
+
+
+def family_system(text: str) -> tuple[np.ndarray, np.ndarray]:
+    return distance_system(generate(parse_family_spec(text)))
+
+
+def assert_same(found, reference) -> None:
+    pivot_cols, free_cols, num, den, consistent = found
+    assert (pivot_cols, free_cols, den, consistent) == (reference[0], reference[1], reference[3], reference[4])
+    assert num.shape == reference[2].shape
+    assert num.dtype == object and all(type(v) is int for v in num.flat)
+    assert (num == reference[2]).all()
+
+
+def routes_agree(m: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the float route took the system; when it did, it matches the mod-p route."""
+    found, reference = linalg._solve_float(m, b), linalg._solve_modular(m, b)
+    outcome = solve_exact(m, b)
+    assert (outcome.pivot_cols, outcome.free_cols, outcome.den) == (reference[0], reference[1], reference[3])
+    if found is None:
+        return False
+    assert found[1] == [] and found[0] == list(range(len(m)))
+    assert_same(found, reference)
+    assert outcome.status is SolveStatus.UNIQUE
+    return True
+
+
+def connected_atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 2 and nx.is_connected(h):
+            yield Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+
+
+def test_atlas_graphs_agree_and_the_float_route_takes_every_full_rank_one():
+    taken = full_rank = graphs = 0
+    for g in connected_atlas_graphs():
+        m, b = distance_system(g)
+        graphs += 1
+        full_rank += not linalg._solve_modular(m, b)[1]
+        taken += routes_agree(m, b)
+    # 787 of the 995 connected atlas graphs have a nonsingular D; the other
+    # 208 never reach the float route's lifting
+    assert (graphs, full_rank, taken) == (995, 787, 787)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["erdos_renyi:100,0.1,1", "erdos_renyi:130,0.08,2", "erdos_renyi:150,0.1,1",
+     "erdos_renyi:165,0.06,2", "erdos_renyi:180,0.05,3"],
+)
+def test_random_graphs_at_benchmark_sizes_take_the_float_route(spec):
+    assert routes_agree(*family_system(spec))
+
+
+def test_path_300_takes_the_float_route():
+    # D^{-1} of a tree is -L/2 + tau tau^T / (2 (n - 1)) (Graham and Lovasz),
+    # entries at most 1, so the certificate holds although n max|D| is 89700
+    assert routes_agree(*family_system("path:300"))
+
+
+def test_bordered_pseudo_apply_system_of_knight_board_7_7():
+    m, b = family_system("knight_board:7,7")
+    outcome = solve_exact(m, b)
+    assert outcome.status is SolveStatus.INCONSISTENT
+    z = outcome.kernel_rows.astype(np.int64)
+    bordered = np.block([[m, z.T], [z, np.zeros((len(z), len(z)), dtype=np.int64)]])
+    assert routes_agree(bordered, np.concatenate([b, np.zeros(len(z), dtype=np.int64)]))
+
+
+def square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_random_integer_systems(n, data):
+    entries = data.draw(st.sampled_from([st.integers(-5, 5), st.integers(-2**20, 2**20)]))
+    m = np.array(data.draw(square(n, entries)), dtype=np.int64).reshape(n, n)
+    top = 4 * n * max(1, int(np.abs(m).max()))
+    b = np.array(data.draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), dtype=np.int64)
+    routes_agree(m, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_a_row_nudged_towards_singularity(n, data):
+    # row t becomes c * row s plus a unit in one column: det M is small or 0
+    m = np.array(data.draw(square(n, st.integers(-9, 9))), dtype=np.int64)
+    t, s = data.draw(st.permutations(range(n)))[:2]
+    m[t] = data.draw(st.integers(-3, 3)) * m[s]
+    m[t, data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-1, 1]))
+    b = np.array(data.draw(st.lists(st.integers(-n, n), min_size=n, max_size=n)), dtype=np.int64)
+    routes_agree(m, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), bits=st.integers(30, 51), data=st.data())
+def test_entries_near_the_float_bound(n, bits, data):
+    # largest entry 2^bits: the route takes most such systems up to about
+    # 2^36 and refuses them from about 2^44 (the certificate, or too few
+    # bits per step), and 2^51 puts 4 n max|M| past 2^53, where the screen stops
+    top = 2**bits
+    m = np.array(data.draw(square(n, st.integers(-top, top))), dtype=np.int64)
+    m[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = top
+    bound = 4 * n * top
+    b = np.array(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)), dtype=np.int64)
+    routes_agree(m, b)
+
+
+# ---------------------------------------------------------------------------
+# refusals and fallbacks
+# ---------------------------------------------------------------------------
+
+
+def c_2m_with_tail(m: int, tail: int) -> Graph:
+    cycle = {(v, (v + 1) % (2 * m)) for v in range(2 * m)}
+    path = {(v - 1 if v > 2 * m else 0, v) for v in range(2 * m, 2 * m + tail)}
+    return Graph(2 * m + tail, frozenset((min(e), max(e)) for e in cycle | path))
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: generate(parse_family_spec("hypercube:8")), id="hypercube:8"),
+    pytest.param(lambda: generate(parse_family_spec("cycle:8")), id="cycle:8"),
+    pytest.param(lambda: c_2m_with_tail(6, 2), id="C_12+tail:2"),
+])
+def test_singular_distance_matrices_are_refused(graph):
+    m, b = distance_system(graph())
+    assert linalg._solve_float(m, b) is None
+    assert linalg._solve_modular(m, b)[1]
+
+
+def hilbert(n: int) -> np.ndarray:
+    """``lcm(1..2n-1) / (i + j + 1)``: nonsingular and badly conditioned."""
+    top = lcm(*range(1, 2 * n))
+    return np.array([[top // (i + j + 1) for j in range(n)] for i in range(n)], dtype=np.int64)
+
+
+def test_ill_conditioned_hilbert_matrix_falls_back(monkeypatch):
+    m = hilbert(8)
+    b = np.arange(1, 9, dtype=np.int64)
+    inverses = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
+    # the screen passes it on (log|det| is about 27), and the certificate
+    # refuses LAPACK's inverse: at s = 17, E has an entry past 2^16
+    assert linalg._solve_float(m, b) is None and inverses
+    assert routes_agree(m, b) is False
+
+
+def refused(inv):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("perturb", [
+    pytest.param(lambda inv: 2 * inv, id="doubled"),
+    pytest.param(lambda inv: inv[[1, 0, *range(2, len(inv))]], id="rows-swapped"),
+    pytest.param(lambda inv: inv + np.abs(inv).max(), id="shifted"),
+    pytest.param(lambda inv: 1e300 * inv, id="huge"),
+    pytest.param(lambda inv: np.full_like(inv, np.nan), id="non-finite"),
+    pytest.param(refused, id="refused"),
+])
+def test_a_bad_inverse_falls_back(monkeypatch, perturb):
+    # a perturbed inverse fails the certificate; a huge, non-finite or
+    # refused one never reaches it
+    m, b = family_system("erdos_renyi:150,0.1,1")
+    reference = linalg._solve_modular(m, b)
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: perturb(real_inv(a)))
+    assert linalg._solve_float(m, b) is None
+    outcome = solve_exact(m, b)
+    assert outcome.status is SolveStatus.UNIQUE
+    assert outcome.den == reference[3] and (outcome.num == reference[2]).all()
+
+
+def test_float_route_solves_without_the_mod_p_route(monkeypatch):
+    # the gain cannot vanish silently: the mod-p route is not reached at all
+    def unreachable(*args):
+        raise AssertionError("the mod-p route ran")
+
+    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    m, b = family_system("erdos_renyi:150,0.1,1")
+    outcome = solve_exact(m, b)
+    assert outcome.status is SolveStatus.UNIQUE
+    nums, den = outcome.particular
+    assert (linalg.integer_matmul(m, nums) == den * b.astype(object)).all()

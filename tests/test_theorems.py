@@ -470,6 +470,14 @@ class TestProductCurvature:
         assert not report.hypothesis_satisfied
         assert not report.failed
 
+    @pytest.mark.parametrize("first,second", [("complete:1", "cycle:4"), ("cycle:4", "complete:1")])
+    def test_one_vertex_factor_not_applicable(self, first, second):
+        # its distance row sum is 0, and a one-vertex graph has no curvature
+        report = check_product_curvature(fam(first), fam(second))
+        assert not report.hypothesis_satisfied
+        assert not report.failed
+        assert report.notes == ("hypothesis not satisfied: a factor has a single vertex",)
+
     @pytest.mark.parametrize("text,expected", [("complete:3", Fraction(1, 2)), ("cycle:4", Fraction(1, 3))])
     def test_cube_power_divides_curvature_by_three(self, text, expected):
         g = fam(text)
