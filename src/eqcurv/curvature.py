@@ -90,7 +90,7 @@ def _cached(dm: DistanceMatrix, key: str, make):
 
 def _distance_solve(dm: DistanceMatrix) -> SolveOutcome:
     """The exact solve of ``D w = n * 1``, made once per distance matrix."""
-    return _cached(dm, _SOLVE_KEY, lambda: solve_exact(dm.entries, [dm.n] * dm.n))
+    return _cached(dm, _SOLVE_KEY, lambda: solve_exact(dm.entries, np.full(dm.n, dm.n)))
 
 
 def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureResult:

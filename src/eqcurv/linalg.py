@@ -477,6 +477,30 @@ def _combine_digits(digits: list[np.ndarray], k: int) -> np.ndarray:
     return np.array([(c << (count * k)) + v for c, v in zip(carry.tolist(), low)], dtype=object)
 
 
+def _certificate(mf: np.ndarray, x: np.ndarray, s: int, scale: int) -> tuple[int, int] | None:
+    """``(delta, ||X||_inf)`` when ``scale |X| < 2^53`` and ``E = 2^s I - M X`` has every absolute
+    row sum ``delta < 2^(s-1)``; None otherwise.
+
+    ``mf`` and ``x`` are float64 arrays of integers, and ``scale = n |M| >= n``.
+    Once ``scale |X| < 2^53`` holds, every partial sum of ``M X`` is an
+    integer below 2^53, so the product is exact, and so are the row sums of
+    ``|X|``, below ``n |X| < 2^53``. The entries of ``M X - 2^s I`` and the
+    row sums of their magnitudes are exact while they stay below 2^53, and
+    rounding to nearest is monotone, so one that reaches 2^53 comes out at
+    least 2^53: past ``2^(s-1)`` and refused. Every value returned is the
+    exact integer one.
+    """
+    ax = np.abs(x)
+    if scale * int(ax.max()) >= FLOAT64_LIMIT:
+        return None
+    e = mf @ x
+    e.reshape(-1)[::len(e) + 1] -= 1 << s  # the diagonal, as a view of the product
+    delta = int(np.abs(e, out=e).sum(axis=1).max())
+    if 2 * delta >= 1 << s:
+        return None
+    return delta, int(ax.sum(axis=1).max())
+
+
 def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
     """``_solve_mod``'s tuple for a certified nonsingular M, lifted on float64 BLAS; None to fall back.
 
@@ -497,46 +521,49 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
         inverse = np.linalg.inv(mf)
     except np.linalg.LinAlgError:  # an exactly zero pivot that slogdet's LU did not meet
         return None
-    if not np.isfinite(inverse).all():
+    # the largest magnitude is NaN or inf exactly when some entry is
+    inverse_max = np.abs(inverse).max()
+    if not np.isfinite(inverse_max):
         return None
     # X = rint(2^s inv M) with scale |X| < 2^53, so that M X is exact in float64
-    s = min(52, int(np.floor(52 - np.log2(scale) - np.log2(np.abs(inverse).max()))))
+    s = min(52, int(np.floor(52 - np.log2(scale) - np.log2(inverse_max))))
+    if s < 6:
+        return None
     x = np.rint(np.ldexp(inverse, s))
-    x_int = x.astype(np.int64)
-    if s < 6 or scale * _absmax(x_int) >= FLOAT64_LIMIT:
-        return None
-    e = -(mf @ x).astype(np.int64)
-    e[range(n), range(n)] += 1 << s
-    if _absmax(e) >= 1 << (s - 1):
-        return None
-    delta = int(np.abs(e).astype(_int_dtype(n * _absmax(e))).sum(axis=1).max())
     # ||E||_inf < 2^(s-1) proves ||I - M X 2^-s||_inf <= 1/2: M is nonsingular
     # and ||inv M||_inf <= 2 ||X||_inf 2^-s
-    if 2 * delta >= 1 << s:
+    certified = _certificate(mf, x, s, scale)
+    if certified is None:
         return None
-    x_norm = int(np.abs(x_int).sum(axis=1).max())
+    delta, x_norm = certified
     # 2^k delta <= 2^(s-2), and |y| <= 2^(k-s) ||X||_inf 4 scale + 1 keeps scale |y| below 2^53
     k = min(s - 2 - delta.bit_length(), s + 51 - (4 * x_norm * scale * scale).bit_length())
     if k < 4:
         return None
-    # den <= |det M| predicts the step count that suffices, and Hadamard's bound caps it
+    # den <= |det M| predicts the step count that suffices; past it, Hadamard's bound caps it
     err_bits = log2(2 * ((8 * x_norm * scale >> s) + 1))
     predicted = ceil((err_bits + 2 * log_det / log(2) + 2) / k)
-    cap = ceil((err_bits + float(np.log2(np.square(mf).sum(axis=1)).sum()) + 8) / k)
+    cap = None
     r, digits, head, steps = b.astype(np.float64), [], [0, 0], 1
-    while steps <= cap:
+    while True:
+        if steps > predicted:
+            if cap is None:
+                cap = ceil((err_bits + float(np.log2(np.square(mf).sum(axis=1)).sum()) + 8) / k)
+            if steps > cap:
+                return None
         while len(digits) < steps:
             # M N = 2^K b - r: y ~ 2^k inv(M) r, then r <- 2^k r - M y, exact in float64
             y = np.rint(np.ldexp(x @ r, k - s))
             if scale * np.abs(y).max() >= FLOAT64_LIMIT:
                 return None
             r = np.ldexp(r, k) - mf @ y
-            if np.abs(r).max() > 4 * scale:
+            r_max = np.abs(r).max()
+            if r_max > 4 * scale:
                 return None
             digits.append(y.astype(np.int64))
             head = [(h << k) + v for h, v in zip(head, digits[-1][:2].tolist())]
         # |x - N / 2^K| <= ||inv M||_inf |r| / 2^K; the first two entries probe it cheaply
-        err = (2 * x_norm * int(np.abs(r).max()) >> s) + 1
+        err = (2 * x_norm * int(r_max) >> s) + 1
         probe = _reconstruct_dyadic(np.array(head, dtype=object), k * steps, err)
         if probe is not None:
             found = _reconstruct_dyadic(_combine_digits(digits, k), k * steps, err, probe[1])
@@ -545,7 +572,6 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
                 g = gcd(den, *num.tolist())
                 return list(range(n)), [], num[:, None] // g, den // g, True
         steps = min(2 * steps, predicted) if steps < predicted else steps + max(1, steps // 4)
-    return None
 
 
 def _solve_mod(
@@ -617,12 +643,17 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        ``|det M| >= 1``. LAPACK output only chooses the route;
     2. nonsingularity certificate: ``X = rint(2^s inv(M))``, from
        ``numpy.linalg.inv``, with ``s <= 52`` taken from the largest entry
-       of the inverse so that ``scale |X| < 2^53`` (checked in integers). Every partial sum of
-       ``M X`` is then an integer below 2^53, so the float64 product is
-       exact in any order, and ``E = 2^s I - M X`` is exact in int64. Every
-       absolute row sum of E below ``2^(s-1)``, checked in exact integers,
-       proves ``||I - M X 2^-s||_inf = delta <= 1/2``, so M is nonsingular
-       and ``||inv M||_inf <= 2 ||X||_inf 2^-s``;
+       of the inverse so that ``scale |X| < 2^53`` (checked on the exact
+       integer ``|X|``). Every partial sum of ``M X`` is then an integer
+       below 2^53, so the float64 product is exact in any order, and so are
+       the row sums of ``|X|``, below ``n |X| <= scale |X|``, which give
+       ``||X||_inf``. ``E = 2^s I - M X`` and its absolute row sums are
+       formed in float64 too: each is exact while below 2^53, and rounding
+       is monotone, so one that reaches 2^53 still comes out past
+       ``2^(s-1)``. Every absolute row sum of E below ``2^(s-1)`` therefore
+       holds in exact integers and proves
+       ``||I - M X 2^-s||_inf = delta <= 1/2``, so M is nonsingular and
+       ``||inv M||_inf <= 2 ||X||_inf 2^-s``;
     3. lifting: with ``M N = 2^K b - r`` (``N = 0``, ``r = b`` at first),
        each step takes ``y = rint(2^(k-s) X r)`` and sets
        ``r <- 2^k r - M y``, ``N <- 2^k N + y``, ``K <- K + k``. Then
@@ -646,7 +677,8 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        solution whose denominator is far below ``|det M|``, as on trees,
        ends early. Only ``M num == den b`` on every row, in exact integers,
        ends the loop; with M nonsingular, that proves ``num / den`` is the
-       solution.
+       solution. Hadamard's bound, which caps the step count, is computed
+       only once the predicted count has passed.
 
     Every other case falls back to the mod-p route as it is: a matrix the
     screen calls singular, an inverse LAPACK refuses or returns non-finite,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
 from .graphs import DistanceMatrix, Graph, cartesian_product
-from .linalg import integer_matmul, symmetric_eigen
+from .linalg import INT64_LIMIT, integer_matmul
 
 __all__ = [
     "SpectralInfo",
@@ -141,25 +141,29 @@ def _exact_hypothesis(result: CurvatureResult, need_positive_k: bool = False) ->
 
 
 def spectral_gap(g: Graph) -> SpectralInfo:
-    """Eigendecompose the graph Laplacian and the distance matrix."""
+    """Eigendecompose the graph Laplacian and the distance matrix.
+
+    Both matrices are exactly symmetric, so ``numpy.linalg.eigh`` takes them
+    as they are: ``symmetric_eigen``'s symmetry check and ``(M + M^T) / 2``
+    would leave them unchanged bit for bit, and its residual is not read
+    here. The results equal ``symmetric_eigen``'s, bit for bit.
+    """
     if g.n < 2:
         raise ValueError("spectral quantities need at least two vertices")
     n = g.n
     adj = g.adjacency_matrix.astype(float)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    lap_eig = symmetric_eigen(lap)
-    lap_asc = tuple(float(x) for x in lap_eig.eigenvalues[::-1])
-
-    dist_eig = symmetric_eigen(g.distance_matrix.entries.astype(float))
-    v = dist_eig.eigenvectors[:, 0].copy()
+    lap_asc = tuple(np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj)[0].tolist())
+    dist_values, dist_vectors = np.linalg.eigh(g.distance_matrix.entries.astype(float))
+    # eigh is ascending: the Perron pair is the last
+    v = dist_vectors[:, -1].copy()
     if v.sum() < 0:
         v = -v
     c_g = float(v.sum() / (np.linalg.norm(v) * sqrt(n)))
     return SpectralInfo(
         lambda1=lap_asc[1],
         laplacian_spectrum=lap_asc,
-        distance_spectrum=tuple(float(x) for x in dist_eig.eigenvalues),
-        perron_vector=tuple(float(x) for x in v),
+        distance_spectrum=tuple(dist_values[::-1].tolist()),
+        perron_vector=tuple(v.tolist()),
         c_G=c_g,
     )
 
@@ -314,27 +318,39 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     ``diam(G) <= (||Dw||_inf / n) * 8/K`` and ``lambda_1 >= K / (8 ||Dw||_inf)``.
     Unlike the other checkers, w need not solve the distance system. Float
     entries are taken at their exact dyadic values, so the diameter bound is
-    always checked in rational arithmetic.
+    always checked in rational arithmetic. Weights that are all Python ints
+    (bools excluded) are taken as they are, with denominator 1; any other
+    weights are first brought to one common denominator through Fractions.
+    Both give the same report. The numerators go to ``integer_matmul`` as
+    int64 while every one is below 2^63, so ``2**70`` stays exact.
     """
     w_list = list(w)
     if len(w_list) != g.n:
         raise ValueError("w length does not match the vertex count")
-    w_frac = [_exact_weight(x) for x in w_list]
-    k_val = min(w_frac)
+    if all(type(x) is int for x in w_list):
+        k_val, den, nums = min(w_list), 1, w_list
+    else:
+        w_frac = [_exact_weight(x) for x in w_list]
+        k_val = min(w_frac)
+        den = lcm(*(x.denominator for x in w_frac))
+        nums = [x.numerator * (den // x.denominator) for x in w_frac]
     if k_val <= 0:
         raise ValueError("theorem5 needs every entry of w to be positive")
     dm = g.distance_matrix
-    den = lcm(*(x.denominator for x in w_frac))
-    nums = np.array([x.numerator * (den // x.denominator) for x in w_frac], dtype=object)
-    dw_inf = Fraction(int(np.abs(integer_matmul(dm.entries, nums)).max()), den)
+    # every numerator is positive now, so the largest decides whether int64 holds them
+    nums = np.array(nums, dtype=np.int64 if max(nums) < INT64_LIMIT else object)
+    # ||Dw||_inf = dw / den, as D >= 0 and w > 0 make D w >= 0
+    dw = int(integer_matmul(dm.entries, nums).max())
+    # with K = kn / kd, each bound is one Fraction of integer products
+    kn, kd = k_val.numerator, k_val.denominator
     return _report("theorem5", (
         _check(
             "diam <= (||Dw||_inf/n) * 8/K",
-            ("diam", dm.diameter()), "<=", ("(||Dw||_inf/n)*8/K", (dw_inf / g.n) * (8 / k_val)),
+            ("diam", dm.diameter()), "<=", ("(||Dw||_inf/n)*8/K", Fraction(8 * dw * kd, den * g.n * kn)),
         ),
         _check(
             "lambda_1 >= K/(8 ||Dw||_inf)",
-            ("lambda_1", info.lambda1), ">=", ("K/(8||Dw||_inf)", k_val / (8 * dw_inf)),
+            ("lambda_1", info.lambda1), ">=", ("K/(8||Dw||_inf)", Fraction(kn * den, 8 * dw * kd)),
         ),
     ))
 

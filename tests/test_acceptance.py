@@ -5,6 +5,7 @@ session-scoped fixtures, so the expensive work (256-vertex hypercube, 500
 random graphs) runs once.
 """
 
+import hashlib
 import math
 import operator
 import random
@@ -303,17 +304,52 @@ def stated_consistently(check):
     return None in (check.lhs.exact, check.rhs.exact) or check.relation == "=>"
 
 
+def fold_exact(digest, result, reports) -> None:
+    """Feed the exact part of one ``analyze_graph`` output to ``digest``.
+
+    That is the status, w, K, the total, and every check's label, exact
+    sides and verdict: everything that rational arithmetic decides.
+    """
+    lines = [result.status.value, ",".join(map(str, result.w)), str(result.K), str(result.total)]
+    for r in reports:
+        lines.append(f"{r.theorem} {r.hypothesis_satisfied} {r.passed}")
+        lines += [f"{c.label}|{c.lhs.exact}|{c.relation}|{c.rhs.exact}|{c.holds}|{c.exact_arithmetic}"
+                  for c in r.checks]
+    digest.update(("\n".join(lines) + "\n").encode())
+
+
+def fold_full(digest, result, info, reports) -> None:
+    """``fold_exact`` plus every float: the SpectralInfo, each check's float sides, the notes."""
+    fold_exact(digest, result, reports)
+    floats = [info.lambda1, *info.laplacian_spectrum, *info.distance_spectrum,
+              *info.perron_vector, info.c_G]
+    lines = [" ".join(map(float.hex, floats))]
+    for r in reports:
+        lines.append(" ".join(f"{c.lhs.value.hex()} {c.rhs.value.hex()}" for c in r.checks))
+        lines += r.notes
+    digest.update(("\n".join(lines) + "\n").encode())
+
+
+# sha256 of every analyze_graph output on the 995 connected atlas graphs, in
+# atlas order: the exact part alone, and everything down to the last float bit
+ATLAS_DIGEST_EXACT = "1fb048da662b6f5aa2b1091d6cb145379a558c90f1fdbdb12c642eae21990103"
+ATLAS_DIGEST_FULL = "cc40cdedae1e8bbe9f32708bc6fef9fc0804287009edc4618b215cece03a415c"
+
+
 def test_criterion_11_every_connected_graph_up_to_7_vertices():
     nx = pytest.importorskip("networkx")
     statuses = {status: 0 for status in CurvatureStatus}
     inconsistent = {}
     minimax_applicable = 0
+    exact_digest, full_digest = hashlib.sha256(), hashlib.sha256()
     for index, h in enumerate(nx.graph_atlas_g()):
         if h.number_of_nodes() < 2 or not nx.is_connected(h):
             continue
         g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
         dm = apsp(g)
-        result, _, reports = analyze_graph(g)
+        result, info, reports = analyze_graph(g)
+        fold_exact(exact_digest, result, reports)
+        fold_full(full_digest, result, info, reports)
         assert not [r.theorem for r in reports if r.failed], index
         checks = [c for r in reports for c in r.checks]
         assert [c.label for c in checks if not stated_consistently(c)] == [], index
@@ -334,6 +370,9 @@ def test_criterion_11_every_connected_graph_up_to_7_vertices():
     assert inconsistent == ATLAS_INCONSISTENT
     # K >= 0 on 271 of the 993 exactly solvable graphs, and none failed above
     assert minimax_applicable == 271
+    # the whole answer, bit for bit: a faster route may not change one output
+    assert exact_digest.hexdigest() == ATLAS_DIGEST_EXACT
+    assert full_digest.hexdigest() == ATLAS_DIGEST_FULL
     for text, edges in zip(["complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,1,3"],
                            ATLAS_INCONSISTENT.values()):
         family = generate(parse_family_spec(text))

@@ -448,3 +448,18 @@ class TestPackaging:
         (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
         exec(block, {})
         assert len(calls) == 1
+
+
+def test_console_script_resolves_to_main_and_prints_help(capsys):
+    # what `pip install` would wire up as the `eqcurv` command; tomllib is 3.11+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"eqcurv": "eqcurv.cli:main"}
+    module, _, attr = scripts["eqcurv"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    with pytest.raises(SystemExit) as exit_info:
+        entry(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eqcurv")

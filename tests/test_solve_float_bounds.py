@@ -1,0 +1,171 @@
+"""The float64 shortcuts of ``solve_exact``'s float route, on both sides of their bounds.
+
+``linalg._certificate`` checks the rounded inverse X in float64: it reads
+``|X|`` and the row sums of ``|X|`` off float64 arrays, forms
+``M X - 2^s I`` in float64 and sums its absolute rows there, where a single
+entry of ``2^(s-1)`` already fails the row-sum bound. Each is exact,
+or decides as exact integers would, only by a bound. Here each bound is met
+just inside and just outside, and the result is compared with the same
+checks in Python integers. Whole systems steered to the edges must still
+give the mod-p route's outcome.
+"""
+
+import numpy as np
+import pytest
+
+from eqcurv import SolveStatus, generate, parse_family_spec, solve_exact
+from eqcurv import linalg
+
+
+def certificate_reference(m: list[list[int]], x: list[list[int]], s: int, scale: int):
+    """``linalg._certificate``'s checks and values in Python integers."""
+    n = len(m)
+    if scale * max(abs(v) for row in x for v in row) >= 2**53:
+        return None
+    e = [[(1 << s) * (i == j) - sum(m[i][t] * x[t][j] for t in range(n)) for j in range(n)]
+         for i in range(n)]
+    delta = max(sum(abs(v) for v in row) for row in e)
+    if 2 * delta >= 1 << s:
+        return None
+    return delta, max(sum(abs(v) for v in row) for row in x)
+
+
+def certificate(m: list[list[int]], x: list[list[int]], s: int):
+    """``linalg._certificate`` and its reference, with ``scale = n |M|``."""
+    scale = len(m) * max(abs(v) for row in m for v in row)
+    got = linalg._certificate(np.array(m, dtype=np.float64), np.array(x, dtype=np.float64), s, scale)
+    assert got == certificate_reference(m, x, s, scale)
+    return got
+
+
+def shifted_identity(n: int, s: int, row: list[int]) -> list[list[int]]:
+    """``2^s I - P`` with P zero but for its first row: M = I makes E = P."""
+    x = [[(1 << s) * (i == j) for j in range(n)] for i in range(n)]
+    x[0] = [x[0][j] - row[j] for j in range(n)]
+    return x
+
+
+# M = [[1, 1], [0, 1]], scale 2: X = c * [[1, -1], [0, 1]] gives M X = c I, and
+# row 0 of |X| sums to 2c, so |X| and ||X||_inf meet 2^53 / scale and 2^53 together
+UPPER = [[1, 1], [0, 1]]
+
+
+def test_largest_x_below_the_float64_bound_is_read_exactly():
+    c = 2**52 - 1  # scale |X| = 2^53 - 2
+    x = [[c, -c], [0, c]]
+    assert certificate(UPPER, x, 52) == (1, 2**53 - 2)
+
+
+def test_x_at_the_float64_bound_is_refused():
+    c = 2**52  # scale |X| = 2^53
+    assert certificate(UPPER, [[c, -c], [0, c]], 52) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_entry_of_e_just_below_half_is_accepted(sign):
+    x = shifted_identity(3, 20, [sign * (2**19 - 1), 0, 0])
+    # ||X||_inf is 2^20, or 2^20 + 2^19 - 1 when the shift pushes X_00 past it
+    x_norm = 2**20 + 2**19 - 1 if sign < 0 else 2**20
+    assert certificate(np.eye(3, dtype=int).tolist(), x, 20) == (2**19 - 1, x_norm)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_entry_of_e_at_half_is_refused(sign):
+    x = shifted_identity(3, 20, [sign * 2**19, 0, 0])
+    assert certificate(np.eye(3, dtype=int).tolist(), x, 20) is None
+
+
+def test_row_sum_of_e_just_below_half_is_accepted():
+    # each entry is below 2^19; only the absolute row sum meets the bound
+    x = shifted_identity(3, 20, [2**18, -2**17, 2**17 - 1])
+    delta, _ = certificate(np.eye(3, dtype=int).tolist(), x, 20)
+    assert delta == 2**19 - 1
+
+
+def test_row_sum_of_e_at_half_is_refused():
+    x = shifted_identity(3, 20, [2**18, -2**17, 2**17])
+    assert certificate(np.eye(3, dtype=int).tolist(), x, 20) is None
+
+
+def test_entry_of_e_past_2_53_rounds_but_is_still_refused():
+    # M X - 2^52 = -(2^53 + 1), which float64 rounds to -2^53: still refused
+    assert certificate([[1]], [[-(2**52 + 1)]], 52) is None
+
+
+# ---------------------------------------------------------------------------
+# whole systems at the edge of the step size: k = s - 2 - bitlen(delta) >= 4
+# ---------------------------------------------------------------------------
+
+
+def steered(monkeypatch, row: list[int]):
+    """M = I_4 with LAPACK's inverse replaced by ``I - P 2^-50``; P's first row is ``row``.
+
+    The largest entry of that inverse is 1, so s = 50, X = 2^50 I - P and
+    E = P: delta is the absolute sum of ``row``, and ``bitlen(delta) <= 44``
+    is exactly ``k >= 4``.
+    """
+    m = np.eye(4, dtype=np.int64)
+    b = np.array([3, -1, 4, 16], dtype=np.int64)
+    p = np.zeros((4, 4))
+    p[0] = row
+
+    def inverse(a):
+        return np.eye(4) - np.ldexp(p, -50)
+
+    monkeypatch.setattr(np.linalg, "inv", inverse)
+    reference = linalg._solve_modular(m, b)
+    outcome = solve_exact(m, b)
+    assert outcome.status is SolveStatus.UNIQUE
+    assert outcome.den == reference[3] and (outcome.num == reference[2]).all()
+    assert (outcome.num[:, 0] == b).all() and outcome.den == 1
+    return linalg._solve_float(m, b), reference
+
+
+def test_delta_just_below_the_step_bound_lifts(monkeypatch):
+    found, reference = steered(monkeypatch, [2**42, -2**42, 2**43 - 1, 0])
+    assert found is not None
+    assert found[:2] == (reference[0], reference[1]) and found[3:] == reference[3:]
+    assert (found[2] == reference[2]).all()
+
+
+def test_delta_at_the_step_bound_is_refused(monkeypatch):
+    found, _ = steered(monkeypatch, [2**42, -2**42, 2**43, 0])
+    assert found is None
+
+
+# ---------------------------------------------------------------------------
+# Hadamard's cap, computed only once the predicted step count has passed
+# ---------------------------------------------------------------------------
+
+
+def distance_system(text: str):
+    g = generate(parse_family_spec(text))
+    return g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
+
+
+def test_an_underestimated_determinant_still_lifts_past_the_prediction(monkeypatch):
+    # log|det M| read as 0 predicts a single step; the loop must go on past
+    # it, under Hadamard's cap, to the solution
+    m, b = distance_system("erdos_renyi:40,0.3,5")
+    real_slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: (real_slogdet(a)[0], 0.0))
+    found, reference = linalg._solve_float(m, b), linalg._solve_modular(m, b)
+    assert found is not None and found[3] == reference[3] and (found[2] == reference[2]).all()
+
+
+def test_the_cap_ends_a_lifting_that_never_reconstructs(monkeypatch):
+    m, b = distance_system("erdos_renyi:40,0.3,5")
+    # log2 of Hadamard's bound on det(M)^2: the cap allows that many bits
+    # plus the error's and a step's, far below twice as many
+    hadamard = float(np.log2(np.square(m.astype(float)).sum(axis=1)).sum())
+    attempts = []
+
+    def never(acc, bits, *rest):
+        if bits > 2 * hadamard:
+            pytest.fail("the lifting ran on past Hadamard's cap")
+        attempts.append(bits)
+
+    monkeypatch.setattr(linalg, "_reconstruct_dyadic", never)
+    assert linalg._solve_float(m, b) is None
+    # attempts at growing bit counts, the last one past Hadamard's bound
+    assert attempts == sorted(attempts) and attempts[-1] > hadamard / 2

@@ -1,7 +1,7 @@
 """Theorem verifiers: spectral gap, the inequality suite, and the product law."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from eqcurv import (
     CurvatureStatus,
     DistanceMatrix,
+    Graph,
+    SpectralInfo,
     apsp,
     cartesian_product,
     check_bonnet_myers,
@@ -28,6 +30,8 @@ from eqcurv import (
     perron_alignment,
     spectral_criterion,
     spectral_gap,
+    symmetric_eigen,
+    theorems,
 )
 
 
@@ -92,6 +96,38 @@ class TestSpectralGap:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError, match="two vertices"):
             spectral_gap(fam("path:1"))
+
+    def test_equals_a_symmetric_eigen_recomputation_on_the_atlas(self):
+        # spectral_gap hands both matrices to eigh as they are; symmetric_eigen's
+        # (M + M^T) / 2 leaves an exactly symmetric matrix unchanged, so every
+        # float must come out the same, bit for bit
+        nx = pytest.importorskip("networkx")
+        graphs = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() < 2 or not nx.is_connected(h):
+                continue
+            g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+            adj = g.adjacency_matrix.astype(float)
+            lap = symmetric_eigen(np.diag(adj.sum(axis=1)) - adj)
+            dist = symmetric_eigen(g.distance_matrix.entries.astype(float))
+            v = dist.eigenvectors[:, 0].copy()
+            if v.sum() < 0:
+                v = -v
+            lap_asc = tuple(float(x) for x in lap.eigenvalues[::-1])
+            expected = SpectralInfo(
+                lambda1=lap_asc[1],
+                laplacian_spectrum=lap_asc,
+                distance_spectrum=tuple(float(x) for x in dist.eigenvalues),
+                perron_vector=tuple(float(x) for x in v),
+                c_G=float(v.sum() / (np.linalg.norm(v) * math.sqrt(g.n))),
+            )
+            ours = spectral_gap(g)
+            for field in ("laplacian_spectrum", "distance_spectrum", "perron_vector"):
+                got, want = getattr(ours, field), getattr(expected, field)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (h.name, field)
+            assert (ours.lambda1.hex(), ours.c_G.hex()) == (expected.lambda1.hex(), expected.c_G.hex())
+            graphs += 1
+        assert graphs == 995
 
 
 class TestBonnetMyers:
@@ -334,6 +370,50 @@ class TestTheorem5:
         # float weights are taken at their exact dyadic values, and 21/32 and
         # 63/64 are dyadic, so the floats give the same report
         assert check_theorem5(g, [float(x) for x in w], info) == report
+
+    @pytest.mark.parametrize("text", ["cycle:8", "path:6", "erdos_renyi:12,0.4,2",
+                                      "complete_multipartite:1,1,1,4"])
+    def test_weight_types_give_equal_reports(self, text):
+        g, dm, result, info = analyzed(text)
+        ints = [1 + i % 3 for i in range(g.n)]
+        reference = asdict(check_theorem5(g, ints, info))
+        for weights in ([np.int64(x) for x in ints], np.array(ints), [Fraction(x) for x in ints],
+                        [float(x) for x in ints], tuple(ints)):
+            assert asdict(check_theorem5(g, weights, info)) == reference
+
+    def test_python_ints_skip_fractions_and_bools_do_not(self, monkeypatch):
+        g, dm, result, info = analyzed("cycle:5")
+        reference = asdict(check_theorem5(g, [1] * 5, info))
+        seen = []
+        real = theorems._exact_weight
+        monkeypatch.setattr(theorems, "_exact_weight", lambda x: seen.append(x) or real(x))
+        assert asdict(check_theorem5(g, [1] * 5, info)) == reference
+        assert seen == []
+        # bool is a subclass of int, but only a plain int takes the integer path
+        assert asdict(check_theorem5(g, [True] * 5, info)) == reference
+        assert seen == [True] * 5
+
+    @pytest.mark.parametrize("base", [2**62, 2**63 - 25, 2**63 - 24, 2**70])
+    def test_huge_integer_weights_stay_exact(self, base):
+        # the largest of the 9 weights is base + 24: up to 2^63 - 1 they go to
+        # integer_matmul as int64 (cut into limbs, as |D| |w| n passes 2^63),
+        # from 2^63 on as Python ints; both must match plain integer arithmetic
+        g, dm, result, info = analyzed("erdos_renyi:9,0.5,1")
+        assert g.n == 9
+        w = [base + 3 * i for i in range(g.n)]
+        rows = dm.entries.tolist()
+        dw_inf = max(sum(d * x for d, x in zip(row, w)) for row in rows)
+        report = check_theorem5(g, w, info)
+        assert report.checks[0].rhs.exact == str(Fraction(dw_inf, g.n) * Fraction(8, base))
+        assert report.checks[1].rhs.exact == str(Fraction(base, 8 * dw_inf))
+        assert asdict(report) == asdict(check_theorem5(g, [Fraction(x) for x in w], info))
+
+    @pytest.mark.parametrize("bad", [0, -1, -2**70])
+    def test_nonpositive_integer_raises_on_every_path(self, bad):
+        g, dm, result, info = analyzed("cycle:5")
+        for weights in ([1, 1, bad, 1, 1], [Fraction(1), 1, Fraction(bad), 1, 1]):
+            with pytest.raises(ValueError, match="^theorem5 needs every entry of w to be positive$"):
+                check_theorem5(g, weights, info)
 
     def test_nonpositive_entry_rejected(self):
         g, dm, result, info = analyzed("cycle:5")
