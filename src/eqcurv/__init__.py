@@ -13,101 +13,10 @@ built-in graph families and user-supplied graphs.
 
 __version__ = "0.1.0"
 
-from .curvature import (
-    CurvatureResult,
-    CurvatureStatus,
-    InvarianceReport,
-    NullspaceSumReport,
-    compute_curvature,
-    curvature_of_family,
-    nullspace_sum_check,
-    total_curvature_invariance_check,
-)
-from .graphs import (
-    FAMILY_NAMES,
-    MAX_FAMILY_VERTICES,
-    DisconnectedGraphError,
-    DistanceMatrix,
-    FamilySpec,
-    FamilySpecError,
-    Graph,
-    GraphFormatError,
-    apsp,
-    cartesian_product,
-    generate,
-    is_connected,
-    parse_edge_list,
-    parse_family_spec,
-)
-from .linalg import (
-    EigenDecomposition,
-    NonSymmetricMatrixError,
-    SolveOutcome,
-    SolveStatus,
-    lp_max_min,
-    pseudo_apply,
-    solve_exact,
-    symmetric_eigen,
-)
-from .theorems import (
-    InequalityCheck,
-    Quantity,
-    SpectralInfo,
-    TheoremReport,
-    check_bonnet_myers,
-    check_lichnerowicz,
-    check_minimax,
-    check_product_curvature,
-    check_reverse_bonnet_myers,
-    check_theorem5,
-    perron_alignment,
-    spectral_criterion,
-    spectral_gap,
-)
+from . import curvature, graphs, linalg, theorems
+from .curvature import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .theorems import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "Graph",
-    "DistanceMatrix",
-    "FamilySpec",
-    "GraphFormatError",
-    "FamilySpecError",
-    "DisconnectedGraphError",
-    "FAMILY_NAMES",
-    "MAX_FAMILY_VERTICES",
-    "parse_edge_list",
-    "parse_family_spec",
-    "generate",
-    "cartesian_product",
-    "is_connected",
-    "apsp",
-    "SolveStatus",
-    "SolveOutcome",
-    "EigenDecomposition",
-    "NonSymmetricMatrixError",
-    "solve_exact",
-    "symmetric_eigen",
-    "pseudo_apply",
-    "lp_max_min",
-    "CurvatureStatus",
-    "CurvatureResult",
-    "InvarianceReport",
-    "NullspaceSumReport",
-    "compute_curvature",
-    "curvature_of_family",
-    "total_curvature_invariance_check",
-    "nullspace_sum_check",
-    "SpectralInfo",
-    "Quantity",
-    "InequalityCheck",
-    "TheoremReport",
-    "spectral_gap",
-    "check_bonnet_myers",
-    "check_reverse_bonnet_myers",
-    "check_lichnerowicz",
-    "check_minimax",
-    "check_theorem5",
-    "spectral_criterion",
-    "perron_alignment",
-    "check_product_curvature",
-]
+__all__ = ["__version__", *graphs.__all__, *linalg.__all__, *curvature.__all__, *theorems.__all__]

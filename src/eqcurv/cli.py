@@ -44,30 +44,12 @@ from .theorems import (
 
 SCHEMA_VERSION = "2"
 
-# Each theorem name with the aliases that --theorems accepts for it.
-_THEOREMS = {
-    "bonnet_myers": ("bm",),
-    "reverse_bonnet_myers": ("reverse_bm", "rbm"),
-    "lichnerowicz": ("lich",),
-    "minimax": (),
-    "theorem5": (),
-    "spectral_criterion": ("criterion", "prop4"),
-    "perron_alignment": ("perron",),
-}
-
-THEOREM_NAMES = tuple(_THEOREMS)
-
-_THEOREM_ALIASES = {alias: name for name, aliases in _THEOREMS.items() for alias in aliases}
-
 
 def _frac_payload(x: Fraction) -> dict:
     return {"exact": str(x), "float": float(x)}
 
 
-def graph_payload(g: Graph, source: str, dm: DistanceMatrix | None = None) -> dict:
-    """The graph section of a report; ``dm`` defaults to ``g.distance_matrix``."""
-    if dm is None:
-        dm = g.distance_matrix
+def graph_payload(g: Graph, source: str, dm: DistanceMatrix) -> dict:
     return {
         "source": source,
         "n": g.n,
@@ -98,10 +80,6 @@ def spectral_payload(info: SpectralInfo) -> dict:
     }
 
 
-def theorem_payload(report: TheoremReport) -> dict:
-    return asdict(report)
-
-
 def build_analysis_report(
     g: Graph,
     source: str,
@@ -116,11 +94,49 @@ def build_analysis_report(
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "seed": seed,
-        "graph": graph_payload(g, source, dm),
+        "graph": graph_payload(g, source, g.distance_matrix if dm is None else dm),
         "curvature": curvature_payload(result),
         "spectral": spectral_payload(info) if info is not None else None,
-        "theorems": [theorem_payload(r) for r in theorems],
+        "theorems": [asdict(r) for r in theorems],
     }
+
+
+def _theorem5(g: Graph, result: CurvatureResult, info: SpectralInfo) -> list[TheoremReport]:
+    """Theorem 5 with all-ones weights, then with ``w`` itself when ``K > 0``."""
+    weightings = [([1] * g.n, "all-ones")]
+    # the curvature vector itself qualifies whenever it is positive
+    # (K is its smallest entry for every status), pseudo solutions included
+    if result.K > 0:
+        variant = "curvature solution" if result.is_exact else "pseudo solution"
+        weightings.append((result.w, variant))
+    reports = []
+    for weights, label in weightings:
+        report = check_theorem5(g, weights, info)
+        reports.append(replace(report, notes=report.notes + (f"weights: {label}",)))
+    return reports
+
+
+# Each theorem name with the aliases that --theorems accepts for it and its
+# runner, ``runner(g, result, info) -> reports``. A runner names its checker
+# inside its body, so the checker is looked up in this module when it runs
+# and a rebound ``cli.check_*`` is the one called.
+_THEOREMS = {
+    "bonnet_myers": (("bm",), lambda g, r, i: [check_bonnet_myers(g, r)]),
+    "reverse_bonnet_myers": (
+        ("reverse_bm", "rbm"), lambda g, r, i: [check_reverse_bonnet_myers(g, r)]
+    ),
+    "lichnerowicz": (("lich",), lambda g, r, i: [check_lichnerowicz(g, r, i)]),
+    "minimax": ((), lambda g, r, i: [check_minimax(g, r)]),
+    "theorem5": ((), _theorem5),
+    "spectral_criterion": (
+        ("criterion", "prop4"), lambda g, r, i: [spectral_criterion(i, r.status)]
+    ),
+    "perron_alignment": (("perron",), lambda g, r, i: [perron_alignment(i)]),
+}
+
+THEOREM_NAMES = tuple(_THEOREMS)
+
+_THEOREM_ALIASES = {alias: name for name, (aliases, _) in _THEOREMS.items() for alias in aliases}
 
 
 def run_verifiers(
@@ -131,29 +147,9 @@ def run_verifiers(
 ) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
     for name in names:
-        if name == "bonnet_myers":
-            reports.append(check_bonnet_myers(g, result))
-        elif name == "reverse_bonnet_myers":
-            reports.append(check_reverse_bonnet_myers(g, result))
-        elif name == "lichnerowicz":
-            reports.append(check_lichnerowicz(g, result, info))
-        elif name == "minimax":
-            reports.append(check_minimax(g, result))
-        elif name == "theorem5":
-            ones = check_theorem5(g, [1] * g.n, info)
-            reports.append(replace(ones, notes=ones.notes + ("weights: all-ones",)))
-            # the curvature vector itself qualifies whenever it is positive
-            # (K is its smallest entry for every status), pseudo solutions included
-            if result.K > 0:
-                variant = "curvature solution" if result.is_exact else "pseudo solution"
-                with_w = check_theorem5(g, result.w, info)
-                reports.append(replace(with_w, notes=with_w.notes + (f"weights: {variant}",)))
-        elif name == "spectral_criterion":
-            reports.append(spectral_criterion(info, result.status))
-        elif name == "perron_alignment":
-            reports.append(perron_alignment(info))
-        else:
+        if name not in _THEOREMS:
             raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREM_NAMES)}")
+        reports += _THEOREMS[name][1](g, result, info)
     return reports
 
 

@@ -28,11 +28,9 @@ from .linalg import (
 __all__ = [
     "CurvatureStatus",
     "CurvatureResult",
-    "InvarianceReport",
     "NullspaceSumReport",
     "compute_curvature",
     "curvature_of_family",
-    "total_curvature_invariance_check",
     "nullspace_sum_check",
 ]
 
@@ -184,45 +182,6 @@ def curvature_of_family(spec: FamilySpec) -> Fraction:
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
-    """The l1-norm invariance of the solution family of ``D w = n * 1``, stated exactly.
-
-    Every solution is ``p + sum_j c_j v_j`` for the particular solution p and
-    the kernel basis v_j. ``kernel_sums`` holds ``sum(v_j)``, all 0 for a
-    consistent system (``1 . v = w^T D v / n = 0``), so every member has the
-    entry sum ``total = sum(p)``, and on a nonnegative member that sum is its
-    l1 norm. ``nonnegative_exists`` says whether the family has such a member,
-    which holds exactly when its max-min ``K`` is at least 0. An inconsistent
-    system has no member: ``total`` is None and ``nonnegative_exists`` False.
-    """
-
-    nullspace_dimension: int
-    total: Fraction | None
-    kernel_sums: tuple[Fraction, ...]
-    nonnegative_exists: bool
-
-
-def total_curvature_invariance_check(g: Graph) -> InvarianceReport:
-    """State the l1-norm invariance of the curvature family of ``g`` from its exact solve.
-
-    The total and the kernel sums come from ``solve_exact``'s integer form,
-    and the sign of ``K`` from ``compute_curvature``.
-    """
-    outcome = _distance_solve(g.distance_matrix)
-    particular = outcome.particular
-    total = None
-    if particular is not None:
-        nums, den = particular
-        total = Fraction(int(nums.sum()), den)
-    return InvarianceReport(
-        nullspace_dimension=outcome.nullspace_dimension,
-        total=total,
-        kernel_sums=outcome.kernel_sums,
-        nonnegative_exists=total is not None and compute_curvature(g).K >= 0,
-    )
-
-
-@dataclass(frozen=True)
 class NullspaceSumReport:
     """Entry sums of the kernel basis of D; nonzero sums mark exceptional graphs."""
 
@@ -234,9 +193,14 @@ class NullspaceSumReport:
 def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> NullspaceSumReport:
     """Report the entry sum of each kernel basis vector of the distance matrix.
 
-    A kernel vector with nonzero entry sum certifies that ``D w = n * 1`` has
-    no solution, so such graphs are flagged exceptional. ``dm`` defaults to
-    ``g.distance_matrix``.
+    Every solution of ``D w = n * 1`` is ``p + sum_j c_j v_j`` for a particular
+    solution p and the kernel basis v_j. All-zero sums are the total-curvature
+    invariance: every solution has p's entry sum, ``sum(compute_curvature(g).w)``,
+    which is the l1 norm of each nonnegative solution; one exists exactly when
+    ``compute_curvature(g).K >= 0``. A consistent system has them, as
+    ``1 . v = w^T D v / n = 0``. A kernel vector with nonzero entry sum
+    certifies that ``D w = n * 1`` has no solution, so such graphs are flagged
+    exceptional. ``dm`` defaults to ``g.distance_matrix``.
     """
     outcome = _distance_solve(g.distance_matrix if dm is None else dm)
     sums = outcome.kernel_sums

@@ -250,7 +250,7 @@ def parse_edge_list(text: str) -> Graph:
     would make more than MAX_FAMILY_VERTICES vertices raises GraphFormatError
     before anything is built.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     max_index = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -275,11 +275,11 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: vertex {top} would make {top + 1} vertices; "
                 f"the limit is {MAX_FAMILY_VERTICES}"
             )
-        edges.add((min(u, v), top))
+        edges.append((u, v))
         max_index = max(max_index, top)
     if max_index < 0:
         raise GraphFormatError("no edges found in input")
-    return Graph(max_index + 1, frozenset(edges))
+    return Graph(max_index + 1, edges)
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,9 +13,21 @@ from pathlib import Path
 import pytest
 
 import eqcurv
+import eqcurv.cli as cli_module
+import eqcurv.curvature as curvature_module
 import eqcurv.graphs as graphs_module
-from eqcurv import FAMILY_NAMES, CurvatureStatus, Graph, compute_curvature
-from eqcurv.cli import _THEOREMS, _parse_theorem_list, main, render_dot, run_corpus
+import eqcurv.linalg as linalg_module
+import eqcurv.theorems as theorems_module
+from eqcurv import (
+    FAMILY_NAMES,
+    CurvatureStatus,
+    Graph,
+    check_minimax,
+    compute_curvature,
+    generate,
+    parse_family_spec,
+)
+from eqcurv.cli import _THEOREMS, _parse_theorem_list, analyze_graph, main, render_dot, run_corpus
 
 
 def run_cli(capsys, *argv):
@@ -171,10 +183,23 @@ class TestVerify:
         assert "at least two vertices" in err
 
     @pytest.mark.parametrize("name, alias", [
-        (name, alias) for name, aliases in _THEOREMS.items() for alias in aliases
+        (name, alias) for name, (aliases, _) in _THEOREMS.items() for alias in aliases
     ])
     def test_every_alias_parses_to_its_theorem(self, name, alias):
         assert _parse_theorem_list(alias) == [name]
+
+    def test_verifiers_call_the_checker_bound_in_the_cli_module(self, monkeypatch):
+        # the benchmark tracer rebinds ``cli.check_*``; a catalog that captured
+        # the function objects would bypass the rebound name
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check_minimax(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "check_minimax", counting)
+        analyze_graph(generate(parse_family_spec("cycle:6")))
+        assert len(calls) == 1
 
     def test_unknown_theorem_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "cycle:5", "--theorems", "fermat")
@@ -398,6 +423,19 @@ class TestExportDot:
 
 
 class TestPackaging:
+    def test_package_exports_each_module_export_once(self):
+        modules = (graphs_module, linalg_module, curvature_module, theorems_module)
+        expected = ["__version__", *(name for m in modules for name in m.__all__)]
+        assert eqcurv.__all__ == expected
+        assert len(set(expected)) == len(expected)
+        assert eqcurv.__version__
+        for m in modules:
+            assert all(getattr(eqcurv, name) is getattr(m, name) for name in m.__all__)
+
+    def test_invariance_report_is_gone(self):
+        for name in ("total_curvature_invariance_check", "InvarianceReport"):
+            assert not hasattr(eqcurv, name) and not hasattr(curvature_module, name)
+
     def test_pyproject_matches_package(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -32,7 +32,6 @@ from eqcurv import (
     pseudo_apply,
     solve_exact,
     spectral_gap,
-    total_curvature_invariance_check,
 )
 from eqcurv.cli import analyze_graph
 from integer_form import max_min
@@ -211,60 +210,78 @@ class TestCurvatureOfFamily:
             assert set(r.w) == {expected}, text
 
 
+def particular(g):
+    """The particular solution ``(nums, den)`` of ``D w = n * 1`` from a fresh exact solve."""
+    return solve_exact(apsp(g).entries, [g.n] * g.n).particular
+
+
+def particular_sum(g):
+    nums, den = particular(g)
+    return Fraction(sum(map(int, nums)), den)
+
+
 class TestInvarianceCheck:
+    # zero kernel sums make every solution's entry sum that of the particular
+    # solution, and a nonnegative member exists exactly when the max-min K >= 0
+
     def test_unique_solution_is_a_one_member_family(self):
         # path:3 has w = (3/2, 0, 3/2): K == 0, so its one member is nonnegative
-        report = total_curvature_invariance_check(fam("path:3"))
-        assert report.nullspace_dimension == 0 and report.kernel_sums == ()
-        assert report.total == 3 and report.nonnegative_exists
+        g = fam("path:3")
+        report, r = nullspace_sum_check(g), compute_curvature(g)
+        assert report.nullspace_dimension == 0 and report.entry_sums == ()
+        assert sum(r.w) == 3 and r.K >= 0
         # a star's centre has w < 0, and there is no other member
         star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-        report = total_curvature_invariance_check(star)
-        assert report.total == sum(compute_curvature(star).w) and not report.nonnegative_exists
+        report, r = nullspace_sum_check(star), compute_curvature(star)
+        assert report.entry_sums == () and r.status is CurvatureStatus.EXACT_UNIQUE
+        assert sum(r.w) == particular_sum(star) and r.K < 0
 
     def test_cycle4_family_has_invariant_total(self):
-        report = total_curvature_invariance_check(fam("cycle:4"))
+        g = fam("cycle:4")
+        report, r = nullspace_sum_check(g), compute_curvature(g)
         assert report.nullspace_dimension == 1
-        assert report.kernel_sums == (0,)
-        assert report.nonnegative_exists
-        assert report.total == 4  # n * K = 4 * 1
+        assert report.entry_sums == (0,)
+        assert r.K >= 0
+        assert sum(r.w) == particular_sum(g) == 4  # n * K = 4 * 1
 
     def test_scanned_multi_solution_graph(self):
         g = fam(LP_PATH_POSITIVE_SPEC)
         r = compute_curvature(g)
         assert r.status is CurvatureStatus.EXACT_CANONICAL and r.K > 0
-        report = total_curvature_invariance_check(g)
+        report = nullspace_sum_check(g)
         assert report.nullspace_dimension >= 1
-        assert not any(report.kernel_sums)
+        assert not any(report.entry_sums)
         # the max-min point is a nonnegative member: its l1 norm is the total
-        assert report.nonnegative_exists and report.total == r.total
+        assert particular_sum(g) == sum(r.w) == r.total
 
     def test_boundary_case_has_a_nonnegative_member(self):
         # canonical min w == 0: the nonnegative slice of the family has empty
         # interior, which random sampling missed, but the max-min point is in it
         g = fam(LP_PATH_SPEC)
-        assert compute_curvature(g).K == 0
-        report = total_curvature_invariance_check(g)
-        assert report.nonnegative_exists and report.total == compute_curvature(g).total
+        r = compute_curvature(g)
+        assert r.K == 0 and not any(nullspace_sum_check(g).entry_sums)
+        assert particular_sum(g) == sum(r.w) == r.total
 
     def test_negative_max_min_has_no_nonnegative_member(self):
         g = fam(LP_PATH_NEGATIVE_SPEC)
-        assert compute_curvature(g).K < 0
-        report = total_curvature_invariance_check(g)
-        assert not report.nonnegative_exists and not any(report.kernel_sums)
-        assert report.total == sum(compute_curvature(g).w)
+        r = compute_curvature(g)
+        assert r.K < 0 and not any(nullspace_sum_check(g).entry_sums)
+        assert particular_sum(g) == sum(r.w)
 
     def test_hypercube4_has_the_constant_member(self):
         # w = 1/2 everywhere is a member; sampling the 11-dimensional family
         # found no nonnegative point
-        report = total_curvature_invariance_check(fam("hypercube:4"))
-        assert report.nullspace_dimension == 11 and not any(report.kernel_sums)
-        assert report.nonnegative_exists and report.total == 8
+        g = fam("hypercube:4")
+        report, r = nullspace_sum_check(g), compute_curvature(g)
+        assert report.nullspace_dimension == 11 and not any(report.entry_sums)
+        assert r.K >= 0 and particular_sum(g) == sum(r.w) == 8
 
     def test_inconsistent_system_has_no_member(self):
-        report = total_curvature_invariance_check(fam("complete_multipartite:1,1,1,4"))
-        assert report.total is None and not report.nonnegative_exists
-        assert any(report.kernel_sums)
+        g = fam("complete_multipartite:1,1,1,4")
+        report = nullspace_sum_check(g)
+        assert any(report.entry_sums) and report.exceptional
+        assert compute_curvature(g).status is CurvatureStatus.INCONSISTENT
+        assert particular(g) is None
 
 
 class TestNullspaceSumCheck:
@@ -407,7 +424,6 @@ def test_one_solve_per_distance_matrix(monkeypatch, spec):
     g = fam(spec)
     compute_curvature(g)
     nullspace_sum_check(g)
-    total_curvature_invariance_check(g)
     assert len(calls) == 1
     # a fresh distance matrix is a fresh solve
     compute_curvature(g, apsp(g))
@@ -440,7 +456,6 @@ def test_entry_points_share_one_distance_matrix_and_one_solve(monkeypatch, spec)
     result = compute_curvature(g)
     info = spectral_gap(g)
     nullspace_sum_check(g)
-    total_curvature_invariance_check(g)
     check_bonnet_myers(g, result)
     check_reverse_bonnet_myers(g, result)
     check_lichnerowicz(g, result, info)

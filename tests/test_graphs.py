@@ -75,6 +75,11 @@ class TestParseEdgeList:
         assert g.n == 2
         assert g.edge_count == 1
 
+    def test_duplicate_and_reversed_lines_give_an_equal_graph(self):
+        g = parse_edge_list("2 1\n0 1\n1 2\n1 0\n2 1\n")
+        assert g == Graph(3, frozenset({(0, 1), (1, 2)}))
+        assert g.pairs.tolist() == [[0, 1], [1, 2]]
+
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_edge_list("0 0")

@@ -68,6 +68,8 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item,
     assert tracer.absent == set()
     spans = Counter(rec[0] for rec in tracer.spans)
     assert (spans["graphs.apsp"], spans["linalg.solve_exact"]) == (1, 1)
+    # the tracer sees every checker call: one span per theorem report
+    assert spans["theorems.checks"] == len(out.get("reports", ()))
     # the exact pseudo-inverse runs once for an inconsistent graph and never
     # otherwise; its bordered solve is not a second distance solve
     inconsistent = out["result"].status is CurvatureStatus.INCONSISTENT
