@@ -53,11 +53,15 @@ def _first_bad_pair(n: int, edges) -> ValueError:
     """The error for the first pair of ``edges``, in input order, that is no edge on 0..n-1.
 
     Only the error path walks the pairs in Python, so an endpoint past int64
-    gets the same out-of-range error as any other, and a pair that is not a
-    pair fails to unpack.
+    gets the same out-of-range error as any other, an endpoint that is not an
+    integer (``1.5``, which ``int`` would truncate) is named, and a pair that
+    is not a pair fails to unpack.
     """
     for u, v in edges:
-        u, v = int(u), int(v)
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            return ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if u == v:
             return ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -69,7 +73,9 @@ def _canonical_pairs(n: int, edges) -> np.ndarray:
     """``edges`` as rows ``(u, v)`` with ``u < v``: distinct, sorted, a read-only int64 array.
 
     An ``(m, 2)`` integer array is read as it is, any other iterable of pairs
-    with one ``np.fromiter``; duplicates go with one sort of ``u * n + v``.
+    with one ``np.fromiter`` over ``operator.index`` of each endpoint, which
+    refuses a float where an int64 conversion would truncate it; duplicates go
+    with one sort of ``u * n + v``.
     """
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
         ends = edges.astype(np.int64, copy=False).reshape(-1)
@@ -78,8 +84,8 @@ def _canonical_pairs(n: int, edges) -> np.ndarray:
             edges = tuple(edges)
         items = chain.from_iterable(edges)
         try:
-            ends = np.fromiter(items, np.int64, 2 * len(edges))
-        except (OverflowError, ValueError):
+            ends = np.fromiter(map(operator.index, items), np.int64, 2 * len(edges))
+        except (OverflowError, TypeError, ValueError):
             raise _first_bad_pair(n, edges) from None
         if next(items, None) is not None:
             raise _first_bad_pair(n, edges)
@@ -178,14 +184,42 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _int64_entries(values) -> np.ndarray:
+    """``values`` as an int64 array, ValueError unless every entry is a finite integer within int64.
+
+    A float entry must equal its int64 conversion, after a range check that
+    NaN fails too; a non-numeric array's entries go through ``operator.index``.
+    """
+    raw = np.asarray(values)
+    bad = ValueError("distance matrix entries must be finite integers within int64")
+    if raw.dtype.kind == "f":
+        if raw.size and not (-(2.0**63) <= raw.min() and raw.max() < 2.0**63):
+            raise bad
+        arr = raw.astype(np.int64)
+        if not np.array_equal(arr, raw):
+            raise bad
+        return arr
+    if raw.dtype.kind in "bi" or (raw.dtype.kind == "u" and int(raw.max(initial=0)) < 2**63):
+        return raw.astype(np.int64)
+    try:
+        return np.array(np.frompyfunc(operator.index, 1, 1)(raw), dtype=np.int64)
+    except (TypeError, OverflowError):
+        raise bad from None
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class DistanceMatrix:
-    """Symmetric matrix of shortest-path hop counts; entries are read-only."""
+    """Symmetric matrix of shortest-path hop counts; entries are read-only int64.
+
+    Any integer or float array converts when every entry is a finite integer
+    within int64; any other entry, such as 1.5, NaN, 1e19 or ``2**63``,
+    raises ValueError where a bare int64 conversion would truncate or wrap it.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.int64)
+        arr = _int64_entries(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distance matrix must be square")
         arr.setflags(write=False)
@@ -319,7 +353,8 @@ def apsp(g: Graph) -> DistanceMatrix:
     The products run in float32. Every product entry is an integer in
     [0, (n-1)^2], and graphs above MAX_FAMILY_VERTICES are refused with
     ValueError before anything is allocated, so every entry stays below
-    4095^2 < 2^24 and float32 is exact in any summation order.
+    4095^2 < 2^24 and float32 is exact in any summation order; the
+    distances are then converted to int64 exactly.
     """
     n = g.n
     if n > MAX_FAMILY_VERTICES:
@@ -343,7 +378,7 @@ def apsp(g: Graph) -> DistanceMatrix:
             below = d @ a < d * a.sum(axis=0)
             d *= 2
             d -= below
-    return DistanceMatrix(d)
+    return DistanceMatrix(d.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -5,34 +5,34 @@ returns floating-point results:
 
 * solvability classification, nullspaces and the lexicographic max-min
   canonicalization run on integers: ``solve_exact`` takes integer entries
-  only, and Fractions appear only in its outcome's views.
-  A square system that LAPACK's log-determinant shows to be nonsingular is
-  first tried on a certified float64 route (numeric-symbolic lifting, Wan
-  2006): an exact integer check on ``M X`` proves M nonsingular from a
-  rounded float64 inverse X, and BLAS products lift the solution 2^k bits at
-  a time. Every other system, and every one the route refuses, takes the
-  general solve, p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a
-  prime p < 2^20, in column panels whose row operations reach the trailing
-  columns as one exact float64 product each, finds the pivot block and its
-  inverse mod p, int64 digit steps lift the solution and the whole kernel
-  basis at once, and rational reconstruction gives one common denominator.
-  Exact integer certificates (the solve on the pivot rows, the kernel on
-  every row, the lex-first basis) prove the result, and a failed one moves
-  on to the next prime of a fixed sequence. Both routes give the same
-  outcome, and LAPACK output never decides one. Each array is int64 exactly
-  when a documented bound rules out overflow, and Python integers
-  otherwise. The max-min accepts only families whose kernel vectors sum to
-  zero, as those of a consistent distance system do, so every level LP is
-  bounded. It runs one simplex per level on an integer tableau pivoted
+  only, and Fractions appear only in its outcome's views. A square system
+  that LAPACK's log-determinant shows to be nonsingular is first tried on a
+  certified float64 route (numeric-symbolic lifting, Wan 2006): an exact
+  integer check on ``M X`` proves M nonsingular from a rounded float64
+  inverse X, and BLAS products lift the solution 2^k bits at a time. Every
+  other system, and every one the route refuses, takes the general solve,
+  p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a prime p < 2^20, in
+  column panels whose row operations reach the trailing columns as one
+  product each, finds the pivot block and its inverse mod p, digit steps lift
+  the solution and the whole kernel basis at once, and rational
+  reconstruction gives one common denominator. Exact integer certificates
+  (the solve on the pivot rows, the kernel on every row, the lex-first basis)
+  prove the result, and a failed one moves on to the next prime of a fixed
+  sequence. Both routes give the same outcome, and LAPACK output never
+  decides one. Every product of the general solve, and every certificate, is
+  ``integer_matmul``: float64 BLAS under a proven bound. Each other array is
+  int64 exactly when a documented bound rules out overflow, and Python
+  integers otherwise. The max-min accepts only families whose kernel vectors
+  sum to zero, as those of a consistent distance system do, so every level LP
+  is bounded. It runs one simplex per level on an integer tableau pivoted
   fraction-free over one shared denominator, in int64 while a bound taken
-  before each pivot rules out overflow and on Python integers from the
-  first pivot it does not, each level certified by its dual, at most one
-  level per kernel dimension; the same tableau gives the next level's
-  directions, each certified to vanish where the dual pins the point, so
-  the max-min makes no exact solve. The Moore-Penrose solution
-  is one more exact solve, of the system bordered by a kernel basis. So
-  "singular", "inconsistent" and "optimal" are structural verdicts rather
-  than tolerance calls;
+  before each pivot rules out overflow and on Python integers from the first
+  pivot it does not, each level certified by its dual, at most one level per
+  kernel dimension; the same tableau gives the next level's directions, each
+  certified to vanish where the dual pins the point, so the max-min makes no
+  exact solve. The Moore-Penrose solution is one more exact solve, of the
+  system bordered by a kernel basis. So "singular", "inconsistent" and
+  "optimal" are structural verdicts rather than tolerance calls;
 * eigendecomposition runs in binary64 through LAPACK's symmetric
   eigensolver (``numpy.linalg.eigh``).
 
@@ -71,8 +71,8 @@ PRIME_LIMIT = 2**20
 # every composite below PRIME_LIMIT has a factor of at most sqrt(PRIME_LIMIT),
 # so a larger q is prime exactly when it is coprime to this factorial
 _SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
-# columns per panel of the mod-p elimination; a panel's float64 product has
-# entries below PANEL_WIDTH * p^2 < 2^45, exact in binary64
+# columns per panel of the mod-p elimination; a panel's product stays below
+# PANEL_WIDTH * p^2 < 2^45, one float64 product of integer_matmul's
 PANEL_WIDTH = 32
 # a nonsingular integer matrix has |det M| >= 1, so the float route's screen
 # leaves a matrix whose float64 log|det M| is below log(1/2) to the mod-p path
@@ -247,9 +247,9 @@ def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     buffer stays below ``p + w (p - 1)^2``. The panel's row operations are
     ``T = I + (L - E_R)`` on its k new pivot rows R, with L the buffer's
     identity part. They reach the trailing columns and the inverse part of
-    the earlier pivots as one float64 product
-    ``((L - E_R) mod p) @ (rows R mod p)``, whose entries are below
-    ``k (p - 1)^2 < 2^53``, so it is exact in any summation order. Added
+    the earlier pivots as one ``integer_matmul``
+    ``((L - E_R) mod p) @ (rows R mod p)``, whose partial sums are below
+    ``k (p - 1)^2 < 2^53``: one float64 product, returned as int64. Added
     into int64, the entries of ``[M | I]`` stay nonnegative and below
     ``p + n (p - 1)^2 < 2^63`` (an int64 array with n >= 2^23 rows would not
     fit in memory).
@@ -288,7 +288,7 @@ def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
         u = left.copy()
         u[range(k), rows] = (u[range(k), rows] - 1) % p
         trailing = a[:, c0 + w:n + t0]
-        trailing += (u.T.astype(float) @ (trailing[rows] % p).astype(float)).astype(np.int64)
+        trailing += integer_matmul(u.T, trailing[rows] % p)
         a[:, n + t0:n + t0 + k] = left.T
     return pivot_rows, pivot_cols, a[pivot_rows, n:n + len(pivot_rows)] % p
 
@@ -318,43 +318,46 @@ def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None
 
 
 def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact ``a @ x`` of a 2-D integer array and a 1-D or 2-D one, multiplied in int64.
+    """Exact ``a @ x`` of a 2-D integer array and a 1-D or 2-D one, on float64 BLAS.
 
-    k is the inner dimension. The regime follows from the bounds alone:
+    The one rule for exact integer products here, as in FFLAS-FFPACK (Dumas,
+    Giorgi and Pernet 2008): float64 holds every integer below 2^53, so a
+    product whose every partial sum is such an integer is exact in any
+    summation order. With k the inner dimension:
 
-    * ``|a| |x| k < 2^63`` bounds every partial sum and every entry, so the
-      product is one int64 matmul;
-    * otherwise, if ``|a| k < 2^62``, x is split into signed limbs,
+    * ``max(|a| |x| k, |a|, |x|) < 2^53``: one float64 matmul, returned as
+      int64. The ``|a|`` and ``|x|`` terms keep an entry that float64 cannot
+      hold out of it even when the other operand is 0;
+    * otherwise, while ``|a| k < 2^52``: x is cut into signed limbs,
       ``x = sum_l y_l 2^(s l)`` with ``|y_l| < 2^s`` and
-      ``s = 63 - bitlen(|a| k) >= 1``, so every partial sum of ``a y_l`` stays
-      below ``|a| k 2^s < 2^63``. One int64 matmul of ``a`` with the stacked
-      limbs gives every ``a y_l``, and only the result is recombined on Python
-      ints, by Horner's rule ``out = (out << s) + a y_l``;
-    * an ``a`` with ``|a| k >= 2^62`` runs on Python ints throughout.
+      ``s = 53 - bitlen(|a| k) >= 1``, so every partial sum of ``a y_l`` is
+      below ``2^bitlen(|a| k) 2^s = 2^53``. One float64 matmul over the
+      stacked limbs gives every ``a y_l``, recombined on Python ints by
+      Horner's rule ``out = (out << s) + a y_l``;
+    * beyond that, Python ints throughout.
 
-    An ``a`` with no rows or only zeros (``|a| = 0``) gives int64 zeros at
-    once, as the first case does an int64 product; the other cases give
-    Python ints.
+    An ``a`` with no rows or only zeros gives int64 zeros at once, as the
+    first case gives int64; the other cases give Python ints.
     """
     a_max, x_max = _absmax(a), _absmax(x)
     k = a.shape[1]
     if not a_max:
         return np.zeros(a.shape[:1] + x.shape[1:], dtype=np.int64)
-    if max(a_max * x_max * k, a_max, x_max) < INT64_LIMIT:
-        return a.astype(np.int64) @ x.astype(np.int64)
-    s = 63 - (a_max * k).bit_length()
-    if s < 1:
+    if max(a_max * x_max * k, a_max, x_max) < FLOAT64_LIMIT:
+        return (a.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
+    if a_max * k >= FLOAT64_LIMIT // 2:
         return a.astype(object) @ x.astype(object)
+    s = 53 - (a_max * k).bit_length()
     cols = x.reshape(k, -1).astype(object)
     negative, rest, mask = cols < 0, np.abs(cols), (1 << s) - 1
     limbs = []
     for _ in range(-(-x_max.bit_length() // s)):
-        limb = (rest & mask).astype(np.int64)
+        limb = (rest & mask).astype(np.float64)
         np.negative(limb, out=limb, where=negative)
         limbs.append(limb)
         rest >>= s
     width = cols.shape[1]
-    products = a.astype(np.int64) @ np.concatenate(limbs, axis=1)
+    products = (a.astype(np.float64) @ np.concatenate(limbs, axis=1)).astype(np.int64)
     out = products[:, -width:].astype(object)
     for start in range(len(limbs) - 2, -1, -1):
         out = (out << s) + products[:, start * width:(start + 1) * width]
@@ -374,22 +377,20 @@ def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tup
     ``R_{i+1} = (R_i - M_IJ X_i) / p`` is an exact division, so after s steps
     ``sum_i X_i p^i`` solves the system mod ``p^s``. The residual keeps
     ``|R_i| <= B = max(|rhs|, k |M_IJ|)``, and ``|R_i - M_IJ X_i| <= B p``,
-    while ``C (R_i mod p)`` stays below ``k p^2``. Both run as float64 BLAS
-    products when ``max(B p, k p^2) < 2^53``, since every partial sum is then
-    an integer that float64 holds exactly; otherwise in int64 when
-    ``B p < 2^63`` (``k p^2`` is smaller still for any k that fits in memory),
-    and on Python ints beyond. Reconstruction is tried after a growing number
-    of digits, and only the exact check ends the loop.
+    so it is int64 when ``B p < 2^63`` and Python ints beyond. Both products
+    are ``integer_matmul``'s, which takes its exact regime from their bounds:
+    ``C (R_i mod p)`` stays below ``k p^2`` and ``M_IJ X_i`` below ``B p``.
+    Reconstruction is tried after a growing number of digits, and only the
+    exact check ends the loop.
     """
     k = len(m_ij)
-    bound = max(_absmax(rhs), k * _absmax(m_ij)) * p
-    dtype = np.float64 if max(bound, k * p * p) < FLOAT64_LIMIT else _int_dtype(bound)
-    m_w, c_w, r = m_ij.astype(dtype), inverse.astype(dtype), rhs.astype(dtype)
+    dtype = _int_dtype(max(_absmax(rhs), k * _absmax(m_ij)) * p)
+    r = rhs.astype(dtype)
     acc = np.zeros(rhs.shape, dtype=object)
     modulus, steps, attempt = 1, 0, 1
     while True:
-        digit = c_w @ (r % p) % p
-        r = (r - m_w @ digit) // p
+        digit = integer_matmul(inverse, r % p) % p
+        r = ((r - integer_matmul(m_ij, digit)) // p).astype(dtype, copy=False)
         acc += digit.astype(np.int64).astype(object) * modulus
         modulus *= p
         steps += 1
@@ -715,21 +716,19 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     passing, ``M_.J x == den * b`` failing on a row certifies INCONSISTENT:
     any solution would have to be this x.
 
-    Overflow bounds, each checked before an array is made int64 (otherwise
-    the same code runs on Python ints): in the elimination, a panel's int64
-    buffer stays below ``p + PANEL_WIDTH (p - 1)^2`` and its float64 product
-    of residues below ``PANEL_WIDTH (p - 1)^2 < 2^53``, so the product is
-    exact, and the int64 entries of ``[M | I]`` it is added into stay below
-    ``p + n (p - 1)^2``; a lifting step keeps the residual below
-    ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, and the digit product
-    ``C (R mod p)`` below ``k p^2``, and both products run in float64 while
-    ``max(B p, k p^2) < 2^53``, in int64 while ``B p < 2^63``; a certificate ``A X == den * T``
-    multiplies in int64 whenever ``|A| k < 2^62``, cutting X into int64 limbs
-    when ``|A| |X| k`` reaches 2^63 (``integer_matmul``), and forms ``den T``
-    in int64 when ``den |T| < 2^63``. n and k stay below 2^23 for any matrix
-    that fits in memory, so Python ints hold only a lifting step with
-    ``B p >= 2^63``, the lifted numerators, a certificate's recombined
-    product and ``den T`` beyond 2^63, and a product with ``|A| k >= 2^62``.
+    Exactness and overflow bounds. Every product of this route, the
+    panels', the lifting steps' and the certificates', is ``integer_matmul``:
+    one float64 product while every partial sum is below 2^53, float64 limbs
+    or Python ints beyond. Each other array is checked before it is made
+    int64 (otherwise the same code runs on Python ints): a panel's buffer
+    stays below ``p + PANEL_WIDTH (p - 1)^2`` and the entries of ``[M | I]``
+    below ``p + n (p - 1)^2``; a lifting step keeps its residual below
+    ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, int64 while ``B p < 2^63``; a
+    certificate ``A X == den * T`` forms ``den T`` in int64 when
+    ``den |T| < 2^63``. n and k stay below 2^23 for any matrix that fits in
+    memory, so Python ints hold only a residual with ``B p >= 2^63``, the
+    lifted numerators, ``den T`` beyond 2^63 and the products
+    ``integer_matmul`` recombines or multiplies on them.
 
     The outcome keeps this certified integer form (pivot and free columns,
     ``num``, ``den``); no Fraction is built here.

@@ -1,7 +1,8 @@
 """Exact products and the certificates behind the exact statuses, against plain Python ints.
 
-``integer_matmul`` multiplies in int64, cutting wide right-hand sides into
-limbs; ``compute_curvature`` reads ``K``, ``total`` and the residual range of
+``integer_matmul`` multiplies on float64 BLAS, exact while every partial
+sum is an integer below 2^53, cutting wide right-hand sides into limbs;
+``compute_curvature`` reads ``K``, ``total`` and the residual range of
 every result off one integer point: the solution ``solve_exact`` certified,
 the canonical max-min point, or the exact pseudo solution. Both are checked
 here against arithmetic that shares no code with them.
@@ -27,7 +28,7 @@ from eqcurv import (
 )
 from eqcurv.linalg import integer_matmul, lp_max_min
 
-CUTOVER = 2**62  # integer_matmul cuts x into int64 limbs while |a| k is below this
+CUTOVER = 2**52  # integer_matmul cuts x into float64 limbs while |a| k is below this
 
 
 def python_matmul(a, x):
@@ -38,10 +39,12 @@ def python_matmul(a, x):
     return [[sum(row[t] * x[t][c] for t in range(len(x))) for c in range(len(x[0]))] for row in a]
 
 
-# right-hand side entries: zeros, small values, and numerators of 63 to 400 bits
+# right-hand side entries: zeros, small values, values of 40 to 62 bits around
+# the one-product bound 2^53, and numerators of 63 to 400 bits
 wide_entries = st.one_of(
     st.just(0),
     st.integers(-5, 5),
+    st.integers(40, 62).flatmap(lambda b: st.integers(-(2**b), 2**b)),
     st.integers(63, 400).flatmap(lambda b: st.integers(-(2**b), 2**b)),
 )
 
@@ -49,9 +52,11 @@ wide_entries = st.one_of(
 @st.composite
 def matmul_inputs(draw):
     m, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    # |a| k just below the cutover (limbs), at or above it (Python ints), small, or huge
+    # |a| k just below the cutover (limbs), at or above it (Python ints), small,
+    # around 2^62 and 2^63, or huge
     a_max = draw(st.sampled_from(
-        [0, 1, 7, (CUTOVER - 1) // k, -(-CUTOVER // k), 2**61, 2**70]
+        [0, 1, 7, (CUTOVER - 1) // k, -(-CUTOVER // k), (2**62 - 1) // k, -(-(2**62) // k),
+         2**61, 2**70]
     ))
     a = [[draw(st.integers(-a_max, a_max)) for _ in range(k)] for _ in range(m)]
     a[0][0] = draw(st.sampled_from([a_max, -a_max]))  # the bound is attained
@@ -78,13 +83,76 @@ def test_integer_matmul_matches_python_ints(inputs):
 @pytest.mark.parametrize("k", [1, 3, 180])
 @pytest.mark.parametrize("side", [-1, 0])
 def test_integer_matmul_on_both_sides_of_the_cutover(k, side):
-    # |a| k == 2^62 - 1 runs on limbs, |a| k >= 2^62 on Python ints
-    a_max = (CUTOVER - 1) // k if side < 0 else -(-CUTOVER // k)
-    a = np.full((2, k), a_max, dtype=np.int64)
+    # |a| k == 2^52 - 1 runs on limbs, |a| k >= 2^52 on Python ints; the same
+    # two sides of 2^62 are ordinary Python-int inputs
+    for cutover in (CUTOVER, 2**62):
+        a_max = (cutover - 1) // k if side < 0 else -(-cutover // k)
+        a = np.full((2, k), a_max, dtype=np.int64)
+        a[1, ::2] = -a_max
+        x = np.array([[(-1) ** t * (2**400 - t), 0, -(2**63) + t] for t in range(k)], dtype=object)
+        assert integer_matmul(a, x).tolist() == python_matmul(a, x)
+        assert integer_matmul(a, x[:, 0]).tolist() == python_matmul(a, x[:, 0])
+
+
+# (|a|, |x|, k) with |a| |x| k == 2^53 - 1 = 6361 * 69431 * 20394401: one
+# float64 product, returned as int64
+BELOW_ONE_PRODUCT = [(1, 2**53 - 1, 1), (6361, 69431 * 20394401, 1), (6361 * 69431, 20394401, 1),
+                     (69431, 20394401, 6361)]
+# |a| |x| k == 2^53: limbs, or Python ints throughout where |a| k reaches
+# 2^52; either way the result holds Python ints
+AT_ONE_PRODUCT = [(1, 2**53, 1), (2**26, 2**27, 1), (2**20, 2**31, 4), (2**50, 1, 8)]
+
+
+@pytest.mark.parametrize("a_max, x_max, k, dtype",
+                         [(*t, np.int64) for t in BELOW_ONE_PRODUCT]
+                         + [(*t, object) for t in AT_ONE_PRODUCT])
+def test_integer_matmul_at_the_one_product_bound(a_max, x_max, k, dtype):
+    # every row sum of |a| |x| reaches the bound: the first and last rows at
+    # +-|a| |x| k, the others mixed in sign
+    assert a_max * x_max * k in (2**53 - 1, 2**53)
+    a = np.full((3, k), a_max, dtype=np.int64)
     a[1, ::2] = -a_max
-    x = np.array([[(-1) ** t * (2**400 - t), 0, -(2**63) + t] for t in range(k)], dtype=object)
-    assert integer_matmul(a, x).tolist() == python_matmul(a, x)
-    assert integer_matmul(a, x[:, 0]).tolist() == python_matmul(a, x[:, 0])
+    a[2] = -a_max
+    x = np.array([[x_max, -x_max][t % 2] for t in range(k)], dtype=np.int64)
+    for xs in (np.abs(x), x, np.stack([np.abs(x), x, -np.abs(x)], axis=1)):
+        got = integer_matmul(a, xs)
+        assert got.dtype == dtype
+        assert got.tolist() == python_matmul(a, xs)
+        assert np.abs(got).max() == a_max * x_max * k
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_integer_matmul_at_the_limb_bound(k):
+    # |a| k == 2^52 - 1 cuts x into 1-bit limbs; |a| k == 2^52 leaves no bit
+    # for a limb and runs on Python ints
+    for a_max in ((2**52 - 1) // k, 2**52 // k):
+        a = np.full((2, k), a_max, dtype=np.int64)
+        a[1, 1::2] = -a_max
+        x = np.array([[(-1) ** t * (2**200 - t), 2**53 + t, 3] for t in range(k)], dtype=object)
+        got = integer_matmul(a, x)
+        assert got.dtype == object
+        assert got.tolist() == python_matmul(a, x)
+        assert integer_matmul(a, x[:, 1]).tolist() == python_matmul(a, x[:, 1])
+
+
+def test_integer_matmul_on_uint64_inputs():
+    top = np.iinfo(np.uint64).max
+    a = np.array([[top, 1], [2**53, 0], [3, 2**63]], dtype=np.uint64)
+    x = np.array([[top, 0], [2**63 + 5, 7]], dtype=np.uint64)
+    small = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+    for lhs, rhs in ((a, x), (a, x[:, 0]), (small, x), (small, small), (small, small[:, 1])):
+        assert integer_matmul(lhs, rhs).tolist() == python_matmul(lhs, rhs)
+    assert integer_matmul(small, small).dtype == np.int64
+
+
+def test_integer_matmul_of_a_huge_a_times_zero():
+    # the |a| term of the one-product bound keeps 2^1100 out of float64,
+    # which cannot hold it even when x is all zeros
+    huge = np.array([[2**1100, 1]], dtype=object)
+    mixed = np.array([[1, -(2**1100)], [0, 3]], dtype=object)
+    for a, x in ((huge, np.zeros(2, dtype=np.int64)), (huge, np.array([0, 0], dtype=object)),
+                 (mixed, np.zeros((2, 3), dtype=np.int64))):
+        assert integer_matmul(a, x).tolist() == python_matmul(a, x)
 
 
 def test_integer_matmul_on_an_object_dtype_a():

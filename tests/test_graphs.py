@@ -14,6 +14,7 @@ import eqcurv.graphs as graphs_module
 from eqcurv import (
     FAMILY_NAMES,
     DisconnectedGraphError,
+    DistanceMatrix,
     FamilySpec,
     FamilySpecError,
     Graph,
@@ -62,6 +63,18 @@ class TestGraphType:
     def test_labels_must_match_length(self):
         with pytest.raises(ValueError, match="labels"):
             Graph(2, frozenset({(0, 1)}), labels=("a",))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5), (1, 2)],
+        frozenset({(0, 1), (1.0, 2)}),
+        [(0, 1), (np.float64(1), 2)],
+        np.array([[0, 1.5], [1, 2]]),
+        [(0, 1), (1, "2")],
+    ])
+    def test_rejects_endpoints_that_are_not_integers(self, edges):
+        # an int64 conversion would truncate 1.5 and build the edge (0, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(3, edges)
 
 
 class TestParseEdgeList:
@@ -403,6 +416,26 @@ class TestMetrics:
             for i in range(g.n):
                 for j in range(g.n):
                     assert d[i, j] == bin(i ^ j).count("1")
+
+    def test_distance_matrix_converts_integer_and_float_arrays(self):
+        d = apsp(fam("path:3"))
+        for entries in (d.entries.astype(np.float32), d.entries.astype(np.uint64),
+                        d.entries.tolist(), d.entries.astype(float).tolist()):
+            got = DistanceMatrix(entries).entries
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == d.entries.tolist()
+        top = [[0, 2**63 - 1], [-(2**63), 0]]
+        assert DistanceMatrix(top).entries.tolist() == top
+
+    @pytest.mark.parametrize("bad", [1.5, 2.7, 1e19, -1e19, 2.0**63, float("nan"), float("inf"),
+                                     2**63, -(2**63) - 1, 2**70, "1", 1j])
+    def test_distance_matrix_refuses_entries_it_would_truncate_or_wrap(self, bad):
+        with pytest.raises(ValueError, match="finite integers within int64"):
+            DistanceMatrix([[0, bad, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_distance_matrix_refuses_uint64_past_int64(self):
+        with pytest.raises(ValueError, match="finite integers within int64"):
+            DistanceMatrix(np.array([[0, 2**63], [1, 0]], dtype=np.uint64))
 
     def test_johnson_distance_law(self):
         for n in range(2, 9):

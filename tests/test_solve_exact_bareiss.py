@@ -75,6 +75,39 @@ def test_mod_p_route_alone_matches_bareiss_on_random_systems(n, data):
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        # nonsingular (det 7), residuals pulled past -2^63 and +2^63 by M X
+        ([[3, -1], [1, 2]], [-(2**63) + 5, 2**63 - 700]),
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [-(2**63) + 1, 2**63 - 1024, -(2**63) + 2**10]),
+        # rank-deficient and consistent, the kernel lifted alongside
+        ([[2, 4, 1], [1, 2, 0], [3, 6, 1]], [2**63 - 2, -(2**62), 2**62 - 2]),
+        # rank-deficient and inconsistent
+        ([[1, 2], [2, 4]], [2**63 - 3, -(2**63) + 3]),
+    ],
+)
+def test_mod_p_route_alone_on_an_int64_rhs_near_2_to_the_63(matrix, rhs):
+    # the system is int64, but B p passes 2^63 through |rhs| alone, so the
+    # lifting must keep its residual in Python ints: in int64, R - M X would
+    # wrap past +-2^63, and no reconstruction would ever pass the exact check
+    m, b = np.array(matrix, dtype=np.int64), np.array(rhs, dtype=np.int64)
+    assert max(abs(x) for x in rhs) >= 2**63 - 2**10
+    attempts = []
+
+    def bounded(acc, modulus):
+        # about 130-bit moduli suffice here; 40 attempts reach about 800 digits
+        attempts.append(modulus)
+        assert len(attempts) <= 40, "the lifting did not converge"
+        return reconstruct(acc, modulus)
+
+    reconstruct = linalg._reconstruct
+    with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
+            mock.patch.object(linalg, "_reconstruct", bounded):
+        out = solve_exact(m, b)
+    assert fields(out) == reference_solve_exact(matrix, rhs)
+
+
 def test_lex_first_check_rejects_the_greedy_basis_mod_p():
     # mod the first prime, column 0 vanishes and the greedy basis is column 1;
     # its kernel vector (1, -p0) passes the kernel check on every row, so only

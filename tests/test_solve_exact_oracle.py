@@ -78,8 +78,9 @@ def test_matches_sympy_on_distance_systems(spec):
     assert_matches_sympy(entries.tolist(), [n] * n)
 
 
-# the first prime modulus; a lifting step runs in float64 exactly when
-# B p < 2^53 (and k p^2 < 2^53), B = max(|rhs|, k |M_IJ|)
+# the first prime modulus; a lifting step's residual stays below B p, with
+# B = max(|rhs|, k |M_IJ|), and its product M_IJ X, digits below p, is one
+# float64 product of integer_matmul's only while k |M_IJ| |X| < 2^53
 FIRST_PRIME = 1048573
 FLOAT_BOUND = (2**53 - 1) // FIRST_PRIME
 

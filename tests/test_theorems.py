@@ -396,8 +396,9 @@ class TestTheorem5:
     @pytest.mark.parametrize("base", [2**62, 2**63 - 25, 2**63 - 24, 2**70])
     def test_huge_integer_weights_stay_exact(self, base):
         # the largest of the 9 weights is base + 24: up to 2^63 - 1 they go to
-        # integer_matmul as int64 (cut into limbs, as |D| |w| n passes 2^63),
-        # from 2^63 on as Python ints; both must match plain integer arithmetic
+        # integer_matmul as int64, from 2^63 on as Python ints; either way |w|
+        # passes 2^53, so it cuts them into float64 limbs, and both must match
+        # plain integer arithmetic
         g, dm, result, info = analyzed("erdos_renyi:9,0.5,1")
         assert g.n == 9
         w = [base + 3 * i for i in range(g.n)]
