@@ -148,7 +148,8 @@ class Graph:
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The pairs as a frozenset of ``(u, v)`` tuples of Python ints, ``u < v``."""
-        return frozenset(map(tuple, self.pairs.tolist()))
+        u, v = self.pairs.T
+        return frozenset(zip(u.tolist(), v.tolist()))
 
     @property
     def edge_count(self) -> int:

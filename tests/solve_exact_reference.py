@@ -3,7 +3,8 @@
 Kept as a differential oracle for the p-adic solver, next to the sympy one in
 ``test_solve_exact_oracle.py``. The module name has no ``test_`` prefix, so
 pytest does not collect it; tests import ``reference_solve_exact`` from it and
-compare its tuple with the same four fields of ``solve_exact``'s outcome.
+compare its tuple with the same four fields of ``solve_exact``'s outcome,
+which ``fields`` reads.
 """
 
 from fractions import Fraction
@@ -12,6 +13,11 @@ from math import lcm
 import numpy as np
 
 from eqcurv.linalg import SolveStatus
+
+
+def fields(out) -> tuple:
+    """The outcome's fields in the order of ``reference_solve_exact``'s tuple."""
+    return out.status, out.solution, out.nullspace, out.rank
 
 
 def _exact(value) -> int | Fraction:

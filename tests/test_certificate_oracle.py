@@ -26,7 +26,7 @@ from eqcurv import (
     parse_family_spec,
     spectral_gap,
 )
-from eqcurv.linalg import integer_matmul, lp_max_min
+from eqcurv.linalg import _columns_hold, integer_matmul, lp_max_min
 
 CUTOVER = 2**52  # integer_matmul cuts x into float64 limbs while |a| k is below this
 
@@ -168,6 +168,22 @@ def test_integer_matmul_with_no_rows():
     for a in (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=object)):
         assert integer_matmul(a, x).shape == (0, 2)
         assert integer_matmul(a, x[:, 0]).shape == (0,)
+
+
+@pytest.mark.parametrize("den, target", [(2**32, 2**31), (2**32, -(2**31) - 5), (2**40, 3 * 2**30)])
+def test_columns_hold_past_int64_in_den_times_rhs(den, target):
+    # den and |rhs| are each below 2^63 but den |rhs| is not: the certificate
+    # must form den * rhs on Python ints, where int64 would wrap it
+    assert den * abs(target) >= 2**63
+    lhs = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    rhs = np.array([[target, target], [1, -target]], dtype=np.int64)
+    good = np.array([[den * target, den * target], [den, -den * target]], dtype=object)
+    wrapped = good.copy()
+    wrapped[0, 1] = (den * target + 2**63) % 2**64 - 2**63
+    for x in (good, wrapped):
+        expected = [all(x[i][j] == den * int(rhs[i][j]) for i in range(2)) for j in range(2)]
+        assert _columns_hold(lhs, x, den, rhs).tolist() == expected
+    assert expected == [True, False]
 
 
 @pytest.mark.parametrize(

@@ -215,12 +215,9 @@ def lps(draw):
     return a_rows, b, c
 
 
-@settings(max_examples=200, deadline=None)
-@given(lps())
-def test_simplex_matches_fraction_tableau(lp):
+def assert_matches_fraction_tableau(a_rows, b, c):
     # the pivot orders differ, so the optimal vertex and dual may too: the
     # optimal value agrees with rational equality
-    a_rows, b, c = lp
     x_num, y_num, d, _ = _simplex_max(a_rows, b, c)
     assert d > 0 and all(type(v) is int for v in [*x_num, *y_num, d])
     x = [Fraction(v, d) for v in x_num]
@@ -234,6 +231,21 @@ def test_simplex_matches_fraction_tableau(lp):
     assert all(yi >= 0 for yi in y)
     assert all(dot(col, y) == cj for col, cj in zip(zip(*a_rows), c))
     assert dot(b, y) == dot(c, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lps())
+def test_simplex_matches_fraction_tableau(lp):
+    assert_matches_fraction_tableau(*lp)
+
+
+def test_simplex_past_the_int64_bound_matches_fraction_tableau():
+    # max|T| = V is in [2^31, 2^31.5): every product of two entries is below
+    # 2^63, but the first pivot, on V in row 0, gives row 1 the entry
+    # V * V - (-V) * V = 2 V^2 > 2^63, which int64 would wrap before x_1 enters
+    v = 3 * 10**9
+    assert 2**31 <= v and v * v < 2**63 <= 2 * v * v
+    assert_matches_fraction_tableau([[v, v], [-v, v]], [v, v], [0, 1])
 
 
 @settings(max_examples=200, deadline=None)

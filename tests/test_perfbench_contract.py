@@ -49,6 +49,10 @@ ITEMS = [
     # built from an edge array, then relabelled through a frozenset of tuples
     ("families", workloads.Item(FamilySpec("cocktail_party", (6,)), 0, 3),
      "a8dae1fc35c30b749572a48eb93f4a63bb5840880104ca589239133855be61c6"),
+    # rank 10: |b| = 210 is past 4 r |M_JJ| = 160, so the float route lifts
+    # the basis block on a scale widened to |rhs| / 4
+    ("families", workloads.Item(FamilySpec("johnson", (10, 4)), 0, 3),
+     "77f6b4badd5ce5f53c2fa8e69e4039d10c964192b0577437f8ada696a9562945"),
 ]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from solve_exact_reference import reference_solve_exact
+from solve_exact_reference import fields, reference_solve_exact
 
 from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
 from eqcurv import linalg
@@ -23,10 +23,6 @@ from integer_form import integer_rows
 # the first modulus solve_exact tries
 FIRST_PRIME = next(_primes())
 
-
-def fields(out):
-    """The outcome's fields in the order of ``reference_solve_exact``'s tuple."""
-    return out.status, out.solution, out.nullspace, out.rank
 
 reference_entries = st.one_of(
     st.integers(-5, 5),
@@ -67,11 +63,14 @@ def test_matches_bareiss_on_random_systems(n, data):
 @given(n=st.integers(1, 7), data=st.data())
 def test_mod_p_route_alone_matches_bareiss_on_random_systems(n, data):
     # solve_exact tries the float route first, and it takes most nonsingular
-    # draws; with it off, the mod-p route, unlucky first primes included,
-    # meets the same reference on the same draws
+    # draws and consistent symmetric ones; with it off, the mod-p route,
+    # unlucky first primes included, meets the same reference on the same
+    # draws, and the spy shows that it ran
     matrix, rhs = draw_system(n, data)
-    with mock.patch.object(linalg, "_solve_float", lambda m, b: None):
+    with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
+            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
         out = solve_exact(*integer_rows(matrix, rhs))
+    modular.assert_called_once()
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
@@ -103,8 +102,10 @@ def test_mod_p_route_alone_on_an_int64_rhs_near_2_to_the_63(matrix, rhs):
 
     reconstruct = linalg._reconstruct
     with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
-            mock.patch.object(linalg, "_reconstruct", bounded):
+            mock.patch.object(linalg, "_reconstruct", bounded), \
+            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
         out = solve_exact(m, b)
+    modular.assert_called_once()
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 

@@ -113,6 +113,8 @@ def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data
 @given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
 def test_mod_p_route_alone_around_the_float64_lifting_bound(n, above, rhs_side, data):
     # the float route takes some nonsingular draws above; with it off, the
-    # mod-p lifting runs on both sides of its float64 bound
-    with mock.patch.object(linalg, "_solve_float", lambda m, b: None):
+    # mod-p lifting runs on both sides of its float64 bound, as the spy shows
+    with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
+            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
         lifting_bound_case(n, above, rhs_side, data)
+    modular.assert_called_once()

@@ -7,11 +7,15 @@ entry of ``2^(s-1)`` already fails the row-sum bound. Each is exact,
 or decides as exact integers would, only by a bound. Here each bound is met
 just inside and just outside, and the result is compared with the same
 checks in Python integers. Whole systems steered to the edges must still
-give the mod-p route's outcome.
+give the mod-p route's outcome. The digit combination and the dyadic
+reconstruction run in int64 below a bound and on Python ints past it; both
+sides of each bound are compared with Python ints too.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqcurv import SolveStatus, generate, parse_family_spec, solve_exact
 from eqcurv import linalg
@@ -169,3 +173,44 @@ def test_the_cap_ends_a_lifting_that_never_reconstructs(monkeypatch):
     assert linalg._solve_float(m, b) is None
     # attempts at growing bit counts, the last one past Hadamard's bound
     assert attempts == sorted(attempts) and attempts[-1] > hadamard / 2
+
+
+# ---------------------------------------------------------------------------
+# int64 digit combination and reconstruction, against Python ints
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, count", [(10, 2), (30, 2), (20, 3)])
+def test_combine_digits_on_both_sides_of_the_int64_bound(k, count):
+    # Horner's rule runs in int64 exactly while top 2^(k (T - 1) + 1) < 2^63
+    edge = 1 << (62 - k * (count - 1))
+    for top, dtype in ((edge - 1, np.int64), (edge, object)):
+        digits = [np.array([top, -top, (-1) ** j * (top // 3), 0], dtype=np.int64) for j in range(count)]
+        got = linalg._combine_digits(digits, k, top)
+        expected = [sum(int(d[i]) << (k * (count - 1 - j)) for j, d in enumerate(digits)) for i in range(4)]
+        assert got.dtype == dtype and got.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(2, 70), data=st.data())
+def test_reconstruct_dyadic_in_int64_matches_python_ints(bits, data):
+    # x_i = p_i / q_i, approximated within err / 2^bits; the int64 walk and
+    # output must agree with the walk on Python ints, on both sides of
+    # den |acc| + 2^bits < 2^63
+    err = data.draw(st.integers(1, 8))
+    den = data.draw(st.sampled_from([1, 2, 3, 12, 971]))
+    top = data.draw(st.sampled_from([2**bits, (2**63 - 2**bits) // den, 2**62]))
+    top = min(max(top, 1), 2**63 - 1)
+    acc = [data.draw(st.integers(-top, top)) for _ in range(data.draw(st.integers(1, 6)))]
+    for i, x in enumerate(acc):
+        if data.draw(st.booleans()):
+            # an entry near a fraction with a small denominator
+            q = data.draw(st.integers(1, 9))
+            acc[i] = max(-top, min(top, ((x * q >> bits) << bits) // q))
+    wide = linalg._reconstruct_dyadic(np.array(acc, dtype=object), bits, err, den)
+    got = linalg._reconstruct_dyadic(np.array(acc, dtype=np.int64), bits, err, den)
+    assert (got is None) == (wide is None)
+    if got is not None:
+        assert got[0].tolist() == wide[0].tolist() and got[1] == wide[1]
+        fits = got[1] * max(abs(v) for v in acc) + 2 ** (bits - 1) < 2**63
+        assert got[0].dtype == (np.int64 if fits else object)

@@ -1,13 +1,15 @@
 """The float route of ``solve_exact`` against the mod-p route.
 
-``linalg._solve_float`` certifies a nonsingular system from a rounded float64
-inverse and lifts it on BLAS; ``linalg._solve_modular`` is the general route
+``linalg._solve_float`` certifies a nonsingular system, or the lex-first
+basis block of a consistent symmetric one, from a rounded float64 inverse
+and lifts it on BLAS; ``linalg._solve_modular`` is the general route
 (``_solve_mod`` with the first prime that is not unlucky). Whenever the float
 route returns, its outcome must be the mod-p route's, part by part: pivot
 and free columns, numerators, denominator and consistency. When it refuses,
 ``solve_exact`` must still give the mod-p outcome.
 """
 
+from collections import Counter
 from math import lcm
 
 import numpy as np
@@ -42,9 +44,8 @@ def routes_agree(m: np.ndarray, b: np.ndarray) -> bool:
     assert (outcome.pivot_cols, outcome.free_cols, outcome.den) == (reference[0], reference[1], reference[3])
     if found is None:
         return False
-    assert found[1] == [] and found[0] == list(range(len(m)))
     assert_same(found, reference)
-    assert outcome.status is SolveStatus.UNIQUE
+    assert outcome.status is (SolveStatus.AFFINE if found[1] else SolveStatus.UNIQUE)
     return True
 
 
@@ -56,15 +57,16 @@ def connected_atlas_graphs():
 
 
 def test_atlas_graphs_agree_and_the_float_route_takes_every_full_rank_one():
-    taken = full_rank = graphs = 0
+    counts = Counter()
     for g in connected_atlas_graphs():
         m, b = distance_system(g)
-        graphs += 1
-        full_rank += not linalg._solve_modular(m, b)[1]
-        taken += routes_agree(m, b)
-    # 787 of the 995 connected atlas graphs have a nonsingular D; the other
-    # 208 never reach the float route's lifting
-    assert (graphs, full_rank, taken) == (995, 787, 787)
+        _, free_cols, _, _, consistent = linalg._solve_modular(m, b)
+        counts["singular" if free_cols else "full_rank", consistent, routes_agree(m, b)] += 1
+    # 787 of the 995 connected atlas graphs have a nonsingular D; of the other
+    # 208, the float route takes the 206 consistent ones and refuses the 2
+    # inconsistent ones
+    assert counts == {("full_rank", True, True): 787, ("singular", True, True): 206,
+                      ("singular", False, False): 2}
 
 
 @pytest.mark.parametrize(
@@ -147,10 +149,25 @@ def c_2m_with_tail(m: int, tail: int) -> Graph:
     pytest.param(lambda: generate(parse_family_spec("cycle:8")), id="cycle:8"),
     pytest.param(lambda: c_2m_with_tail(6, 2), id="C_12+tail:2"),
 ])
-def test_singular_distance_matrices_are_refused(graph):
+def test_singular_distance_matrices_take_the_float_route(graph):
     m, b = distance_system(graph())
-    assert linalg._solve_float(m, b) is None
     assert linalg._solve_modular(m, b)[1]
+    assert routes_agree(m, b)
+
+
+@pytest.mark.parametrize("system", [
+    # inconsistent: the particular column fails off the basis rows
+    pytest.param(lambda: family_system("knight_board:7,7"), id="knight_board:7,7"),
+    # not symmetric: never steered
+    pytest.param(lambda: (np.array([[1, 2], [0, 0]]), np.array([3, 0])), id="non-symmetric"),
+    # the zero matrix has no Cholesky factor
+    pytest.param(lambda: (np.zeros((3, 3), dtype=np.int64), np.zeros(3, dtype=np.int64)), id="zero"),
+])
+def test_singular_systems_the_float_route_refuses(system):
+    m, b = system()
+    assert linalg._solve_modular(m, b)[1]
+    assert linalg._solve_float(m, b) is None
+    assert routes_agree(m, b) is False
 
 
 def hilbert(n: int) -> np.ndarray:
