@@ -14,8 +14,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import __version__
@@ -60,9 +61,17 @@ def graph_payload(g: Graph, source: str, dm: DistanceMatrix) -> dict:
 
 
 def curvature_payload(result: CurvatureResult) -> dict:
+    """The report's ``curvature`` object.
+
+    Each distinct value of ``w`` is formatted once, and the entries of ``w``
+    that share a value share its ``{"exact", "float"}`` dict, as they share
+    one Fraction in ``result.w``.
+    """
+    values = result._point[0]
+    formatted = {v: _frac_payload(x) for v, x in dict(zip(values, result.w)).items()}
     return {
         "status": result.status.value,
-        "w": [_frac_payload(x) for x in result.w],
+        "w": [formatted[v] for v in values],
         "k": {**_frac_payload(result.K), "pseudo": not result.is_exact},
         "total": _frac_payload(result.total),
         "residual_range": [_frac_payload(x) for x in result.residual_range],
@@ -97,8 +106,36 @@ def build_analysis_report(
         "graph": graph_payload(g, source, g.distance_matrix if dm is None else dm),
         "curvature": curvature_payload(result),
         "spectral": spectral_payload(info) if info is not None else None,
-        "theorems": [asdict(r) for r in theorems],
+        "theorems": [_plain(r) for r in theorems],
     }
+
+
+# the types of a report's leaves, all immutable
+_LEAF_TYPES = frozenset((str, float, int, bool, type(None)))
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass, None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _plain(value):
+    """``value`` as ``dataclasses.asdict`` gives it, without its deep copy.
+
+    Each dataclass instance becomes a dict of its fields and each tuple or
+    list a new one of the same type, walked in turn. Every other value is a
+    leaf and is shared rather than copied: a report's leaves are immutable.
+    """
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    if isinstance(value, (tuple, list)):
+        return cls(map(_plain, value))
+    names = _field_names(cls)
+    if names is None:
+        return value
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 def _theorem5(g: Graph, result: CurvatureResult, info: SpectralInfo) -> list[TheoremReport]:

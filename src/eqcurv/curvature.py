@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .graphs import DistanceMatrix, FamilySpec, FamilySpecError, Graph, check_fa
 from .linalg import (
     SolveOutcome,
     SolveStatus,
+    _fractions,
     integer_matmul,
     lp_max_min,
     pseudo_apply,
@@ -53,6 +56,9 @@ class CurvatureResult:
     INCONSISTENT, ``w`` is the exact Moore-Penrose solution ``D^+ (n * 1)``,
     its residual range comes from the exact product ``D nums``, and K is only
     a pseudo lower bound (the exact-solution theorems do not apply to it).
+
+    Equal values share one object: ``w`` holds one Fraction per distinct
+    numerator, and ``K`` is the smallest of them.
     """
 
     status: CurvatureStatus
@@ -65,6 +71,16 @@ class CurvatureResult:
     @property
     def is_exact(self) -> bool:
         return self.status is not CurvatureStatus.INCONSISTENT
+
+    @cached_property
+    def _point(self) -> tuple[list[int], int]:
+        """``w`` as integer numerators over one denominator, ``w[i] == nums[i] / den``.
+
+        ``compute_curvature`` stores the point it read ``w`` off; a result
+        built any other way makes one from ``w``.
+        """
+        den = lcm(*(x.denominator for x in self.w))
+        return [x.numerator * (den // x.denominator) for x in self.w], den
 
 
 # Keys of the cached solve and curvature in a DistanceMatrix's instance dictionary.
@@ -109,8 +125,11 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     min/max of ``(D w)_i``, is ``(n, n)`` for a unique solution on the
     strength of ``solve_exact``'s certificate: full rank makes every row a
     pivot row, so ``D nums == den * n * 1`` has already held in exact
-    integers on all n equations. For every other point ``D nums`` is
-    multiplied out in integers.
+    integers on all n equations, and for the constant point of constant row
+    sums R, as ``D (n * 1) == R * n * 1`` from the exact integer row sums. For
+    every other point ``D nums`` is multiplied out in integers. One Fraction
+    is built per distinct numerator and shared by every entry of ``w`` that
+    has it.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -120,10 +139,13 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
 def _curvature(dm: DistanceMatrix) -> CurvatureResult:
     n = dm.n
     outcome = _distance_solve(dm)
-
+    # D nums == dw exactly; a list of one value stands for every row
+    dw = None
     if outcome.status is SolveStatus.UNIQUE:
         status = CurvatureStatus.EXACT_UNIQUE
         nums, den = outcome.particular
+        # full rank: solve_exact's certificate held on every row
+        dw = [n * den]
     elif outcome.status is SolveStatus.INCONSISTENT:
         status = CurvatureStatus.INCONSISTENT
         nums, den = pseudo_apply(dm.entries, np.full(n, n), outcome.kernel_rows)
@@ -132,24 +154,28 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
         row_sum = dm.constant_row_sum()
         if row_sum is not None:
             # constant row sums make the constant vector the unique max-min
-            # point of the family, so the LP can be skipped
+            # point of the family, so the LP can be skipped, and D (n * 1)
+            # is n R on every row, from the exact integer row sums
             nums, den = np.full(n, n), int(row_sum)
+            dw = [n * den]
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
             nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
-    # a unique solution's D nums == den * n * 1 is solve_exact's certificate
-    unique = status is CurvatureStatus.EXACT_UNIQUE
-    dw = [n * den] if unique else integer_matmul(dm.entries, nums).tolist()
-    residual_range = (Fraction(min(dw), den), Fraction(max(dw), den))
-    return CurvatureResult(
+    if dw is None:
+        dw = integer_matmul(dm.entries, nums).tolist()
+    values = nums.tolist()
+    shared = _fractions(values, den)
+    result = CurvatureResult(
         status,
-        tuple(Fraction(int(v), den) for v in nums),
-        Fraction(int(nums.min()), den),
-        Fraction(int(np.abs(nums).sum()), den),
-        residual_range,
+        tuple(map(shared.__getitem__, values)),
+        shared[min(values)],
+        Fraction(sum(map(abs, values)), den),
+        (Fraction(min(dw), den), Fraction(max(dw), den)),
         outcome.nullspace_dimension,
     )
+    vars(result)["_point"] = values, den
+    return result
 
 
 def _complete_form(n: int) -> Fraction:
@@ -203,9 +229,9 @@ def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> Nullspace
     exceptional. ``dm`` defaults to ``g.distance_matrix``.
     """
     outcome = _distance_solve(g.distance_matrix if dm is None else dm)
-    sums = outcome.kernel_sums
     return NullspaceSumReport(
         nullspace_dimension=outcome.nullspace_dimension,
-        entry_sums=sums,
-        exceptional=any(s != 0 for s in sums),
+        entry_sums=outcome.kernel_sums,
+        # a sum is nonzero exactly when its numerator over den is
+        exceptional=any(outcome._kernel_sum_numerators),
     )

@@ -11,12 +11,13 @@ returns floating-point results:
   integer check on ``M X`` proves M nonsingular from a rounded float64
   inverse X, and BLAS products lift the solution 2^k bits at a time. A
   symmetric one it shows singular takes the same route on the block of its
-  lex-first column basis, which one Cholesky factor of ``M M`` steers, and
-  the general solve's certificates prove the basis and the kernel. Every
-  other system, and every one the route refuses, takes the general solve,
-  p-adic lifting (Dixon 1982): one Gauss-Jordan pass mod a prime p < 2^20, in
-  column panels whose row operations reach the trailing columns as one
-  product each, finds the pivot block and its inverse mod p, digit steps lift
+  lex-first column basis, which one Cholesky factor of ``M M`` steers, unless
+  a float residual shows it inconsistent first, and the general solve's
+  certificates prove the basis and the kernel. Every other system, and
+  every one the route refuses, takes the general solve, p-adic lifting
+  (Dixon 1982): one Gauss-Jordan pass mod a prime p < 2^20, in column
+  panels whose row operations reach the trailing columns as one product
+  each, finds the pivot block and its inverse mod p, digit steps lift
   the solution and the whole kernel basis at once, and rational
   reconstruction gives one common denominator. Exact integer certificates
   (the solve on the pivot rows, the kernel on every row, the lex-first basis)
@@ -83,6 +84,7 @@ _LOG_DET_FLOOR = log(0.5)
 # how the float route steers its basis of a singular symmetric M (solve_exact's Notes, step 5)
 _GRAM_SHIFT = 2.0**-40
 _PIVOT_CUTOFF = 2.0**-30
+_RESIDUAL_CUTOFF = 2.0**-26
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -127,11 +129,11 @@ class SolveOutcome:
 
     @cached_property
     def solution(self) -> tuple[Fraction, ...] | None:
-        """``particular`` as Fractions, None if INCONSISTENT."""
+        """``particular`` as Fractions, one object per distinct value; None if INCONSISTENT."""
         if self.particular is None:
             return None
-        nums, den = self.particular
-        return tuple(Fraction(int(v), den) for v in nums)
+        values = self.particular[0].tolist()
+        return tuple(map(_fractions(values, self.den).__getitem__, values))
 
     @cached_property
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,8 +172,18 @@ class SolveOutcome:
 
     @cached_property
     def kernel_sums(self) -> tuple[Fraction, ...]:
-        """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``."""
-        return tuple(Fraction(int(s) + self.den, self.den) for s in self.num[:, 1:].sum(axis=0))
+        """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``.
+
+        Equal sums share one object: one Fraction is built per distinct sum.
+        """
+        sums = self._kernel_sum_numerators
+        return tuple(map(_fractions(sums, self.den).__getitem__, sums))
+
+    @cached_property
+    def _kernel_sum_numerators(self) -> list[int]:
+        """``kernel_sums`` as Python int numerators over ``den``."""
+        # Python ints: a column sum of int64 entries may pass 2^63
+        return [s + self.den for s in self.num[:, 1:].astype(object, copy=False).sum(axis=0).tolist()]
 
     def __repr__(self) -> str:
         return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
@@ -196,6 +208,11 @@ class EigenDecomposition:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _fractions(values: list[int], den: int) -> dict[int, Fraction]:
+    """``value -> Fraction(value, den)``, one Fraction per distinct value."""
+    return {v: Fraction(v, den) for v in set(values)}
 
 
 # operator.index refuses every non-integer entry, where int() would truncate 0.5
@@ -320,7 +337,9 @@ def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None
             if den > bound:
                 return None
     num = den * acc % modulus
-    return np.where(num > modulus // 2, num - modulus, num), den
+    num = np.where(num > modulus // 2, num - modulus, num)
+    # int64 when it holds every numerator and den, so the certificates take one product
+    return num.astype(_int_dtype(max(_absmax(num), den))), den
 
 
 def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -372,8 +391,13 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
     """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers."""
-    target = den * rhs.astype(_int_dtype(max(den * _absmax(rhs), den)))
-    return np.asarray(integer_matmul(lhs, x) == target, dtype=bool).all(axis=0)
+    return _columns_equal(integer_matmul(lhs, x), den, rhs)
+
+
+def _columns_equal(product: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
+    """Per column, whether ``product == den * rhs`` holds in exact integers."""
+    target = rhs.astype(_int_dtype(max(abs(den) * _absmax(rhs), abs(den))), copy=False) * den
+    return np.asarray(product == target, dtype=bool).all(axis=0)
 
 
 def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
@@ -538,13 +562,14 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     certificate and every exactness bound.
     """
     n = len(m)
-    scale = n * _absmax(m)
-    if m.dtype == object or _absmax(b) > 4 * scale or 4 * scale >= FLOAT64_LIMIT:
+    scale, b_max = n * _absmax(m), _absmax(b)
+    if m.dtype == object or b_max > 4 * scale or 4 * scale >= FLOAT64_LIMIT:
         return None
     mf = m.astype(np.float64)
     log_det = np.linalg.slogdet(mf)[1]
     if log_det >= _LOG_DET_FLOOR:
-        found = _lift_float(m, mf, b[:, None], scale, log_det)
+        inverse = _inverse(mf)
+        found = None if inverse is None else _lift_float(m, mf, inverse, b[:, None], scale, log_det)
         return None if found is None else (list(range(n)), [], found[0].astype(object), found[1], True)
     if not np.array_equal(m, m.T):
         return None
@@ -560,28 +585,42 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     cols, free_cols = np.flatnonzero(basis).tolist(), np.flatnonzero(~basis).tolist()
     if not cols:
         return None
-    m_jj, rhs = m[np.ix_(cols, cols)], _targets(m, b, cols, free_cols)
-    scale = max(len(cols) * _absmax(m_jj), -(-_absmax(rhs) // 4))
-    # det(M_JJ)^2 <= det(M_.J^T M_.J), the product of J's pivots (Cauchy-Binet)
-    found = _lift_float(m_jj, m_jj.astype(np.float64), rhs, scale, np.log(pivots[basis]).sum() / 2)
-    found = None if found is None else _certify(m, b, cols, cols, free_cols, *found)
-    if found is None or not found[4]:
+    m_jj = m[np.ix_(cols, cols)]
+    mf_jj, jj_scale = m_jj.astype(np.float64), len(cols) * _absmax(m_jj)
+    inverse = _inverse(mf_jj)
+    if inverse is None:
         return None
-    return cols, free_cols, found[2].astype(object), found[3], True
+    # b clearly off the span of M_.J (as rows: M is symmetric) is an
+    # inconsistent system, left to the mod-p route before any lifting
+    x = inverse @ b[cols]
+    residual = np.abs(x @ mf[cols] - b).max()
+    if not residual <= _RESIDUAL_CUTOFF * (b_max + jj_scale * np.abs(x).max()):
+        return None
+    rhs = _targets(m, b, cols, free_cols)
+    scale = max(jj_scale, -(-_absmax(rhs) // 4))
+    # det(M_JJ)^2 <= det(M_.J^T M_.J), the product of J's pivots (Cauchy-Binet)
+    found = _lift_float(m_jj, mf_jj, inverse, rhs, scale, np.log(pivots[basis]).sum() / 2)
+    found = None if found is None else _certify(m, b, cols, cols, free_cols, *found)
+    return found if found is not None and found[4] else None
 
 
-def _lift_float(m: np.ndarray, mf: np.ndarray, rhs: np.ndarray, scale: int,
+def _inverse(mf: np.ndarray) -> np.ndarray | None:
+    """``numpy.linalg.inv(mf)``, None for an exactly zero pivot (one slogdet's LU did not meet)."""
+    try:
+        return np.linalg.inv(mf)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lift_float(m: np.ndarray, mf: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, scale: int,
                 log_det: float) -> tuple[np.ndarray, int] | None:
     """``(num, den)`` with ``M num == den * rhs``, reduced by their gcd, for a certified
     nonsingular M; None to fall back. ``num`` is int64 when it fits, else Python ints.
 
-    ``mf`` is M in float64, ``rhs`` int64, ``scale >= max(k |M|, |rhs| / 4)`` with
-    ``4 scale < 2^53``, and ``log_det`` estimates ``log|det M|`` to time the attempts.
+    ``mf`` is M in float64 and ``inverse`` LAPACK's inverse of it, ``rhs`` int64,
+    ``scale >= max(k |M|, |rhs| / 4)`` with ``4 scale < 2^53``, and ``log_det``
+    estimates ``log|det M|`` to time the attempts.
     """
-    try:
-        inverse = np.linalg.inv(mf)
-    except np.linalg.LinAlgError:  # an exactly zero pivot that slogdet's LU did not meet
-        return None
     # the largest magnitude is NaN or inf exactly when some entry is
     inverse_max = np.abs(inverse).max()
     if not np.isfinite(inverse_max):
@@ -638,22 +677,32 @@ def _lift_float(m: np.ndarray, mf: np.ndarray, rhs: np.ndarray, scale: int,
 
 def _targets(m: np.ndarray, b: np.ndarray, rows: list[int], free_cols: list[int]) -> np.ndarray:
     """``[b_I | -M_I,free]`` on rows I: what ``M_IJ`` times the numerators must give, over ``den``."""
-    return np.concatenate([b[rows, None], -m[rows][:, free_cols]], axis=1)
+    return np.concatenate([b[rows, None], -m.take(rows, 0).take(free_cols, 1)], axis=1)
 
 
 def _certify(
     m: np.ndarray, b: np.ndarray, rows: list[int], pivot_cols: list[int], free_cols: list[int],
     num: np.ndarray, den: int,
 ) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """``_solve_mod``'s tuple once ``M_IJ num == den * _targets(I)`` holds on the rows I; None
-    unless the kernel columns hold on the other rows too and the kernel vector of free
-    column f is 0 on every later pivot column (the lex-first basis)."""
-    other_rows = sorted(set(range(len(m))) - set(rows))
-    holds = _columns_hold(m[other_rows][:, pivot_cols], num, den, _targets(m, b, other_rows, free_cols))
+    """``_solve_mod``'s tuple, ``num`` as Python ints, once ``M_IJ num == den * _targets(I)``
+    holds on the rows I; None unless the kernel vector of free column f is 0 on every later
+    pivot column (the lex-first basis) and the kernel columns hold on the other rows too.
+
+    Only the blocks on the other rows are gathered, each by ``take`` (one row
+    pass, then one column pass over the rows kept): ``M_.J`` for the one
+    product, and ``M_.free``, which the kernel columns of the product must
+    equal times ``-den``. Column 0, which decides consistency, is compared
+    with ``den * b`` on its own.
+    """
     later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
-    if not holds[1:].all() or np.any(num[:, 1:][later] != 0):
+    if np.any(num[:, 1:][later] != 0):
         return None
-    return pivot_cols, free_cols, num, den, bool(holds[0])
+    other_rows = sorted(set(range(len(m))) - set(rows))
+    product = integer_matmul(m.take(pivot_cols, 1).take(other_rows, 0), num)
+    if not _columns_equal(product[:, 1:], -den, m.take(other_rows, 0).take(free_cols, 1)).all():
+        return None
+    consistent = _columns_equal(product[:, 0], den, b[other_rows])
+    return pivot_cols, free_cols, num.astype(object), den, bool(consistent)
 
 
 def _solve_mod(
@@ -769,7 +818,15 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        ones steered). J only steers;
     6. with J a column basis, ``M = M_.J C`` gives ``M_J. = M_JJ C``, and
        ``rank M_J. = rank M_.J = |J|`` (M symmetric) makes ``M_JJ``
-       nonsingular. Steps 2-4 solve ``M_JJ [x | Z] = [b_J | -M_J,free]``
+       nonsingular. LAPACK's inverse of ``M_JJ``, which step 2 takes
+       anyway, first gives ``x ~ inv(M_JJ) b_J``: a residual ``|M_.J x - b|``
+       above ``2^-26 (|b| + |J| |M_JJ| |x|)`` (``_RESIDUAL_CUTOFF``) puts b
+       off the span of the columns, so the system is taken for inconsistent
+       and refused before any lifting.
+       Over the same 267 singular matrices this relative residual is at
+       most ``2.3e-14`` on the 242 consistent ones and at least ``1.2e-3``
+       on the 25 inconsistent ones. It only chooses the route. Steps 2-4
+       then solve ``M_JJ [x | Z] = [b_J | -M_J,free]``
        with ``scale = max(|J| |M_JJ|, ceil(|RHS| / 4))`` (``johnson:10,4``
        has ``|b| = 210 > 4 * 10 * 4``), and with half the log of the
        product of J's squared pivots for the log-determinant
@@ -786,8 +843,9 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     bits per step, a residual or digit past its bound, more steps than
     Hadamard's bound on ``|det M|`` can need, a failed kernel or lex-first
     check (as when J misses an independent column), or an inconsistent
-    system, whose particular column and ``den`` depend on the pivot rows
-    the mod-p route finds.
+    system (refused by the residual screen, or else by step 7), whose
+    particular column and ``den`` depend on the pivot rows the mod-p route
+    finds.
 
     **The mod-p route.** The moduli are the primes between 2^10 and
     ``PRIME_LIMIT = 2^20``, largest first (1048573, 1048571, ...), a fixed

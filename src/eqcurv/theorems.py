@@ -192,7 +192,7 @@ def check_bonnet_myers(
             checks.append(
                 _check(
                     "diam*K == 2 implies constant curvature",
-                    ("distinct w values", len(set(result.w))), "==", ("one", 1),
+                    ("distinct w values", len(set(result._point[0]))), "==", ("one", 1),
                 )
             )
             notes.append("sharp: diam * K == 2, rigidity clause checked")
@@ -266,8 +266,9 @@ def check_minimax(
     n = g.n
     total: Fraction = result.total
     alpha = Fraction(n) / total
-    # uniform measure, exact
-    row = [Fraction(int(s), n) for s in dm.row_sums()]
+    # uniform measure, exact: (D nu)_a is row sum a over n
+    sums = dm.row_sums()
+    row_min, row_max = Fraction(int(sums.min()), n), Fraction(int(sums.max()), n)
     # nu* = w / ||w||_1 achieves equality on both sides; D nu* entries are the
     # already-computed residuals divided by the total
     lo = result.residual_range[0] / total
@@ -281,8 +282,8 @@ def check_minimax(
             ("min eccentricity", int(dm.entries.max(axis=0).min())), ">=", ("alpha", alpha),
         ),
         _check("point masses: 0 <= alpha", ("zero", 0), "<=", ("alpha", alpha)),
-        _check("uniform: min (D nu)_a <= alpha", ("min", min(row)), "<=", ("alpha", alpha)),
-        _check("uniform: alpha <= max (D nu)_b", ("alpha", alpha), "<=", ("max", max(row))),
+        _check("uniform: min (D nu)_a <= alpha", ("min", row_min), "<=", ("alpha", alpha)),
+        _check("uniform: alpha <= max (D nu)_b", ("alpha", alpha), "<=", ("max", row_max)),
         _check("nu*: min (D nu*)_a == alpha", ("min", lo), "==", ("alpha", alpha)),
         _check("nu*: max (D nu*)_b == alpha", ("max", hi), "==", ("alpha", alpha)),
         # D = D^T and D nu* = alpha * 1 give the bracketing for every measure
@@ -430,7 +431,7 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
     # a product of factors with constant row sums has constant row sums, so
     # D w = n * 1 is solvable and the curvature is exact
     result = compute_curvature(cartesian_product(g, h))
-    distinct = len(set(result.w))
+    distinct = len(set(result._point[0]))
     k_prod: Fraction = result.w[0]
     checks = [
         _check("product curvature is constant", ("distinct w values", distinct), "==", ("one", 1))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,12 +23,25 @@ from eqcurv import (
     FAMILY_NAMES,
     CurvatureStatus,
     Graph,
+    apsp,
+    check_bonnet_myers,
     check_minimax,
+    check_reverse_bonnet_myers,
     compute_curvature,
     generate,
+    nullspace_sum_check,
     parse_family_spec,
 )
-from eqcurv.cli import _THEOREMS, _parse_theorem_list, analyze_graph, main, render_dot, run_corpus
+from eqcurv.cli import (
+    _THEOREMS,
+    _parse_theorem_list,
+    _plain,
+    analyze_graph,
+    build_analysis_report,
+    main,
+    render_dot,
+    run_corpus,
+)
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +387,88 @@ class TestByteIdentity:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "3d5a9aea7403f9929bf1b60d241bc5ec473e24b1aab0dad337b4acd78a61d1aa"
         )
+
+
+def families_reports():
+    """The verifier reports of the benchmark's ``families`` items (``perfbench/workloads.py``)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for item in workloads.build_blocks("families", 1)[0]:
+        yield from workloads.run_graph("families", item)["reports"]
+
+
+class TestSharedValues:
+    """One object per distinct value, and reports converted without a deep copy.
+
+    ``dataclasses.asdict`` stays here as the reference for the report
+    conversion; Fraction construction is counted by patching its ``__new__``.
+    """
+
+    def test_report_conversion_equals_asdict_on_the_connected_atlas(self):
+        nx = pytest.importorskip("networkx")
+        count = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() < 2 or not nx.is_connected(h):
+                continue
+            g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+            result, info, reports = analyze_graph(g)
+            for report in reports:
+                assert _plain(report) == asdict(report)
+            built = build_analysis_report(g, "atlas", None, result, info, reports)
+            assert built["theorems"] == [asdict(r) for r in reports]
+            count += len(reports)
+        assert count > 7 * 995
+
+    def test_report_conversion_equals_asdict_on_the_families_items(self):
+        reports = list(families_reports())
+        assert len(reports) == 3 * 18
+        for report in reports:
+            converted = _plain(report)
+            assert converted == asdict(report)
+            # tuples stay tuples, as in asdict
+            assert type(converted["checks"]) is tuple and type(converted["notes"]) is tuple
+
+    def test_fractions_built_do_not_grow_with_the_vertex_count(self, monkeypatch):
+        # hypercube:5 and hypercube:7 (32 and 128 vertices, kernels of
+        # dimension 26 and 120) take the same path, rigidity clause included
+        original = Fraction.__new__
+        counts = []
+        for spec in ("hypercube:5", "hypercube:7"):
+            g = generate(parse_family_spec(spec))
+            dm = apsp(g)
+            built = []
+
+            def counting_new(cls, *args, **kwargs):
+                built.append(1)
+                return original(cls, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counting_new)
+                result = compute_curvature(g, dm)
+                nullspace_sum_check(g, dm)
+                reports = [
+                    check_bonnet_myers(g, result, dm),
+                    check_reverse_bonnet_myers(g, result, dm),
+                    check_minimax(g, result, seed=0, dm=dm),
+                ]
+                build_analysis_report(g, f"family:{spec}", dm, result, None, reports, 0)
+            assert "diam*K == 2 implies constant curvature" in [c.label for c in reports[0].checks]
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("spec", ["hypercube:5", "knight_board:7,7", "erdos_renyi:9,0.5,3"])
+    def test_equal_values_share_one_object(self, spec):
+        g = generate(parse_family_spec(spec))
+        result = compute_curvature(g)
+        assert len({id(x) for x in result.w}) == len(set(result.w))
+        assert result.K == min(result.w) and any(result.K is x for x in result.w)
+        nums, den = result._point
+        assert [Fraction(v, den) for v in nums] == list(result.w)
+        sums = nullspace_sum_check(g).entry_sums
+        assert len({id(s) for s in sums}) == len(set(sums))
 
 
 class TestExportDot:

@@ -55,6 +55,18 @@ ITEMS = [
      "77f6b4badd5ce5f53c2fa8e69e4039d10c964192b0577437f8ada696a9562945"),
 ]
 
+# each families item with the digest of all its outputs, floats and the
+# report's bytes included, ``workloads.fingerprint(out)[1]``: the report is
+# built and serialised as the benchmark does it, so any change to its bytes
+# fails here
+DIGEST_FULL = {
+    "hypercube:4": "a1408d3f445d8440ff20057cd278647688eab69eb2d2138310101c500f291676",
+    "complete_multipartite:1,1,1,4": "18f9dbd2e8da7aa166551762daa01c80cfc72ff9c49130c6acc3d6e81f451cea",
+    "knight_board:7,7": "eb968b3f088c1a852346d9ba6179c089a4c8cd2d2a9e93121c00d64984512dd7",
+    "cocktail_party:6": "34cf8a2d186cdf34840afc94f9fb80640a531e4390a7e0f68c5a61335a2ea973",
+    "johnson:10,4": "c9f8fcd0559b41ecbafd04fbdf56bda3775351959f265d42edb3c7637d31028b",
+}
+
 
 @pytest.mark.parametrize(
     "workload, item, digest_exact", ITEMS, ids=[f"{w}-{item.spec}" for w, item, _ in ITEMS]
@@ -79,3 +91,5 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item,
     inconsistent = out["result"].status is CurvatureStatus.INCONSISTENT
     assert spans["linalg.pseudo_apply"] == int(inconsistent)
     assert workloads.fingerprint(out)[0] == digest_exact
+    if workload == "families":
+        assert workloads.fingerprint(out)[1] == DIGEST_FULL[str(item.spec)]

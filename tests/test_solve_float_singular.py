@@ -128,3 +128,25 @@ def test_a_wrong_basis_falls_back_with_the_outcome_unchanged(monkeypatch, cutoff
     monkeypatch.setattr(linalg, "_PIVOT_CUTOFF", cutoff)
     assert linalg._solve_float(m, b) is None
     assert fields(solve_exact(m, b)) == expected == reference_solve_exact(m.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize("spec", [
+    "knight_board:7,7", "complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,1,3",
+])
+def test_inconsistent_systems_are_refused_before_any_lifting(monkeypatch, spec):
+    # b lies clearly off the span of the steered basis, so the float
+    # residual sends the system to the mod-p route before _lift_float runs
+    g = generate(parse_family_spec(spec))
+    m, b = g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
+    reference = linalg._solve_modular(m, b)
+
+    def never_lifted(*args):
+        raise AssertionError("the float route lifted an inconsistent system")
+
+    monkeypatch.setattr(linalg, "_lift_float", never_lifted)
+    assert linalg._solve_float(m, b) is None
+    out = solve_exact(m, b)
+    assert out.status is SolveStatus.INCONSISTENT
+    assert (out.pivot_cols, out.free_cols, out.den) == (reference[0], reference[1], reference[3])
+    assert (out.num == reference[2]).all()
+    assert fields(out) == reference_solve_exact(m.tolist(), b.tolist())

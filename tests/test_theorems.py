@@ -139,6 +139,17 @@ class TestBonnetMyers:
         # rigidity check entry is present and holds
         assert any("constant curvature" in c.label and c.holds for c in report.checks)
 
+    def test_rigidity_counts_the_values_of_a_forged_w(self):
+        # a result built by replace keeps K, so diam * K == 2 still holds; its
+        # integer point comes from the forged w, which has two distinct values
+        g, dm, result, _ = analyzed("hypercube:4")
+        forged = replace(result, w=result.w[:-1] + (result.w[0] + 1,))
+        report = check_bonnet_myers(g, forged, dm)
+        rigidity = report.checks[-1]
+        assert rigidity.label == "diam*K == 2 implies constant curvature"
+        assert rigidity.lhs.exact == "2" and not rigidity.holds
+        assert report.failed
+
     def test_complete5(self):
         g, dm, result, _ = analyzed("complete:5")
         report = check_bonnet_myers(g, result, dm)
