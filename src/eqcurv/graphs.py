@@ -156,15 +156,6 @@ class Graph:
         return len(self.pairs)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuples, one per vertex."""
-        ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
-        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-        bounds = np.searchsorted(ends[:, 0], np.arange(self.n + 1)).tolist()
-        nbrs = ends[:, 1].tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
     def adjacency_matrix(self) -> np.ndarray:
         """Read-only n x n bool adjacency matrix: symmetric, False on the diagonal."""
         u, v = self.pairs.T
@@ -177,9 +168,6 @@ class Graph:
     def distance_matrix(self) -> DistanceMatrix:
         """The hop-count matrix ``apsp(self)``, computed once and shared by every consumer."""
         return apsp(self)
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.pairs == v))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -252,29 +240,6 @@ class DistanceMatrix:
         if np.all(sums == sums[0]):
             return Fraction(int(sums[0]))
         return None
-
-    def validate(self, graph: Graph | None = None) -> None:
-        """Check every distance-matrix invariant, raising ValueError on failure.
-
-        With ``graph`` given, additionally checks that entry 1 appears exactly
-        on the edges of the graph.
-        """
-        d = self.entries
-        n = self.n
-        if not np.array_equal(d, d.T):
-            raise ValueError("distance matrix is not symmetric")
-        if np.any(np.diag(d) != 0):
-            raise ValueError("nonzero diagonal entry")
-        if n > 1:
-            off = d[~np.eye(n, dtype=bool)]
-            if off.min() < 1:
-                raise ValueError("off-diagonal entry below 1")
-        for k in range(n):
-            if np.any(d > d[:, [k]] + d[[k], :]):
-                raise ValueError("triangle inequality violated")
-        if graph is not None:
-            if not np.array_equal(np.argwhere(np.triu(d == 1)), graph.pairs):
-                raise ValueError("distance-1 pairs differ from the edge set")
 
 
 def parse_edge_list(text: str) -> Graph:

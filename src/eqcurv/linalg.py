@@ -10,14 +10,14 @@ returns floating-point results:
   certified float64 route (numeric-symbolic lifting, Wan 2006): an exact
   integer check on ``M X`` proves M nonsingular from a rounded float64
   inverse X, and BLAS products lift the solution 2^k bits at a time. A
-  symmetric one it shows singular takes the same route on the block of its
-  lex-first column basis, which one Cholesky factor of ``M M`` steers, unless
-  a float residual shows it inconsistent first, and the general solve's
-  certificates prove the basis and the kernel. Every other system, and
-  every one the route refuses, takes the general solve, p-adic lifting
-  (Dixon 1982): one Gauss-Jordan pass mod a prime p < 2^20, in column
-  panels whose row operations reach the trailing columns as one product
-  each, finds the pivot block and its inverse mod p, digit steps lift
+  symmetric one it shows singular, consistent or not, takes the same route
+  on the block of its lex-first column basis, which one Cholesky factor of
+  ``M M`` steers, and the general solve's certificates prove the basis and
+  the kernel. Every other system, and every one the route refuses, takes
+  the general solve, p-adic lifting (Dixon 1982): one Gauss-Jordan pass
+  mod a prime p < 2^20, in column panels whose row operations reach the
+  trailing columns as one product each, finds the pivot block and its
+  inverse mod p, digit steps lift
   the solution and the whole kernel basis at once, and rational
   reconstruction gives one common denominator. Exact integer certificates
   (the solve on the pivot rows, the kernel on every row, the lex-first basis)
@@ -84,7 +84,6 @@ _LOG_DET_FLOOR = log(0.5)
 # how the float route steers its basis of a singular symmetric M (solve_exact's Notes, step 5)
 _GRAM_SHIFT = 2.0**-40
 _PIVOT_CUTOFF = 2.0**-30
-_RESIDUAL_CUTOFF = 2.0**-26
 
 
 class NonSymmetricMatrixError(ValueError):
@@ -258,7 +257,8 @@ def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     """Gauss-Jordan on ``[M mod p | I]``: pivot rows, pivot columns and ``inv(M_IJ) mod p``.
 
     Each column pivots on its first nonzero entry among the rows that are not
-    pivots yet, so the pivot columns are the lex-first column basis mod p.
+    pivots yet, so the pivot columns are the lex-first column basis mod p,
+    and the pivot rows the lex-first row basis (``solve_exact``'s Notes).
     Row r, pivot number t, keeps its identity entry in column ``n + t``: the
     inverse part of a pivot row only ever involves earlier pivot rows.
 
@@ -552,8 +552,8 @@ def _certificate(mf: np.ndarray, x: np.ndarray, s: int, scale: int) -> tuple[int
 
 
 def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """``_solve_mod``'s tuple for a nonsingular M or a consistent symmetric one, lifted on
-    float64 BLAS; None to fall back.
+    """``_solve_mod``'s tuple for a nonsingular M or a symmetric one, consistent or not,
+    lifted on float64 BLAS; None to fall back.
 
     Numeric-symbolic lifting (Wan 2006; Saunders, Wood and Youse 2011):
     LAPACK's log-determinant, Cholesky factor and inverse only choose and
@@ -562,8 +562,8 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     certificate and every exactness bound.
     """
     n = len(m)
-    scale, b_max = n * _absmax(m), _absmax(b)
-    if m.dtype == object or b_max > 4 * scale or 4 * scale >= FLOAT64_LIMIT:
+    scale = n * _absmax(m)
+    if m.dtype == object or _absmax(b) > 4 * scale or 4 * scale >= FLOAT64_LIMIT:
         return None
     mf = m.astype(np.float64)
     log_det = np.linalg.slogdet(mf)[1]
@@ -586,22 +586,15 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     if not cols:
         return None
     m_jj = m[np.ix_(cols, cols)]
-    mf_jj, jj_scale = m_jj.astype(np.float64), len(cols) * _absmax(m_jj)
+    mf_jj = m_jj.astype(np.float64)
     inverse = _inverse(mf_jj)
     if inverse is None:
         return None
-    # b clearly off the span of M_.J (as rows: M is symmetric) is an
-    # inconsistent system, left to the mod-p route before any lifting
-    x = inverse @ b[cols]
-    residual = np.abs(x @ mf[cols] - b).max()
-    if not residual <= _RESIDUAL_CUTOFF * (b_max + jj_scale * np.abs(x).max()):
-        return None
     rhs = _targets(m, b, cols, free_cols)
-    scale = max(jj_scale, -(-_absmax(rhs) // 4))
+    scale = max(len(cols) * _absmax(m_jj), -(-_absmax(rhs) // 4))
     # det(M_JJ)^2 <= det(M_.J^T M_.J), the product of J's pivots (Cauchy-Binet)
     found = _lift_float(m_jj, mf_jj, inverse, rhs, scale, np.log(pivots[basis]).sum() / 2)
-    found = None if found is None else _certify(m, b, cols, cols, free_cols, *found)
-    return found if found is not None and found[4] else None
+    return None if found is None else _certify(m, b, cols, cols, free_cols, *found)
 
 
 def _inverse(mf: np.ndarray) -> np.ndarray | None:
@@ -688,10 +681,11 @@ def _certify(
     holds on the rows I; None unless the kernel vector of free column f is 0 on every later
     pivot column (the lex-first basis) and the kernel columns hold on the other rows too.
 
-    Only the blocks on the other rows are gathered, each by ``take`` (one row
-    pass, then one column pass over the rows kept): ``M_.J`` for the one
-    product, and ``M_.free``, which the kernel columns of the product must
-    equal times ``-den``. Column 0, which decides consistency, is compared
+    Only the blocks on the other rows are gathered, each by two ``take``
+    passes: ``M_.J`` for the one product, its pivot columns first and then
+    the other rows of those, and ``M_.free``, which the kernel columns of
+    the product must equal times ``-den``, the other rows first and then
+    their free columns. Column 0, which decides consistency, is compared
     with ``den * b`` on its own.
     """
     later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
@@ -818,23 +812,17 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        ones steered). J only steers;
     6. with J a column basis, ``M = M_.J C`` gives ``M_J. = M_JJ C``, and
        ``rank M_J. = rank M_.J = |J|`` (M symmetric) makes ``M_JJ``
-       nonsingular. LAPACK's inverse of ``M_JJ``, which step 2 takes
-       anyway, first gives ``x ~ inv(M_JJ) b_J``: a residual ``|M_.J x - b|``
-       above ``2^-26 (|b| + |J| |M_JJ| |x|)`` (``_RESIDUAL_CUTOFF``) puts b
-       off the span of the columns, so the system is taken for inconsistent
-       and refused before any lifting.
-       Over the same 267 singular matrices this relative residual is at
-       most ``2.3e-14`` on the 242 consistent ones and at least ``1.2e-3``
-       on the 25 inconsistent ones. It only chooses the route. Steps 2-4
-       then solve ``M_JJ [x | Z] = [b_J | -M_J,free]``
+       nonsingular. Steps 2-4 solve ``M_JJ [x | Z] = [b_J | -M_J,free]``
        with ``scale = max(|J| |M_JJ|, ceil(|RHS| / 4))`` (``johnson:10,4``
        has ``|b| = 210 > 4 * 10 * 4``), and with half the log of the
        product of J's squared pivots for the log-determinant
        (``det(M_.J^T M_.J) >= det(M_JJ)^2``, Cauchy-Binet);
     7. the mod-p route's step 3 (``_certify``, which both routes call) on
-       the rows outside J, where ``M_.J x == den * b`` must hold too. The
-       certified ``M_JJ`` stands in for ``M_IJ`` there, so the outcome is
-       Bareiss's.
+       the rows outside J, where ``M_.J x == den * b`` decides consistency.
+       The certified ``M_JJ`` stands in for ``M_IJ`` there, and for a
+       symmetric M the mod-p route's pivot rows I are J (the lemma below),
+       so both routes solve the same block, and the outcome, consistent or
+       not, is the mod-p route's and Bareiss's.
 
     Every other case falls back to the mod-p route as it is: a singular M
     that is not symmetric, a Cholesky factor LAPACK refuses (M = 0), an
@@ -842,10 +830,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     failed certificate (as when J holds a dependent column), fewer than 4
     bits per step, a residual or digit past its bound, more steps than
     Hadamard's bound on ``|det M|`` can need, a failed kernel or lex-first
-    check (as when J misses an independent column), or an inconsistent
-    system (refused by the residual screen, or else by step 7), whose
-    particular column and ``den`` depend on the pivot rows the mod-p route
-    finds.
+    check (as when J misses an independent column).
 
     **The mod-p route.** The moduli are the primes between 2^10 and
     ``PRIME_LIMIT = 2^20``, largest first (1048573, 1048571, ...), a fixed
@@ -875,6 +860,17 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     all of them, a number of about 1.5 million bits. With both checks
     passing, ``M_.J x == den * b`` failing on a row certifies INCONSISTENT:
     any solution would have to be this x.
+
+    Lemma: the pivot rows I are the lex-first row basis mod p, the rows not
+    in the span of the rows before them. Proof: at column c, an open row's
+    reduced entry is nonzero exactly when the row's first c + 1 entries lie
+    outside the span of the pivot rows' first c + 1 entries. Every open row
+    before the chosen row r lies inside that span, so r lies outside the
+    span of all rows before it. Hence every pivot row is in the lex-first
+    row basis, and as both have the rank's size, they are equal. For a
+    symmetric M that basis is the lex-first column basis mod p, the
+    certified J, so I = J: an inconsistent system's particular column and
+    ``den`` are those of the block ``M_JJ``, whichever route solves it.
 
     Exactness and overflow bounds. Every product of this route, the
     panels', the lifting steps' and the certificates', is ``integer_matmul``:

@@ -319,39 +319,36 @@ def check_theorem5(g: Graph, w, info: SpectralInfo) -> TheoremReport:
     ``diam(G) <= (||Dw||_inf / n) * 8/K`` and ``lambda_1 >= K / (8 ||Dw||_inf)``.
     Unlike the other checkers, w need not solve the distance system. Float
     entries are taken at their exact dyadic values, so the diameter bound is
-    always checked in rational arithmetic. Weights that are all Python ints
-    (bools excluded) are taken as they are, with denominator 1; any other
-    weights are first brought to one common denominator through Fractions.
-    Both give the same report. The numerators go to ``integer_matmul`` as
-    int64 while every one is below 2^63, so ``2**70`` stays exact.
+    always checked in rational arithmetic. A Python int (a bool excluded) is
+    read through its own ``numerator`` and ``denominator``, and any other
+    entry is first made a Fraction; the weights then take one common
+    denominator. The numerators go to ``integer_matmul`` as int64 while
+    every one is below 2^63, so ``2**70`` stays exact.
     """
     w_list = list(w)
     if len(w_list) != g.n:
         raise ValueError("w length does not match the vertex count")
-    if all(type(x) is int for x in w_list):
-        k_val, den, nums = min(w_list), 1, w_list
-    else:
-        w_frac = [_exact_weight(x) for x in w_list]
-        k_val = min(w_frac)
-        den = lcm(*(x.denominator for x in w_frac))
-        nums = [x.numerator * (den // x.denominator) for x in w_frac]
-    if k_val <= 0:
+    w_exact = [x if type(x) is int else _exact_weight(x) for x in w_list]
+    den = lcm(*{x.denominator for x in w_exact})
+    nums = [x.numerator * (den // x.denominator) for x in w_exact]
+    # K = kn / den
+    kn = min(nums)
+    if kn <= 0:
         raise ValueError("theorem5 needs every entry of w to be positive")
     dm = g.distance_matrix
     # every numerator is positive now, so the largest decides whether int64 holds them
     nums = np.array(nums, dtype=np.int64 if max(nums) < INT64_LIMIT else object)
     # ||Dw||_inf = dw / den, as D >= 0 and w > 0 make D w >= 0
     dw = int(integer_matmul(dm.entries, nums).max())
-    # with K = kn / kd, each bound is one Fraction of integer products
-    kn, kd = k_val.numerator, k_val.denominator
+    # den cancels from both bounds, so each is one Fraction of integer products
     return _report("theorem5", (
         _check(
             "diam <= (||Dw||_inf/n) * 8/K",
-            ("diam", dm.diameter()), "<=", ("(||Dw||_inf/n)*8/K", Fraction(8 * dw * kd, den * g.n * kn)),
+            ("diam", dm.diameter()), "<=", ("(||Dw||_inf/n)*8/K", Fraction(8 * dw, g.n * kn)),
         ),
         _check(
             "lambda_1 >= K/(8 ||Dw||_inf)",
-            ("lambda_1", info.lambda1), ">=", ("K/(8||Dw||_inf)", Fraction(kn * den, 8 * dw * kd)),
+            ("lambda_1", info.lambda1), ">=", ("K/(8||Dw||_inf)", Fraction(kn, 8 * dw)),
         ),
     ))
 

@@ -2,9 +2,9 @@
 
 Kept as a differential oracle for the matrix-product APSP. The module name has
 no ``test_`` prefix, so pytest does not collect it; tests import
-``reference_apsp`` from it. The BFS is a private copy, so the oracle shares
-nothing with ``eqcurv.graphs`` but the ``Graph`` adjacency lists, the
-``DistanceMatrix`` container and the exception.
+``reference_apsp`` from it. The BFS and its neighbour lists are private
+copies, so the oracle shares nothing with ``eqcurv.graphs`` but the
+``Graph``'s edge pairs, the ``DistanceMatrix`` container and the exception.
 """
 
 from collections import deque
@@ -14,7 +14,7 @@ import numpy as np
 from eqcurv.graphs import DisconnectedGraphError, DistanceMatrix, Graph
 
 
-def _bfs(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+def _bfs(adjacency: list[list[int]], source: int) -> list[int]:
     dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
@@ -30,7 +30,10 @@ def _bfs(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
 
 def reference_apsp(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path hop counts, one BFS per source vertex."""
-    adjacency = g.adjacency
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.pairs.tolist():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     rows = []
     for s in range(g.n):
         dist = _bfs(adjacency, s)

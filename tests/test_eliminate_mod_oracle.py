@@ -85,3 +85,37 @@ def test_exact_at_the_bounds():
     n = 10 * PANEL_WIDTH + 3
     m = np.random.default_rng(1).integers(P - 64, P, (n, n))
     assert n >= 300 and len(matches_reference(m)) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from(SIZES),
+    symmetric=st.booleans(),
+    p=st.sampled_from([P, 7]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pivot_rows_are_the_lex_first_row_basis(n, symmetric, p, seed, data):
+    # each column pivots on its first open row with a nonzero residue, so the
+    # pivot rows are the lex-first row basis mod p: the lex-first column basis
+    # of M^T, and for a symmetric M its own pivot columns (solve_exact's Notes)
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, n))
+    left = rng.integers(-3, 4, (n, rank))
+    if symmetric:
+        middle = rng.integers(-3, 4, (rank, rank))
+        m = left @ (middle + middle.T) @ left.T
+    else:
+        m = left @ rng.integers(-3, 4, (rank, n))
+    index = st.integers(0, n - 1)
+    for j in data.draw(st.lists(index, max_size=3)):
+        m[:, j] = 0
+        if symmetric:
+            m[j] = 0
+    if not symmetric:
+        for i in data.draw(st.lists(index, max_size=3)):
+            m[i] = 0
+    rows, cols, _ = _eliminate_mod(m, p)
+    assert sorted(rows) == _eliminate_mod(m.T, p)[1]
+    if symmetric:
+        assert set(rows) == set(cols)

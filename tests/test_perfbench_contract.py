@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+from eqcurv import linalg  # noqa: E402
 from eqcurv.curvature import CurvatureStatus  # noqa: E402
 from eqcurv.graphs import FamilySpec  # noqa: E402
 
@@ -71,7 +72,12 @@ DIGEST_FULL = {
 @pytest.mark.parametrize(
     "workload, item, digest_exact", ITEMS, ids=[f"{w}-{item.spec}" for w, item, _ in ITEMS]
 )
-def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item, digest_exact):
+def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(monkeypatch, workload, item, digest_exact):
+    # every distance system, consistent or not, and the bordered system of
+    # the pseudo-inverse take the float route: the mod-p route never runs
+    modular = []
+    solve_modular = linalg._solve_modular
+    monkeypatch.setattr(linalg, "_solve_modular", lambda m, b: modular.append(len(m)) or solve_modular(m, b))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -81,6 +87,7 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(workload, item,
     finally:
         tracer.uninstall()
     assert workloads.check(workload, item, out) is None
+    assert modular == []
     assert tracer.absent == set()
     spans = Counter(rec[0] for rec in tracer.spans)
     assert (spans["graphs.apsp"], spans["linalg.solve_exact"]) == (1, 1)

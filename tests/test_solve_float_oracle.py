@@ -1,8 +1,8 @@
 """The float route of ``solve_exact`` against the mod-p route.
 
 ``linalg._solve_float`` certifies a nonsingular system, or the lex-first
-basis block of a consistent symmetric one, from a rounded float64 inverse
-and lifts it on BLAS; ``linalg._solve_modular`` is the general route
+basis block of a symmetric one, consistent or not, from a rounded float64
+inverse and lifts it on BLAS; ``linalg._solve_modular`` is the general route
 (``_solve_mod`` with the first prime that is not unlucky). Whenever the float
 route returns, its outcome must be the mod-p route's, part by part: pivot
 and free columns, numerators, denominator and consistency. When it refuses,
@@ -45,7 +45,10 @@ def routes_agree(m: np.ndarray, b: np.ndarray) -> bool:
     if found is None:
         return False
     assert_same(found, reference)
-    assert outcome.status is (SolveStatus.AFFINE if found[1] else SolveStatus.UNIQUE)
+    if not found[4]:
+        assert outcome.status is SolveStatus.INCONSISTENT
+    else:
+        assert outcome.status is (SolveStatus.AFFINE if found[1] else SolveStatus.UNIQUE)
     return True
 
 
@@ -62,11 +65,10 @@ def test_atlas_graphs_agree_and_the_float_route_takes_every_full_rank_one():
         m, b = distance_system(g)
         _, free_cols, _, _, consistent = linalg._solve_modular(m, b)
         counts["singular" if free_cols else "full_rank", consistent, routes_agree(m, b)] += 1
-    # 787 of the 995 connected atlas graphs have a nonsingular D; of the other
-    # 208, the float route takes the 206 consistent ones and refuses the 2
-    # inconsistent ones
+    # 787 of the 995 connected atlas graphs have a nonsingular D; the float
+    # route takes them and the other 208, 206 consistent and 2 inconsistent
     assert counts == {("full_rank", True, True): 787, ("singular", True, True): 206,
-                      ("singular", False, False): 2}
+                      ("singular", False, True): 2}
 
 
 @pytest.mark.parametrize(
@@ -148,6 +150,8 @@ def c_2m_with_tail(m: int, tail: int) -> Graph:
     pytest.param(lambda: generate(parse_family_spec("hypercube:8")), id="hypercube:8"),
     pytest.param(lambda: generate(parse_family_spec("cycle:8")), id="cycle:8"),
     pytest.param(lambda: c_2m_with_tail(6, 2), id="C_12+tail:2"),
+    # inconsistent: the particular column fails off the basis rows
+    pytest.param(lambda: generate(parse_family_spec("knight_board:7,7")), id="knight_board:7,7"),
 ])
 def test_singular_distance_matrices_take_the_float_route(graph):
     m, b = distance_system(graph())
@@ -156,8 +160,6 @@ def test_singular_distance_matrices_take_the_float_route(graph):
 
 
 @pytest.mark.parametrize("system", [
-    # inconsistent: the particular column fails off the basis rows
-    pytest.param(lambda: family_system("knight_board:7,7"), id="knight_board:7,7"),
     # not symmetric: never steered
     pytest.param(lambda: (np.array([[1, 2], [0, 0]]), np.array([3, 0])), id="non-symmetric"),
     # the zero matrix has no Cholesky factor

@@ -4,10 +4,12 @@ For a symmetric M that the log-determinant screen calls singular,
 ``linalg._solve_float`` steers its choice of the lex-first column basis J by
 one Cholesky factor of ``M M`` plus a small shift, lifts
 ``M_JJ [x | Z] = [b_J | -M_J,free]`` on float64 BLAS, and proves the result
-with the mod-p route's certificates. The steering only chooses: a wrong J,
-a non-symmetric M or an inconsistent system must fall back to the mod-p
-route with the outcome unchanged. Every outcome here is compared with the
-Bareiss elimination of ``solve_exact_reference.py``.
+with the mod-p route's certificates, consistent or not: the mod-p route's
+pivot rows are the lex-first row basis, which for a symmetric M is J, so
+both routes solve the same block. The steering only chooses: a wrong J or
+a non-symmetric M must fall back to the mod-p route with the outcome
+unchanged. Every outcome here is compared with the Bareiss elimination of
+``solve_exact_reference.py``.
 """
 
 import numpy as np
@@ -133,18 +135,16 @@ def test_a_wrong_basis_falls_back_with_the_outcome_unchanged(monkeypatch, cutoff
 @pytest.mark.parametrize("spec", [
     "knight_board:7,7", "complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,1,3",
 ])
-def test_inconsistent_systems_are_refused_before_any_lifting(monkeypatch, spec):
-    # b lies clearly off the span of the steered basis, so the float
-    # residual sends the system to the mod-p route before _lift_float runs
+def test_inconsistent_systems_take_the_float_route(monkeypatch, spec):
+    # the mod-p route's pivot rows are J too, so both routes solve the same
+    # block and give the same particular column and den
     g = generate(parse_family_spec(spec))
     m, b = g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
     reference = linalg._solve_modular(m, b)
-
-    def never_lifted(*args):
-        raise AssertionError("the float route lifted an inconsistent system")
-
-    monkeypatch.setattr(linalg, "_lift_float", never_lifted)
-    assert linalg._solve_float(m, b) is None
+    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    pivot_cols, free_cols, num, den, consistent = linalg._solve_float(m, b)
+    assert (pivot_cols, free_cols, den, consistent) == (reference[0], reference[1], reference[3], False)
+    assert num.shape == reference[2].shape and num.dtype == object and (num == reference[2]).all()
     out = solve_exact(m, b)
     assert out.status is SolveStatus.INCONSISTENT
     assert (out.pivot_cols, out.free_cols, out.den) == (reference[0], reference[1], reference[3])
