@@ -5,36 +5,28 @@ returns floating-point results:
 
 * solvability classification, nullspaces and the lexicographic max-min
   canonicalization run on integers: ``solve_exact`` takes integer entries
-  only, and Fractions appear only in its outcome's views. A square system
-  that LAPACK's log-determinant shows to be nonsingular is first tried on a
+  only, and Fractions appear only in its outcome's views. A square system that
+  LAPACK's log-determinant shows to be nonsingular is first tried on a
   certified float64 route (numeric-symbolic lifting, Wan 2006): an exact
-  integer check on ``M X`` proves M nonsingular from a rounded float64
-  inverse X, and BLAS products lift the solution 2^k bits at a time. A
-  symmetric one it shows singular, consistent or not, takes the same route
-  on the block of its lex-first column basis, which one Cholesky factor of
-  ``M M`` steers, and the general solve's certificates prove the basis and
-  the kernel. Every other system, and every one the route refuses, takes
-  the general solve, p-adic lifting (Dixon 1982): one Gauss-Jordan pass
-  mod a prime p < 2^20, in column panels whose row operations reach the
-  trailing columns as one product each, finds the pivot block and its
-  inverse mod p, digit steps lift
-  the solution and the whole kernel basis at once, and rational
-  reconstruction gives one common denominator. Exact integer certificates
-  (the solve on the pivot rows, the kernel on every row, the lex-first basis)
-  prove the result, and a failed one moves on to the next prime of a fixed
-  sequence. Both routes give the same outcome, and LAPACK output never
-  decides one. Every product of the general solve, and every certificate, is
-  ``integer_matmul``: float64 BLAS under a proven bound. Each other array is
-  int64 exactly when a documented bound rules out overflow, and Python
-  integers otherwise. The max-min accepts only families whose kernel vectors
-  sum to zero, as those of a consistent distance system do, so every level LP
-  is bounded. It runs one simplex per level on an integer tableau pivoted
-  fraction-free over one shared denominator, in int64 while a bound taken
-  before each pivot rules out overflow and on Python integers from the first
-  pivot it does not, each level certified by its dual, at most one level per
-  kernel dimension; the same tableau gives the next level's directions, each
-  certified to vanish where the dual pins the point, so the max-min makes no
-  exact solve. The Moore-Penrose solution is one more exact solve, of the
+  integer check on ``M X`` proves M nonsingular from a rounded float64 inverse
+  X, and BLAS products lift the solution 2^k bits at a time. A symmetric one
+  it shows singular, or fails to solve, takes the same route on the block of
+  its lex-first column basis, consistent or not, which one Cholesky factor of
+  ``M M`` steers, and exact integer certificates prove the basis and the
+  kernel. Every other system, and every one the route refuses, takes Bareiss
+  elimination on Python integers, which the same certificates prove. Both
+  routes give the same outcome, and LAPACK output never decides one. Every
+  certificate is ``integer_matmul``: float64 BLAS under a proven bound. Each
+  other array is int64 exactly when a documented bound rules out overflow, and
+  Python integers otherwise. The max-min accepts only families whose kernel
+  vectors sum to zero, as those of a consistent distance system do, so every
+  level LP is bounded. It runs one simplex per level on an integer tableau
+  pivoted fraction-free over one shared denominator, in int64 while a bound
+  taken before each pivot rules out overflow and on Python integers from the
+  first pivot it does not, each level certified by its dual, at most one level
+  per kernel dimension; the same tableau gives the next level's directions,
+  each certified to vanish where the dual pins the point, so the max-min makes
+  no exact solve. The Moore-Penrose solution is one more exact solve, of the
   system bordered by a kernel basis. So "singular", "inconsistent" and
   "optimal" are structural verdicts rather than tolerance calls;
 * eigendecomposition runs in binary64 through LAPACK's symmetric
@@ -51,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, gcd, isqrt, log, log2
+from math import ceil, gcd, isqrt, log, log2
 
 import numpy as np
 
@@ -71,15 +63,8 @@ INT64_LIMIT = 2**63
 # float64 holds every integer below this exactly, so a sum of such integers
 # is exact in any order while every partial sum stays below it
 FLOAT64_LIMIT = 2**53
-PRIME_LIMIT = 2**20
-# every composite below PRIME_LIMIT has a factor of at most sqrt(PRIME_LIMIT),
-# so a larger q is prime exactly when it is coprime to this factorial
-_SMALL_FACTORS = factorial(isqrt(PRIME_LIMIT))
-# columns per panel of the mod-p elimination; a panel's product stays below
-# PANEL_WIDTH * p^2 < 2^45, one float64 product of integer_matmul's
-PANEL_WIDTH = 32
 # a nonsingular integer matrix has |det M| >= 1, so the float route's screen
-# leaves a matrix whose float64 log|det M| is below log(1/2) to the mod-p path
+# calls a matrix whose float64 log|det M| is below log(1/2) singular
 _LOG_DET_FLOOR = log(0.5)
 # how the float route steers its basis of a singular symmetric M (solve_exact's Notes, step 5)
 _GRAM_SHIFT = 2.0**-40
@@ -246,102 +231,6 @@ def _int_dtype(bound: int):
     return np.int64 if bound < INT64_LIMIT else object
 
 
-def _primes():
-    """The primes between sqrt(PRIME_LIMIT) and PRIME_LIMIT, largest first: the fixed moduli."""
-    for q in range(PRIME_LIMIT - 1, isqrt(PRIME_LIMIT), -1):
-        if gcd(q, _SMALL_FACTORS) == 1:
-            yield q
-
-
-def _eliminate_mod(m: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Gauss-Jordan on ``[M mod p | I]``: pivot rows, pivot columns and ``inv(M_IJ) mod p``.
-
-    Each column pivots on its first nonzero entry among the rows that are not
-    pivots yet, so the pivot columns are the lex-first column basis mod p,
-    and the pivot rows the lex-first row basis (``solve_exact``'s Notes).
-    Row r, pivot number t, keeps its identity entry in column ``n + t``: the
-    inverse part of a pivot row only ever involves earlier pivot rows.
-
-    The columns are taken in panels of ``PANEL_WIDTH`` (delayed reduction,
-    as in Dumas, Giorgi and Pernet's FFLAS-FFPACK, 2008). A panel's column
-    steps run on a 2w x n buffer, the transpose of its w columns mod p and
-    of one identity column per new pivot, so each update runs along rows of
-    length n. Only the pivot row and the column are reduced mod p, so the
-    buffer stays below ``p + w (p - 1)^2``. The panel's row operations are
-    ``T = I + (L - E_R)`` on its k new pivot rows R, with L the buffer's
-    identity part. They reach the trailing columns and the inverse part of
-    the earlier pivots as one ``integer_matmul``
-    ``((L - E_R) mod p) @ (rows R mod p)``, whose partial sums are below
-    ``k (p - 1)^2 < 2^53``: one float64 product, returned as int64. Added
-    into int64, the entries of ``[M | I]`` stay nonnegative and below
-    ``p + n (p - 1)^2 < 2^63`` (an int64 array with n >= 2^23 rows would not
-    fit in memory).
-    """
-    n = len(m)
-    a = np.zeros((n, 2 * n), dtype=np.int64)
-    a[:, :n] = m % p
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    open_rows = np.ones(n, dtype=bool)
-    for c0 in range(0, n, PANEL_WIDTH):
-        w = min(PANEL_WIDTH, n - c0)
-        t0 = len(pivot_rows)
-        panel = np.zeros((2 * w, n), dtype=np.int64)
-        panel[:w] = a[:, c0:c0 + w].T % p
-        for j in range(w):
-            col = panel[j] % p
-            candidates = np.flatnonzero(col * open_rows)
-            if not candidates.size:
-                continue
-            r = int(candidates[0])
-            end = w + len(pivot_rows) - t0 + 1
-            panel[end - 1, r] = 1
-            pivot = panel[j:end, r] % p * pow(int(col[r]), -1, p) % p
-            panel[j:end, r] = pivot
-            col[r] = 0
-            panel[j:end] -= pivot[:, None] * col
-            open_rows[r] = False
-            pivot_rows.append(r)
-            pivot_cols.append(c0 + j)
-        rows = pivot_rows[t0:]
-        k = len(rows)
-        if not k:
-            continue
-        left = panel[w:w + k] % p
-        u = left.copy()
-        u[range(k), rows] = (u[range(k), rows] - 1) % p
-        trailing = a[:, c0 + w:n + t0]
-        trailing += integer_matmul(u.T, trailing[rows] % p)
-        a[:, n + t0:n + t0 + k] = left.T
-    return pivot_rows, pivot_cols, a[pivot_rows, n:n + len(pivot_rows)] % p
-
-
-def _reconstruct(acc: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
-    """``(num, den)`` with ``num == den * acc`` mod modulus, all within ``sqrt(modulus / 2)``.
-
-    One common denominator, grown entry by entry: an entry that ``den`` does
-    not already make small is reconstructed by the half-extended Euclidean
-    algorithm (Wang 1981), and ``den`` takes on its denominator. None when
-    some entry has no such fraction yet, i.e. more p-adic digits are needed.
-    """
-    bound = isqrt(modulus // 2)
-    den = 1
-    for u in acc.flat:
-        v = den * u % modulus
-        if bound < v < modulus - bound:
-            r0, r1, t0, t1 = modulus, v, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-            den *= abs(t1)
-            if den > bound:
-                return None
-    num = den * acc % modulus
-    num = np.where(num > modulus // 2, num - modulus, num)
-    # int64 when it holds every numerator and den, so the certificates take one product
-    return num.astype(_int_dtype(max(_absmax(num), den))), den
-
-
 def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact ``a @ x`` of a 2-D integer array and a 1-D or 2-D one, on float64 BLAS.
 
@@ -400,38 +289,6 @@ def _columns_equal(product: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray
     return np.asarray(product == target, dtype=bool).all(axis=0)
 
 
-def _lift(m_ij: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Exact ``(num, den)`` with ``M_IJ num == den * rhs``, by p-adic lifting (Dixon 1982).
-
-    Digit i is ``X_i = C R_i mod p`` with ``C = inv(M_IJ) mod p``; then
-    ``R_{i+1} = (R_i - M_IJ X_i) / p`` is an exact division, so after s steps
-    ``sum_i X_i p^i`` solves the system mod ``p^s``. The residual keeps
-    ``|R_i| <= B = max(|rhs|, k |M_IJ|)``, and ``|R_i - M_IJ X_i| <= B p``,
-    so it is int64 when ``B p < 2^63`` and Python ints beyond. Both products
-    are ``integer_matmul``'s, which takes its exact regime from their bounds:
-    ``C (R_i mod p)`` stays below ``k p^2`` and ``M_IJ X_i`` below ``B p``.
-    Reconstruction is tried after a growing number of digits, and only the
-    exact check ends the loop.
-    """
-    k = len(m_ij)
-    dtype = _int_dtype(max(_absmax(rhs), k * _absmax(m_ij)) * p)
-    r = rhs.astype(dtype)
-    acc = np.zeros(rhs.shape, dtype=object)
-    modulus, steps, attempt = 1, 0, 1
-    while True:
-        digit = integer_matmul(inverse, r % p) % p
-        r = ((r - integer_matmul(m_ij, digit)) // p).astype(dtype, copy=False)
-        acc += digit.astype(np.int64).astype(object) * modulus
-        modulus *= p
-        steps += 1
-        if steps < attempt:
-            continue
-        attempt += max(1, attempt // 4)
-        found = _reconstruct(acc, modulus)
-        if found is not None and _columns_hold(m_ij, *found, rhs).all():
-            return found
-
-
 def _convergent_denominator(z: int, bits: int, tol: int, limit: int) -> int | None:
     """Denominator of the first convergent p/q of ``z / 2^bits`` with
     ``|z q - p 2^bits| <= tol q``, None if q would pass ``limit`` first.
@@ -459,10 +316,11 @@ def _reconstruct_dyadic(acc: np.ndarray, bits: int, err: int, den: int = 1) -> t
     denominators at most Q are more than ``2 err / 2^bits`` apart, so each
     entry has at most one such fraction within the error, and by Legendre's
     theorem it is a convergent of the approximation. One common denominator
-    is grown entry by entry from ``den``, as ``_reconstruct`` does: it takes
-    on the denominator of the first convergent of ``den * acc_i / 2^bits``
-    within ``den * err / 2^bits``, searched up to ``Q / den``, or 1 at once
-    when ``den`` already makes the entry an integer. When the lcm of x's
+    is grown entry by entry from ``den``, as in Wang's rational
+    reconstruction (1981): each entry multiplies it by the denominator of
+    the first convergent of ``den * acc_i / 2^bits`` within
+    ``den * err / 2^bits``, searched up to ``Q / den``, or by 1 at once when
+    ``den`` already makes the entry an integer. When the lcm of x's
     denominators is at most Q and a multiple of the starting ``den``, the
     result is that lcm and ``num`` is ``den * x``; otherwise the caller's
     exact check fails. None when some entry has no such convergent, which
@@ -552,8 +410,8 @@ def _certificate(mf: np.ndarray, x: np.ndarray, s: int, scale: int) -> tuple[int
 
 
 def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """``_solve_mod``'s tuple for a nonsingular M or a symmetric one, consistent or not,
-    lifted on float64 BLAS; None to fall back.
+    """``_solve_fraction_free``'s tuple for a nonsingular M or a symmetric one, consistent or
+    not, lifted on float64 BLAS; None to fall back.
 
     Numeric-symbolic lifting (Wan 2006; Saunders, Wood and Youse 2011):
     LAPACK's log-determinant, Cholesky factor and inverse only choose and
@@ -570,7 +428,9 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     if log_det >= _LOG_DET_FLOOR:
         inverse = _inverse(mf)
         found = None if inverse is None else _lift_float(m, mf, inverse, b[:, None], scale, log_det)
-        return None if found is None else (list(range(n)), [], found[0].astype(object), found[1], True)
+        if found is not None:
+            return list(range(n)), [], found[0].astype(object), found[1], True
+    # a symmetric M whose nonsingular attempt fails, singular or not, goes on to the steered basis
     if not np.array_equal(m, m.T):
         return None
     # the pivots of M^T M = M M steer the choice of the lex-first column basis J
@@ -677,9 +537,10 @@ def _certify(
     m: np.ndarray, b: np.ndarray, rows: list[int], pivot_cols: list[int], free_cols: list[int],
     num: np.ndarray, den: int,
 ) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """``_solve_mod``'s tuple, ``num`` as Python ints, once ``M_IJ num == den * _targets(I)``
-    holds on the rows I; None unless the kernel vector of free column f is 0 on every later
-    pivot column (the lex-first basis) and the kernel columns hold on the other rows too.
+    """``(pivot_cols, free_cols, num, den, consistent)``, ``num`` as Python ints, once
+    ``M_IJ num == den * _targets(I)`` holds on the rows I; None unless the kernel vector of
+    free column f is 0 on every later pivot column (the lex-first basis) and the kernel
+    columns hold on the other rows too.
 
     Only the blocks on the other rows are gathered, each by two ``take``
     passes: ``M_.J`` for the one product, its pivot columns first and then
@@ -699,27 +560,47 @@ def _certify(
     return pivot_cols, free_cols, num.astype(object), den, bool(consistent)
 
 
-def _solve_mod(
-    m: np.ndarray, b: np.ndarray, p: int
-) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """Certified pivot and free columns, numerators, denominator, consistency; None if p is unlucky.
+def _solve_fraction_free(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool]:
+    """``_certify``'s tuple for any system, by Bareiss elimination (1968) on Python ints.
 
-    The columns of ``num`` are ``den`` times the pivot entries of the
-    particular solution and of each kernel vector (one free variable 1).
+    Each column pivots on the first open row with a nonzero entry there, so
+    the pivot columns J are the lex-first column basis and the pivot rows I
+    the lex-first row basis (``solve_exact``'s Notes). Every entry of an
+    open row stays a minor of ``[M | b]`` and every division is exact, and
+    the last pivot d is ``det M_IJ`` up to sign. By Cramer's rule
+    ``d [x | Z]`` is integral for ``M_IJ [x | Z] = [b_I | -M_I,free]``, so one
+    back-substitution on the pivot rows finds it in exact divisions. The
+    float route's checks prove the result.
     """
-    pivot_rows, pivot_cols, inverse = _eliminate_mod(m, p)
-    free_cols = sorted(set(range(len(m))) - set(pivot_cols))
-    num, den = _lift(m[pivot_rows][:, pivot_cols], inverse, _targets(m, b, pivot_rows, free_cols), p)
-    return _certify(m, b, pivot_rows, pivot_cols, free_cols, num, den)
-
-
-def _solve_modular(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool]:
-    """``_solve_mod`` with the first prime of the fixed sequence that is not unlucky."""
-    for p in _primes():
-        found = _solve_mod(m, b, p)
-        if found is not None:
-            return found
-    raise RuntimeError(f"every prime modulus below {PRIME_LIMIT} divides a minor of the matrix")
+    n = len(m)
+    a = np.concatenate([m, b[:, None]], axis=1).astype(object)
+    open_rows, echelon, rows, cols, d = list(range(n)), [], [], [], 1
+    for c in range(n):
+        nonzero = np.flatnonzero(a[:, c])
+        if not nonzero.size:
+            continue
+        i = int(nonzero[0])
+        pivot = a[i]
+        echelon.append(pivot)
+        rows.append(open_rows.pop(i))
+        cols.append(c)
+        a = np.delete(a, i, axis=0)
+        # the open rows are 0 on every column before c and, after this step, on c
+        a[:, c:] = (pivot[c] * a[:, c:] - np.outer(a[:, c], pivot[c:])) // d
+        d = pivot[c]
+    free_cols = sorted(set(range(n)) - set(cols))
+    u = np.array(echelon, dtype=object).reshape(len(rows), n + 1)
+    rhs = np.concatenate([u[:, n:], -u[:, free_cols]], axis=1)
+    x = np.empty_like(rhs)
+    for t in reversed(range(len(rows))):
+        x[t] = (d * rhs[t] - u[t, cols[t + 1:]].dot(x[t + 1:])) // u[t, cols[t]]
+    g = gcd(d, *x.ravel().tolist()) * (1 if d > 0 else -1)
+    num, den = x // g, d // g
+    found = _columns_hold(m[rows][:, cols], num, den, _targets(m, b, rows, free_cols)).all() \
+        and _certify(m, b, rows, cols, free_cols, num, den)
+    if not found:
+        raise RuntimeError("the fraction-free solve failed its exact certificate")
+    return found
 
 
 def solve_exact(matrix, rhs) -> SolveOutcome:
@@ -748,8 +629,8 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     M it proves M nonsingular and then gives UNIQUE with pivot columns
     ``0..n-1``, no free columns, and ``(num, den)`` reduced by their common
     gcd, which makes ``den`` the lcm of the solution's denominators, as the
-    mod-p route's reconstruction does. A singular symmetric M takes steps
-    5-7 below. With ``scale = n |M|``:
+    fallback's reduction does. A singular symmetric M, and a symmetric one
+    whose steps 2-4 fail, takes steps 5-7 below. With ``scale = n |M|``:
 
     1. screen: M is int64, ``|b| <= 4 scale`` and ``4 scale < 2^53``, and
        ``numpy.linalg.slogdet`` of the float64 matrix gives
@@ -781,10 +662,10 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        a reconstruction, by Horner's rule in int64 while
        ``max|y| 2^(K - k + 1) < 2^63`` and on Python ints beyond;
     4. reconstruction: ``|x - N / 2^K| <= 2 ||X||_inf |r| / 2^(s+K)``. One
-       common denominator is built entry by entry, as in the mod-p route,
-       from continued fractions of ``N_i / 2^K`` whose denominators are
-       small enough for the closest one to be the only one within that
-       error (``_reconstruct_dyadic``). Attempts come after 1, 2, 4, ...
+       common denominator is built entry by entry from continued
+       fractions of ``N_i / 2^K`` whose denominators are small enough for
+       the closest one to be the only one within that error
+       (``_reconstruct_dyadic``). Attempts come after 1, 2, 4, ...
        steps up to the count that ``den <= |det M|`` predicts from the
        log-determinant, enough whenever that float64 value is close, then
        after a quarter more steps each. The first two entries alone are
@@ -798,7 +679,8 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
 
     Steps 2-4 need only ``scale >= k |M|`` (k the dimension) and
     ``|b| <= 4 scale < 2^53``, and take one column per right-hand side. A
-    symmetric M that the screen calls singular goes on:
+    symmetric M that the screen calls singular, or whose steps 2-4 fail,
+    goes on:
 
     5. steering: one ``numpy.linalg.cholesky`` of the Gram matrix
        ``M M = M^T M`` plus ``2^-40 max(diag) I`` (``_GRAM_SHIFT``). Its
@@ -817,74 +699,62 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        has ``|b| = 210 > 4 * 10 * 4``), and with half the log of the
        product of J's squared pivots for the log-determinant
        (``det(M_.J^T M_.J) >= det(M_JJ)^2``, Cauchy-Binet);
-    7. the mod-p route's step 3 (``_certify``, which both routes call) on
-       the rows outside J, where ``M_.J x == den * b`` decides consistency.
-       The certified ``M_JJ`` stands in for ``M_IJ`` there, and for a
-       symmetric M the mod-p route's pivot rows I are J (the lemma below),
+    7. ``_certify``, which both routes call: on the rows outside J, in
+       exact integers, the kernel check ``M_.J Z == -den * M_.free``, the
+       lex-first check that kernel vector f is 0 on every pivot column
+       after f, and ``M_.J x == den * b``, which decides consistency. The
+       certified ``M_JJ`` stands in for ``M_IJ`` there, and for a
+       symmetric M the fallback's pivot rows I are J (the lemma below),
        so both routes solve the same block, and the outcome, consistent or
-       not, is the mod-p route's and Bareiss's.
+       not, is the fallback's.
 
-    Every other case falls back to the mod-p route as it is: a singular M
-    that is not symmetric, a Cholesky factor LAPACK refuses (M = 0), an
-    empty J, an inverse LAPACK refuses or returns non-finite, ``s < 6``, a
-    failed certificate (as when J holds a dependent column), fewer than 4
-    bits per step, a residual or digit past its bound, more steps than
-    Hadamard's bound on ``|det M|`` can need, a failed kernel or lex-first
-    check (as when J misses an independent column).
+    Every other case falls back: a singular M that is not symmetric, M
+    with an entry past int64 or past the screen's bounds, a Cholesky factor
+    LAPACK refuses (M = 0), an empty J, an inverse LAPACK refuses or
+    returns non-finite, ``s < 6``, a failed certificate (as when J holds a
+    dependent column), fewer than 4 bits per step, a residual or digit past
+    its bound, more steps than Hadamard's bound on ``|det M|`` can need, a
+    failed kernel or lex-first check (as when J misses an independent
+    column).
 
-    **The mod-p route.** The moduli are the primes between 2^10 and
-    ``PRIME_LIMIT = 2^20``, largest first (1048573, 1048571, ...), a fixed
-    sequence, so the result is deterministic. For a prime p:
+    **The fallback** (``_solve_fraction_free``) eliminates ``[M | b]``
+    fraction-free on Python ints (Bareiss 1968), each column pivoting on
+    its first open row with a nonzero entry, which gives the pivot rows I
+    and the lex-first pivot columns J, and back-substitutes
+    ``M_IJ [x | Z] = [b_I | -M_I,free]`` over the last pivot, then reduces
+    ``(num, den)`` by their gcd with ``den > 0``. The particular solution
+    has every free variable 0, and kernel vector j has free variable j
+    equal to 1. It costs O(n^3) operations on integers as long as the
+    minors of M, against float64 BLAS on the float route, so it is far
+    slower from n in the tens on; no benchmark workload reaches it. The
+    float route's checks prove its result too: ``M_IJ [x | Z]`` equals
+    ``den [b_I | -M_I,free]`` on the rows I, and step 7 on the others.
 
-    1. one Gauss-Jordan pass over ``[M mod p | I]``, in panels of
-       ``PANEL_WIDTH`` columns, gives the pivot rows I, the lex-first pivot
-       columns J and ``C = inv(M_IJ) mod p``;
-    2. p-adic lifting (Dixon 1982) solves ``M_IJ [x | Z] = [b_I | -M_I,free]``
-       as one multi-right-hand-side system, with rational reconstruction of
-       one common denominator, until ``M_IJ X == den * RHS`` holds exactly.
-       The particular solution has every free variable 0, and kernel vector
-       j has free variable j equal to 1;
-    3. on the other rows, in exact integers: the kernel check
-       ``M_.J Z == -den * M_.free``, and the lex-first check that kernel
-       vector f is 0 on every pivot column after f.
+    Either way, ``M_IJ`` is nonsingular (by the certificate of step 2, or
+    the fallback's nonzero last pivot, ``det M_IJ`` up to sign); the kernel
+    check puts every column in the span of J's, which proves the rank, and
+    the lex-first check proves J is the lex-first column basis. The basis
+    fixes the particular solution and the kernel basis, so the outcome
+    equals that of any elimination that pivots on the lex-first columns.
+    With both checks passing, ``M_.J x == den * b`` failing on a row
+    certifies INCONSISTENT: any solution would have to be this x.
 
-    ``M_IJ`` is invertible mod p, so its columns are independent over Q; the
-    kernel check puts every column in their span, which proves the rank, and
-    the lex-first check proves J is the lex-first column basis, the one
-    Bareiss elimination finds. The basis fixes the particular solution and
-    the kernel basis, so the outcome equals Bareiss's. If either check fails,
-    p is unlucky and the next prime is tried. An unlucky p divides
-    ``det M_I0J`` for every row set I0 with that minor nonzero (otherwise
-    Cramer's rule mod p would give J and the lifted vectors), so every prime
-    fails, and RuntimeError is raised, only if such a minor is a multiple of
-    all of them, a number of about 1.5 million bits. With both checks
-    passing, ``M_.J x == den * b`` failing on a row certifies INCONSISTENT:
-    any solution would have to be this x.
-
-    Lemma: the pivot rows I are the lex-first row basis mod p, the rows not
-    in the span of the rows before them. Proof: at column c, an open row's
-    reduced entry is nonzero exactly when the row's first c + 1 entries lie
-    outside the span of the pivot rows' first c + 1 entries. Every open row
-    before the chosen row r lies inside that span, so r lies outside the
-    span of all rows before it. Hence every pivot row is in the lex-first
-    row basis, and as both have the rank's size, they are equal. For a
-    symmetric M that basis is the lex-first column basis mod p, the
+    Lemma: the fallback's pivot rows I are the lex-first row basis, the
+    rows not in the span of the rows before them. Proof: at column c, an
+    open row's reduced entry is nonzero exactly when the row's first c + 1
+    entries lie outside the span of the pivot rows' first c + 1 entries.
+    Every open row before the chosen row r lies inside that span, so r lies
+    outside the span of all rows before it. Hence every pivot row is in the
+    lex-first row basis, and as both have the rank's size, they are equal.
+    For a symmetric M that basis is the lex-first column basis, the
     certified J, so I = J: an inconsistent system's particular column and
     ``den`` are those of the block ``M_JJ``, whichever route solves it.
 
-    Exactness and overflow bounds. Every product of this route, the
-    panels', the lifting steps' and the certificates', is ``integer_matmul``:
-    one float64 product while every partial sum is below 2^53, float64 limbs
-    or Python ints beyond. Each other array is checked before it is made
-    int64 (otherwise the same code runs on Python ints): a panel's buffer
-    stays below ``p + PANEL_WIDTH (p - 1)^2`` and the entries of ``[M | I]``
-    below ``p + n (p - 1)^2``; a lifting step keeps its residual below
-    ``B p`` with ``B = max(|RHS|, k |M_IJ|)``, int64 while ``B p < 2^63``; a
-    certificate ``A X == den * T`` forms ``den T`` in int64 when
-    ``den |T| < 2^63``. n and k stay below 2^23 for any matrix that fits in
-    memory, so Python ints hold only a residual with ``B p >= 2^63``, the
-    lifted numerators, ``den T`` beyond 2^63 and the products
-    ``integer_matmul`` recombines or multiplies on them.
+    Exactness and overflow bounds. Every certificate's product is
+    ``integer_matmul``: one float64 product while every partial sum is
+    below 2^53, float64 limbs or Python ints beyond. A certificate
+    ``A X == den * T`` forms ``den T`` in int64 when ``den |T| < 2^63``,
+    and on Python ints otherwise, as the fallback runs throughout.
 
     The outcome keeps this certified integer form (pivot and free columns,
     ``num``, ``den``); no Fraction is built here.
@@ -902,7 +772,7 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     a[:, :n] = m
     a[:, n] = b
 
-    found = _solve_float(a[:, :n], a[:, n]) or _solve_modular(a[:, :n], a[:, n])
+    found = _solve_float(a[:, :n], a[:, n]) or _solve_fraction_free(a[:, :n], a[:, n])
     pivot_cols, free_cols, num, den, consistent = found
     num.setflags(write=False)
     if not consistent:

@@ -1,7 +1,8 @@
-"""Bareiss elimination: the exact solver that ``eqcurv.linalg.solve_exact`` replaced.
+"""Bareiss elimination with smallest-entry pivots: a differential oracle for ``solve_exact``.
 
-Kept as a differential oracle for the p-adic solver, next to the sympy one in
-``test_solve_exact_oracle.py``. The module name has no ``test_`` prefix, so
+It shares no code with ``eqcurv.linalg``, whose fallback is a Bareiss
+elimination with first-nonzero pivots, and stands next to the sympy oracle
+in ``test_solve_exact_oracle.py``. The module name has no ``test_`` prefix, so
 pytest does not collect it; tests import ``reference_solve_exact`` from it and
 compare its tuple with the same four fields of ``solve_exact``'s outcome,
 which ``fields`` reads.

@@ -37,8 +37,8 @@ ITEMS = [
      "ba2d9c8f8af428da61b717f95e6be26aa172a2c3b97d73c8ecc67c7d5aaf1920"),
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (12, 0.3, 1))),
      "5a5355146029f09b57daac4efcf5adf6bf2518b6eba143f9583ce52f03a1615c"),
-    # n = 100 takes the float route; the mod-p route, four column panels of
-    # elimination, gives the same digest
+    # n = 100 takes the float route; the fraction-free fallback gives the
+    # same digest
     ("exact_large", workloads.Item(FamilySpec("erdos_renyi", (100, 0.1, 1))),
      "143d72f44cb4cad2c972a72a0c9544f8786f371ee867498c19db860540fd52fd"),
     ("families", workloads.Item(FamilySpec("hypercube", (4,)), 0, 3),
@@ -74,10 +74,11 @@ DIGEST_FULL = {
 )
 def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(monkeypatch, workload, item, digest_exact):
     # every distance system, consistent or not, and the bordered system of
-    # the pseudo-inverse take the float route: the mod-p route never runs
-    modular = []
-    solve_modular = linalg._solve_modular
-    monkeypatch.setattr(linalg, "_solve_modular", lambda m, b: modular.append(len(m)) or solve_modular(m, b))
+    # the pseudo-inverse take the float route: the fallback never runs
+    fallback = []
+    solve_fraction_free = linalg._solve_fraction_free
+    monkeypatch.setattr(linalg, "_solve_fraction_free",
+                        lambda m, b: fallback.append(len(m)) or solve_fraction_free(m, b))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -87,7 +88,7 @@ def test_run_graph_passes_its_oracle_with_one_apsp_and_one_solve(monkeypatch, wo
     finally:
         tracer.uninstall()
     assert workloads.check(workload, item, out) is None
-    assert modular == []
+    assert fallback == []
     assert tracer.absent == set()
     spans = Counter(rec[0] for rec in tracer.spans)
     assert (spans["graphs.apsp"], spans["linalg.solve_exact"]) == (1, 1)

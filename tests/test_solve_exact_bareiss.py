@@ -1,12 +1,12 @@
-"""solve_exact against the Bareiss elimination it replaced (``solve_exact_reference.py``).
+"""solve_exact against the Bareiss elimination of ``solve_exact_reference.py``.
 
-The p-adic solver must return the same outcome with rational equality:
-status, rank, the particular solution with every free variable 0, and the
-kernel basis with one free variable 1. Entries that are multiples of
-the first prime make that prime unlucky, so the retry path runs too.
+Both routes, the float route and the fraction-free fallback, must return the
+same outcome with rational equality: status, rank, the particular solution
+with every free variable 0, and the kernel basis with one free variable 1.
 """
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -17,11 +17,7 @@ from solve_exact_reference import fields, reference_solve_exact
 
 from eqcurv import SolveStatus, apsp, generate, parse_family_spec, solve_exact
 from eqcurv import linalg
-from eqcurv.linalg import _primes, _solve_mod
 from integer_form import integer_rows
-
-# the first modulus solve_exact tries
-FIRST_PRIME = next(_primes())
 
 
 reference_entries = st.one_of(
@@ -30,8 +26,6 @@ reference_entries = st.one_of(
     st.integers(-10**20, 10**20),
     # near the int64 overflow bounds of the lifting and the certificates
     st.integers(-2**41, 2**41),
-    # multiples of the first prime make it unlucky, so the next prime runs
-    st.integers(-3, 3).map(lambda c: c * FIRST_PRIME),
 )
 
 
@@ -61,81 +55,88 @@ def test_matches_bareiss_on_random_systems(n, data):
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 7), data=st.data())
-def test_mod_p_route_alone_matches_bareiss_on_random_systems(n, data):
+def test_fallback_alone_matches_bareiss_on_random_systems(n, data):
     # solve_exact tries the float route first, and it takes most nonsingular
-    # draws and consistent symmetric ones; with it off, the mod-p route,
-    # unlucky first primes included, meets the same reference on the same
-    # draws, and the spy shows that it ran
+    # draws and symmetric ones; with it off, the fallback meets the same
+    # reference on the same draws, and the spy shows that it ran
     matrix, rhs = draw_system(n, data)
     with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
-            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
+            mock.patch.object(linalg, "_solve_fraction_free", wraps=linalg._solve_fraction_free) as fallback:
         out = solve_exact(*integer_rows(matrix, rhs))
-    modular.assert_called_once()
+    fallback.assert_called_once()
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
 @pytest.mark.parametrize(
     "matrix, rhs",
     [
-        # nonsingular (det 7), residuals pulled past -2^63 and +2^63 by M X
+        # nonsingular (det 7), its entries pulled past -2^63 and +2^63
         ([[3, -1], [1, 2]], [-(2**63) + 5, 2**63 - 700]),
         ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [-(2**63) + 1, 2**63 - 1024, -(2**63) + 2**10]),
-        # rank-deficient and consistent, the kernel lifted alongside
+        # rank-deficient and consistent, the kernel solved alongside
         ([[2, 4, 1], [1, 2, 0], [3, 6, 1]], [2**63 - 2, -(2**62), 2**62 - 2]),
         # rank-deficient and inconsistent
         ([[1, 2], [2, 4]], [2**63 - 3, -(2**63) + 3]),
     ],
 )
-def test_mod_p_route_alone_on_an_int64_rhs_near_2_to_the_63(matrix, rhs):
-    # the system is int64, but B p passes 2^63 through |rhs| alone, so the
-    # lifting must keep its residual in Python ints: in int64, R - M X would
-    # wrap past +-2^63, and no reconstruction would ever pass the exact check
+def test_fallback_alone_on_an_int64_rhs_near_2_to_the_63(matrix, rhs):
+    # the system is int64, but den * b and the elimination's entries pass
+    # 2^63 through |rhs| alone: the fallback and its certificates must run on
+    # Python ints, where int64 would wrap past +-2^63
     m, b = np.array(matrix, dtype=np.int64), np.array(rhs, dtype=np.int64)
     assert max(abs(x) for x in rhs) >= 2**63 - 2**10
-    attempts = []
-
-    def bounded(acc, modulus):
-        # about 130-bit moduli suffice here; 40 attempts reach about 800 digits
-        attempts.append(modulus)
-        assert len(attempts) <= 40, "the lifting did not converge"
-        return reconstruct(acc, modulus)
-
-    reconstruct = linalg._reconstruct
     with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
-            mock.patch.object(linalg, "_reconstruct", bounded), \
-            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
+            mock.patch.object(linalg, "_solve_fraction_free", wraps=linalg._solve_fraction_free) as fallback:
         out = solve_exact(m, b)
-    modular.assert_called_once()
+    fallback.assert_called_once()
+    assert fields(out) == reference_solve_exact(matrix, rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_fallback_reduces_num_and_den_by_their_gcd(n, data):
+    # the tuple is unique: any common factor or a negative den would change
+    # the integers the float route's tuple has for the same system
+    m, b = (np.array(v, dtype=object) for v in integer_rows(*draw_system(n, data)))
+    _, _, num, den, _ = linalg._solve_fraction_free(m, b)
+    assert den > 0 and gcd(den, *num.ravel().tolist()) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        # the distance system of a one-vertex graph
+        ([[0]], [1]),
+        # singular and not symmetric
+        ([[1, 2], [3, 6]], [1, 3]),
+        # entries past the float route's bounds, in int64 and past it
+        ([[2**60, 1], [1, 1]], [1, 2]),
+        ([[2**64, 1], [1, 1]], [1, 2]),
+    ],
+)
+def test_the_fallback_takes_what_the_float_route_refuses(matrix, rhs):
+    # solve_exact runs the fallback exactly when the float route returns None
+    with mock.patch.object(linalg, "_solve_fraction_free", wraps=linalg._solve_fraction_free) as fallback:
+        out = solve_exact(matrix, rhs)
+    fallback.assert_called_once()
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
 def test_lex_first_check_rejects_the_greedy_basis_mod_p():
-    # mod the first prime, column 0 vanishes and the greedy basis is column 1;
-    # its kernel vector (1, -p0) passes the kernel check on every row, so only
-    # the lex-first check (the kernel vector of free column 0 must be 0 on the
-    # later pivot column 1) sends the solve to the next prime
-    p0 = FIRST_PRIME
-    assert p0 == 2**20 - 3
-    matrix = [[p0, 1], [0, 0]]
-    assert _solve_mod(np.array(matrix), np.array([0, 0]), p0) is None
-    out = solve_exact(matrix, [0, 0])
-    assert fields(out) == reference_solve_exact(matrix, [0, 0])
+    # mod p0 = 2^20 - 3 column 0 vanishes, so an elimination mod p0 takes
+    # column 1 as its basis; the kernel vector (1, -p0) of that basis holds on
+    # every row, so only _certify's lex-first check (the kernel vector of free
+    # column 0 must be 0 on the later pivot column 1) rejects it
+    p0 = 2**20 - 3
+    m, b = np.array([[p0, 1], [0, 0]]), np.array([0, 0])
+    num = np.array([[0, -p0]])
+    assert linalg._columns_hold(m[[0]][:, [1]], num, 1, linalg._targets(m, b, [0], [0])).all()
+    assert linalg._certify(m, b, [0], [1], [0], num, 1) is None
+    out = solve_exact(m, b)
+    assert fields(out) == reference_solve_exact(m.tolist(), b.tolist())
     assert out.status is SolveStatus.AFFINE and out.rank == 1
     assert out.solution == (Fraction(0), Fraction(0))
     assert out.nullspace == ((Fraction(-1, p0), Fraction(1)),)
-
-
-def test_rank_deficient_mod_p_retries_with_the_next_prime():
-    # [[p0]] is 0 mod p0: the kernel check fails on e_0, and the next prime
-    # finds rank 1
-    p0 = FIRST_PRIME
-    assert _solve_mod(np.array([[p0]]), np.array([1]), p0) is None
-    out = solve_exact([[p0]], [1])
-    assert out.status is SolveStatus.UNIQUE and out.rank == 1
-    assert out.solution == (Fraction(1, p0),)
-    # solve_exact took the float route; the mod-p route alone gets there too
-    _, _, num, den, consistent = linalg._solve_modular(np.array([[p0]]), np.array([1]))
-    assert (num.tolist(), den, consistent) == ([[1]], p0, True)
 
 
 @pytest.mark.parametrize(

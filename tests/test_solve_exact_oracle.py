@@ -78,16 +78,15 @@ def test_matches_sympy_on_distance_systems(spec):
     assert_matches_sympy(entries.tolist(), [n] * n)
 
 
-# the first prime modulus; a lifting step's residual stays below B p, with
-# B = max(|rhs|, k |M_IJ|), and its product M_IJ X, digits below p, is one
-# float64 product of integer_matmul's only while k |M_IJ| |X| < 2^53
-FIRST_PRIME = 1048573
-FLOAT_BOUND = (2**53 - 1) // FIRST_PRIME
+# B = max(|rhs|, k |M|) just below or just above 2^53 / 2^20: products of B
+# with 20-bit integers sit on both sides of integer_matmul's float64 bound
+TWENTY_BITS = 1048573
+FLOAT_BOUND = (2**53 - 1) // TWENTY_BITS
 
 
 def lifting_bound_case(n, above, rhs_side, data):
-    # largest entry s, set once in the matrix, so that B p falls just below or
-    # just above 2^53 through k |M_IJ| (full rank) or through |rhs|
+    # largest entry s, set once in the matrix, so that B falls just below or
+    # just above FLOAT_BOUND through k |M| (full rank) or through |rhs|
     if rhs_side:
         s = data.draw(st.integers(1, FLOAT_BOUND // n))
         top = FLOAT_BOUND + above
@@ -111,10 +110,10 @@ def test_matches_sympy_around_the_float64_lifting_bound(n, above, rhs_side, data
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5), above=st.booleans(), rhs_side=st.booleans(), data=st.data())
-def test_mod_p_route_alone_around_the_float64_lifting_bound(n, above, rhs_side, data):
+def test_fallback_alone_around_the_float64_lifting_bound(n, above, rhs_side, data):
     # the float route takes some nonsingular draws above; with it off, the
-    # mod-p lifting runs on both sides of its float64 bound, as the spy shows
+    # fallback meets sympy on the same draws, as the spy shows
     with mock.patch.object(linalg, "_solve_float", lambda m, b: None), \
-            mock.patch.object(linalg, "_solve_modular", wraps=linalg._solve_modular) as modular:
+            mock.patch.object(linalg, "_solve_fraction_free", wraps=linalg._solve_fraction_free) as fallback:
         lifting_bound_case(n, above, rhs_side, data)
-    modular.assert_called_once()
+    fallback.assert_called_once()

@@ -7,7 +7,7 @@ entry of ``2^(s-1)`` already fails the row-sum bound. Each is exact,
 or decides as exact integers would, only by a bound. Here each bound is met
 just inside and just outside, and the result is compared with the same
 checks in Python integers. Whole systems steered to the edges must still
-give the mod-p route's outcome. The digit combination and the dyadic
+give the fraction-free fallback's outcome. The digit combination and the dyadic
 reconstruction run in int64 below a bound and on Python ints past it; both
 sides of each bound are compared with Python ints too.
 """
@@ -117,7 +117,7 @@ def steered(monkeypatch, row: list[int]):
         return np.eye(4) - np.ldexp(p, -50)
 
     monkeypatch.setattr(np.linalg, "inv", inverse)
-    reference = linalg._solve_modular(m, b)
+    reference = linalg._solve_fraction_free(m, b)
     outcome = solve_exact(m, b)
     assert outcome.status is SolveStatus.UNIQUE
     assert outcome.den == reference[3] and (outcome.num == reference[2]).all()
@@ -153,7 +153,7 @@ def test_an_underestimated_determinant_still_lifts_past_the_prediction(monkeypat
     m, b = distance_system("erdos_renyi:40,0.3,5")
     real_slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: (real_slogdet(a)[0], 0.0))
-    found, reference = linalg._solve_float(m, b), linalg._solve_modular(m, b)
+    found, reference = linalg._solve_float(m, b), linalg._solve_fraction_free(m, b)
     assert found is not None and found[3] == reference[3] and (found[2] == reference[2]).all()
 
 
@@ -167,12 +167,21 @@ def test_the_cap_ends_a_lifting_that_never_reconstructs(monkeypatch):
     def never(acc, bits, *rest):
         if bits > 2 * hadamard:
             pytest.fail("the lifting ran on past Hadamard's cap")
-        attempts.append(bits)
+        attempts[-1].append(bits)
 
+    def lift_float(*args):
+        attempts.append([])
+        return real_lift_float(*args)
+
+    real_lift_float = linalg._lift_float
     monkeypatch.setattr(linalg, "_reconstruct_dyadic", never)
+    monkeypatch.setattr(linalg, "_lift_float", lift_float)
     assert linalg._solve_float(m, b) is None
-    # attempts at growing bit counts, the last one past Hadamard's bound
-    assert attempts == sorted(attempts) and attempts[-1] > hadamard / 2
+    # M is symmetric, so the nonsingular lifting and then the steered one run;
+    # each makes attempts at growing bit counts, the last one past Hadamard's bound
+    assert len(attempts) == 2
+    for bits in attempts:
+        assert bits == sorted(bits) and bits[-1] > hadamard / 2
 
 
 # ---------------------------------------------------------------------------

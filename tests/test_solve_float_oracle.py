@@ -1,12 +1,12 @@
-"""The float route of ``solve_exact`` against the mod-p route.
+"""The float route of ``solve_exact`` against the fraction-free fallback.
 
 ``linalg._solve_float`` certifies a nonsingular system, or the lex-first
 basis block of a symmetric one, consistent or not, from a rounded float64
-inverse and lifts it on BLAS; ``linalg._solve_modular`` is the general route
-(``_solve_mod`` with the first prime that is not unlucky). Whenever the float
-route returns, its outcome must be the mod-p route's, part by part: pivot
-and free columns, numerators, denominator and consistency. When it refuses,
-``solve_exact`` must still give the mod-p outcome.
+inverse and lifts it on BLAS; ``linalg._solve_fraction_free`` is the general
+route (Bareiss elimination on Python ints). Whenever the float route
+returns, its outcome must be the fallback's, part by part: pivot and free
+columns, numerators, denominator and consistency. When it refuses,
+``solve_exact`` must still give the fallback's outcome.
 """
 
 from collections import Counter
@@ -38,8 +38,8 @@ def assert_same(found, reference) -> None:
 
 
 def routes_agree(m: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the float route took the system; when it did, it matches the mod-p route."""
-    found, reference = linalg._solve_float(m, b), linalg._solve_modular(m, b)
+    """Whether the float route took the system; when it did, it matches the fallback."""
+    found, reference = linalg._solve_float(m, b), linalg._solve_fraction_free(m, b)
     outcome = solve_exact(m, b)
     assert (outcome.pivot_cols, outcome.free_cols, outcome.den) == (reference[0], reference[1], reference[3])
     if found is None:
@@ -63,7 +63,7 @@ def test_atlas_graphs_agree_and_the_float_route_takes_every_full_rank_one():
     counts = Counter()
     for g in connected_atlas_graphs():
         m, b = distance_system(g)
-        _, free_cols, _, _, consistent = linalg._solve_modular(m, b)
+        _, free_cols, _, _, consistent = linalg._solve_fraction_free(m, b)
         counts["singular" if free_cols else "full_rank", consistent, routes_agree(m, b)] += 1
     # 787 of the 995 connected atlas graphs have a nonsingular D; the float
     # route takes them and the other 208, 206 consistent and 2 inconsistent
@@ -155,7 +155,7 @@ def c_2m_with_tail(m: int, tail: int) -> Graph:
 ])
 def test_singular_distance_matrices_take_the_float_route(graph):
     m, b = distance_system(graph())
-    assert linalg._solve_modular(m, b)[1]
+    assert linalg._solve_fraction_free(m, b)[1]
     assert routes_agree(m, b)
 
 
@@ -167,7 +167,7 @@ def test_singular_distance_matrices_take_the_float_route(graph):
 ])
 def test_singular_systems_the_float_route_refuses(system):
     m, b = system()
-    assert linalg._solve_modular(m, b)[1]
+    assert linalg._solve_fraction_free(m, b)[1]
     assert linalg._solve_float(m, b) is None
     assert routes_agree(m, b) is False
 
@@ -204,9 +204,10 @@ def refused(inv):
 ])
 def test_a_bad_inverse_falls_back(monkeypatch, perturb):
     # a perturbed inverse fails the certificate; a huge, non-finite or
-    # refused one never reaches it
+    # refused one never reaches it, and the fallback gives the outcome that
+    # the float route gives with LAPACK's own inverse
     m, b = family_system("erdos_renyi:150,0.1,1")
-    reference = linalg._solve_modular(m, b)
+    reference = linalg._solve_float(m, b)
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: perturb(real_inv(a)))
     assert linalg._solve_float(m, b) is None
@@ -215,12 +216,12 @@ def test_a_bad_inverse_falls_back(monkeypatch, perturb):
     assert outcome.den == reference[3] and (outcome.num == reference[2]).all()
 
 
-def test_float_route_solves_without_the_mod_p_route(monkeypatch):
-    # the gain cannot vanish silently: the mod-p route is not reached at all
+def test_float_route_solves_without_the_fallback(monkeypatch):
+    # the gain cannot vanish silently: the fallback is not reached at all
     def unreachable(*args):
-        raise AssertionError("the mod-p route ran")
+        raise AssertionError("the fallback ran")
 
-    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
     m, b = family_system("erdos_renyi:150,0.1,1")
     outcome = solve_exact(m, b)
     assert outcome.status is SolveStatus.UNIQUE

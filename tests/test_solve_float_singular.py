@@ -1,14 +1,15 @@
 """The float route on rank-deficient symmetric systems, against Bareiss.
 
-For a symmetric M that the log-determinant screen calls singular,
-``linalg._solve_float`` steers its choice of the lex-first column basis J by
-one Cholesky factor of ``M M`` plus a small shift, lifts
-``M_JJ [x | Z] = [b_J | -M_J,free]`` on float64 BLAS, and proves the result
-with the mod-p route's certificates, consistent or not: the mod-p route's
-pivot rows are the lex-first row basis, which for a symmetric M is J, so
-both routes solve the same block. The steering only chooses: a wrong J or
-a non-symmetric M must fall back to the mod-p route with the outcome
-unchanged. Every outcome here is compared with the Bareiss elimination of
+For a symmetric M that the log-determinant screen calls singular, or
+whose nonsingular attempt fails, ``linalg._solve_float`` steers its choice
+of the lex-first column basis J by one Cholesky factor of ``M M`` plus a
+small shift, lifts ``M_JJ [x | Z] = [b_J | -M_J,free]`` on float64 BLAS,
+and proves the result with the certificates the fallback shares,
+consistent or not: the fallback's pivot rows are the lex-first row basis,
+which for a symmetric M is J, so both routes solve the same block. The
+steering only chooses: a wrong J or a non-symmetric M must fall back to
+``linalg._solve_fraction_free`` with the outcome unchanged. Every outcome
+here is compared with the Bareiss elimination of
 ``solve_exact_reference.py``.
 """
 
@@ -84,7 +85,7 @@ def test_symmetric_systems_of_prescribed_rank_match_bareiss(system):
 
 
 def unreachable(*args):
-    raise AssertionError("the mod-p route ran")
+    raise AssertionError("the fallback ran")
 
 
 @pytest.mark.parametrize("matrix, rhs", [
@@ -95,7 +96,7 @@ def unreachable(*args):
 ])
 def test_small_singular_systems_take_the_float_route(monkeypatch, matrix, rhs):
     reference = reference_solve_exact(matrix, rhs)
-    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
     out = solve_exact(matrix, rhs)
     assert out.status is SolveStatus.AFFINE
     assert fields(out) == reference
@@ -106,10 +107,10 @@ def test_johnson_10_4_takes_the_float_route_on_a_widened_scale(monkeypatch):
     # to |rhs| / 4 for the route to take this system
     g = generate(parse_family_spec("johnson:10,4"))
     m, b = g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
-    reference = linalg._solve_modular(m, b)
+    reference = linalg._solve_fraction_free(m, b)
     cols = reference[0]
     assert int(b.max()) > 4 * len(cols) * int(m[np.ix_(cols, cols)].max())
-    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
     out = solve_exact(m, b)
     assert (out.pivot_cols, out.free_cols, out.den) == (reference[0], reference[1], reference[3])
     assert (out.num == reference[2]).all()
@@ -136,12 +137,12 @@ def test_a_wrong_basis_falls_back_with_the_outcome_unchanged(monkeypatch, cutoff
     "knight_board:7,7", "complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,1,3",
 ])
 def test_inconsistent_systems_take_the_float_route(monkeypatch, spec):
-    # the mod-p route's pivot rows are J too, so both routes solve the same
+    # the fallback's pivot rows are J too, so both routes solve the same
     # block and give the same particular column and den
     g = generate(parse_family_spec(spec))
     m, b = g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
-    reference = linalg._solve_modular(m, b)
-    monkeypatch.setattr(linalg, "_solve_mod", unreachable)
+    reference = linalg._solve_fraction_free(m, b)
+    monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
     pivot_cols, free_cols, num, den, consistent = linalg._solve_float(m, b)
     assert (pivot_cols, free_cols, den, consistent) == (reference[0], reference[1], reference[3], False)
     assert num.shape == reference[2].shape and num.dtype == object and (num == reference[2]).all()
@@ -149,4 +150,19 @@ def test_inconsistent_systems_take_the_float_route(monkeypatch, spec):
     assert out.status is SolveStatus.INCONSISTENT
     assert (out.pivot_cols, out.free_cols, out.den) == (reference[0], reference[1], reference[3])
     assert (out.num == reference[2]).all()
+    assert fields(out) == reference_solve_exact(m.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize("spec", [
+    "knight_board:4,10", "knight_board:6,8", "knight_board:9,9", "knight_board:9,10", "knight_board:10,10",
+])
+def test_singular_systems_the_screen_passes_take_the_steered_route(monkeypatch, spec):
+    # rank n - 1, yet float64 log|det M| is at least log(1/2): the nonsingular
+    # attempt fails its certificate, and the steered basis takes the system
+    g = generate(parse_family_spec(spec))
+    m, b = g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
+    assert np.linalg.slogdet(m.astype(np.float64))[1] >= linalg._LOG_DET_FLOOR
+    monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
+    out = solve_exact(m, b)
+    assert out.rank == g.n - 1
     assert fields(out) == reference_solve_exact(m.tolist(), b.tolist())
