@@ -4,33 +4,29 @@ Two arithmetic worlds are kept deliberately separate, and only eigenwork
 returns floating-point results:
 
 * solvability classification, nullspaces and the lexicographic max-min
-  canonicalization run on integers: ``solve_exact`` takes integer entries
-  only, and Fractions appear only in its outcome's views. A square system that
-  LAPACK's log-determinant shows to be nonsingular is first tried on a
-  certified float64 route (numeric-symbolic lifting, Wan 2006): an exact
-  integer check on ``M X`` proves M nonsingular from a rounded float64 inverse
-  X, and BLAS products lift the solution 2^k bits at a time. A symmetric one
-  it shows singular, or fails to solve, takes the same route on the block of
-  its lex-first column basis, consistent or not, which one Cholesky factor of
-  ``M M`` steers, and exact integer certificates prove the basis and the
-  kernel. Every other system, and every one the route refuses, takes Bareiss
-  elimination on Python integers, which the same certificates prove. Both
-  routes give the same outcome, and LAPACK output never decides one. Every
-  certificate is ``integer_matmul``: float64 BLAS under a proven bound. Each
-  other array is int64 exactly when a documented bound rules out overflow, and
-  Python integers otherwise. The max-min accepts only families whose kernel
-  vectors sum to zero, as those of a consistent distance system do, so every
-  level LP is bounded. It runs one simplex per level on an integer tableau
-  pivoted fraction-free over one shared denominator, in int64 while a bound
-  taken before each pivot rules out overflow and on Python integers from the
-  first pivot it does not, each level certified by its dual, at most one level
-  per kernel dimension; the same tableau gives the next level's directions,
-  each certified to vanish where the dual pins the point, so the max-min makes
-  no exact solve. The Moore-Penrose solution is one more exact solve, of the
-  system bordered by a kernel basis. So "singular", "inconsistent" and
+  canonicalization run on integers; Fractions appear only in the views of
+  ``solve_exact``'s outcome. A square system is first tried on a certified
+  float64 route (numeric-symbolic lifting, Wan 2006), a singular symmetric
+  one on the block of its lex-first column basis, which one Cholesky factor
+  of ``M M`` steers; every other system, and every one the route refuses,
+  takes Bareiss elimination on Python ints. Both give the same outcome,
+  proved by the same exact certificates, and LAPACK output never decides
+  one. The max-min accepts only families whose kernel vectors sum to zero,
+  as those of a consistent distance system do, so every level LP is
+  bounded: one fraction-free simplex per level, certified by its dual,
+  whose tableau also gives the next level's directions, so the max-min
+  makes no exact solve. The Moore-Penrose solution is one exact solve of
+  the system bordered by a kernel basis. So "singular", "inconsistent" and
   "optimal" are structural verdicts rather than tolerance calls;
 * eigendecomposition runs in binary64 through LAPACK's symmetric
   eigensolver (``numpy.linalg.eigh``).
+
+The integer rule, from ``solve_exact``'s outcome through the max-min: an
+integer array is int64 exactly while a bound stated where it is made rules
+out overflow, and Python ints past that bound. Every product of the solve's
+certificates is ``integer_matmul``, float64 BLAS under a proven bound; the
+max-min's run in int64 under its level bound. Scalars, and the Fractions of
+every view, are Python ints.
 
 Callers convert explicitly at the boundary. Everything here is a pure function
 of its inputs.
@@ -89,12 +85,12 @@ class SolveOutcome:
     numerator matrix ``num`` over one common denominator ``den`` whose row t
     holds the entries on pivot column t of the particular solution (column 0)
     and of kernel vector j (column 1 + j, which is 1 on free column j and 0 on
-    the other free columns). Everything else is read off this form in
-    integers, except ``solution`` (the unique solution if UNIQUE, one
-    particular solution if AFFINE, None if INCONSISTENT) and ``nullspace`` (an
-    exact kernel basis, for every status): Fraction views of ``particular``
-    and of ``kernel_rows``, each built on first access. An outcome is
-    read-only, as callers share it.
+    the other free columns), int64 while every entry is below 2^63. The rest
+    is read off this form in integers, except ``solution`` (the unique
+    solution if UNIQUE, one particular solution if AFFINE, None if
+    INCONSISTENT) and ``nullspace`` (an exact kernel basis, for every
+    status): Fraction views of ``particular`` and ``kernel_rows``, each built
+    on first access. An outcome is read-only, as callers share it.
     """
 
     status: SolveStatus
@@ -122,19 +118,14 @@ class SolveOutcome:
     @cached_property
     def nullspace(self) -> tuple[tuple[Fraction, ...], ...]:
         """``kernel_rows`` as Fractions: vector j is ``kernel_rows[j] / kernel_rows[j, free_j]``."""
-        rows = zip(self.kernel_rows, self.free_cols)
+        rows = zip(self.kernel_rows.tolist(), self.free_cols)
         return tuple(tuple(Fraction(v, row[f]) for v in row) for row, f in rows)
 
     @cached_property
     def particular(self) -> tuple[np.ndarray, int] | None:
-        """The certified particular solution as ``(nums, den)``, None if INCONSISTENT.
-
-        ``solution[i] == nums[i] / den``, with ``nums`` a read-only integer
-        array in column order (0 on every free column) and ``den`` the common
-        denominator, not reduced. ``solve_exact`` has proved
-        ``M nums == den * rhs`` in exact integers on every row: on the pivot
-        rows when the lifting stopped, on the others in its consistency check.
-        """
+        """The certified particular solution as ``(nums, den)``, None if INCONSISTENT:
+        ``solution[i] == nums[i] / den``, ``nums`` read-only in column order (0 on every free
+        column) and ``den`` not reduced; ``solve_exact`` proved ``M nums == den * rhs`` on every row."""
         if self.status is SolveStatus.INCONSISTENT:
             return None
         nums = np.zeros(self.rank + self.nullspace_dimension, dtype=self.num.dtype)
@@ -144,13 +135,13 @@ class SolveOutcome:
 
     @cached_property
     def kernel_rows(self) -> np.ndarray:
-        """The nullspace as rows of Python ints: row j is the smallest positive
-        integer multiple of vector j, which keeps the max-min simplex's integers small."""
-        k = self.nullspace_dimension
-        rows = np.zeros((k, self.rank + k), dtype=object)
-        rows[:, self.pivot_cols] = self.num[:, 1:].T
+        """The nullspace as integer rows, row j the smallest positive multiple of vector j (small
+        integers for the max-min simplex), int64 while ``den`` and ``num[:, 1:]`` are below 2^63."""
+        k, kernel = self.nullspace_dimension, self.num[:, 1:]
+        rows = np.zeros((k, self.rank + k), dtype=_int_dtype(max(_absmax(kernel), self.den)))
+        rows[:, self.pivot_cols] = kernel.T
         rows[np.arange(k), self.free_cols] = self.den
-        rows //= np.array([gcd(*row) for row in rows], dtype=object).reshape(-1, 1)
+        rows //= np.gcd.reduce(rows, axis=1, keepdims=True)
         rows.setflags(write=False)
         return rows
 
@@ -165,9 +156,10 @@ class SolveOutcome:
 
     @cached_property
     def _kernel_sum_numerators(self) -> list[int]:
-        """``kernel_sums`` as Python int numerators over ``den``."""
-        # Python ints: a column sum of int64 entries may pass 2^63
-        return [s + self.den for s in self.num[:, 1:].astype(object, copy=False).sum(axis=0).tolist()]
+        """``kernel_sums`` as Python int numerators over ``den``; the column sums of ``num``,
+        within ``rank |num|``, are int64 while that is below 2^63."""
+        kernel = self.num[:, 1:]
+        return [s + self.den for s in kernel.sum(0, dtype=_int_dtype(self.rank * _absmax(kernel))).tolist()]
 
     def __repr__(self) -> str:
         return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
@@ -229,6 +221,11 @@ def _absmax(a: np.ndarray) -> int:
 def _int_dtype(bound: int):
     """int64 if ``bound`` (on every value of a computation) is below 2^63, else Python ints."""
     return np.int64 if bound < INT64_LIMIT else object
+
+
+def _fitted(a: np.ndarray) -> np.ndarray:
+    """Integer array ``a`` in int64 when every entry is below 2^63 in magnitude, else in Python ints."""
+    return a.astype(_int_dtype(_absmax(a)), copy=False)
 
 
 def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -429,7 +426,7 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
         inverse = _inverse(mf)
         found = None if inverse is None else _lift_float(m, mf, inverse, b[:, None], scale, log_det)
         if found is not None:
-            return list(range(n)), [], found[0].astype(object), found[1], True
+            return list(range(n)), [], *found, True
     # a symmetric M whose nonsingular attempt fails, singular or not, goes on to the steered basis
     if not np.array_equal(m, m.T):
         return None
@@ -521,10 +518,11 @@ def _lift_float(m: np.ndarray, mf: np.ndarray, inverse: np.ndarray, rhs: np.ndar
         probe = _reconstruct_dyadic(np.array(head, dtype=object), k * steps, err)
         if probe is not None:
             found = _reconstruct_dyadic(_combine_digits(digits, k, top), k * steps, err, probe[1])
-            if found is not None and _columns_hold(m, found[0].reshape(rhs.shape), found[1], rhs).all():
-                num, den = found
-                g = gcd(den, *num.tolist())
-                return num.reshape(rhs.shape) // g, den // g
+            if found is not None:
+                num, den = _fitted(found[0]).reshape(rhs.shape), found[1]
+                if _columns_hold(m, num, den, rhs).all():
+                    g = gcd(den, *num.ravel().tolist())
+                    return num // g, den // g
         steps = min(2 * steps, predicted) if steps < predicted else steps + max(1, steps // 4)
 
 
@@ -537,17 +535,13 @@ def _certify(
     m: np.ndarray, b: np.ndarray, rows: list[int], pivot_cols: list[int], free_cols: list[int],
     num: np.ndarray, den: int,
 ) -> tuple[list[int], list[int], np.ndarray, int, bool] | None:
-    """``(pivot_cols, free_cols, num, den, consistent)``, ``num`` as Python ints, once
-    ``M_IJ num == den * _targets(I)`` holds on the rows I; None unless the kernel vector of
-    free column f is 0 on every later pivot column (the lex-first basis) and the kernel
-    columns hold on the other rows too.
+    """``(pivot_cols, free_cols, num, den, consistent)`` once ``M_IJ num == den * _targets(I)``
+    holds on the rows I; None unless the kernel vector of free column f is 0 on every later
+    pivot column (the lex-first basis) and the kernel columns hold on the other rows too.
 
-    Only the blocks on the other rows are gathered, each by two ``take``
-    passes: ``M_.J`` for the one product, its pivot columns first and then
-    the other rows of those, and ``M_.free``, which the kernel columns of
-    the product must equal times ``-den``, the other rows first and then
-    their free columns. Column 0, which decides consistency, is compared
-    with ``den * b`` on its own.
+    Only the blocks of ``M_.J`` and ``M_.free`` on the other rows are
+    gathered, by two ``take`` passes each. Column 0, which decides
+    consistency, is compared with ``den * b`` on its own.
     """
     later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
     if np.any(num[:, 1:][later] != 0):
@@ -557,7 +551,7 @@ def _certify(
     if not _columns_equal(product[:, 1:], -den, m.take(other_rows, 0).take(free_cols, 1)).all():
         return None
     consistent = _columns_equal(product[:, 0], den, b[other_rows])
-    return pivot_cols, free_cols, num.astype(object), den, bool(consistent)
+    return pivot_cols, free_cols, num, den, bool(consistent)
 
 
 def _solve_fraction_free(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool]:
@@ -595,7 +589,7 @@ def _solve_fraction_free(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[
     for t in reversed(range(len(rows))):
         x[t] = (d * rhs[t] - u[t, cols[t + 1:]].dot(x[t + 1:])) // u[t, cols[t]]
     g = gcd(d, *x.ravel().tolist()) * (1 if d > 0 else -1)
-    num, den = x // g, d // g
+    num, den = _fitted(x // g), d // g
     found = _columns_hold(m[rows][:, cols], num, den, _targets(m, b, rows, free_cols)).all() \
         and _certify(m, b, rows, cols, free_cols, num, den)
     if not found:
@@ -750,14 +744,15 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     certified J, so I = J: an inconsistent system's particular column and
     ``den`` are those of the block ``M_JJ``, whichever route solves it.
 
-    Exactness and overflow bounds. Every certificate's product is
+    Exactness and overflow bounds. An array is int64 exactly while a stated
+    bound rules out overflow, Python ints past it: M and b share one dtype,
+    int64 while every entry is below 2^63; the fallback eliminates on Python
+    ints; either route's numerators are int64 from the reconstruction on
+    while they are below 2^63. Every certificate's product is
     ``integer_matmul``: one float64 product while every partial sum is
-    below 2^53, float64 limbs or Python ints beyond. A certificate
-    ``A X == den * T`` forms ``den T`` in int64 when ``den |T| < 2^63``,
-    and on Python ints otherwise, as the fallback runs throughout.
-
-    The outcome keeps this certified integer form (pivot and free columns,
-    ``num``, ``den``); no Fraction is built here.
+    below 2^53, float64 limbs or Python ints beyond; ``A X == den * T``
+    forms ``den T`` in int64 when ``den |T| < 2^63``. The outcome keeps this
+    certified integer form; no Fraction is built here.
     """
     n = len(matrix)
     if n == 0:
@@ -768,18 +763,12 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     b = _integers(rhs, (n,))
     if b is None:
         raise ValueError(f"rhs length does not match matrix size {n}: need one integer per row")
-    a = np.empty((n, n + 1), dtype=_int_dtype(max(_absmax(m), _absmax(b))))
-    a[:, :n] = m
-    a[:, n] = b
-
-    found = _solve_float(a[:, :n], a[:, n]) or _solve_fraction_free(a[:, :n], a[:, n])
-    pivot_cols, free_cols, num, den, consistent = found
+    dtype = _int_dtype(max(_absmax(m), _absmax(b)))
+    m, b = np.ascontiguousarray(m, dtype=dtype), np.ascontiguousarray(b, dtype=dtype)
+    pivot_cols, free_cols, num, den, consistent = _solve_float(m, b) or _solve_fraction_free(m, b)
     num.setflags(write=False)
-    if not consistent:
-        status = SolveStatus.INCONSISTENT
-    else:
-        status = SolveStatus.AFFINE if free_cols else SolveStatus.UNIQUE
-    return SolveOutcome(status, pivot_cols, free_cols, num, den)
+    status = SolveStatus.AFFINE if free_cols else SolveStatus.UNIQUE
+    return SolveOutcome(status if consistent else SolveStatus.INCONSISTENT, pivot_cols, free_cols, num, den)
 
 
 def symmetric_eigen(matrix) -> EigenDecomposition:
@@ -846,26 +835,23 @@ def pseudo_apply(matrix, rhs, kernel) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _pivots_in_int64(tab: np.ndarray) -> bool:
-    """Whether one fraction-free pivot of ``tab`` stays below 2^63 in int64.
-
-    Each new entry is ``(p * T_i - T_ie * T_r) // d`` with ``|p|``, ``|T_ie|``
-    and every entry at most ``max|T|``, so every value on the way is within
-    ``2 max|T|^2``.
-    """
-    return 2 * _absmax(tab) ** 2 < INT64_LIMIT
+def _pivots_in_int64(top: int) -> bool:
+    """Whether one fraction-free pivot of a tableau with ``max|T| <= top`` stays below 2^63
+    in int64: every value on the way to ``(p * T_i - T_ie * T_r) // d`` is within ``2 top^2``."""
+    return 2 * top**2 < INT64_LIMIT
 
 
 def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximize ``c . x`` over ``{A x <= b}`` with x free, for integer A, b >= 0 and c.
 
     Dense tableau, free columns first, then Bland's rule (guaranteed
-    termination). Returns ``(x, y, d, face)``, arrays of Python ints and
-    ``d > 0``: ``x / d`` is optimal and ``y / d`` the optimal dual (``y >= 0``,
-    ``A^T y = d c``, ``b . y = c . x``), read off the slack columns of the
-    final objective row. The rows of ``face`` are independent and span the
-    optimal face's directions ``{dx : A_i dx = 0 wherever y_i > 0}``, so
-    ``c . dx = 0``, up to those of free columns that depend on earlier ones.
+    termination). Returns ``(x, y, d, face)``, arrays in the final tableau's
+    dtype and the Python int ``d > 0``: ``x / d`` is optimal and ``y / d`` the
+    optimal dual (``y >= 0``, ``A^T y = d c``, ``b . y = c . x``), read off
+    the slack columns of the final objective row. The rows of ``face`` are
+    independent and span the optimal face's directions
+    ``{dx : A_i dx = 0 wherever y_i > 0}``, so ``c . dx = 0``, up to those of
+    free columns that depend on earlier ones.
     Callers must shift the problem so b >= 0, so that the all-slack basis is
     feasible and no phase-1 is needed, and must pose a bounded LP: an
     entering column that no row blocks fails an assertion.
@@ -883,10 +869,10 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     on distance systems. So the tableau is int64 while
     ``2 max|T|^2 < 2^63``, checked before each pivot: that bounds
     ``p * T_i``, ``T[i, e] * T_r`` and their difference, so the pivot is
-    exact. At the first pivot the bound does not cover, or from the start,
-    the tableau moves to Python integers for good. The pivots and the result
-    do not depend on the dtype; the ratio test compares ``T[i, rhs] / step_i``
-    by cross-multiplying Python integers.
+    exact. It is built in int64 when ``max(|A|, |b|, |c|)`` passes the
+    check, and moves to Python ints for good at the first pivot it fails.
+    The pivots and the result do not depend on the dtype; the ratio test
+    compares ``T[i, rhs] / step_i`` by cross-multiplying Python integers.
 
     Each free column enters once, in order, upwards unless only a downward
     step is blocked (then the pivot row is negated first, so ``p > 0``); one
@@ -896,59 +882,60 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     and each nonbasic slack with ``y_i = 0`` gives a face row: its column on
     the rows of the free variables.
     """
-    a = np.array(a, dtype=object).reshape(len(b), len(c))
-    m, nv = a.shape
-    assert min(b, default=0) >= 0, "simplex caller must shift to b >= 0"
-    ncols = nv + m
-    tab = np.zeros((m + 1, ncols + 1), dtype=object)
+    m, nv = len(b), len(c)
+    a, b, c = _integers(a, (m, nv)), _integers(b, (m,)), _integers(c, (nv,))
+    assert b.min(initial=0) >= 0, "simplex caller must shift to b >= 0"
+    ncols, top = nv + m, max(map(_absmax, (a, b, c)))
+    tab = np.zeros((m + 1, ncols + 1), dtype=np.int64 if _pivots_in_int64(top) else object)
     tab[:m, :nv] = a
-    tab[:m, nv:ncols] = np.eye(m, dtype=int)
+    tab.reshape(-1)[nv:(ncols + 2) * m:ncols + 2] = 1  # the slack block's diagonal, as a view
     tab[:m, ncols] = b
-    tab[m, :nv] = -np.array(c, dtype=object)
-    tab = tab.astype(np.int64 if _pivots_in_int64(tab) else object)
-    basis = np.arange(nv, ncols)
+    tab[m, :nv] = -c.astype(tab.dtype)
+    basis, leaves = np.arange(nv, ncols), np.ones(m, dtype=bool)
     d = 1
 
     def entering():
         yield from range(nv)
-        while (negative := np.flatnonzero(tab[m, nv:ncols] < 0)).size:
+        while (negative := (tab[m, nv:ncols] < 0).nonzero()[0]).size:
             yield nv + int(negative[0])
 
     for e in entering():
         # the rows that block a step along column e; a free variable never leaves
-        step = np.where(basis < nv, 0, tab[:m, e])
-        if e < nv and not (step > 0).any():
+        step = tab[:m, e]
+        block = (leaves & (step > 0)).nonzero()[0]
+        if e < nv and not block.size:
             step = -step
-        block = np.flatnonzero(step > 0)
+            block = (leaves & (step > 0)).nonzero()[0]
         if not block.size:
             assert e < nv and tab[m, e] == 0, "simplex caller must pose a bounded LP"
             continue
         # smallest (rhs_i / step_i, basis_i), the ratios compared by cross-multiplying
-        rhs, steps, labels = (v[block].tolist() for v in (tab[:m, ncols], step, basis))
+        rhs, steps, labels = tab[block, ncols].tolist(), step[block].tolist(), basis[block].tolist()
         best = 0
         for i in range(1, len(block)):
             left, right = rhs[i] * steps[best], rhs[best] * steps[i]
             if left < right or (left == right and labels[i] < labels[best]):
                 best = i
         r = int(block[best])
-        if tab.dtype != object and not _pivots_in_int64(tab):
+        # an int64 tableau is within the bound, so np.abs cannot wrap -2^63
+        if tab.dtype != object and not _pivots_in_int64(int(np.abs(tab).max())):
             tab = tab.astype(object)
         if tab[r, e] < 0:
             tab[r] *= -1
-        p, row, col = int(tab[r, e]), tab[r].copy(), tab[:, e].copy()
+        p, row, col = int(tab[r, e]), tab[r].copy(), tab[:, e, None].copy()
         tab *= p
-        tab -= np.outer(col, row)
+        tab -= col * row
         tab //= d
         tab[r] = row
         d = p
-        basis[r] = e
+        basis[r], leaves[r] = e, e >= nv
 
     # the tableau on the free variables, one row per variable (0 when nonbasic)
-    tab = tab.astype(object)
-    on_x = np.zeros((nv, ncols + 1), dtype=object)
-    on_x[basis[basis < nv]] = tab[:m][basis < nv]
-    in_basis = set(basis.tolist())
-    face = [j for j in range(nv, ncols) if tab[m, j] == 0 and j not in in_basis]
+    on_x, rows = np.zeros((nv, ncols + 1), dtype=tab.dtype), ~leaves
+    on_x[basis[rows]] = tab[:m][rows]
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    face = nv + (nonbasic[nv:] & (tab[m, nv:ncols] == 0)).nonzero()[0]
     return on_x[:, ncols], tab[m, nv:ncols], d, on_x[:, face].T
 
 
@@ -961,10 +948,10 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
     Over ``w(c) = nums / den + sum_j c_j * nullspace_j`` this maximizes
     ``min_i w_i``, then the smallest entry among the coordinates not yet
     fixed, and so on (leximin). It returns that point as ``(nums, den)``,
-    ``nums`` an object array of Python ints. A non-integer entry raises
-    TypeError. Every nullspace row must sum to zero, else ValueError;
-    then the leximin point exists and is unique, so the result does not
-    depend on the nullspace basis or on the scale of its rows.
+    ``nums`` an integer array under step 2's bound. A non-integer entry
+    raises TypeError, a row of another length or a nullspace row that does
+    not sum to zero ValueError; then the leximin point exists and is unique,
+    so the result does not depend on the nullspace basis or its scale.
 
     Notes
     -----
@@ -984,7 +971,10 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
        ``[-dirs_F^T | 1] X <= w_F - t0`` (``t0`` the smallest free numerator);
        for its optimum ``x / d`` the point becomes
        ``(d w + x[:k] . dirs) / (d den)`` and the level value
-       ``t_level = (d t0 + x[k]) / (d den)``;
+       ``t_level = (d t0 + x[k]) / (d den)``. With ``top`` the largest of d,
+       ``|x|``, ``|y|`` and ``|face|``, every value here and in steps 3-4 is
+       within ``|F| top (d |w| + k top |dirs|)``, the level bound: they run
+       in int64 while it is below 2^63;
     3. its dual ``y / d`` is certified on those numerators over ``d den``:
        ``y >= 0``, ``sum y = d``, ``dirs_F y = 0``, ``w_F . y = t_level d``
        and ``w_F >= t_level``; by complementary slackness every coordinate
@@ -998,41 +988,51 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
     With k nullspace vectors that is at most k simplex solves.
     """
     nums, den = particular
-    w, den = _index(np.asarray(nums, dtype=object)), operator.index(den)
+    w, den = _fitted(_integers(nums, (len(nums),))), operator.index(den)
     n = len(w)
-    dirs = _index(np.asarray(nullspace, dtype=object)).reshape(len(nullspace), n)
-    if dirs.sum(axis=1).any():
+    dirs = _integers(nullspace, (len(nullspace), n)) if len(nullspace) else np.zeros((0, n), dtype=np.int64)
+    if dirs is None:
+        raise ValueError(f"every nullspace row needs {n} entries")
+    dirs = _fitted(dirs)
+    if integer_matmul(dirs, np.ones(n, dtype=np.int64)).any():
         raise ValueError("every nullspace vector must sum to 0")
 
     while True:
         # a coordinate that is 0 in every direction is constant on the face
-        free = np.flatnonzero((dirs != 0).any(axis=0))
+        free = dirs.any(axis=0).nonzero()[0]
         if not free.size:
             return w, den
-        k = len(dirs)
-        t0 = min(w[free])
-        a = np.ones((len(free), k + 1), dtype=object)
-        a[:, :k] = -dirs[:, free].T
-        x, y, d, face = _simplex_max(a, w[free] - t0, [0] * k + [1])
-        w = d * w + x[:k].dot(dirs)
-        t_level = d * t0 + x[k]
+        k, w_max, dirs_max = len(dirs), _absmax(w), _absmax(dirs)
+        w_free, dirs_free = w[free], dirs[:, free]
+        t0 = int(w_free.min())
+        a = np.ones((len(free), k + 1), dtype=dirs.dtype)
+        a[:, :k] = -dirs_free.T
+        b = w_free.astype(_int_dtype(2 * w_max)) - t0  # within 2 |w|
+        x, y, d, face = _simplex_max(a, b, np.eye(k + 1, dtype=np.int64)[k])
+        # every entry and partial sum below is within |F| top (d |w| + k top |dirs|)
+        top = max(d, _absmax(np.concatenate((x, y, face.ravel()))))
+        dtype = _int_dtype(len(free) * top * (d * w_max + k * top * dirs_max))
+        x, y, face, dirs, dirs_free, w = (np.asarray(v, dtype) for v in (x, y, face, dirs, dirs_free, w))
+        w = d * w + x[:k] @ dirs
+        t_level = d * t0 + int(x[k])
         den *= d
 
         # the dual certificate, on numerators over d * den, and the face
         # certificate: every new direction is 0 on the coordinates y pins
-        pinned = free[np.flatnonzero(y)]
-        face = face[:, :k].dot(dirs)
-        face //= np.gcd.reduce(face, axis=1)[:, None]
+        pinned, w_free, duals = free[y.nonzero()[0]], w[free], y.tolist()
+        face = face[:, :k] @ dirs
+        face //= np.gcd.reduce(face, axis=1, keepdims=True)
         if not (
-            min(y) >= 0
-            and sum(y) == d
-            and not dirs[:, free].dot(y).any()
-            and w[free].dot(y) == t_level * d
-            and min(w[free]) >= t_level
+            min(duals) >= 0
+            and sum(duals) == d
+            and not (dirs_free @ y).any()
+            and int(w_free @ y) == t_level * d
+            and int(w_free.min()) >= t_level
             and not face[:, pinned].any()
         ):
             raise RuntimeError("max-min level failed its exact optimality certificate")
-        g = gcd(den, *w)
-        w //= g
+        # g divides every w_i, so it fits w's dtype unless w = 0
+        g = gcd(den, int(np.gcd.reduce(w)))
+        w //= g if w.any() else 1
         den //= g
         dirs = face

@@ -6,13 +6,24 @@ converts a Fraction family to that form with its own arithmetic, calls it and
 returns the point as Fractions. ``solve_exact`` takes integer entries only;
 ``integer_rows`` restates a rational system ``[M | rhs]`` with each row
 multiplied by the lcm of its denominators, which keeps every solution and the
-kernel. The module name has no ``test_`` prefix, so pytest does not collect it.
+kernel. ``assert_integer_array`` checks an array against the package's integer
+rule. The module name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from eqcurv import lp_max_min
+
+
+def assert_integer_array(a: np.ndarray, fits: bool) -> None:
+    """``a`` is int64 when its bound holds (``fits``), else an array of Python ints."""
+    if fits:
+        assert a.dtype == np.int64
+    else:
+        assert a.dtype == object and all(type(v) is int for v in a.flat)
 
 
 def _numerators(values) -> tuple[list[int], int]:
@@ -36,4 +47,4 @@ def max_min(particular, nullspace) -> tuple[Fraction, ...]:
     """
     rows = [_numerators(vec)[0] for vec in nullspace]
     nums, den = lp_max_min(_numerators(particular), rows)
-    return tuple(Fraction(v, den) for v in nums)
+    return tuple(Fraction(v, den) for v in nums.tolist())

@@ -1,10 +1,9 @@
 """The elimination of the fraction-free fallback, ``linalg._solve_fraction_free``.
 
-The module keeps the name it had when it checked the mod-p elimination that
-the fallback replaced. On the distance matrices it checked, the fallback must
-return the float route's tuple part by part; on entries next to 2^63 it must
-match the Bareiss reference of ``solve_exact_reference.py``; and its pivot
-rows must be the lex-first row basis (``solve_exact``'s Notes).
+On five distance matrices the fallback must return the float route's tuple
+part by part; on entries next to 2^63 it must match the Bareiss reference of
+``solve_exact_reference.py``; and its pivot rows must be the lex-first row
+basis (``solve_exact``'s Notes).
 """
 
 from unittest import mock

@@ -11,6 +11,7 @@ whose optimal value is also checked against it directly.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from eqcurv import (
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
-from integer_form import integer_rows, max_min
+from integer_form import assert_integer_array, integer_rows, max_min
 
 
 class LpUnboundedError(RuntimeError):
@@ -215,13 +216,21 @@ def lps(draw):
     return a_rows, b, c
 
 
-def assert_matches_fraction_tableau(a_rows, b, c):
+def assert_matches_fraction_tableau(a_rows, b, c) -> list[bool]:
+    """Check ``_simplex_max`` against the Fraction tableau; return its int64 bound's verdicts."""
     # the pivot orders differ, so the optimal vertex and dual may too: the
     # optimal value agrees with rational equality
-    x_num, y_num, d, _ = _simplex_max(a_rows, b, c)
-    assert d > 0 and all(type(v) is int for v in [*x_num, *y_num, d])
-    x = [Fraction(v, d) for v in x_num]
-    y = [Fraction(v, d) for v in y_num]
+    regimes = []
+    bound = eqcurv.linalg._pivots_in_int64
+    with mock.patch.object(eqcurv.linalg, "_pivots_in_int64", lambda top: regimes.append(bound(top)) or regimes[-1]):
+        x_num, y_num, d, _ = _simplex_max(a_rows, b, c)
+    assert type(d) is int and d > 0
+    # the final tableau's dtype: int64 while the bound held at set-up and
+    # before every pivot, Python ints from the first time it did not
+    assert_integer_array(x_num, all(regimes))
+    assert_integer_array(y_num, all(regimes))
+    x = [Fraction(v, d) for v in x_num.tolist()]
+    y = [Fraction(v, d) for v in y_num.tolist()]
     # the reference expects Fraction entries
     status, x_ref, _ = reference_simplex_max(
         [list(map(Fraction, row)) for row in a_rows], list(map(Fraction, b)), list(map(Fraction, c))
@@ -231,6 +240,7 @@ def assert_matches_fraction_tableau(a_rows, b, c):
     assert all(yi >= 0 for yi in y)
     assert all(dot(col, y) == cj for col, cj in zip(zip(*a_rows), c))
     assert dot(b, y) == dot(c, x)
+    return regimes
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,6 +256,14 @@ def test_simplex_past_the_int64_bound_matches_fraction_tableau():
     v = 3 * 10**9
     assert 2**31 <= v and v * v < 2**63 <= 2 * v * v
     assert_matches_fraction_tableau([[v, v], [-v, v]], [v, v], [0, 1])
+
+
+def test_simplex_moves_to_python_ints_at_the_pivot_bound():
+    # the tableau starts in int64 (max|T| < 2^17); its first pivot makes
+    # max|T| just below 2^32, where 2 max|T|^2 passes 2^63, so the second
+    # pivot runs on Python ints: in int64 its products p * T_i would wrap
+    a_rows, b, c = [[46337, 46334], [3, -92677], [-46339, 46349]], [0, 0, 0], [46342, -46331]
+    assert assert_matches_fraction_tableau(a_rows, b, c) == [True, True, False]
 
 
 @settings(max_examples=200, deadline=None)

@@ -122,11 +122,11 @@ def test_the_fallback_takes_what_the_float_route_refuses(matrix, rhs):
     assert fields(out) == reference_solve_exact(matrix, rhs)
 
 
-def test_lex_first_check_rejects_the_greedy_basis_mod_p():
-    # mod p0 = 2^20 - 3 column 0 vanishes, so an elimination mod p0 takes
-    # column 1 as its basis; the kernel vector (1, -p0) of that basis holds on
-    # every row, so only _certify's lex-first check (the kernel vector of free
-    # column 0 must be 0 on the later pivot column 1) rejects it
+def test_lex_first_check_rejects_a_greedy_basis():
+    # an elimination that misses column 0's entry p0 = 2^20 - 3 (as one mod
+    # p0 would) takes column 1 as its basis; the kernel vector (1, -p0) of that
+    # basis holds on every row, so only _certify's lex-first check (the kernel
+    # vector of free column 0 must be 0 on the later pivot column 1) rejects it
     p0 = 2**20 - 3
     m, b = np.array([[p0, 1], [0, 0]]), np.array([0, 0])
     num = np.array([[0, -p0]])

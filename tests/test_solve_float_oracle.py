@@ -6,16 +6,21 @@ inverse and lifts it on BLAS; ``linalg._solve_fraction_free`` is the general
 route (Bareiss elimination on Python ints). Whenever the float route
 returns, its outcome must be the fallback's, part by part: pivot and free
 columns, numerators, denominator and consistency. When it refuses,
-``solve_exact`` must still give the fallback's outcome.
+``solve_exact`` must still give the fallback's outcome. On ``path:300`` the
+reference is the trees' closed form instead, and the fallback runs once per
+benchmark-size random graph, whichever tests solve it.
 """
 
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from integer_form import assert_integer_array
 
 from eqcurv import Graph, SolveStatus, generate, parse_family_spec, solve_exact
 from eqcurv import linalg
@@ -29,17 +34,28 @@ def family_system(text: str) -> tuple[np.ndarray, np.ndarray]:
     return distance_system(generate(parse_family_spec(text)))
 
 
+@cache
+def fallback_reference(text: str):
+    """The fallback's tuple for a family's distance system, computed once per session."""
+    return linalg._solve_fraction_free(*family_system(text))
+
+
 def assert_same(found, reference) -> None:
     pivot_cols, free_cols, num, den, consistent = found
     assert (pivot_cols, free_cols, den, consistent) == (reference[0], reference[1], reference[3], reference[4])
-    assert num.shape == reference[2].shape
-    assert num.dtype == object and all(type(v) is int for v in num.flat)
-    assert (num == reference[2]).all()
+    assert num.shape == reference[2].shape and num.tolist() == reference[2].tolist()
+    # both routes: int64 exactly while every numerator is below 2^63
+    fits = max((abs(v) for v in reference[2].ravel().tolist()), default=0) < 2**63
+    assert_integer_array(num, fits)
+    assert_integer_array(reference[2], fits)
 
 
-def routes_agree(m: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the float route took the system; when it did, it matches the fallback."""
-    found, reference = linalg._solve_float(m, b), linalg._solve_fraction_free(m, b)
+def routes_agree(m: np.ndarray, b: np.ndarray, reference=None) -> bool:
+    """Whether the float route took the system; when it did, it matches the fallback's
+    tuple, or ``reference`` when one is given."""
+    found = linalg._solve_float(m, b)
+    if reference is None:
+        reference = linalg._solve_fraction_free(m, b)
     outcome = solve_exact(m, b)
     assert (outcome.pivot_cols, outcome.free_cols, outcome.den) == (reference[0], reference[1], reference[3])
     if found is None:
@@ -77,13 +93,20 @@ def test_atlas_graphs_agree_and_the_float_route_takes_every_full_rank_one():
      "erdos_renyi:165,0.06,2", "erdos_renyi:180,0.05,3"],
 )
 def test_random_graphs_at_benchmark_sizes_take_the_float_route(spec):
-    assert routes_agree(*family_system(spec))
+    assert routes_agree(*family_system(spec), fallback_reference(spec))
 
 
 def test_path_300_takes_the_float_route():
     # D^{-1} of a tree is -L/2 + tau tau^T / (2 (n - 1)) (Graham and Lovasz),
-    # entries at most 1, so the certificate holds although n max|D| is 89700
-    assert routes_agree(*family_system("path:300"))
+    # entries at most 1, so the certificate holds although n max|D| is 89700;
+    # the same inverse gives every tree w_i = n (2 - d_i) / (n - 1), the
+    # exact reference here
+    g = generate(parse_family_spec("path:300"))
+    degree = Counter(v for edge in g.edges for v in edge)
+    w = [Fraction(g.n * (2 - degree[v]), g.n - 1) for v in range(g.n)]
+    den = lcm(*(x.denominator for x in w))
+    num = np.array([[x.numerator * (den // x.denominator)] for x in w], dtype=np.int64)
+    assert routes_agree(*distance_system(g), (list(range(g.n)), [], num, den, True))
 
 
 def test_bordered_pseudo_apply_system_of_knight_board_7_7():
@@ -204,15 +227,20 @@ def refused(inv):
 ])
 def test_a_bad_inverse_falls_back(monkeypatch, perturb):
     # a perturbed inverse fails the certificate; a huge, non-finite or
-    # refused one never reaches it, and the fallback gives the outcome that
-    # the float route gives with LAPACK's own inverse
-    m, b = family_system("erdos_renyi:150,0.1,1")
+    # refused one never reaches it, and solve_exact falls back to the
+    # fallback's tuple (computed once for the six perturbations, and checked
+    # against the float route with LAPACK's own inverse)
+    spec = "erdos_renyi:150,0.1,1"
+    m, b = family_system(spec)
     reference = linalg._solve_float(m, b)
+    assert_same(fallback_reference(spec), reference)
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: perturb(real_inv(a)))
     assert linalg._solve_float(m, b) is None
+    calls = []
+    monkeypatch.setattr(linalg, "_solve_fraction_free", lambda *args: calls.append(1) or fallback_reference(spec))
     outcome = solve_exact(m, b)
-    assert outcome.status is SolveStatus.UNIQUE
+    assert calls == [1] and outcome.status is SolveStatus.UNIQUE
     assert outcome.den == reference[3] and (outcome.num == reference[2]).all()
 
 

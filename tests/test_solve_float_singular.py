@@ -145,7 +145,9 @@ def test_inconsistent_systems_take_the_float_route(monkeypatch, spec):
     monkeypatch.setattr(linalg, "_solve_fraction_free", unreachable)
     pivot_cols, free_cols, num, den, consistent = linalg._solve_float(m, b)
     assert (pivot_cols, free_cols, den, consistent) == (reference[0], reference[1], reference[3], False)
-    assert num.shape == reference[2].shape and num.dtype == object and (num == reference[2]).all()
+    assert num.shape == reference[2].shape and num.tolist() == reference[2].tolist()
+    # small numerators: int64 on both routes
+    assert num.dtype == reference[2].dtype == np.int64
     out = solve_exact(m, b)
     assert out.status is SolveStatus.INCONSISTENT
     assert (out.pivot_cols, out.free_cols, out.den) == (reference[0], reference[1], reference[3])
