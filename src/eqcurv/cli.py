@@ -67,11 +67,10 @@ def curvature_payload(result: CurvatureResult) -> dict:
     that share a value share its ``{"exact", "float"}`` dict, as they share
     one Fraction in ``result.w``.
     """
-    values = result._point[0]
-    formatted = {v: _frac_payload(x) for v, x in dict(zip(values, result.w)).items()}
+    formatted = {v: _frac_payload(x) for v, x in dict(zip(result.nums, result.w)).items()}
     return {
         "status": result.status.value,
-        "w": [formatted[v] for v in values],
+        "w": [formatted[v] for v in result.nums],
         "k": {**_frac_payload(result.K), "pseudo": not result.is_exact},
         "total": _frac_payload(result.total),
         "residual_range": [_frac_payload(x) for x in result.residual_range],
@@ -142,10 +141,11 @@ def _theorem5(g: Graph, result: CurvatureResult, info: SpectralInfo) -> list[The
     """Theorem 5 with all-ones weights, then with ``w`` itself when ``K > 0``."""
     weightings = [([1] * g.n, "all-ones")]
     # the curvature vector itself qualifies whenever it is positive
-    # (K is its smallest entry for every status), pseudo solutions included
+    # (K is its smallest entry for every status), pseudo solutions included;
+    # both bounds are invariant under scaling w, so its numerators stand in for it
     if result.K > 0:
         variant = "curvature solution" if result.is_exact else "pseudo solution"
-        weightings.append((result.w, variant))
+        weightings.append((result.nums, variant))
     reports = []
     for weights, label in weightings:
         report = check_theorem5(g, weights, info)

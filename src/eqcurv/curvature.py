@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
@@ -46,26 +45,28 @@ class CurvatureStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class CurvatureResult:
-    """Per-vertex curvature with its solvability classification.
+    """Per-vertex curvature with its solvability classification, as one integer point.
 
-    ``w``, ``K``, ``total`` and ``residual_range`` are Fractions for every
-    status, read off one integer point ``nums / den``. For the Exact* statuses
-    ``D w = n * 1`` holds with rational equality, so ``residual_range ==
-    (n, n)``: for EXACT_UNIQUE by ``solve_exact``'s integer certificate over
-    every row, for EXACT_CANONICAL by an exact product ``D nums``. For
-    INCONSISTENT, ``w`` is the exact Moore-Penrose solution ``D^+ (n * 1)``,
-    its residual range comes from the exact product ``D nums``, and K is only
-    a pseudo lower bound (the exact-solution theorems do not apply to it).
+    ``w[i] == nums[i] / den`` with ``den > 0``, and ``dw`` holds the smallest
+    and largest entry of ``D nums``. ``(nums, den)`` need not be in lowest
+    terms: constant row sums R give ``(n * 1, R)``. For the Exact* statuses
+    ``D w = n * 1`` holds with rational equality, so ``dw == (n den, n den)``:
+    for EXACT_UNIQUE by ``solve_exact``'s integer certificate over every row,
+    for EXACT_CANONICAL by an exact product ``D nums``. For INCONSISTENT,
+    ``w`` is the exact Moore-Penrose solution ``D^+ (n * 1)``, ``dw`` comes
+    from the exact product ``D nums``, and K is only a pseudo lower bound
+    (the exact-solution theorems do not apply to it).
 
-    Equal values share one object: ``w`` holds one Fraction per distinct
-    numerator, and ``K`` is the smallest of them.
+    ``w``, ``K``, ``total`` (the l1 norm) and ``residual_range`` (``dw / den``)
+    are Fraction views, each built on first read. Equal values share one
+    object: ``w`` holds one Fraction per distinct numerator, and ``K`` is the
+    smallest of them.
     """
 
     status: CurvatureStatus
-    w: tuple[Fraction, ...]
-    K: Fraction
-    total: Fraction
-    residual_range: tuple[Fraction, Fraction]
+    nums: tuple[int, ...]
+    den: int
+    dw: tuple[int, int]
     nullspace_dimension: int
 
     @property
@@ -73,14 +74,21 @@ class CurvatureResult:
         return self.status is not CurvatureStatus.INCONSISTENT
 
     @cached_property
-    def _point(self) -> tuple[list[int], int]:
-        """``w`` as integer numerators over one denominator, ``w[i] == nums[i] / den``.
+    def w(self) -> tuple[Fraction, ...]:
+        shared = _fractions(self.nums, self.den)
+        return tuple(map(shared.__getitem__, self.nums))
 
-        ``compute_curvature`` stores the point it read ``w`` off; a result
-        built any other way makes one from ``w``.
-        """
-        den = lcm(*(x.denominator for x in self.w))
-        return [x.numerator * (den // x.denominator) for x in self.w], den
+    @cached_property
+    def K(self) -> Fraction:
+        return self.w[self.nums.index(min(self.nums))]
+
+    @cached_property
+    def total(self) -> Fraction:
+        return Fraction(sum(map(abs, self.nums)), self.den)
+
+    @cached_property
+    def residual_range(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.dw[0], self.den), Fraction(self.dw[1], self.den)
 
 
 # Keys of the cached solve and curvature in a DistanceMatrix's instance dictionary.
@@ -117,8 +125,8 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     matrix and cached on it, like the solve, so every caller shares one
     max-min LP.
 
-    Every result is read off one point ``(nums, den)`` of integer numerators
-    over one denominator: ``solve_exact``'s particular solution if unique,
+    Every result is one point ``(nums, den)`` of integer numerators over one
+    denominator, kept as it is: ``solve_exact``'s particular solution if unique,
     ``(n * 1, R)`` for constant row sums R, else ``lp_max_min`` of that
     solution and the integer kernel rows; for an inconsistent system,
     ``pseudo_apply`` of ``n * 1`` and the kernel rows. Its residual range,
@@ -127,9 +135,8 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     pivot row, so ``D nums == den * n * 1`` has already held in exact
     integers on all n equations, and for the constant point of constant row
     sums R, as ``D (n * 1) == R * n * 1`` from the exact integer row sums. For
-    every other point ``D nums`` is multiplied out in integers. One Fraction
-    is built per distinct numerator and shared by every entry of ``w`` that
-    has it.
+    every other point ``D nums`` is multiplied out in integers. The
+    result's Fraction views are built only when read.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -139,43 +146,33 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
 def _curvature(dm: DistanceMatrix) -> CurvatureResult:
     n = dm.n
     outcome = _distance_solve(dm)
-    # D nums == dw exactly; a list of one value stands for every row
+    # (min, max) of D nums, exactly
     dw = None
     if outcome.status is SolveStatus.UNIQUE:
         status = CurvatureStatus.EXACT_UNIQUE
         nums, den = outcome.particular
         # full rank: solve_exact's certificate held on every row
-        dw = [n * den]
+        dw = n * den, n * den
     elif outcome.status is SolveStatus.INCONSISTENT:
         status = CurvatureStatus.INCONSISTENT
         nums, den = pseudo_apply(dm.entries, np.full(n, n), outcome.kernel_rows)
     else:
         status = CurvatureStatus.EXACT_CANONICAL
-        row_sum = dm.constant_row_sum()
-        if row_sum is not None:
+        den = dm.constant_row_sum()
+        if den is not None:
             # constant row sums make the constant vector the unique max-min
             # point of the family, so the LP can be skipped, and D (n * 1)
             # is n R on every row, from the exact integer row sums
-            nums, den = np.full(n, n), int(row_sum)
-            dw = [n * den]
+            nums = np.full(n, n)
+            dw = n * den, n * den
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
             nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
     if dw is None:
-        dw = integer_matmul(dm.entries, nums).tolist()
-    values = nums.tolist()
-    shared = _fractions(values, den)
-    result = CurvatureResult(
-        status,
-        tuple(map(shared.__getitem__, values)),
-        shared[min(values)],
-        Fraction(sum(map(abs, values)), den),
-        (Fraction(min(dw), den), Fraction(max(dw), den)),
-        outcome.nullspace_dimension,
-    )
-    vars(result)["_point"] = values, den
-    return result
+        product = integer_matmul(dm.entries, nums)
+        dw = int(product.min()), int(product.max())
+    return CurvatureResult(status, tuple(nums.tolist()), den, dw, outcome.nullspace_dimension)
 
 
 def _complete_form(n: int) -> Fraction:
@@ -229,9 +226,10 @@ def nullspace_sum_check(g: Graph, dm: DistanceMatrix | None = None) -> Nullspace
     exceptional. ``dm`` defaults to ``g.distance_matrix``.
     """
     outcome = _distance_solve(g.distance_matrix if dm is None else dm)
+    sums = outcome.kernel_sum_numerators
     return NullspaceSumReport(
         nullspace_dimension=outcome.nullspace_dimension,
-        entry_sums=outcome.kernel_sums,
+        entry_sums=tuple(map(_fractions(sums, outcome.den).__getitem__, sums)),
         # a sum is nonzero exactly when its numerator over den is
-        exceptional=any(outcome._kernel_sum_numerators),
+        exceptional=any(sums),
     )

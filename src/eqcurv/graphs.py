@@ -234,11 +234,11 @@ class DistanceMatrix:
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
-    def constant_row_sum(self) -> Fraction | None:
+    def constant_row_sum(self) -> int | None:
         """The common row sum R when every row agrees, else None."""
         sums = self.row_sums()
         if np.all(sums == sums[0]):
-            return Fraction(int(sums[0]))
+            return int(sums[0])
         return None
 
 

@@ -4,8 +4,9 @@ Two arithmetic worlds are kept deliberately separate, and only eigenwork
 returns floating-point results:
 
 * solvability classification, nullspaces and the lexicographic max-min
-  canonicalization run on integers; Fractions appear only in the views of
-  ``solve_exact``'s outcome. A square system is first tried on a certified
+  canonicalization run on integers; Fractions appear only in the two views
+  of ``solve_exact``'s outcome, ``solution`` and ``nullspace``, built when
+  read. A square system is first tried on a certified
   float64 route (numeric-symbolic lifting, Wan 2006), a singular symmetric
   one on the block of its lex-first column basis, which one Cholesky factor
   of ``M M`` steers; every other system, and every one the route refuses,
@@ -86,11 +87,12 @@ class SolveOutcome:
     holds the entries on pivot column t of the particular solution (column 0)
     and of kernel vector j (column 1 + j, which is 1 on free column j and 0 on
     the other free columns), int64 while every entry is below 2^63. The rest
-    is read off this form in integers, except ``solution`` (the unique
-    solution if UNIQUE, one particular solution if AFFINE, None if
-    INCONSISTENT) and ``nullspace`` (an exact kernel basis, for every
-    status): Fraction views of ``particular`` and ``kernel_rows``, each built
-    on first access. An outcome is read-only, as callers share it.
+    is read off this form in integers (``particular``, ``kernel_rows`` and
+    ``kernel_sum_numerators``), except ``solution`` (the unique solution if
+    UNIQUE, one particular solution if AFFINE, None if INCONSISTENT) and
+    ``nullspace`` (an exact kernel basis, for every status): Fraction views of
+    ``particular`` and ``kernel_rows``, each built on first access. An
+    outcome is read-only, as callers share it.
     """
 
     status: SolveStatus
@@ -146,18 +148,10 @@ class SolveOutcome:
         return rows
 
     @cached_property
-    def kernel_sums(self) -> tuple[Fraction, ...]:
-        """Exact entry sum of each nullspace vector: ``(sum of num[:, 1+j] + den) / den``.
-
-        Equal sums share one object: one Fraction is built per distinct sum.
-        """
-        sums = self._kernel_sum_numerators
-        return tuple(map(_fractions(sums, self.den).__getitem__, sums))
-
-    @cached_property
-    def _kernel_sum_numerators(self) -> list[int]:
-        """``kernel_sums`` as Python int numerators over ``den``; the column sums of ``num``,
-        within ``rank |num|``, are int64 while that is below 2^63."""
+    def kernel_sum_numerators(self) -> list[int]:
+        """Entry sum of each nullspace vector as a Python int numerator over ``den``:
+        ``sum of num[:, 1+j] + den``. The column sums of ``num``, within ``rank |num|``,
+        are int64 while that is below 2^63."""
         kernel = self.num[:, 1:]
         return [s + self.den for s in kernel.sum(0, dtype=_int_dtype(self.rank * _absmax(kernel))).tolist()]
 
@@ -277,13 +271,8 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
     """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers."""
-    return _columns_equal(integer_matmul(lhs, x), den, rhs)
-
-
-def _columns_equal(product: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
-    """Per column, whether ``product == den * rhs`` holds in exact integers."""
     target = rhs.astype(_int_dtype(max(abs(den) * _absmax(rhs), abs(den))), copy=False) * den
-    return np.asarray(product == target, dtype=bool).all(axis=0)
+    return np.asarray(integer_matmul(lhs, x) == target, dtype=bool).all(axis=0)
 
 
 def _convergent_denominator(z: int, bits: int, tol: int, limit: int) -> int | None:
@@ -423,8 +412,7 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     mf = m.astype(np.float64)
     log_det = np.linalg.slogdet(mf)[1]
     if log_det >= _LOG_DET_FLOOR:
-        inverse = _inverse(mf)
-        found = None if inverse is None else _lift_float(m, mf, inverse, b[:, None], scale, log_det)
+        found = _lift_float(m, b[:, None], scale, log_det)
         if found is not None:
             return list(range(n)), [], *found, True
     # a symmetric M whose nonsingular attempt fails, singular or not, goes on to the steered basis
@@ -443,34 +431,27 @@ def _solve_float(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np
     if not cols:
         return None
     m_jj = m[np.ix_(cols, cols)]
-    mf_jj = m_jj.astype(np.float64)
-    inverse = _inverse(mf_jj)
-    if inverse is None:
-        return None
     rhs = _targets(m, b, cols, free_cols)
     scale = max(len(cols) * _absmax(m_jj), -(-_absmax(rhs) // 4))
     # det(M_JJ)^2 <= det(M_.J^T M_.J), the product of J's pivots (Cauchy-Binet)
-    found = _lift_float(m_jj, mf_jj, inverse, rhs, scale, np.log(pivots[basis]).sum() / 2)
+    found = _lift_float(m_jj, rhs, scale, np.log(pivots[basis]).sum() / 2)
     return None if found is None else _certify(m, b, cols, cols, free_cols, *found)
 
 
-def _inverse(mf: np.ndarray) -> np.ndarray | None:
-    """``numpy.linalg.inv(mf)``, None for an exactly zero pivot (one slogdet's LU did not meet)."""
-    try:
-        return np.linalg.inv(mf)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _lift_float(m: np.ndarray, mf: np.ndarray, inverse: np.ndarray, rhs: np.ndarray, scale: int,
-                log_det: float) -> tuple[np.ndarray, int] | None:
+def _lift_float(m: np.ndarray, rhs: np.ndarray, scale: int, log_det: float) -> tuple[np.ndarray, int] | None:
     """``(num, den)`` with ``M num == den * rhs``, reduced by their gcd, for a certified
     nonsingular M; None to fall back. ``num`` is int64 when it fits, else Python ints.
 
-    ``mf`` is M in float64 and ``inverse`` LAPACK's inverse of it, ``rhs`` int64,
-    ``scale >= max(k |M|, |rhs| / 4)`` with ``4 scale < 2^53``, and ``log_det``
-    estimates ``log|det M|`` to time the attempts.
+    ``m`` and ``rhs`` are int64, ``scale >= max(k |M|, |rhs| / 4)`` with
+    ``4 scale < 2^53``, and ``log_det`` estimates ``log|det M|`` to time the
+    attempts. LAPACK's inverse of M in float64 only steers; one it refuses
+    (an exactly zero pivot that slogdet's LU did not meet) falls back.
     """
+    mf = m.astype(np.float64)
+    try:
+        inverse = np.linalg.inv(mf)
+    except np.linalg.LinAlgError:
+        return None
     # the largest magnitude is NaN or inf exactly when some entry is
     inverse_max = np.abs(inverse).max()
     if not np.isfinite(inverse_max):
@@ -539,19 +520,19 @@ def _certify(
     holds on the rows I; None unless the kernel vector of free column f is 0 on every later
     pivot column (the lex-first basis) and the kernel columns hold on the other rows too.
 
-    Only the blocks of ``M_.J`` and ``M_.free`` on the other rows are
-    gathered, by two ``take`` passes each. Column 0, which decides
-    consistency, is compared with ``den * b`` on its own.
+    One comparison of ``M_.J num`` with ``den * _targets`` on the other rows
+    checks every column: each kernel column must hold, and column 0 decides
+    consistency.
     """
     later = np.array(pivot_cols, dtype=int)[:, None] > np.array(free_cols, dtype=int)[None, :]
     if np.any(num[:, 1:][later] != 0):
         return None
     other_rows = sorted(set(range(len(m))) - set(rows))
-    product = integer_matmul(m.take(pivot_cols, 1).take(other_rows, 0), num)
-    if not _columns_equal(product[:, 1:], -den, m.take(other_rows, 0).take(free_cols, 1)).all():
+    holds = _columns_hold(m.take(pivot_cols, 1).take(other_rows, 0), num, den,
+                          _targets(m, b, other_rows, free_cols))
+    if not holds[1:].all():
         return None
-    consistent = _columns_equal(product[:, 0], den, b[other_rows])
-    return pivot_cols, free_cols, num, den, bool(consistent)
+    return pivot_cols, free_cols, num, den, bool(holds[0])
 
 
 def _solve_fraction_free(m: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], np.ndarray, int, bool]:

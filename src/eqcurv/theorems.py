@@ -192,7 +192,7 @@ def check_bonnet_myers(
             checks.append(
                 _check(
                     "diam*K == 2 implies constant curvature",
-                    ("distinct w values", len(set(result._point[0]))), "==", ("one", 1),
+                    ("distinct w values", len(set(result.nums))), "==", ("one", 1),
                 )
             )
             notes.append("sharp: diam * K == 2, rigidity clause checked")
@@ -424,11 +424,11 @@ def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
     if not (r1 and r2):
         # a one-vertex factor: its D w = n * 1 reads 0 = 1, so it has no curvature
         return _not_applicable("product_curvature", "a factor has a single vertex")
-    k1, k2 = Fraction(g.n) / r1, Fraction(h.n) / r2
+    k1, k2 = Fraction(g.n, r1), Fraction(h.n, r2)
     # a product of factors with constant row sums has constant row sums, so
     # D w = n * 1 is solvable and the curvature is exact
     result = compute_curvature(cartesian_product(g, h))
-    distinct = len(set(result._point[0]))
+    distinct = len(set(result.nums))
     k_prod: Fraction = result.w[0]
     checks = [
         _check("product curvature is constant", ("distinct w values", distinct), "==", ("one", 1))

@@ -228,9 +228,8 @@ def test_theorem5_exact_bound_past_int64_matches_fractions():
 def test_lift_returns_int64_numerators_that_solve_the_system():
     m = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=np.int64)
     rhs = np.array([[1, 0], [2, -1], [3, 5]], dtype=np.int64)
-    mf = m.astype(np.float64)
     # scale >= max(k |M|, |rhs| / 4), log|det M| to time the attempts
-    num, den = _lift_float(m, mf, np.linalg.inv(mf), rhs, 3 * 4, np.linalg.slogdet(mf)[1])
+    num, den = _lift_float(m, rhs, 3 * 4, np.linalg.slogdet(m.astype(np.float64))[1])
     assert num.dtype == np.int64
     assert python_matmul(m, num.astype(object)) == (den * rhs.astype(object)).tolist()
 

@@ -465,7 +465,7 @@ class TestSharedValues:
         result = compute_curvature(g)
         assert len({id(x) for x in result.w}) == len(set(result.w))
         assert result.K == min(result.w) and any(result.K is x for x in result.w)
-        nums, den = result._point
+        nums, den = result.nums, result.den
         assert [Fraction(v, den) for v in nums] == list(result.w)
         sums = nullspace_sum_check(g).entry_sums
         assert len({id(s) for s in sums}) == len(set(sums))

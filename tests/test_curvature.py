@@ -1,6 +1,7 @@
 """Curvature pipeline: exact statuses, canonicalization, exact pseudo fallback."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -483,3 +484,25 @@ def test_lp_max_min_on_integer_kernel_rows(spec):
     w = tuple(Fraction(v, den) for v in nums.tolist())
     assert w == tuple(Fraction(v, scaled_den) for v in scaled_nums.tolist())
     assert w == compute_curvature(g, dm).w
+
+
+VIEWS = ("w", "K", "total", "residual_range")
+
+
+def test_views_are_built_on_first_read_from_the_integer_point():
+    g = fam("erdos_renyi:120,0.1,1")
+    result = compute_curvature(g)
+    assert not set(VIEWS) & set(vars(result))
+    nums, den, dw = result.nums, result.den, result.dw
+    assert all(type(v) is int for v in (*nums, den, *dw)) and den > 0
+    assert result.w == tuple(Fraction(v, den) for v in nums)
+    assert result.K == Fraction(min(nums), den) and any(result.K is x for x in result.w)
+    assert result.total == Fraction(sum(map(abs, nums)), den)
+    assert result.residual_range == (Fraction(dw[0], den), Fraction(dw[1], den))
+    # a replaced point re-derives every view, none carried over from the original
+    forged = replace(result, nums=(min(nums) - den,) + nums[1:])
+    assert not set(VIEWS) & set(vars(forged))
+    assert forged.w == (result.K - 1,) + result.w[1:]
+    assert forged.K == result.K - 1 and forged.K is forged.w[0]
+    assert forged.total == result.total - abs(result.w[0]) + abs(result.K - 1)
+    assert forged.residual_range == result.residual_range

@@ -71,9 +71,9 @@ def test_kernel_sums_at_the_int64_bound(v):
     # wrap to -2^63
     out = solve_exact([[1, 0, -v], [0, 1, -v], [0, 0, 0]], [0, 0, 0])
     assert out.num.dtype == np.int64 and out.num[:, 1].tolist() == [v, v]
-    assert out._kernel_sum_numerators == [(2 * v + 1) * out.den]
-    assert out.kernel_sums == (Fraction(2 * v + 1),)
-    assert all(type(s) is int for s in out._kernel_sum_numerators)
+    assert out.kernel_sum_numerators == [(2 * v + 1) * out.den]
+    assert [Fraction(s, out.den) for s in out.kernel_sum_numerators] == [Fraction(2 * v + 1)]
+    assert all(type(s) is int for s in out.kernel_sum_numerators)
 
 
 @pytest.mark.parametrize("v", [2**31 - 1, 2**31])

@@ -163,11 +163,11 @@ def test_integer_kernel_form_matches_fractions(n, data):
     rhs = data.draw(row)
     out = solve_exact(matrix, rhs)
     # read off the integer form before any Fraction vector exists
-    dimension, sums, rows = out.nullspace_dimension, out.kernel_sums, out.kernel_rows
+    dimension, sums, rows = out.nullspace_dimension, out.kernel_sum_numerators, out.kernel_rows
     assert "solution" not in vars(out) and "nullspace" not in vars(out)
     assert fields(out) == reference_solve_exact(matrix, rhs)
     assert dimension == n - out.rank == len(out.nullspace)
-    assert sums == tuple(sum(vec, Fraction(0)) for vec in out.nullspace)
+    assert sums == [sum(vec, Fraction(0)) * out.den for vec in out.nullspace]
     for vec, integer_row in zip(out.nullspace, rows):
         scale = next(Fraction(int(v)) / x for v, x in zip(integer_row, vec) if x)
         assert scale > 0 and [scale * x for x in vec] == list(integer_row)

@@ -140,10 +140,10 @@ class TestBonnetMyers:
         assert any("constant curvature" in c.label and c.holds for c in report.checks)
 
     def test_rigidity_counts_the_values_of_a_forged_w(self):
-        # a result built by replace keeps K, so diam * K == 2 still holds; its
-        # integer point comes from the forged w, which has two distinct values
+        # a forged point that raises one entry by 1 keeps K, so diam * K == 2
+        # still holds, and has two distinct values
         g, dm, result, _ = analyzed("hypercube:4")
-        forged = replace(result, w=result.w[:-1] + (result.w[0] + 1,))
+        forged = replace(result, nums=result.nums[:-1] + (result.nums[0] + result.den,))
         report = check_bonnet_myers(g, forged, dm)
         rigidity = report.checks[-1]
         assert rigidity.label == "diam*K == 2 implies constant curvature"
@@ -291,8 +291,8 @@ class TestMinimax:
     def test_residuals_off_n_fail_the_proof(self):
         # a forged exact result with K >= 0 whose D w is not n * 1
         g, dm, result, _ = analyzed("cycle:6")
-        n = Fraction(g.n)
-        forged = replace(result, residual_range=(n, n + 1))
+        n, den = g.n, result.den
+        forged = replace(result, dw=(n * den, (n + 1) * den))
         report = check_minimax(g, forged, dm=dm)
         assert report.hypothesis_satisfied
         every = report.checks[-1]
