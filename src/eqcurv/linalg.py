@@ -155,10 +155,6 @@ class SolveOutcome:
         kernel = self.num[:, 1:]
         return [s + self.den for s in kernel.sum(0, dtype=_int_dtype(self.rank * _absmax(kernel))).tolist()]
 
-    def __repr__(self) -> str:
-        return (f"SolveOutcome(status={self.status!r}, solution={self.solution!r}, "
-                f"nullspace={self.nullspace!r}, rank={self.rank})")
-
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
@@ -237,12 +233,14 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
       ``x = sum_l y_l 2^(s l)`` with ``|y_l| < 2^s`` and
       ``s = 53 - bitlen(|a| k) >= 1``, so every partial sum of ``a y_l`` is
       below ``2^bitlen(|a| k) 2^s = 2^53``. One float64 matmul over the
-      stacked limbs gives every ``a y_l``, recombined on Python ints by
-      Horner's rule ``out = (out << s) + a y_l``;
+      stacked limbs gives every ``a y_l``, which ``_combine_digits`` joins,
+      most significant first, as int64 digits of s bits within ``2^53 - 1``;
     * beyond that, Python ints throughout.
 
     An ``a`` with no rows or only zeros gives int64 zeros at once, as the
-    first case gives int64; the other cases give Python ints.
+    first case gives int64; the limbs give int64 when one of
+    ``_combine_digits``' runs holds them all, Python ints otherwise, and the
+    last case Python ints.
     """
     a_max, x_max = _absmax(a), _absmax(x)
     k = a.shape[1]
@@ -261,11 +259,8 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.negative(limb, out=limb, where=negative)
         limbs.append(limb)
         rest >>= s
-    width = cols.shape[1]
-    products = (a.astype(np.float64) @ np.concatenate(limbs, axis=1)).astype(np.int64)
-    out = products[:, -width:].astype(object)
-    for start in range(len(limbs) - 2, -1, -1):
-        out = (out << s) + products[:, start * width:(start + 1) * width]
+    products = (a.astype(np.float64) @ np.concatenate(limbs[::-1], axis=1)).astype(np.int64)
+    out = _combine_digits(np.hsplit(products, len(limbs)), s, FLOAT64_LIMIT - 1)
     return out.reshape(a.shape[:1] + x.shape[1:])
 
 
@@ -340,35 +335,29 @@ def _reconstruct_dyadic(acc: np.ndarray, bits: int, err: int, den: int = 1) -> t
 
 
 def _combine_digits(digits: list[np.ndarray], k: int, top: int) -> np.ndarray:
-    """``sum_j digits[j] 2^(k (T - 1 - j))`` per entry, for T int64 digit vectors within ``top``.
+    """``sum_j digits[j] 2^(k (T - 1 - j))`` per entry, for T int64 digit arrays, most
+    significant first, within ``top < 2^62``.
 
-    The sum and every partial sum of Horner's rule are below
-    ``top 2^(k (T - 1) + 1)``: while that is below 2^63, Horner's rule
-    runs in int64 and gives int64. Otherwise the result is Python ints:
-    carries, least significant digit first, bring every digit into
-    ``[0, 2^k)``; its bits go into little-endian 64-bit words, which
-    ``int.from_bytes`` reads in one call per entry, and the last carry is the
-    signed top part. The digits stay below 2^53 and ``k < 53``, so no int64
-    value overflows.
+    Horner's rule runs in int64 over runs of g digits, g the largest with
+    ``top 2^(k (g - 1) + 1) < 2^63``, which bounds every partial sum of a
+    run. The runs are cut from the least significant end, so only the most
+    significant one can be short, and neighbouring runs are joined pairwise
+    on Python ints, ``k g 2^level`` bits apart at each level. A single run
+    stays int64.
     """
-    count, mask = len(digits), (1 << k) - 1
-    if top << (k * (count - 1) + 1) < INT64_LIMIT:
-        out = digits[0]
-        for y in digits[1:]:
+    g = (62 - top.bit_length()) // k + 1
+    runs = []
+    for end in range(len(digits), 0, -g):
+        run = digits[max(end - g, 0):end]
+        out = run[0]
+        for y in run[1:]:
             out = (out << k) + y
-        return out
-    words = np.zeros((len(digits[0]), count * k // 64 + 2), dtype="<u8")
-    carry = np.zeros(len(digits[0]), dtype=np.int64)
-    for j, y in enumerate(reversed(digits)):
-        d = y + carry
-        carry = d >> k
-        field = (d & mask).astype(np.uint64)
-        w, off = divmod(j * k, 64)
-        words[:, w] |= field << np.uint64(off)
-        if off + k > 64:
-            words[:, w + 1] |= field >> np.uint64(64 - off)
-    low = (int.from_bytes(row.tobytes(), "little") for row in words)
-    return np.array([(c << (count * k)) + v for c, v in zip(carry.tolist(), low)], dtype=object)
+        runs.append(out)
+    shift = k * g
+    while len(runs) > 1:
+        joined = [lo + (hi.astype(object, copy=False) << shift) for lo, hi in zip(runs[::2], runs[1::2])]
+        runs, shift = joined + runs[len(joined) * 2:], 2 * shift
+    return runs[0]
 
 
 def _certificate(mf: np.ndarray, x: np.ndarray, s: int, scale: int) -> tuple[int, int] | None:
@@ -633,9 +622,10 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        each step checks. ``k`` also keeps
        ``2^(k-s) ||X||_inf 4 scale^2 <= 2^51``, and each step checks
        ``scale |y| < 2^53``: ``M y`` is then exact, and so is the new r, an
-       integer below 2^53. The digits y are int64 and are combined only at
-       a reconstruction, by Horner's rule in int64 while
-       ``max|y| 2^(K - k + 1) < 2^63`` and on Python ints beyond;
+       integer below 2^53. The digits y are int64 and are joined only at a
+       reconstruction: Horner's rule in int64 over runs of g digits, g the
+       largest with ``max|y| 2^(k (g - 1) + 1) < 2^63``, then neighbouring
+       runs pairwise on Python ints;
     4. reconstruction: ``|x - N / 2^K| <= 2 ||X||_inf |r| / 2^(s+K)``. One
        common denominator is built entry by entry from continued
        fractions of ``N_i / 2^K`` whose denominators are small enough for

@@ -174,12 +174,12 @@ def test_integer_kernel_form_matches_fractions(n, data):
 
 
 def test_repr_shows_the_vectors():
-    # a failing oracle comparison prints both reprs, so they must show what differs
+    # a failing oracle comparison prints both reprs, so they must show what differs:
+    # the certified form, x = num[:, 0] / den on the pivot columns, the kernel in num[:, 1:]
     out = solve_exact([[2, 0], [0, 0]], [1, 0])
-    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
     assert fields(out) == reference_solve_exact([[2, 0], [0, 0]], [1, 0])
     assert repr(out) == (
-        f"SolveOutcome(status={SolveStatus.AFFINE!r}, solution={(half, zero)!r}, "
-        f"nullspace={((zero, one),)!r}, rank=1)"
+        f"SolveOutcome(status={SolveStatus.AFFINE!r}, pivot_cols=[0], free_cols=[1], "
+        "num=array([[1, 0]]), den=2)"
     )
     assert repr(out) != repr(solve_exact([[2, 0], [0, 0]], [3, 0]))

@@ -189,15 +189,20 @@ def test_the_cap_ends_a_lifting_that_never_reconstructs(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k, count", [(10, 2), (30, 2), (20, 3)])
-def test_combine_digits_on_both_sides_of_the_int64_bound(k, count):
-    # Horner's rule runs in int64 exactly while top 2^(k (T - 1) + 1) < 2^63
-    edge = 1 << (62 - k * (count - 1))
-    for top, dtype in ((edge - 1, np.int64), (edge, object)):
-        digits = [np.array([top, -top, (-1) ** j * (top // 3), 0], dtype=np.int64) for j in range(count)]
-        got = linalg._combine_digits(digits, k, top)
-        expected = [sum(int(d[i]) << (k * (count - 1 - j)) for j, d in enumerate(digits)) for i in range(4)]
-        assert got.dtype == dtype and got.tolist() == expected
+@pytest.mark.parametrize("k, g", [(10, 2), (30, 2), (20, 3), (9, 2), (6, 5), (10, 3)])
+def test_combine_digits_on_both_sides_of_the_int64_bound(k, g):
+    # g digits per int64 run while top 2^(k (g - 1) + 1) < 2^63: at the largest
+    # such top and one past it, which leaves g - 1, every run count against
+    # Horner's rule on Python ints; int64 exactly when one run holds every digit
+    at = (1 << (62 - k * (g - 1))) - 1
+    for top, per_run in ((at, g), (at + 1, g - 1)):
+        for count in (1, per_run, per_run + 1, 2 * per_run + 1, 3 * per_run, 5 * per_run + 1):
+            digits = [np.array([top, -top, (-1) ** j * top, (-1) ** (j // 2) * top, j % 3 - 1], dtype=np.int64)
+                      for j in range(count)]
+            got = linalg._combine_digits(digits, k, top)
+            expected = [sum(int(d[i]) << (k * (count - 1 - j)) for j, d in enumerate(digits)) for i in range(5)]
+            assert got.tolist() == expected
+            assert got.dtype == (np.int64 if count <= per_run else object)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,9 @@
 import ast
 from pathlib import Path
 
+import pytest
+from mutants import MUTANTS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "eqcurv"
 
 
@@ -41,3 +44,22 @@ def test_the_rule_flags_a_private_read_and_nothing_else():
         "obj._field = 1\n"
     )
     assert private_reads(tree) == [(1, "._point"), (5, "._c")]
+
+
+def function_source(module: str, qualname: str) -> str:
+    """Source of the function or method ``qualname`` in ``src/eqcurv/<module>.py``."""
+    text = (SRC / f"{module}.py").read_text()
+    scope = ast.parse(text)
+    for name in qualname.split("."):
+        scope = next(node for node in scope.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+    return ast.get_source_segment(text, scope)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{m.function}:{m.replacement}")
+def test_every_mutant_snippet_occurs_once_inside_its_function(mutant):
+    # the mutation table in tests/mutants.py cannot go stale silently
+    assert sum(path.read_text().count(mutant.snippet) for path in SRC.glob("*.py")) == 1
+    module, qualname = mutant.function.split(".", 1)
+    assert function_source(module, qualname).count(mutant.snippet) == 1
+    ast.parse((SRC / f"{module}.py").read_text().replace(mutant.snippet, mutant.replacement))
