@@ -265,8 +265,9 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _columns_hold(lhs: np.ndarray, x: np.ndarray, den: int, rhs: np.ndarray) -> np.ndarray:
-    """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers."""
-    target = rhs.astype(_int_dtype(max(abs(den) * _absmax(rhs), abs(den))), copy=False) * den
+    """Per column, whether ``lhs @ x == den * rhs`` holds in exact integers; may scale ``rhs`` in place."""
+    target = rhs.astype(_int_dtype(max(abs(den) * _absmax(rhs), abs(den))), copy=False)
+    target *= den
     return np.asarray(integer_matmul(lhs, x) == target, dtype=bool).all(axis=0)
 
 
@@ -456,15 +457,15 @@ def _lift_float(m: np.ndarray, rhs: np.ndarray, scale: int, log_det: float) -> t
     if certified is None:
         return None
     delta, x_norm = certified
-    # 2^k delta <= 2^(s-2), and |y| <= 2^(k-s) ||X||_inf 4 scale + 1 keeps scale |y| below 2^53
+    # 2^k delta <= 2^(s-2) and 2^(k-s) ||X||_inf 4 scale^2 < 2^51 make every step exact (Notes, step 3)
     k = min(s - 2 - delta.bit_length(), s + 51 - (4 * x_norm * scale * scale).bit_length())
     if k < 4:
         return None
+    top = ((4 * x_norm * scale) << k >> s) + 1
     # den <= |det M| predicts the step count that suffices; past it, Hadamard's bound caps it
     err_bits = log2(2 * ((8 * x_norm * scale >> s) + 1))
     predicted = ceil((err_bits + 2 * log_det / log(2) + 2) / k)
-    cap = None
-    r, digits, head, steps, top = rhs.astype(np.float64), [], [0, 0], 1, 0
+    r, digits, head, steps, cap = rhs.astype(np.float64), [], [0, 0], 1, None
     while True:
         if steps > predicted:
             if cap is None:
@@ -472,33 +473,30 @@ def _lift_float(m: np.ndarray, rhs: np.ndarray, scale: int, log_det: float) -> t
             if steps > cap:
                 return None
         while len(digits) < steps:
-            # M N = 2^K rhs - r: y ~ 2^k inv(M) r, then r <- 2^k r - M y, exact in float64
+            # M N = 2^K rhs - r: y ~ 2^k inv(M) r, then r <- 2^k r - M y
             y = np.rint(np.ldexp(x @ r, k - s))
-            top = max(top, int(np.abs(y).max()))
-            if scale * top >= FLOAT64_LIMIT:
-                return None
             r = np.ldexp(r, k) - mf @ y
-            r_max = np.abs(r).max()
-            if r_max > 4 * scale:
-                return None
             digits.append(y.astype(np.int64).ravel())
             head = [(h << k) + v for h, v in zip(head, digits[-1][:2].tolist())]
         # |x - N / 2^K| <= ||inv M||_inf |r| / 2^K; the first two entries probe it cheaply
-        err = (2 * x_norm * int(r_max) >> s) + 1
+        err = (2 * x_norm * int(np.abs(r).max()) >> s) + 1
         probe = _reconstruct_dyadic(np.array(head, dtype=object), k * steps, err)
         if probe is not None:
             found = _reconstruct_dyadic(_combine_digits(digits, k, top), k * steps, err, probe[1])
             if found is not None:
                 num, den = _fitted(found[0]).reshape(rhs.shape), found[1]
-                if _columns_hold(m, num, den, rhs).all():
+                if _columns_hold(m, num, den, rhs.copy()).all():
                     g = gcd(den, *num.ravel().tolist())
                     return num // g, den // g
         steps = min(2 * steps, predicted) if steps < predicted else steps + max(1, steps // 4)
 
 
 def _targets(m: np.ndarray, b: np.ndarray, rows: list[int], free_cols: list[int]) -> np.ndarray:
-    """``[b_I | -M_I,free]`` on rows I: what ``M_IJ`` times the numerators must give, over ``den``."""
-    return np.concatenate([b[rows, None], -m.take(rows, 0).take(free_cols, 1)], axis=1)
+    """A new ``[b_I | -M_I,free]`` on rows I: what ``M_IJ`` times the numerators must give, over ``den``."""
+    target = np.empty((len(rows), len(free_cols) + 1), dtype=m.dtype)
+    target[:, 0] = b[rows]
+    np.negative(m.take(rows, 0).take(free_cols, 1), out=target[:, 1:])
+    return target
 
 
 def _certify(
@@ -615,17 +613,19 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        ``||inv M||_inf <= 2 ||X||_inf 2^-s``;
     3. lifting: with ``M N = 2^K b - r`` (``N = 0``, ``r = b`` at first),
        each step takes ``y = rint(2^(k-s) X r)`` and sets
-       ``r <- 2^k r - M y``, ``N <- 2^k N + y``, ``K <- K + k``. Then
-       ``r = 2^k (I - M X 2^-s) r - M rho``, with ``rho`` the rounding of
-       y, about 1/2, and ``k`` is the largest with ``2^k delta <= 1/4``, so
-       ``|r| <= |r| / 4 + scale |rho|`` stays below ``4 scale``, which
-       each step checks. ``k`` also keeps
-       ``2^(k-s) ||X||_inf 4 scale^2 <= 2^51``, and each step checks
-       ``scale |y| < 2^53``: ``M y`` is then exact, and so is the new r, an
-       integer below 2^53. The digits y are int64 and are joined only at a
-       reconstruction: Horner's rule in int64 over runs of g digits, g the
-       largest with ``max|y| 2^(k (g - 1) + 1) < 2^63``, then neighbouring
-       runs pairwise on Python ints;
+       ``r <- 2^k r - M y``, ``N <- 2^k N + y``, ``K <- K + k``, with ``k``
+       the largest such that ``2^k delta <= 1/4`` and
+       ``2^(k-s) ||X||_inf 4 scale^2 < 2^51``. The certificate proves every
+       step exact, by induction from ``|b| <= 4 scale``: as ``scale >= n``,
+       the float64 rounding of ``2^(k-s) X r`` is within about
+       ``n 2^-2 / scale <= 1/4``, so ``y = 2^(k-s) X r + rho`` with
+       ``|rho| <= 3/4``, and the new ``r = 2^(k-s) (2^s I - M X) r - M rho``
+       has ``|r| <= |r| / 4 + 3 scale / 4 < 4 scale``. Every digit is then
+       within ``top = floor(2^(k-s) ||X||_inf 4 scale) + 1``, so
+       ``scale |y| < 2^51 + scale < 2^52`` and ``M y`` is exact, and
+       ``||X||_inf >= 2^(s-1) / scale``, as ``||M X||_inf >= 2^(s-1)``,
+       gives ``|2^k r| < 2^52``: the new r is exact too. The int64 digits
+       are joined only at a reconstruction, by ``_combine_digits``;
     4. reconstruction: ``|x - N / 2^K| <= 2 ||X||_inf |r| / 2^(s+K)``. One
        common denominator is built entry by entry from continued
        fractions of ``N_i / 2^K`` whose denominators are small enough for
@@ -677,10 +677,9 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
     with an entry past int64 or past the screen's bounds, a Cholesky factor
     LAPACK refuses (M = 0), an empty J, an inverse LAPACK refuses or
     returns non-finite, ``s < 6``, a failed certificate (as when J holds a
-    dependent column), fewer than 4 bits per step, a residual or digit past
-    its bound, more steps than Hadamard's bound on ``|det M|`` can need, a
-    failed kernel or lex-first check (as when J misses an independent
-    column).
+    dependent column), fewer than 4 bits per step, more steps than
+    Hadamard's bound on ``|det M|`` can need, a failed kernel or lex-first
+    check (as when J misses an independent column).
 
     **The fallback** (``_solve_fraction_free``) eliminates ``[M | b]``
     fraction-free on Python ints (Bareiss 1968), each column pivoting on

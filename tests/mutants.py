@@ -63,8 +63,6 @@ MUTANTS = [
     Mutant("linalg._lift_float", "k = min(s - 2 - delta.bit_length(),", "k = min(s - 1 - delta.bit_length(),", SOLVE),
     Mutant("linalg._lift_float", "s + 51 - (4 * x_norm * scale * scale).bit_length())",
            "s + 52 - (4 * x_norm * scale * scale).bit_length())", SOLVE),
-    Mutant("linalg._lift_float", "if r_max > 4 * scale:", "if r_max > 8 * scale:", SOLVE),
-    Mutant("linalg._lift_float", "if scale * top >= FLOAT64_LIMIT:", "if scale * top >= 2 * FLOAT64_LIMIT:", SOLVE),
     Mutant("linalg._combine_digits", "g = (62 - top.bit_length()) // k + 1",
            "g = (62 - top.bit_length()) // k + 2", SOLVE),
     Mutant("linalg._reconstruct_dyadic", "den * _absmax(acc) + one < INT64_LIMIT:",
@@ -90,9 +88,11 @@ MUTANTS = [
            "dtype = _int_dtype(len(free) * top * (d * w_max + k * top * dirs_max) // 2)", LP),
     Mutant("graphs.apsp", "if n > MAX_FAMILY_VERTICES:", "if n > MAX_FAMILY_VERTICES + 1:",
            ("tests/test_apsp_oracle.py",)),
-    # float16 holds integers only up to 2^11, against the (n - 1)^2 of the unwinding products
+    # float16 holds integers only up to 2^11: D @ A promotes to float32, but A's column sums, the
+    # degrees, stay in float16 and saturate at 2048
     Mutant("graphs.apsp", "a = adj.astype(np.float32)", "a = adj.astype(np.float16)",
-           ("tests/test_apsp_oracle.py",)),
+           ("tests/test_apsp_oracle.py::test_a_degree_past_half_precision_on_a_star_with_a_tail",
+            "tests/test_apsp_oracle.py")),
     Mutant("theorems.check_theorem5", "dtype=np.int64 if max(nums) < INT64_LIMIT else object",
            "dtype=np.int64 if max(nums) < 2 * INT64_LIMIT else object", ("tests/test_theorems.py",)),
 ]

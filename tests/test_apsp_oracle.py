@@ -109,6 +109,19 @@ def test_matches_bfs_on_a_lollipop():
     assert_matches_reference(Graph(2 * m, frozenset(combinations(range(m), 2)) | tail))
 
 
+def test_a_degree_past_half_precision_on_a_star_with_a_tail():
+    # the unwinding compares D @ A with D times A's column sums, the degrees:
+    # the centre's 2049 is past the 2^11 integers that half precision holds.
+    # Star K_1,2049 plus vertex 2050 on leaf 1, diameter 3, in closed form
+    n = 2051
+    g = Graph(n, frozenset((0, i) for i in range(1, n - 1)) | {(1, n - 1)})
+    expected = 2 * (1 - np.eye(n, dtype=np.int64))
+    expected[0, 1:-1] = expected[1:-1, 0] = 1
+    expected[n - 1, 2:-1] = expected[2:-1, n - 1] = 3
+    expected[1, n - 1] = expected[n - 1, 1] = 1
+    assert np.array_equal(apsp(g).entries, expected)
+
+
 def test_path_600_is_absolute_difference():
     idx = np.arange(600)
     assert np.array_equal(apsp(fam("path:600")).entries, np.abs(idx[:, None] - idx[None, :]))

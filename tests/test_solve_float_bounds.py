@@ -7,17 +7,19 @@ entry of ``2^(s-1)`` already fails the row-sum bound. Each is exact,
 or decides as exact integers would, only by a bound. Here each bound is met
 just inside and just outside, and the result is compared with the same
 checks in Python integers. Whole systems steered to the edges must still
-give the fraction-free fallback's outcome. The digit combination and the dyadic
+give the fraction-free fallback's outcome. The lifting checks no bound in its
+steps, so every step of many systems is replayed in Python ints against the
+bounds that the certificate proves. The digit combination and the dyadic
 reconstruction run in int64 below a bound and on Python ints past it; both
 sides of each bound are compared with Python ints too.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqcurv import SolveStatus, generate, parse_family_spec, solve_exact
+from eqcurv import Graph, SolveStatus, generate, parse_family_spec, solve_exact
 from eqcurv import linalg
 
 
@@ -185,6 +187,73 @@ def test_the_cap_ends_a_lifting_that_never_reconstructs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# every lifting step within the bounds that the certificate proves
+# ---------------------------------------------------------------------------
+
+
+def atlas_and_benchmark_size_systems():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 2 and nx.is_connected(h):
+            g = Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+            yield g.distance_matrix.entries.astype(np.int64), np.full(g.n, g.n, dtype=np.int64)
+    for text in ("erdos_renyi:100,0.1,1", "erdos_renyi:150,0.08,1", "erdos_renyi:180,0.05,3"):
+        yield distance_system(text)
+
+
+def assert_steps_within_the_proof(m, rhs, scale, digits, k, top):
+    """Each step's digit and exact residual ``2^(k t) rhs - M N_t``, rebuilt in Python ints."""
+    m = m.astype(object)
+    r = rhs.astype(object)
+    assert np.abs(r).max() <= 4 * scale and scale * top < 2**53
+    for digit in digits:
+        y = digit.reshape(rhs.shape).astype(object)
+        assert np.abs(y).max() <= top
+        r = (r << k) - m.dot(y)
+        assert np.abs(r).max() < 4 * scale
+
+
+def test_every_lifting_step_keeps_the_proven_bounds(monkeypatch):
+    # _lift_float checks no bound in its steps: solve_exact's Notes (step 3)
+    # prove |r| < 4 scale and scale |y| < 2^53 from the certificate. The digits
+    # reach _combine_digits at every reconstruction; the last call of each
+    # lifting holds all of its steps, so a change to s or k that breaks the
+    # proof fails here instead of lifting on to Hadamard's cap
+    real_lift, real_combine, real_matmul = linalg._lift_float, linalg._combine_digits, linalg.integer_matmul
+    lifts, caller = [], [None]
+
+    def lift_float(m, rhs, scale, log_det):
+        lifts.append([m, rhs, scale, None])
+        caller[0] = lifts[-1]
+        return real_lift(m, rhs, scale, log_det)
+
+    def integer_matmul(a, x):
+        # the limbs of a certificate's product are joined by _combine_digits too
+        lift, caller[0] = caller[0], None
+        try:
+            return real_matmul(a, x)
+        finally:
+            caller[0] = lift
+
+    def combine_digits(digits, k, top):
+        if caller[0] is not None:
+            caller[0][3] = list(digits), k, top
+        return real_combine(digits, k, top)
+
+    monkeypatch.setattr(linalg, "_lift_float", lift_float)
+    monkeypatch.setattr(linalg, "_combine_digits", combine_digits)
+    monkeypatch.setattr(linalg, "integer_matmul", integer_matmul)
+    for m, b in atlas_and_benchmark_size_systems():
+        solve_exact(m, b)
+    joined = [lift for lift in lifts if lift[3] is not None]
+    for m, rhs, scale, (digits, k, top) in joined:
+        assert_steps_within_the_proof(m, rhs, scale, digits, k, top)
+    # one lifting per system, each reconstructed, the random ones in many steps
+    assert len(lifts) == len(joined) == 998
+    assert max(len(lift[3][0]) for lift in joined) > 20
+
+
+# ---------------------------------------------------------------------------
 # int64 digit combination and reconstruction, against Python ints
 # ---------------------------------------------------------------------------
 
@@ -205,22 +274,33 @@ def test_combine_digits_on_both_sides_of_the_int64_bound(k, g):
             assert got.dtype == (np.int64 if count <= per_run else object)
 
 
-@settings(max_examples=300, deadline=None)
-@given(bits=st.integers(2, 70), data=st.data())
-def test_reconstruct_dyadic_in_int64_matches_python_ints(bits, data):
-    # x_i = p_i / q_i, approximated within err / 2^bits; the int64 walk and
-    # output must agree with the walk on Python ints, on both sides of
-    # den |acc| + 2^bits < 2^63
-    err = data.draw(st.integers(1, 8))
-    den = data.draw(st.sampled_from([1, 2, 3, 12, 971]))
-    top = data.draw(st.sampled_from([2**bits, (2**63 - 2**bits) // den, 2**62]))
+@st.composite
+def dyadic_approximations(draw):
+    """``(acc, bits, err, den)``: x_i = p_i / q_i approximated by ``acc_i / 2^bits`` within
+    ``err / 2^bits``, on both sides of ``den |acc| + 2^bits < 2^63``."""
+    bits = draw(st.integers(2, 70))
+    err = draw(st.integers(1, 8))
+    den = draw(st.sampled_from([1, 2, 3, 12, 971]))
+    top = draw(st.sampled_from([2**bits, (2**63 - 2**bits) // den, 2**62]))
     top = min(max(top, 1), 2**63 - 1)
-    acc = [data.draw(st.integers(-top, top)) for _ in range(data.draw(st.integers(1, 6)))]
+    acc = [draw(st.integers(-top, top)) for _ in range(draw(st.integers(1, 6)))]
     for i, x in enumerate(acc):
-        if data.draw(st.booleans()):
+        if draw(st.booleans()):
             # an entry near a fraction with a small denominator
-            q = data.draw(st.integers(1, 9))
+            q = draw(st.integers(1, 9))
             acc[i] = max(-top, min(top, ((x * q >> bits) << bits) // q))
+    return acc, bits, err, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dyadic_approximations())
+# at 63 bits 2^bits is past int64, so no int64 acc is walked in int64 however small
+@example(case=([2**62, -3, 0], 63, 1, 1))
+# den |acc| + 2^(bits-1) just past 2^63: num must leave int64
+@example(case=([2**62, 1], 10, 1, 2))
+def test_reconstruct_dyadic_in_int64_matches_python_ints(case):
+    # the int64 walk and output must agree with the walk on Python ints
+    acc, bits, err, den = case
     wide = linalg._reconstruct_dyadic(np.array(acc, dtype=object), bits, err, den)
     got = linalg._reconstruct_dyadic(np.array(acc, dtype=np.int64), bits, err, den)
     assert (got is None) == (wide is None)
