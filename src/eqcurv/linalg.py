@@ -233,8 +233,8 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
       ``x = sum_l y_l 2^(s l)`` with ``|y_l| < 2^s`` and
       ``s = 53 - bitlen(|a| k) >= 1``, so every partial sum of ``a y_l`` is
       below ``2^bitlen(|a| k) 2^s = 2^53``. One float64 matmul over the
-      stacked limbs gives every ``a y_l``, which ``_combine_digits`` joins,
-      most significant first, as int64 digits of s bits within ``2^53 - 1``;
+      stacked limbs gives every ``a y_l``, below 2^53, which
+      ``_combine_digits`` joins, most significant first, as int64 digits s bits apart;
     * beyond that, Python ints throughout.
 
     An ``a`` with no rows or only zeros gives int64 zeros at once, as the
@@ -260,7 +260,7 @@ def integer_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         limbs.append(limb)
         rest >>= s
     products = (a.astype(np.float64) @ np.concatenate(limbs[::-1], axis=1)).astype(np.int64)
-    out = _combine_digits(np.hsplit(products, len(limbs)), s, FLOAT64_LIMIT - 1)
+    out = _combine_digits(np.hsplit(products, len(limbs)), s)
     return out.reshape(a.shape[:1] + x.shape[1:])
 
 
@@ -335,17 +335,17 @@ def _reconstruct_dyadic(acc: np.ndarray, bits: int, err: int, den: int = 1) -> t
     return (den * acc + half) >> bits, den
 
 
-def _combine_digits(digits: list[np.ndarray], k: int, top: int) -> np.ndarray:
+def _combine_digits(digits: list[np.ndarray], k: int) -> np.ndarray:
     """``sum_j digits[j] 2^(k (T - 1 - j))`` per entry, for T int64 digit arrays, most
-    significant first, within ``top < 2^62``.
+    significant first, each entry below 2^62 in magnitude.
 
     Horner's rule runs in int64 over runs of g digits, g the largest with
-    ``top 2^(k (g - 1) + 1) < 2^63``, which bounds every partial sum of a
-    run. The runs are cut from the least significant end, so only the most
-    significant one can be short, and neighbouring runs are joined pairwise
-    on Python ints, ``k g 2^level`` bits apart at each level. A single run
-    stays int64.
+    ``top 2^(k (g - 1) + 1) < 2^63`` for ``top`` the digits' largest magnitude,
+    which bounds every partial sum of a run. The runs are cut from the least significant
+    end, so only the most significant one can be short, and neighbouring runs are joined
+    pairwise on Python ints, ``k g 2^level`` bits apart at each level. A single run stays int64.
     """
+    top = max(map(_absmax, digits))
     g = (62 - top.bit_length()) // k + 1
     runs = []
     for end in range(len(digits), 0, -g):
@@ -461,7 +461,6 @@ def _lift_float(m: np.ndarray, rhs: np.ndarray, scale: int, log_det: float) -> t
     k = min(s - 2 - delta.bit_length(), s + 51 - (4 * x_norm * scale * scale).bit_length())
     if k < 4:
         return None
-    top = ((4 * x_norm * scale) << k >> s) + 1
     # den <= |det M| predicts the step count that suffices; past it, Hadamard's bound caps it
     err_bits = log2(2 * ((8 * x_norm * scale >> s) + 1))
     predicted = ceil((err_bits + 2 * log_det / log(2) + 2) / k)
@@ -482,7 +481,7 @@ def _lift_float(m: np.ndarray, rhs: np.ndarray, scale: int, log_det: float) -> t
         err = (2 * x_norm * int(np.abs(r).max()) >> s) + 1
         probe = _reconstruct_dyadic(np.array(head, dtype=object), k * steps, err)
         if probe is not None:
-            found = _reconstruct_dyadic(_combine_digits(digits, k, top), k * steps, err, probe[1])
+            found = _reconstruct_dyadic(_combine_digits(digits, k), k * steps, err, probe[1])
             if found is not None:
                 num, den = _fitted(found[0]).reshape(rhs.shape), found[1]
                 if _columns_hold(m, num, den, rhs.copy()).all():
@@ -621,11 +620,11 @@ def solve_exact(matrix, rhs) -> SolveOutcome:
        ``n 2^-2 / scale <= 1/4``, so ``y = 2^(k-s) X r + rho`` with
        ``|rho| <= 3/4``, and the new ``r = 2^(k-s) (2^s I - M X) r - M rho``
        has ``|r| <= |r| / 4 + 3 scale / 4 < 4 scale``. Every digit is then
-       within ``top = floor(2^(k-s) ||X||_inf 4 scale) + 1``, so
+       within ``2^(k-s) ||X||_inf 4 scale + 1``, so
        ``scale |y| < 2^51 + scale < 2^52`` and ``M y`` is exact, and
        ``||X||_inf >= 2^(s-1) / scale``, as ``||M X||_inf >= 2^(s-1)``,
-       gives ``|2^k r| < 2^52``: the new r is exact too. The int64 digits
-       are joined only at a reconstruction, by ``_combine_digits``;
+       gives ``|2^k r| < 2^52``: the new r is exact too. ``_combine_digits`` joins
+       the int64 digits only at a reconstruction, reading their largest magnitude;
     4. reconstruction: ``|x - N / 2^K| <= 2 ||X||_inf |r| / 2^(s+K)``. One
        common denominator is built entry by entry from continued
        fractions of ``N_i / 2^K`` whose denominators are small enough for

@@ -98,14 +98,13 @@ def test_integer_matmul_on_both_sides_of_the_cutover(k, side):
 # float64 product, returned as int64
 BELOW_ONE_PRODUCT = [(1, 2**53 - 1, 1), (6361, 69431 * 20394401, 1), (6361 * 69431, 20394401, 1),
                      (69431, 20394401, 6361)]
-# |a| |x| k == 2^53: limbs, or Python ints throughout where |a| k reaches
-# 2^52; either way the result holds Python ints
-AT_ONE_PRODUCT = [(1, 2**53, 1), (2**26, 2**27, 1), (2**20, 2**31, 4), (2**50, 1, 8)]
+# |a| |x| k == 2^53: two limbs, whose products one int64 run of
+# _combine_digits joins, or Python ints throughout where |a| k reaches 2^52
+AT_ONE_PRODUCT = [(1, 2**53, 1, np.int64), (2**26, 2**27, 1, np.int64), (2**20, 2**31, 4, np.int64),
+                  (2**50, 1, 8, object)]
 
 
-@pytest.mark.parametrize("a_max, x_max, k, dtype",
-                         [(*t, np.int64) for t in BELOW_ONE_PRODUCT]
-                         + [(*t, object) for t in AT_ONE_PRODUCT])
+@pytest.mark.parametrize("a_max, x_max, k, dtype", [(*t, np.int64) for t in BELOW_ONE_PRODUCT] + AT_ONE_PRODUCT)
 def test_integer_matmul_at_the_one_product_bound(a_max, x_max, k, dtype):
     # every row sum of |a| |x| reaches the bound: the first and last rows at
     # +-|a| |x| k, the others mixed in sign

@@ -201,31 +201,41 @@ def atlas_and_benchmark_size_systems():
         yield distance_system(text)
 
 
-def assert_steps_within_the_proof(m, rhs, scale, digits, k, top):
-    """Each step's digit and exact residual ``2^(k t) rhs - M N_t``, rebuilt in Python ints."""
+def assert_steps_within_the_proof(m, rhs, scale, s, x_norm, digits, k):
+    """The proof's premise on k, then each step's digit and exact residual
+    ``2^(k t) rhs - M N_t``, rebuilt in Python ints, within its conclusions."""
+    assert 4 * x_norm * scale**2 << k < 1 << (s + 51)
     m = m.astype(object)
     r = rhs.astype(object)
-    assert np.abs(r).max() <= 4 * scale and scale * top < 2**53
+    assert np.abs(r).max() <= 4 * scale
     for digit in digits:
         y = digit.reshape(rhs.shape).astype(object)
-        assert np.abs(y).max() <= top
+        assert scale * np.abs(y).max() < 2**52
         r = (r << k) - m.dot(y)
         assert np.abs(r).max() < 4 * scale
 
 
 def test_every_lifting_step_keeps_the_proven_bounds(monkeypatch):
     # _lift_float checks no bound in its steps: solve_exact's Notes (step 3)
-    # prove |r| < 4 scale and scale |y| < 2^53 from the certificate. The digits
-    # reach _combine_digits at every reconstruction; the last call of each
-    # lifting holds all of its steps, so a change to s or k that breaks the
-    # proof fails here instead of lifting on to Hadamard's cap
+    # prove |r| < 4 scale and scale |y| < 2^52 from the certificate, once k
+    # keeps 2^(k-s) ||X||_inf 4 scale^2 below 2^51. The digits reach
+    # _combine_digits at every reconstruction; the last call of each lifting
+    # holds all of its steps, so a change to s or k that breaks the proof
+    # fails here instead of lifting on to Hadamard's cap
     real_lift, real_combine, real_matmul = linalg._lift_float, linalg._combine_digits, linalg.integer_matmul
+    real_certificate = linalg._certificate
     lifts, caller = [], [None]
 
     def lift_float(m, rhs, scale, log_det):
-        lifts.append([m, rhs, scale, None])
+        lifts.append([m, rhs, scale, None, None])
         caller[0] = lifts[-1]
         return real_lift(m, rhs, scale, log_det)
+
+    def certificate(mf, x, s, scale):
+        found = real_certificate(mf, x, s, scale)
+        if found is not None:
+            caller[0][3] = s, found[1]
+        return found
 
     def integer_matmul(a, x):
         # the limbs of a certificate's product are joined by _combine_digits too
@@ -235,22 +245,23 @@ def test_every_lifting_step_keeps_the_proven_bounds(monkeypatch):
         finally:
             caller[0] = lift
 
-    def combine_digits(digits, k, top):
+    def combine_digits(digits, k):
         if caller[0] is not None:
-            caller[0][3] = list(digits), k, top
-        return real_combine(digits, k, top)
+            caller[0][4] = list(digits), k
+        return real_combine(digits, k)
 
     monkeypatch.setattr(linalg, "_lift_float", lift_float)
+    monkeypatch.setattr(linalg, "_certificate", certificate)
     monkeypatch.setattr(linalg, "_combine_digits", combine_digits)
     monkeypatch.setattr(linalg, "integer_matmul", integer_matmul)
     for m, b in atlas_and_benchmark_size_systems():
         solve_exact(m, b)
-    joined = [lift for lift in lifts if lift[3] is not None]
-    for m, rhs, scale, (digits, k, top) in joined:
-        assert_steps_within_the_proof(m, rhs, scale, digits, k, top)
+    joined = [lift for lift in lifts if lift[4] is not None]
+    for m, rhs, scale, (s, x_norm), (digits, k) in joined:
+        assert_steps_within_the_proof(m, rhs, scale, s, x_norm, digits, k)
     # one lifting per system, each reconstructed, the random ones in many steps
     assert len(lifts) == len(joined) == 998
-    assert max(len(lift[3][0]) for lift in joined) > 20
+    assert max(len(lift[4][0]) for lift in joined) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +271,16 @@ def test_every_lifting_step_keeps_the_proven_bounds(monkeypatch):
 
 @pytest.mark.parametrize("k, g", [(10, 2), (30, 2), (20, 3), (9, 2), (6, 5), (10, 3)])
 def test_combine_digits_on_both_sides_of_the_int64_bound(k, g):
-    # g digits per int64 run while top 2^(k (g - 1) + 1) < 2^63: at the largest
-    # such top and one past it, which leaves g - 1, every run count against
-    # Horner's rule on Python ints; int64 exactly when one run holds every digit
+    # g digits per int64 run while top 2^(k (g - 1) + 1) < 2^63, top the digits'
+    # largest magnitude: at the largest such top and one past it, which leaves
+    # g - 1, every run count against Horner's rule on Python ints; int64 exactly
+    # when one run holds every digit
     at = (1 << (62 - k * (g - 1))) - 1
     for top, per_run in ((at, g), (at + 1, g - 1)):
         for count in (1, per_run, per_run + 1, 2 * per_run + 1, 3 * per_run, 5 * per_run + 1):
             digits = [np.array([top, -top, (-1) ** j * top, (-1) ** (j // 2) * top, j % 3 - 1], dtype=np.int64)
                       for j in range(count)]
-            got = linalg._combine_digits(digits, k, top)
+            got = linalg._combine_digits(digits, k)
             expected = [sum(int(d[i]) << (k * (count - 1 - j)) for j, d in enumerate(digits)) for i in range(5)]
             assert got.tolist() == expected
             assert got.dtype == (np.int64 if count <= per_run else object)
