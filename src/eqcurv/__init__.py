@@ -7,7 +7,8 @@ multi-solution cases by the max-min criterion, falls back to the exact
 Moore-Penrose solution when no solution exists (so every curvature value is a
 Fraction), and verifies the accompanying theorem suite (Bonnet-Myers with
 rigidity, its reverse, Lichnerowicz, the minimax bracketing, generalized bounds
-for arbitrary positive weights, and a spectral solvability criterion) on
+for arbitrary positive weights, a spectral solvability criterion, and the
+product law ``rho(G x H) = rho(G) + rho(H)`` with ``rho = n / (1.w)``) on
 built-in graph families and user-supplied graphs.
 """
 

@@ -22,7 +22,7 @@ from math import isfinite, lcm, sqrt
 
 import numpy as np
 
-from .curvature import CurvatureResult, CurvatureStatus, compute_curvature
+from .curvature import CurvatureResult, CurvatureStatus, _distance_solve
 from .graphs import DistanceMatrix, Graph, cartesian_product
 from .linalg import INT64_LIMIT, integer_matmul
 
@@ -409,32 +409,45 @@ def perron_alignment(info: SpectralInfo) -> TheoremReport:
 
 
 def check_product_curvature(g: Graph, h: Graph) -> TheoremReport:
-    """Harmonic-sum law for products of constant-curvature graphs.
+    """``rho(G x H) == rho(G) + rho(H)`` for every pair of connected graphs.
 
-    K_1 and K_2 come from the factors' constant distance row sums (K = n/R);
-    the product curvature comes from the full pipeline, so the relation
-    ``1/K = 1/K_1 + 1/K_2`` is a genuine cross-check, with rational equality.
+    For a graph on n vertices, ``S = 1.w`` is the same for every solution of
+    ``D w = n * 1``: 1 lies in the range of the symmetric D, so it is
+    orthogonal to ker D. ``rho = n/S``, with ``rho = inf`` when ``S = 0`` and
+    ``rho = 0`` when the system is inconsistent (``K_1`` is). With constant
+    curvature K, ``rho = 1/K``, and the law is the harmonic sum. It follows
+    from ``D_{GxH} = D_G (x) J + J (x) D_H``:
+
+    - both factors consistent with ``rho_G + rho_H`` finite and nonzero:
+      ``c w_G (x) w_H`` solves the product's system for one scalar c;
+    - ``rho_G + rho_H = 0``: ``w_G (x) w_H`` is a kernel vector with a
+      nonzero sum, so the product is inconsistent;
+    - ``S_G = 0``: ``w_G (x) 1`` solves the product's system, with sum 0;
+    - G inconsistent, with a kernel vector z of nonzero sum, and H
+      consistent: ``(n_G / sum z) z (x) w_H`` solves the product's system;
+    - both factors inconsistent: ``z_G (x) z_H`` is a kernel vector with a
+      nonzero sum.
+
+    Each S is read from the graph's cached exact solve, and no max-min LP
+    runs, as S does not depend on the solution taken. Each rho is the
+    projective pair ``(n den, sum nums)``, ``(0, 1)`` when inconsistent, and
+    the check is one exact cross-multiplication of the product's pair with
+    the sum of the factors' pairs.
     """
-    r1 = g.distance_matrix.constant_row_sum()
-    r2 = h.distance_matrix.constant_row_sum()
-    if r1 is None or r2 is None:
-        return _not_applicable(
-            "product_curvature", "a factor does not have constant distance row sums"
-        )
-    if not (r1 and r2):
-        # a one-vertex factor: its D w = n * 1 reads 0 = 1, so it has no curvature
-        return _not_applicable("product_curvature", "a factor has a single vertex")
-    k1, k2 = Fraction(g.n, r1), Fraction(h.n, r2)
-    # a product of factors with constant row sums has constant row sums, so
-    # D w = n * 1 is solvable and the curvature is exact
-    result = compute_curvature(cartesian_product(g, h))
-    distinct = len(set(result.nums))
-    k_prod: Fraction = result.w[0]
-    checks = [
-        _check("product curvature is constant", ("distinct w values", distinct), "==", ("one", 1))
-    ]
-    if distinct == 1 and k_prod > 0:
-        checks.append(_check(
-            "1/K == 1/K_1 + 1/K_2", ("1/K", 1 / k_prod), "==", ("1/K_1 + 1/K_2", 1 / k1 + 1 / k2)
-        ))
-    return _report("product_curvature", checks)
+    pairs = []
+    for x in (g, h, cartesian_product(g, h)):
+        point = _distance_solve(x.distance_matrix).particular
+        pairs.append((0, 1) if point is None else (x.n * point[1], sum(point[0].tolist())))
+    (a_g, b_g), (a_h, b_h), (a_p, b_p) = pairs
+    a, b = a_g * b_h + a_h * b_g, b_g * b_h
+    if (a, b) == (0, 0):
+        a = 1  # both factor sums are 0, and inf + inf = inf
+    # both sides divided by one positive integer: exact, and each in [-1, 1] for float()
+    scale = max(abs(a_p), abs(b_p)) * max(abs(a), abs(b))
+    check = _check(
+        "rho(G x H) == rho(G) + rho(H)",
+        ("a_P b", Fraction(a_p * b, scale)), "==", ("b_P a", Fraction(b_p * a, scale)),
+    )
+    rho = [str(Fraction(*pair)) if pair[1] else "inf" for pair in pairs]
+    note = "rho(G x H) = {2}, rho(G) = {0}, rho(H) = {1}; rho = n/S, which is 1/K for constant K"
+    return _report("product_curvature", (check,), (note.format(*rho),))

@@ -98,6 +98,12 @@ MUTANTS = [
             "tests/test_apsp_oracle.py")),
     Mutant("theorems.check_theorem5", "dtype=np.int64 if max(nums) < INT64_LIMIT else object",
            "dtype=np.int64 if max(nums) < 2 * INT64_LIMIT else object", ("tests/test_theorems.py",)),
+    # not a bound but the product law's two projective edge cases: inf + inf read as the undefined
+    # (0, 0) passes every product, and an inconsistent factor read as rho = inf in place of 0
+    Mutant("theorems.check_product_curvature", "if (a, b) == (0, 0):", "if False:",
+           ("tests/test_theorems.py::TestProductCurvature",)),
+    Mutant("theorems.check_product_curvature", "(0, 1) if point is None", "(1, 0) if point is None",
+           ("tests/test_theorems.py::TestProductCurvature",)),
 ]
 
 

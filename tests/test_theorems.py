@@ -24,8 +24,10 @@ from eqcurv import (
     check_reverse_bonnet_myers,
     check_theorem5,
     compute_curvature,
+    curvature,
     curvature_of_family,
     generate,
+    nullspace_sum_check,
     parse_family_spec,
     perron_alignment,
     spectral_criterion,
@@ -536,12 +538,23 @@ class TestFloatSlack:
         assert far.failed  # a prediction the exact classification refutes
 
 
+def rho_note(product, g, h):
+    """The start of ``check_product_curvature``'s note for these three values of rho = n/S."""
+    return f"rho(G x H) = {product}, rho(G) = {g}, rho(H) = {h};"
+
+
+def connected_atlas_graphs(max_n):
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        if 0 < h.number_of_nodes() <= max_n and nx.is_connected(h):
+            yield Graph(h.number_of_nodes(), frozenset((min(e), max(e)) for e in h.edges()))
+
+
 class TestProductCurvature:
     def test_c4_times_c4(self):
         report = check_product_curvature(fam("cycle:4"), fam("cycle:4"))
         assert report.hypothesis_satisfied and report.passed
-        harmonic = next(c for c in report.checks if "1/K" in c.label)
-        assert harmonic.lhs.exact == "2"  # K = 1/2
+        assert report.notes[0].startswith(rho_note(2, 1, 1))  # K = 1/2
 
     def test_q2_times_q2_matches_q4_closed_form(self):
         report = check_product_curvature(fam("hypercube:2"), fam("hypercube:2"))
@@ -553,22 +566,95 @@ class TestProductCurvature:
     def test_k2_times_k2_is_c4_curvature_one(self):
         report = check_product_curvature(fam("complete:2"), fam("complete:2"))
         assert report.passed
-        harmonic = next(c for c in report.checks if "1/K" in c.label)
-        assert harmonic.lhs.exact == "1"
+        assert report.notes[0].startswith(rho_note(1, "1/2", "1/2"))
         assert curvature_of_family(parse_family_spec("cycle:4")) == 1
 
-    def test_non_constant_factor_not_applicable(self):
+    def test_non_constant_factor_adds_its_rho(self):
+        # path:3 has no constant distance row sums, and n/S is still 1
         report = check_product_curvature(fam("path:3"), fam("cycle:4"))
-        assert not report.hypothesis_satisfied
-        assert not report.failed
+        assert report.hypothesis_satisfied and report.passed
+        assert report.notes[0].startswith(rho_note(2, 1, 1))
 
-    @pytest.mark.parametrize("first,second", [("complete:1", "cycle:4"), ("cycle:4", "complete:1")])
-    def test_one_vertex_factor_not_applicable(self, first, second):
-        # its distance row sum is 0, and a one-vertex graph has no curvature
+    @pytest.mark.parametrize("first,second,rho", [
+        ("complete:1", "cycle:4", (1, 0, 1)), ("cycle:4", "complete:1", (1, 1, 0)),
+    ])
+    def test_one_vertex_factor_adds_rho_zero(self, first, second, rho):
+        # K_1's D w = n * 1 reads 0 = 1, so rho(K_1) = 0, and K_1 x H is H
         report = check_product_curvature(fam(first), fam(second))
-        assert not report.hypothesis_satisfied
-        assert not report.failed
-        assert report.notes == ("hypothesis not satisfied: a factor has a single vertex",)
+        assert report.hypothesis_satisfied and report.passed
+        assert report.notes[0].startswith(rho_note(*rho))
+
+    def test_the_law_holds_on_every_pair_of_atlas_graphs_up_to_five_vertices(self):
+        graphs = list(connected_atlas_graphs(5))
+        assert len(graphs) == 31
+        pairs = [(g, h) for i, g in enumerate(graphs) for h in graphs[i:]]
+        assert len(pairs) == 496
+        for g, h in pairs:
+            report = check_product_curvature(g, h)
+            assert report.hypothesis_satisfied and report.passed, (g, h)
+
+    @pytest.mark.parametrize("first,second,status,rho", [
+        # inconsistent x consistent is consistent
+        ("complete_multipartite:1,1,1,4", "path:4", CurvatureStatus.EXACT_CANONICAL, ("3/2", 0, "3/2")),
+        # inconsistent x inconsistent is inconsistent
+        ("complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,4", CurvatureStatus.INCONSISTENT, (0, 0, 0)),
+        # S = 0 x anything has S = 0
+        ("knight_board:4,4", "path:4", CurvatureStatus.EXACT_CANONICAL, ("inf", "inf", "3/2")),
+        ("complete_multipartite:1,1,4", "complete_multipartite:1,1,4", CurvatureStatus.EXACT_CANONICAL,
+         ("inf", "inf", "inf")),
+        # cancelling rho: two graphs that the law predicts inconsistent
+        ("complete_multipartite:1,1,6", "path:3", CurvatureStatus.INCONSISTENT, (0, -1, 1)),
+        ("complete_multipartite:1,1,5", "path:5", CurvatureStatus.INCONSISTENT, (0, -2, 2)),
+    ])
+    def test_one_pair_of_each_kind(self, first, second, status, rho):
+        g, h = fam(first), fam(second)
+        report = check_product_curvature(g, h)
+        assert report.hypothesis_satisfied and report.passed
+        assert report.notes[0].startswith(rho_note(*rho))
+        product = cartesian_product(g, h)
+        assert nullspace_sum_check(product).exceptional is (status is CurvatureStatus.INCONSISTENT)
+        assert compute_curvature(product).status is status
+
+    def test_a_large_product_of_cheap_factors(self):
+        # n = 1200, its D of rank at most 30 + 40
+        report = check_product_curvature(fam("cycle:30"), fam("cycle:40"))
+        assert report.passed
+        assert report.notes[0].startswith(rho_note("35/2", "15/2", 10))
+
+    def test_neither_the_max_min_lp_nor_the_row_sums_are_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(curvature, "lp_max_min", lambda *args: calls.append("lp_max_min"))
+        monkeypatch.setattr(DistanceMatrix, "constant_row_sum", lambda dm: calls.append("constant_row_sum"))
+        # path:4 x path:5 and the knight board have kernels, and cycles constant row sums
+        for first, second in [("path:4", "path:5"), ("knight_board:4,4", "cycle:5"), ("cycle:4", "cycle:6")]:
+            assert check_product_curvature(fam(first), fam(second)).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("first,second", [
+        ("cycle:4", "cycle:9"),  # finite rho
+        ("complete_multipartite:1,1,4", "complete_multipartite:1,1,4"),  # both factor sums 0
+    ])
+    def test_a_forged_product_fails(self, monkeypatch, first, second):
+        # path:36 has as many vertices as the true product, and another rho
+        monkeypatch.setattr(theorems, "cartesian_product", lambda g, h: fam("path:36"))
+        assert check_product_curvature(fam(first), fam(second)).failed
+
+    @pytest.mark.parametrize("first,second", [
+        ("path:4", "path:5"), ("path:6", "cycle:6"), ("cycle:4", "cycle:6"),
+        ("cycle:8", "path:3"), ("path:2", "cycle:10"), ("path:7", "path:7"),
+    ])
+    def test_bonnet_myers_middle_bound_stays_sharp_on_products(self, first, second):
+        # diam(G x H) = diam G + diam H, and with K >= 0 on both factors the
+        # product's ||w||_1 is its S, so 2n/||w||_1 = 2 rho adds up as well
+        g, h = fam(first), fam(second)
+        product = cartesian_product(g, h)
+        diam = [x.distance_matrix.diameter() for x in (g, h, product)]
+        assert diam[2] == diam[0] + diam[1]
+        for x, d in zip((g, h, product), diam):
+            result = compute_curvature(x)
+            assert result.K >= 0
+            assert Fraction(2 * x.n) / result.total == d
+            assert check_bonnet_myers(x, result).passed
 
     @pytest.mark.parametrize("text,expected", [("complete:3", Fraction(1, 2)), ("cycle:4", Fraction(1, 3))])
     def test_cube_power_divides_curvature_by_three(self, text, expected):
