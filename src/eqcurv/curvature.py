@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .graphs import DistanceMatrix, FamilySpec, FamilySpecError, Graph, check_fa
 from .linalg import (
     SolveOutcome,
     SolveStatus,
+    _absmax,
     _fractions,
+    _int_dtype,
     integer_matmul,
     lp_max_min,
     pseudo_apply,
@@ -127,8 +130,10 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
 
     Every result is one point ``(nums, den)`` of integer numerators over one
     denominator, kept as it is: ``solve_exact``'s particular solution if unique,
-    ``(n * 1, R)`` for constant row sums R, else ``lp_max_min`` of that
-    solution and the integer kernel rows; for an inconsistent system,
+    ``(n * 1, R)`` for constant row sums R, else the max-min point in lowest
+    terms, from ``lp_max_min`` on the cells of the coarsest D-equitable
+    partition (see Notes) or, failing that, of the solution and the integer
+    kernel rows; for an inconsistent system,
     ``pseudo_apply`` of ``n * 1`` and the kernel rows. Its residual range,
     min/max of ``(D w)_i``, is ``(n, n)`` for a unique solution on the
     strength of ``solve_exact``'s certificate: full rank makes every row a
@@ -137,6 +142,37 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     sums R, as ``D (n * 1) == R * n * 1`` from the exact integer row sums. For
     every other point ``D nums`` is multiplied out in integers. The
     result's Fraction views are built only when read.
+
+    Notes
+    -----
+    The max-min LP runs on the cells of the coarsest D-equitable partition
+    (Godsil and Royle, *Algebraic Graph Theory*, ch. 9): its indicator
+    matrix P, with cell sizes ``S = P^T P``, has ``D P = P B`` for an integer
+    B. Averaging over cells, ``A = P S^-1 P^T``, then keeps the leximin point
+    w* as it is:
+
+    - A is symmetric, nonnegative and ``A 1 = 1``, so doubly stochastic;
+    - A commutes with the symmetric D: ``A D = P S^-1 (D P)^T = P S^-1 B^T
+      P^T`` and ``D A = P B S^-1 P^T``, equal as ``S B = P^T D P`` is
+      symmetric. So
+      ``D A w = A D w = n A 1 = n 1``: A maps solutions to solutions;
+    - ``A w`` is majorized by w (Hardy, Littlewood and Polya), so the sum of
+      its j smallest entries is at least w's for every j, and at the first
+      place where the two sorted vectors differ ``A w`` is larger: it is
+      never below w in the leximin order. So ``A w*`` is a leximin point
+      too, and as that point is unique, ``A w* = w*``: w* is constant on
+      cells.
+
+    The cell-constant solutions are ``P u`` for u in the averages of the
+    family's point and directions over each cell. ``P u`` sorts as u with
+    each ``u_c`` repeated ``s_c`` times, and a leximin with positive
+    multiplicities pins the same coordinates at the same level values as
+    one without them: each level's optimal face has a point at which every
+    coordinate not pinned on the whole face is above the level value. So
+    ``lp_max_min`` on the cells, with the cell sizes as multiplicities,
+    gives the u of w*. The refinement's keys only steer; ``D P == P B`` and
+    the symmetry of D are checked in integers, and a partition that fails
+    them, or that has a cell per vertex, takes the LP over every vertex.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -168,11 +204,93 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
         else:
             # the system is consistent, so every kernel vector v has
             # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
-            nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
+            nums, den = _max_min_on_cells(dm.entries, outcome) or lp_max_min(
+                outcome.particular, outcome.kernel_rows
+            )
     if dw is None:
         product = integer_matmul(dm.entries, nums)
         dw = int(product.min()), int(product.max())
     return CurvatureResult(status, tuple(nums.tolist()), den, dw, outcome.nullspace_dimension)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted: ``np.unique`` without its first call's
+    import of ``numpy.ma``."""
+    ordered = np.sort(keys)
+    fresh = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
+def _equitable_cells(d: np.ndarray) -> np.ndarray:
+    """Cell index per vertex of the coarsest D-equitable partition, by colour refinement.
+
+    The first round splits the vertices by row sum, and ends the refinement
+    when every vertex has its own cell. Each later round keys every vertex
+    by its cell and by one int64 product ``D @ omega[cells]``, with fixed odd
+    weights ``omega`` (a multiply and an xorshift of the cell index) and
+    wraparound, and splits by the distinct keys; it stops when a round adds
+    no cell. A key collision can only merge cells, so the keys only steer:
+    the caller certifies the partition.
+    """
+    n, sums = len(d), d.sum(axis=1)
+    values = _distinct(sums)
+    cells, count = np.searchsorted(values, sums), len(values)
+    if count == n:
+        return cells
+    omega = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    omega ^= omega >> 31
+    omega = (omega | 1).view(np.int64)
+    while True:
+        weights = omega[cells]
+        keys = (d @ weights) ^ weights
+        values = _distinct(keys)
+        if len(values) <= count:
+            return cells
+        cells, count = np.searchsorted(values, keys), len(values)
+
+
+def _cell_numerators(grouped: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(N, L)`` for rows whose columns are grouped by cell, cell c the ``sizes[c]`` columns from
+    ``starts[c]`` on: ``N[:, c] = (L / s_c) * sum of cell c's columns``, L the lcm of the ``s_c``.
+
+    ``N / L`` holds the cell averages. Every partial sum is within
+    ``L |grouped|``, and N is int64 while that is below 2^63, Python ints
+    past it.
+    """
+    big = lcm(*sizes.tolist())
+    dtype = _int_dtype(big * max(_absmax(grouped), 1))
+    sums = np.add.reduceat(grouped.astype(dtype, copy=False), starts, axis=1)
+    return sums * (big // sizes.astype(dtype)), big
+
+
+def _max_min_on_cells(d: np.ndarray, outcome: SolveOutcome) -> tuple[np.ndarray, int] | None:
+    """The leximin point of the affine family, found by ``lp_max_min`` on the cells of the
+    coarsest D-equitable partition (``compute_curvature``'s Notes), reduced by its gcd; None
+    when every vertex is its own cell, the partition fails ``D P == P B`` or D is not symmetric."""
+    cells = _equitable_cells(d)
+    sizes = np.bincount(cells)
+    n, count = len(d), len(sizes)
+    if count == n:
+        return None
+    nums, den = outcome.particular
+    order, starts = cells.argsort(kind="stable"), np.cumsum(sizes) - sizes
+    sums, big = _cell_numerators(np.vstack((d, nums, outcome.kernel_rows))[:, order], sizes, starts)
+    # D P with column c scaled by L / s_c: each row equals its cell's first row exactly when
+    # D P == P B; the lemma also needs D symmetric, as a distance matrix is
+    dp = sums[:n]
+    if not ((dp == dp[order[starts]][cells]).all() and np.array_equal(d, d.T)):
+        return None
+    point, dirs = sums[n], sums[n + 1:]
+    dirs = dirs[dirs.any(axis=1)]
+    dirs //= np.gcd.reduce(dirs, axis=1, keepdims=True)
+    dirs = dirs[list({row: i for i, row in enumerate(map(tuple, dirs.tolist()))}.values())]
+    den *= big
+    if len(dirs):
+        point, den = lp_max_min((point, den), dirs, sizes)
+    # the point solves D w = n 1, so it is not 0 and g fits its dtype
+    g = gcd(den, *point.tolist())
+    return (point // g)[cells], den // g
 
 
 def _complete_form(n: int) -> Fraction:

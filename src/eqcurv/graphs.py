@@ -583,7 +583,12 @@ def generate(spec: FamilySpec) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: (a,b) ~ (a',b') iff one coordinate is equal and the other adjacent.
 
-    Vertex (a, b) receives index a * h.n + b, so distances add coordinatewise.
+    Vertex (a, b) receives index a * h.n + b, so distances add coordinatewise:
+    ``D_{GxH} = D_G (x) J + J (x) D_H``. For connected factors within
+    MAX_FAMILY_VERTICES the product's ``distance_matrix`` is built that way
+    from the factors' and cached where the property keeps it, so no ``apsp``
+    runs on the product; otherwise the property computes it on first use,
+    as for any graph.
     """
     # a copy of h's edges for every vertex a of g, then a copy of g's for every b
     fibres = h.pairs + (np.arange(g.n) * h.n)[:, None, None]
@@ -594,4 +599,9 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         hl = h.labels or tuple(str(i) for i in range(h.n))
         labels = tuple(f"({x},{y})" for x in gl for y in hl)
     pairs = np.concatenate([fibres.reshape(-1, 2), layers.reshape(-1, 2)])
-    return Graph(g.n * h.n, pairs, labels)
+    product = Graph(g.n * h.n, pairs, labels)
+    if product.n <= MAX_FAMILY_VERTICES and is_connected(g) and is_connected(h):
+        dg, dh = g.distance_matrix.entries, h.distance_matrix.entries
+        entries = (dg[:, None, :, None] + dh[None, :, None, :]).reshape(product.n, product.n)
+        vars(product)["distance_matrix"] = DistanceMatrix(entries)
+    return product

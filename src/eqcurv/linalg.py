@@ -13,7 +13,8 @@ returns floating-point results:
   takes Bareiss elimination on Python ints. Both give the same outcome,
   proved by the same exact certificates, and LAPACK output never decides
   one. The max-min accepts only families whose kernel vectors sum to zero,
-  as those of a consistent distance system do, so every level LP is
+  weighted by the coordinates' multiplicities, as those of a consistent
+  distance system and their cell averages do, so every level LP is
   bounded: one fraction-free simplex per level, certified by its dual,
   whose tableau also gives the next level's directions, so the max-min
   makes no exact solve. The Moore-Penrose solution is one exact solve of
@@ -908,7 +909,7 @@ def _simplex_max(a, b, c) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     return on_x[:, ncols], tab[m, nv:ncols], d, on_x[:, face].T
 
 
-def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
+def lp_max_min(particular, nullspace, multiplicity=None) -> tuple[np.ndarray, int]:
     """Canonical point of an affine solution family: the lexicographic max-min.
 
     ``particular`` is a point as integer numerators over one denominator,
@@ -917,18 +918,25 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
     Over ``w(c) = nums / den + sum_j c_j * nullspace_j`` this maximizes
     ``min_i w_i``, then the smallest entry among the coordinates not yet
     fixed, and so on (leximin). It returns that point as ``(nums, den)``,
-    ``nums`` an integer array under step 2's bound. A non-integer entry
-    raises TypeError, a row of another length or a nullspace row that does
-    not sum to zero ValueError; then the leximin point exists and is unique,
-    so the result does not depend on the nullspace basis or its scale.
+    ``nums`` an integer array under step 2's bound. ``multiplicity`` gives
+    coordinate i the positive integer weight ``s_i``, default 1: how many
+    entries of a larger vector it stands for, as a cell of ``s_i`` vertices
+    does in ``compute_curvature``. The leximin point does not depend on the
+    weights; they state the precondition, ``sum_i s_i v_i == 0`` for every
+    nullspace row v. A non-integer entry raises TypeError, a row of another
+    length, a weight below 1 or a nullspace row whose weighted sum is not
+    zero ValueError; then the leximin point exists and is unique, so the
+    result does not depend on the nullspace basis or its scale.
 
     Notes
     -----
     Zero-sum vectors are the kernel of every consistent distance system:
-    ``1 . v = w^T D v / n = 0`` for ``D`` symmetric and ``D w = n * 1``. They
-    bound every level. A step along the face is 0 on the fixed coordinates
-    and sums to 0, so it sums to 0 over the free ones, and the level value
-    ``t`` can never exceed the mean of the free ``w_i``.
+    ``1 . v = w^T D v / n = 0`` for ``D`` symmetric and ``D w = n * 1``, and
+    their cell averages sum to 0 with the cell sizes as weights. They bound
+    every level. A step along the face is 0 on the fixed coordinates and has
+    weighted sum 0, so it has weighted sum 0 over the free ones, and the
+    level value ``t`` can never exceed the weighted mean
+    ``sum_F s_i w_i / sum_F s_i`` of the free ``w_i``.
 
     The point is kept as a numerator array ``w`` over one denominator
     ``den``, and each direction as an integer row. Each level:
@@ -963,8 +971,11 @@ def lp_max_min(particular, nullspace) -> tuple[np.ndarray, int]:
     if dirs is None:
         raise ValueError(f"every nullspace row needs {n} entries")
     dirs = _fitted(dirs)
-    if integer_matmul(dirs, np.ones(n, dtype=np.int64)).any():
-        raise ValueError("every nullspace vector must sum to 0")
+    weights = np.ones(n, dtype=np.int64) if multiplicity is None else _integers(multiplicity, (n,))
+    if weights is None or weights.min(initial=1) < 1:
+        raise ValueError(f"multiplicity needs {n} entries, each at least 1")
+    if integer_matmul(dirs, weights).any():
+        raise ValueError("every nullspace vector must sum to 0, weighted by the multiplicity")
 
     while True:
         # a coordinate that is 0 in every direction is constant on the face

@@ -39,12 +39,13 @@ def integer_rows(matrix, rhs) -> tuple[list[list[int]], list[int]]:
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
-def max_min(particular, nullspace) -> tuple[Fraction, ...]:
+def max_min(particular, nullspace, multiplicity=None) -> tuple[Fraction, ...]:
     """The leximin point of ``particular + span(nullspace)``, as Fractions.
 
     Each nullspace vector becomes its integer multiple by the lcm of its
     denominators; the scale of a direction does not change the point.
+    ``multiplicity`` is passed on as it is.
     """
     rows = [_numerators(vec)[0] for vec in nullspace]
-    nums, den = lp_max_min(_numerators(particular), rows)
+    nums, den = lp_max_min(_numerators(particular), rows, multiplicity)
     return tuple(Fraction(v, den) for v in nums.tolist())

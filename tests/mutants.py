@@ -40,6 +40,7 @@ SOLVE = ("tests/test_solve_float_bounds.py", "tests/test_certificate_oracle.py",
          "tests/test_solve_float_oracle.py", "tests/test_solve_float_singular.py",
          "tests/test_solve_exact_oracle.py", "tests/test_solve_exact_bareiss.py")
 LP = ("tests/test_integer_rule.py", "tests/test_lp_max_min_oracle.py", "tests/test_linalg.py")
+QUOTIENT = ("tests/test_quotient_max_min.py::TestCellNumerators", "tests/test_quotient_max_min.py")
 
 
 class Mutant(NamedTuple):
@@ -89,6 +90,12 @@ MUTANTS = [
            "b = w_free.astype(_int_dtype(w_max)) - t0", LP),
     Mutant("linalg.lp_max_min", "dtype = _int_dtype(len(free) * top * (d * w_max + k * top * dirs_max))",
            "dtype = _int_dtype(len(free) * top * (d * w_max + k * top * dirs_max) // 2)", LP),
+    # not a bound but the precondition that bounds every level: the multiplicities dropped from it
+    Mutant("linalg.lp_max_min", "if integer_matmul(dirs, weights).any():",
+           "if integer_matmul(dirs, np.ones(n, dtype=np.int64)).any():", LP),
+    # the cell averages' numerators scaled by L / s_c, the bound without its factor L
+    Mutant("curvature._cell_numerators", "dtype = _int_dtype(big * max(_absmax(grouped), 1))",
+           "dtype = _int_dtype(max(_absmax(grouped), 1))", QUOTIENT),
     Mutant("graphs.apsp", "if n > MAX_FAMILY_VERTICES:", "if n > MAX_FAMILY_VERTICES + 1:",
            ("tests/test_apsp_oracle.py",)),
     # float16 holds integers only up to 2^11: D @ A promotes to float32, but A's column sums, the

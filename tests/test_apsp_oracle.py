@@ -16,6 +16,7 @@ from apsp_reference import reference_apsp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqcurv.graphs
 from eqcurv import (
     MAX_FAMILY_VERTICES,
     DisconnectedGraphError,
@@ -157,3 +158,47 @@ def test_product_curvature_refuses_an_oversized_product():
     # two 65-cycles make 4225 vertices: refused before the 4225^2 distance matrix
     with pytest.raises(ValueError, match="graph has 4225 vertices; the limit is 4096"):
         check_product_curvature(fam("cycle:65"), fam("cycle:65"))
+
+
+# the product pairs pinned in tests/test_theorems.py (TestProductCurvature), and two large ones
+PRODUCT_PAIRS = [
+    ("cycle:4", "cycle:4"), ("hypercube:2", "hypercube:2"), ("complete:2", "complete:2"), ("path:3", "cycle:4"),
+    ("complete:1", "cycle:4"), ("cycle:4", "complete:1"),
+    ("complete_multipartite:1,1,1,4", "path:4"),
+    ("complete_multipartite:1,1,1,4", "complete_multipartite:1,1,1,4"),
+    ("knight_board:4,4", "path:4"), ("complete_multipartite:1,1,4", "complete_multipartite:1,1,4"),
+    ("complete_multipartite:1,1,6", "path:3"), ("complete_multipartite:1,1,5", "path:5"),
+    ("cycle:30", "cycle:40"), ("path:4", "path:5"), ("knight_board:4,4", "cycle:5"), ("cycle:4", "cycle:6"),
+    ("cycle:4", "cycle:9"), ("path:6", "cycle:6"), ("cycle:8", "path:3"), ("path:2", "cycle:10"),
+    ("path:7", "path:7"), ("path:15", "path:15"), ("cycle:7", "knight_board:5,8"),
+]
+
+
+@pytest.mark.parametrize("first,second", PRODUCT_PAIRS)
+def test_a_product_of_connected_graphs_carries_its_distance_matrix(monkeypatch, first, second):
+    # D_{GxH} = D_G (x) J + J (x) D_H, built from the factors' matrices with no apsp of the product
+    g, h = fam(first), fam(second)
+    g.distance_matrix, h.distance_matrix
+    calls = []
+    monkeypatch.setattr(eqcurv.graphs, "apsp", lambda x: calls.append(x) or apsp(x))
+    product = cartesian_product(g, h)
+    dm = product.distance_matrix
+    assert calls == []
+    assert dm == apsp(product)
+
+
+def test_a_product_of_products_carries_its_distance_matrix():
+    square = cartesian_product(fam("cycle:4"), fam("cycle:4"))
+    cubed = cartesian_product(square, fam("cycle:4"))
+    assert vars(cubed)["distance_matrix"] == apsp(cubed)
+
+
+def test_a_product_with_a_disconnected_or_oversized_factor_computes_on_first_use():
+    # no matrix is built for a disconnected factor, nor past the vertex limit
+    split = Graph(3, frozenset({(0, 1)}))
+    product = cartesian_product(split, fam("path:2"))
+    assert "distance_matrix" not in vars(product)
+    with pytest.raises(DisconnectedGraphError):
+        product.distance_matrix
+    large = cartesian_product(fam("cycle:65"), fam("cycle:65"))
+    assert "distance_matrix" not in vars(large)

@@ -7,6 +7,12 @@ themselves and never lowers a vector in the leximin order, and it commutes
 with D: so the unique solution, the leximin point and the pseudo-inverse
 point are all constant on cells. Colour refinement here, on the test side,
 finds the coarsest such partition; ``D P == P B`` certifies it in integers.
+
+The package uses the lemma: ``compute_curvature`` runs the max-min LP on the
+cells that ``curvature._equitable_cells`` finds, once ``D P == P B`` holds
+for them (its Notes have the proof, ``tests/test_quotient_max_min.py`` the
+oracle). The refinement here stays independent of it, and every graph below
+checks that both find the same cells.
 """
 
 import sys
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqcurv import Graph, compute_curvature, generate
+from eqcurv import Graph, compute_curvature, curvature, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -38,9 +44,16 @@ def equitable_cells(d: np.ndarray) -> np.ndarray:
     return cells
 
 
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two cell labellings split the vertices the same way."""
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
 def cells_with_constant_curvature(g: Graph) -> int:
-    """The number of cells, once the curvature numerators are checked to be constant on each."""
+    """The number of cells, once the curvature numerators are checked to be constant on each
+    and the package's refinement is checked to find the same cells."""
     cells = equitable_cells(g.distance_matrix.entries)
+    assert same_partition(curvature._equitable_cells(g.distance_matrix.entries), cells)
     nums = np.array(compute_curvature(g).nums, dtype=object)
     for c in range(cells.max() + 1):
         assert len(set(nums[cells == c])) == 1

@@ -329,6 +329,49 @@ def test_possibly_unbounded_families_agree_on_level_one(family):
     assert in_family(ours, particular, basis)
 
 
+@st.composite
+def weighted_families(draw):
+    """(particular, basis, weights): n <= 5, k <= 4, every vector summing to 0 with the weights."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    particular = draw(st.lists(fractions, min_size=n, max_size=n))
+    basis = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.lists(fractions, min_size=n - 1, max_size=n - 1))
+        basis.append(head + [-sum((s * x for s, x in zip(weights, head)), Fraction(0)) / weights[-1]])
+    return particular, basis, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_families())
+def test_multiplicities_give_the_leximin_of_the_repeated_coordinates(family):
+    # coordinate i standing for weights[i] equal entries: the expanded family
+    # sums to 0, and its leximin point is the weighted one, expanded
+    particular, basis, weights = family
+
+    def expand(v):
+        return [x for x, s in zip(v, weights) for _ in range(s)]
+
+    with solve_exact_refused():
+        ours = max_min(particular, basis, weights)
+    assert expand(ours) == list(lp_max_min_oracle(expand(particular), [expand(v) for v in basis]))
+    assert in_family(ours, particular, basis)
+
+
+def test_multiplicities_set_the_zero_sum_precondition():
+    # (1, -1) sums to 0 but not with weights (1, 2), and min w is unbounded along it;
+    # (2, -1) sums to 0 with them, and the leximin point is (0, 0)
+    with pytest.raises(ValueError, match="sum to 0"):
+        lp_max_min(([0, 0], 1), [[1, -1]], [1, 2])
+    nums, den = lp_max_min(([0, 0], 1), [[2, -1]], [1, 2])
+    assert (nums.tolist(), den) == ([0, 0], 1)
+    for bad in ([1, 0], [1], [1, 2, 3], [-1, 2]):
+        with pytest.raises(ValueError, match="multiplicity"):
+            lp_max_min(([0, 0], 1), [[2, -1]], bad)
+    with pytest.raises(TypeError):
+        lp_max_min(([0, 0], 1), [[2, -1]], [1, 2.5])
+
+
 def cycle_with_tail(m: int, tail: int) -> Graph:
     """C_2m with a pendant path of ``tail`` vertices attached at vertex 0."""
     cycle = generate(parse_family_spec(f"cycle:{2 * m}"))
