@@ -55,7 +55,8 @@ class CurvatureResult:
     terms: constant row sums R give ``(n * 1, R)``. For the Exact* statuses
     ``D w = n * 1`` holds with rational equality, so ``dw == (n den, n den)``:
     for EXACT_UNIQUE by ``solve_exact``'s integer certificate over every row,
-    for EXACT_CANONICAL by an exact product ``D nums``. For INCONSISTENT,
+    for EXACT_CANONICAL by the exact row sums ``D 1 == R 1`` when they agree
+    and by an exact product ``D nums`` otherwise. For INCONSISTENT,
     ``w`` is the exact Moore-Penrose solution ``D^+ (n * 1)``, ``dw`` comes
     from the exact product ``D nums``, and K is only a pseudo lower bound
     (the exact-solution theorems do not apply to it).
@@ -129,18 +130,18 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     max-min LP.
 
     Every result is one point ``(nums, den)`` of integer numerators over one
-    denominator, kept as it is: ``solve_exact``'s particular solution if unique,
-    ``(n * 1, R)`` for constant row sums R, else the max-min point in lowest
-    terms, from ``lp_max_min`` on the cells of the coarsest D-equitable
-    partition (see Notes) or, failing that, of the solution and the integer
-    kernel rows; for an inconsistent system,
-    ``pseudo_apply`` of ``n * 1`` and the kernel rows. Its residual range,
-    min/max of ``(D w)_i``, is ``(n, n)`` for a unique solution on the
-    strength of ``solve_exact``'s certificate: full rank makes every row a
-    pivot row, so ``D nums == den * n * 1`` has already held in exact
-    integers on all n equations, and for the constant point of constant row
-    sums R, as ``D (n * 1) == R * n * 1`` from the exact integer row sums. For
-    every other point ``D nums`` is multiplied out in integers. The
+    denominator, kept as it is: ``solve_exact``'s particular solution if unique;
+    for an affine family the max-min point on the cells of the coarsest
+    D-equitable partition (see Notes), which is ``(n * 1, R)`` when one cell
+    holds every vertex, the graphs with constant row sums R, and otherwise
+    the point in lowest terms from ``lp_max_min`` on the cells; for an
+    inconsistent system, ``pseudo_apply`` of ``n * 1`` and the kernel rows.
+    Its residual range, min/max of ``(D w)_i``, is ``(n, n)`` for a unique
+    solution on the strength of ``solve_exact``'s certificate: full rank
+    makes every row a pivot row, so ``D nums == den * n * 1`` has already
+    held in exact integers on all n equations, and for the constant point of
+    one cell, as ``D (n * 1) == R * n * 1`` from the exact integer row sums.
+    For every other point ``D nums`` is multiplied out in integers. The
     result's Fraction views are built only when read.
 
     Notes
@@ -172,7 +173,10 @@ def compute_curvature(g: Graph, dm: DistanceMatrix | None = None) -> CurvatureRe
     ``lp_max_min`` on the cells, with the cell sizes as multiplicities,
     gives the u of w*. The refinement's keys only steer; ``D P == P B`` and
     the symmetry of D are checked in integers, and a partition that fails
-    them, or that has a cell per vertex, takes the LP over every vertex.
+    them is replaced by a cell per vertex, which is always equitable: then
+    the LP runs over every vertex, with unit multiplicities. One cell is the
+    other end: ``D 1 = R 1``, every solution has the entry sum ``n^2 / R``,
+    and the constant point ``n 1 / R`` is the leximin point with no LP.
     """
     if dm is None:
         dm = g.distance_matrix
@@ -194,19 +198,9 @@ def _curvature(dm: DistanceMatrix) -> CurvatureResult:
         nums, den = pseudo_apply(dm.entries, np.full(n, n), outcome.kernel_rows)
     else:
         status = CurvatureStatus.EXACT_CANONICAL
-        den = dm.constant_row_sum()
-        if den is not None:
-            # constant row sums make the constant vector the unique max-min
-            # point of the family, so the LP can be skipped, and D (n * 1)
-            # is n R on every row, from the exact integer row sums
-            nums = np.full(n, n)
-            dw = n * den, n * den
-        else:
-            # the system is consistent, so every kernel vector v has
-            # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
-            nums, den = _max_min_on_cells(dm.entries, outcome) or lp_max_min(
-                outcome.particular, outcome.kernel_rows
-            )
+        # the system is consistent, so every kernel vector v has
+        # sum(v) = v^T D w / n = 0 and min_i w_i is bounded above
+        nums, den, dw = _max_min_on_cells(dm.entries, outcome)
     if dw is None:
         product = integer_matmul(dm.entries, nums)
         dw = int(product.min()), int(product.max())
@@ -226,17 +220,17 @@ def _equitable_cells(d: np.ndarray) -> np.ndarray:
     """Cell index per vertex of the coarsest D-equitable partition, by colour refinement.
 
     The first round splits the vertices by row sum, and ends the refinement
-    when every vertex has its own cell. Each later round keys every vertex
-    by its cell and by one int64 product ``D @ omega[cells]``, with fixed odd
-    weights ``omega`` (a multiply and an xorshift of the cell index) and
-    wraparound, and splits by the distinct keys; it stops when a round adds
-    no cell. A key collision can only merge cells, so the keys only steer:
-    the caller certifies the partition.
+    when all row sums agree or every vertex has its own cell. Each later
+    round keys every vertex by its cell and by one int64 product
+    ``D @ omega[cells]``, with fixed odd weights ``omega`` (a multiply and an
+    xorshift of the cell index) and wraparound, and splits by the distinct
+    keys; it stops when a round adds no cell. A key collision can only merge
+    cells, so the keys only steer: the caller certifies the partition.
     """
     n, sums = len(d), d.sum(axis=1)
     values = _distinct(sums)
     cells, count = np.searchsorted(values, sums), len(values)
-    if count == n:
+    if count in (1, n):
         return cells
     omega = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
     omega ^= omega >> 31
@@ -264,24 +258,33 @@ def _cell_numerators(grouped: np.ndarray, sizes: np.ndarray, starts: np.ndarray)
     return sums * (big // sizes.astype(dtype)), big
 
 
-def _max_min_on_cells(d: np.ndarray, outcome: SolveOutcome) -> tuple[np.ndarray, int] | None:
-    """The leximin point of the affine family, found by ``lp_max_min`` on the cells of the
-    coarsest D-equitable partition (``compute_curvature``'s Notes), reduced by its gcd; None
-    when every vertex is its own cell, the partition fails ``D P == P B`` or D is not symmetric."""
+def _max_min_on_cells(d: np.ndarray, outcome: SolveOutcome) -> tuple[np.ndarray, int, tuple[int, int] | None]:
+    """``(nums, den, dw)``: the leximin point of the affine family on the cells of the coarsest
+    D-equitable partition (``compute_curvature``'s Notes), and the range ``dw`` of ``D nums``
+    where it is known without the product.
+
+    One cell gives the constant point ``(n * 1, R)`` of the row sums R and ``dw = (n R, n R)``.
+    More cells give ``lp_max_min``'s point on the cells, reduced by its gcd, and ``dw = None``.
+    A partition that fails its certificate is replaced by a cell per vertex.
+    """
+    n = len(d)
     cells = _equitable_cells(d)
     sizes = np.bincount(cells)
-    n, count = len(d), len(sizes)
-    if count == n:
-        return None
-    nums, den = outcome.particular
     order, starts = cells.argsort(kind="stable"), np.cumsum(sizes) - sizes
-    sums, big = _cell_numerators(np.vstack((d, nums, outcome.kernel_rows))[:, order], sizes, starts)
-    # D P with column c scaled by L / s_c: each row equals its cell's first row exactly when
+    # D P with its columns in cell order: each row equals its cell's first row exactly when
     # D P == P B; the lemma also needs D symmetric, as a distance matrix is
-    dp = sums[:n]
+    dp = np.add.reduceat(d[:, order], starts, axis=1)
     if not ((dp == dp[order[starts]][cells]).all() and np.array_equal(d, d.T)):
-        return None
-    point, dirs = sums[n], sums[n + 1:]
+        cells = order = starts = np.arange(n)
+        sizes = np.ones(n, dtype=np.int64)
+    elif len(sizes) == 1:
+        # D 1 = R 1, and every solution has the entry sum n^2 / R, so the constant point is the
+        # leximin one
+        r = int(dp[0, 0])
+        return np.full(n, n), r, (n * r, n * r)
+    nums, den = outcome.particular
+    sums, big = _cell_numerators(np.vstack((nums, outcome.kernel_rows))[:, order], sizes, starts)
+    point, dirs = sums[0], sums[1:]
     dirs = dirs[dirs.any(axis=1)]
     dirs //= np.gcd.reduce(dirs, axis=1, keepdims=True)
     dirs = dirs[list({row: i for i, row in enumerate(map(tuple, dirs.tolist()))}.values())]
@@ -290,7 +293,7 @@ def _max_min_on_cells(d: np.ndarray, outcome: SolveOutcome) -> tuple[np.ndarray,
         point, den = lp_max_min((point, den), dirs, sizes)
     # the point solves D w = n 1, so it is not 0 and g fits its dtype
     g = gcd(den, *point.tolist())
-    return (point // g)[cells], den // g
+    return (point // g)[cells], den // g, None
 
 
 def _complete_form(n: int) -> Fraction:

@@ -234,13 +234,6 @@ class DistanceMatrix:
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
-    def constant_row_sum(self) -> int | None:
-        """The common row sum R when every row agrees, else None."""
-        sums = self.row_sums()
-        if np.all(sums == sums[0]):
-            return int(sums[0])
-        return None
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse lines of "u v" vertex pairs into a Graph.

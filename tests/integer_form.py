@@ -7,7 +7,9 @@ returns the point as Fractions. ``solve_exact`` takes integer entries only;
 ``integer_rows`` restates a rational system ``[M | rhs]`` with each row
 multiplied by the lcm of its denominators, which keeps every solution and the
 kernel. ``assert_integer_array`` checks an array against the package's integer
-rule. The module name has no ``test_`` prefix, so pytest does not collect it.
+rule, and ``constant_row_sums`` whether every row of a distance matrix has
+one sum, the graphs whose max-min point is the constant one. The module name
+has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from fractions import Fraction
@@ -24,6 +26,11 @@ def assert_integer_array(a: np.ndarray, fits: bool) -> None:
         assert a.dtype == np.int64
     else:
         assert a.dtype == object and all(type(v) is int for v in a.flat)
+
+
+def constant_row_sums(dm) -> bool:
+    """Whether every row of the ``DistanceMatrix`` ``dm`` has the same sum."""
+    return len(set(dm.row_sums().tolist())) == 1
 
 
 def _numerators(values) -> tuple[list[int], int]:

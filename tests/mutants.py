@@ -41,6 +41,7 @@ SOLVE = ("tests/test_solve_float_bounds.py", "tests/test_certificate_oracle.py",
          "tests/test_solve_exact_oracle.py", "tests/test_solve_exact_bareiss.py")
 LP = ("tests/test_integer_rule.py", "tests/test_lp_max_min_oracle.py", "tests/test_linalg.py")
 QUOTIENT = ("tests/test_quotient_max_min.py::TestCellNumerators", "tests/test_quotient_max_min.py")
+CERTIFICATE = ("tests/test_quotient_max_min.py::TestCertificate", "tests/test_quotient_max_min.py")
 
 
 class Mutant(NamedTuple):
@@ -96,6 +97,12 @@ MUTANTS = [
     # the cell averages' numerators scaled by L / s_c, the bound without its factor L
     Mutant("curvature._cell_numerators", "dtype = _int_dtype(big * max(_absmax(grouped), 1))",
            "dtype = _int_dtype(max(_absmax(grouped), 1))", QUOTIENT),
+    # not bounds but the route's certificate: D P == P B dropped, so a partition that is not
+    # equitable gets the LP on its cells, and one cell taken without its row sums agreeing
+    Mutant("curvature._max_min_on_cells", "(dp == dp[order[starts]][cells]).all() and np.array_equal(d, d.T)",
+           "np.array_equal(d, d.T)", CERTIFICATE),
+    Mutant("curvature._max_min_on_cells", "if not ((dp == dp[order[starts]][cells]).all()",
+           "if len(sizes) > 1 and not ((dp == dp[order[starts]][cells]).all()", CERTIFICATE),
     Mutant("graphs.apsp", "if n > MAX_FAMILY_VERTICES:", "if n > MAX_FAMILY_VERTICES + 1:",
            ("tests/test_apsp_oracle.py",)),
     # float16 holds integers only up to 2^11: D @ A promotes to float32, but A's column sums, the

@@ -35,10 +35,10 @@ from eqcurv import (
     spectral_gap,
 )
 from eqcurv.cli import analyze_graph
-from integer_form import max_min
+from integer_form import constant_row_sums, max_min
 
 # scanned offline: connected ER graphs with singular D and non-constant row
-# sums, so the canonicalization LP actually runs (not the constant fast path)
+# sums, so the canonicalization LP actually runs (not the one-cell exit)
 LP_PATH_SPEC = "erdos_renyi:6,0.45,1"  # nullspace dim 1, canonical min w == 0
 LP_PATH_NEGATIVE_SPEC = "erdos_renyi:6,0.45,25"  # canonical min w < 0
 LP_PATH_POSITIVE_SPEC = "erdos_renyi:6,0.5,98"  # canonical min w == 1/2 > 0
@@ -105,7 +105,7 @@ class TestComputeCurvature:
     def test_lp_path_graph_runs_the_simplex(self):
         g = fam(LP_PATH_SPEC)
         dm = apsp(g)
-        assert dm.constant_row_sum() is None
+        assert not constant_row_sums(dm)
         r = compute_curvature(g, dm)
         assert r.status is CurvatureStatus.EXACT_CANONICAL
         assert r.nullspace_dimension >= 1
@@ -475,7 +475,7 @@ def test_lp_max_min_on_integer_kernel_rows(spec):
     dm = apsp(g)
     outcome = solve_exact(dm.entries, [dm.n] * dm.n)
     rows = outcome.kernel_rows
-    assert len(rows) and dm.constant_row_sum() is None
+    assert len(rows) and not constant_row_sums(dm)
     scales = np.array([(-1) ** j * (j + 2) for j in range(len(rows))], dtype=object)
     nums, den = lp_max_min(outcome.particular, rows)
     scaled_nums, scaled_den = lp_max_min(outcome.particular, rows * scales.reshape(-1, 1))

@@ -8,11 +8,14 @@ with D: so the unique solution, the leximin point and the pseudo-inverse
 point are all constant on cells. Colour refinement here, on the test side,
 finds the coarsest such partition; ``D P == P B`` certifies it in integers.
 
-The package uses the lemma: ``compute_curvature`` runs the max-min LP on the
-cells that ``curvature._equitable_cells`` finds, once ``D P == P B`` holds
-for them (its Notes have the proof, ``tests/test_quotient_max_min.py`` the
-oracle). The refinement here stays independent of it, and every graph below
-checks that both find the same cells.
+The package uses the lemma: ``compute_curvature`` finds every affine
+family's max-min point on the cells that ``curvature._equitable_cells``
+finds, once ``D P == P B`` holds for them, and on a cell per vertex when it
+fails. One cell, the graphs with constant row sums, is the constant point
+with no LP; more cells run the LP on the cell averages (its Notes have the
+proof, ``tests/test_quotient_max_min.py`` the oracle). The refinement here
+stays independent of it, and every graph below checks that both find the
+same cells.
 """
 
 import sys

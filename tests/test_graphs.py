@@ -403,12 +403,6 @@ class TestMetrics:
         assert apsp(fam("complete:5")).average_distance() == Fraction(4, 5)
         assert apsp(fam("cycle:6")).average_distance() == Fraction(3, 2)
 
-    def test_constant_row_sum(self):
-        assert apsp(fam("cycle:6")).constant_row_sum() == 9
-        assert apsp(fam("path:3")).constant_row_sum() is None
-        r = apsp(fam("johnson:4,2")).constant_row_sum()
-        assert r == 6 and Fraction(6) / r == 1
-
     def test_hypercube_distance_is_hamming(self):
         for n in range(1, 7):
             g = fam(f"hypercube:{n}")

@@ -30,7 +30,7 @@ from eqcurv import (
     solve_exact,
 )
 from eqcurv.linalg import _simplex_max
-from integer_form import assert_integer_array, integer_rows, max_min
+from integer_form import assert_integer_array, constant_row_sums, integer_rows, max_min
 
 
 class LpUnboundedError(RuntimeError):
@@ -382,7 +382,7 @@ def cycle_with_tail(m: int, tail: int) -> Graph:
 def distance_family(g: Graph):
     dm = apsp(g)
     out = solve_exact(dm.entries, [g.n] * g.n)
-    assert dm.constant_row_sum() is None and out.nullspace
+    assert not constant_row_sums(dm) and out.nullspace
     return out.solution, out.nullspace
 
 

@@ -2,10 +2,12 @@
 
 ``compute_curvature`` hands ``lp_max_min`` one value per cell of the coarsest
 D-equitable partition, with the cell sizes as multiplicities; its Notes prove
-that the leximin point is constant on cells. The reference here is
+that the leximin point is constant on cells. One cell, which constant row
+sums make, takes the constant point with no LP; a partition that fails its
+certificate is replaced by a cell per vertex. The reference here is
 ``lp_max_min`` of the solver's particular point and kernel rows over every
-vertex, the route the package took before. Both must give the same reduced
-point ``(nums, den)``, and ``dw`` must be the exact range of ``D nums``.
+vertex. Both must give the same reduced point ``(nums, den)``, and ``dw``
+must be the exact range of ``D nums``.
 """
 
 import sys
@@ -30,7 +32,7 @@ from eqcurv import (
 )
 from eqcurv.curvature import _cell_numerators, _distance_solve
 from eqcurv.linalg import SolveStatus
-from integer_form import assert_integer_array
+from integer_form import assert_integer_array, constant_row_sums
 from test_equitable_partition import equitable_cells
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -56,7 +58,7 @@ def cycle_with_tail(m: int, tail: int) -> Graph:
 
 def reaches_the_lp(g: Graph) -> bool:
     dm = g.distance_matrix
-    return _distance_solve(dm).status is SolveStatus.AFFINE and dm.constant_row_sum() is None
+    return _distance_solve(dm).status is SolveStatus.AFFINE and not constant_row_sums(dm)
 
 
 def assert_matches_the_full_lp(g: Graph) -> None:
@@ -156,7 +158,9 @@ class TestCertificate:
     ])
     def test_a_forged_partition_is_refused(self, monkeypatch, lp_calls, spec, forge):
         # every forgery is coarser than the coarsest equitable partition, so
-        # D P == P B fails, and the LP runs over every vertex
+        # D P == P B fails, and the route takes a cell per vertex: one LP call
+        # with the whole kernel and unit multiplicities. One cell counts only
+        # when the row sums agree, so its forgery does not take the constant point
         g = cycle_with_tail(26, 2) if spec == "cycle:26 + 2" else fam(spec)
         d = g.distance_matrix.entries
         cells = curvature._equitable_cells(d)
@@ -168,11 +172,14 @@ class TestCertificate:
         assert forged.max() < cells.max()
         monkeypatch.setattr(curvature, "_equitable_cells", lambda d: forged)
         assert_matches_the_full_lp(g)
-        assert lp_calls == [(_distance_solve(g.distance_matrix).nullspace_dimension, None)]
+        [(k, multiplicity)] = lp_calls
+        assert k == _distance_solve(g.distance_matrix).nullspace_dimension
+        assert multiplicity.tolist() == [1] * g.n
 
-    def test_a_matrix_that_is_not_symmetric_is_refused(self):
+    def test_a_matrix_that_is_not_symmetric_is_refused(self, lp_calls):
         # D + Q - Q^T for a permutation Q that turns three vertices of one cell
-        # keeps D P == P B, as Q P = P, but the lemma needs D symmetric
+        # keeps D P == P B, as Q P = P, but the lemma needs D symmetric: the
+        # route takes a cell per vertex, with the family of D handed to it
         g = fam("knight_board:4,4")
         d, outcome = g.distance_matrix.entries, _distance_solve(g.distance_matrix)
         cells = curvature._equitable_cells(d)
@@ -181,8 +188,15 @@ class TestCertificate:
         q[[a, b, c]] = q[[b, c, a]]
         skew = d + q - q.T
         assert not np.array_equal(skew, skew.T) and (curvature._equitable_cells(skew) == cells).all()
-        assert curvature._max_min_on_cells(d, outcome) is not None
-        assert curvature._max_min_on_cells(skew, outcome) is None
+        nums, den = lp_max_min(outcome.particular, outcome.kernel_rows)
+        reduced = gcd(den, *nums.tolist())
+        expected = ([v // reduced for v in nums.tolist()], den // reduced, None)
+        for matrix in (d, skew):
+            got = curvature._max_min_on_cells(matrix, outcome)
+            assert (got[0].tolist(), *got[1:]) == expected
+        # the knight board's cells leave no direction; the skew matrix's cell per vertex all of them
+        [(k, multiplicity)] = lp_calls
+        assert (k, multiplicity.tolist()) == (outcome.nullspace_dimension, [1] * g.n)
 
     def test_a_finer_equitable_partition_gives_the_same_point(self, monkeypatch, lp_calls):
         # the orbits of the transposition (a, b) -> (b, a) of path:5 x path:5
@@ -210,6 +224,24 @@ class TestDirectionCounts:
         assert sum(k for k, _ in lp_calls) == 52
         # the four knight boards make no call
         assert len(lp_calls) == 9
+
+    def test_constant_row_sums_take_the_one_cell_exit(self, monkeypatch, lp_calls):
+        # the vertex-transitive graphs of the seed-1 families blocks: one cell,
+        # and the point (n * 1, R) as it is, with no LP and no product D nums
+        products = []
+        monkeypatch.setattr(curvature, "integer_matmul", lambda *args: products.append(1))
+        items = [item for block in workloads.build_blocks("families", 1) for item in block]
+        graphs = [workloads._reshape(generate(item.spec), item) for item in items]
+        constant = [g for g in graphs if constant_row_sums(g.distance_matrix)]
+        assert (len(graphs), len(constant)) == (72, 60)
+        for g in constant:
+            result = compute_curvature(g)
+            r = int(g.distance_matrix.row_sums()[0])
+            assert result.status is CurvatureStatus.EXACT_CANONICAL
+            assert (result.nums, result.den) == ((g.n,) * g.n, r)
+            assert set(result.w) == {Fraction(g.n, r)}
+            assert result.dw == (g.n * result.den, g.n * result.den)
+        assert lp_calls == products == []
 
     def test_path_15_times_path_15(self, lp_calls):
         g = grid(15)
@@ -246,7 +278,7 @@ class TestCellNumerators:
         # point is the same
         g = make()
         d, outcome = g.distance_matrix.entries, _distance_solve(g.distance_matrix)
-        expected = curvature._max_min_on_cells(d, outcome)
+        expected = curvature._max_min_on_cells(d, outcome)[:2]
         nums, den = outcome.particular
         scaled = SimpleNamespace(particular=(nums.astype(object) << 62, den << 62),
                                  kernel_rows=outcome.kernel_rows.astype(object) << 62)
@@ -258,7 +290,7 @@ class TestCellNumerators:
             return real(particular, nullspace, multiplicity)
 
         monkeypatch.setattr(curvature, "lp_max_min", spy)
-        point, den = curvature._max_min_on_cells(d, scaled)
+        point, den, _ = curvature._max_min_on_cells(d, scaled)
         assert dtypes == [(object, object)]
         assert (point.tolist(), den) == (expected[0].tolist(), expected[1])
         assert (tuple(point.tolist()), den) == (compute_curvature(g).nums, compute_curvature(g).den)

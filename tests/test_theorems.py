@@ -624,7 +624,7 @@ class TestProductCurvature:
     def test_neither_the_max_min_lp_nor_the_row_sums_are_read(self, monkeypatch):
         calls = []
         monkeypatch.setattr(curvature, "lp_max_min", lambda *args: calls.append("lp_max_min"))
-        monkeypatch.setattr(DistanceMatrix, "constant_row_sum", lambda dm: calls.append("constant_row_sum"))
+        monkeypatch.setattr(curvature, "_equitable_cells", lambda d: calls.append("_equitable_cells"))
         # path:4 x path:5 and the knight board have kernels, and cycles constant row sums
         for first, second in [("path:4", "path:5"), ("knight_board:4,4", "cycle:5"), ("cycle:4", "cycle:6")]:
             assert check_product_curvature(fam(first), fam(second)).passed
